@@ -76,7 +76,16 @@ _CONFIG_KEYS = {
     "n_centers",
     "gamma_n",
     "t_max",
+    "field_magnitude",
 }
+
+
+def _json_text(payload) -> str:
+    """Strict JSON for every file and printout: NaN and infinities are refused."""
+    try:
+        return json.dumps(payload, indent=1, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise ConfigError(f"output holds a value JSON cannot represent: {exc}") from exc
 
 
 @dataclass
@@ -104,9 +113,7 @@ class RunManifest:
             "outputs": self.outputs,
             "timings_s": self.timings_s,
         }
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        path.write_text(_json_text(payload) + "\n")
         missing = [p for p in self.outputs if not Path(p).exists()]
         if missing:
             raise PhysicsError(f"manifest lists outputs that were never written: {missing}")
@@ -244,7 +251,7 @@ def _print_json(payload: dict, ns) -> None:
         print(",".join(flat.keys()))
         print(",".join(str(v) for v in flat.values()))
     else:
-        print(json.dumps(payload, indent=1, sort_keys=True))
+        print(_json_text(payload))
 
 
 # ---------------------------------------------------------------- commands
@@ -420,7 +427,7 @@ def cmd_sweep(ns) -> int:
 
     def finite_mean(values):
         vals = [v for v in values if v is not None and math.isfinite(v)]
-        return (sum(vals) / len(vals), len(vals)) if vals else (math.nan, 0)
+        return (sum(vals) / len(vals), len(vals)) if vals else (None, 0)
 
     summary: dict = {"mode": mode, "points": {}, "fits": {}}
     fit_x: dict[str, list] = {"T_R": [], "T_w": [], "T2": []}
@@ -449,9 +456,7 @@ def cmd_sweep(ns) -> int:
             summary["fits"]["T2_vs_abundance"] = fit.to_json_dict()
 
     summary_path = manifest.add_output(out_dir / f"sweep_{mode}_summary.json")
-    with open(summary_path, "w") as fh:
-        json.dump(summary, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    summary_path.write_text(_json_text(summary) + "\n")
 
     if ns.plot:
         series = []
@@ -543,9 +548,7 @@ def cmd_reconstruct(ns) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest("reconstruct", __version__, settings.echo_config())
     est_path = manifest.add_output(out_dir / "field_estimate.json")
-    with open(est_path, "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    est_path.write_text(_json_text(payload) + "\n")
     manifest.write(out_dir)
     _print_json(payload, ns)
     return 0
@@ -612,9 +615,7 @@ def cmd_sensitivity(ns) -> int:
         for tau, eta in zip(report.tau_grid_ms, report.eta_G_sqHz):
             fh.write(f"{tau!r},{eta!r},{eta * 100.0!r}\n")
     json_path = manifest.add_output(out_dir / "sensitivity_report.json")
-    with open(json_path, "w") as fh:
-        json.dump(report.to_json_dict(), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    json_path.write_text(_json_text(report.to_json_dict()) + "\n")
     if ns.plot:
         finite = np.isfinite(report.eta_G_sqHz)
         svg = line_plot(

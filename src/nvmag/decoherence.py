@@ -45,10 +45,6 @@ from .errors import (
     UnsupportedBranchError,
 )
 
-# Spin-1/2 operators.
-_IX = np.array([[0.0, 0.5], [0.5, 0.0]], dtype=complex)
-_IY = np.array([[0.0, -0.5j], [0.5j, 0.0]], dtype=complex)
-_IZ = np.array([[0.5, 0.0], [0.0, -0.5]], dtype=complex)
 _I2 = np.eye(2, dtype=complex)
 
 # Ising + flip-flop pair operator:  Iz Iz - (I+ I- + I- I+) / 4.
@@ -74,6 +70,13 @@ POINTS_PER_LARMOR_PERIOD_MIN = 40
 PAIR_RATIO_FLOOR = 1e-4
 
 _LOG_FLOOR = 1e-300
+
+# Pair-points (pairs x grid points) per chunk of the pair kernel; the pair
+# count per chunk follows from the grid length.  The largest chunk
+# intermediate holds 32 doubles per pair-point (4 MiB), below glibc's
+# dynamic mmap threshold, so freed chunk buffers are reused rather than
+# mapped and page-faulted afresh on every chunk.
+PAIR_POINTS_PER_CHUNK = 16384
 
 
 @dataclass(frozen=True)
@@ -291,29 +294,6 @@ def single_spin_echo_factor(
     return out if t.ndim else float(out)
 
 
-def _zeeman_2x2(h_g: np.ndarray, gamma_n: float) -> np.ndarray:
-    """Nuclear Zeeman Hamiltonian -gamma_n h . I in kHz, 2x2."""
-    return -gamma_n * (h_g[0] * _IX + h_g[1] * _IY + h_g[2] * _IZ)
-
-
-def _pair_hamiltonian(
-    h_i_g: np.ndarray, h_j_g: np.ndarray, b_ij_khz: float, gamma_n: float
-) -> np.ndarray:
-    """Conditioned two-nucleus Hamiltonian (kHz, 4x4) for one branch."""
-    return (
-        np.kron(_zeeman_2x2(h_i_g, gamma_n), _I2)
-        + np.kron(_I2, _zeeman_2x2(h_j_g, gamma_n))
-        + b_ij_khz * _PAIR_DIPOLAR_OP
-    )
-
-
-def _propagator(hamiltonian_khz: np.ndarray, t_ms: float) -> np.ndarray:
-    """exp(-i 2 pi H t) via Hermitian eigendecomposition."""
-    evals, evecs = np.linalg.eigh(hamiltonian_khz)
-    phases = np.exp(-2j * np.pi * evals * t_ms)
-    return (evecs * phases) @ evecs.conj().T
-
-
 def pair_echo_factor(
     spin_i: NuclearSpin,
     spin_j: NuclearSpin,
@@ -326,25 +306,18 @@ def pair_echo_factor(
 
     Exact 4x4 evolution of the pair under the two conditioned Hamiltonians
     (each branch's Zeeman terms plus the shared Ising + flip-flop coupling),
-    contracted against the maximally mixed pair state.  Accepts scalar or
-    array ``t_ms``.
+    contracted against the maximally mixed pair state.  Runs the trace
+    engine's pair kernel (:func:`_pair_kernel_factors`) on this one pair at
+    branch duration t/2.  Accepts scalar or array ``t_ms``.
     """
-    h0 = effective_field(field, (0.0, 0.0, 0.0), 0, gamma_n)
-    h1_i = effective_field(field, spin_i.hyperfine, 1, gamma_n)
-    h1_j = effective_field(field, spin_j.hyperfine, 1, gamma_n)
-    ham0 = _pair_hamiltonian(h0, h0, b_ij_khz, gamma_n)
-    ham1 = _pair_hamiltonian(h1_i, h1_j, b_ij_khz, gamma_n)
-
+    field_arr = field.as_array()
+    h1 = [effective_field(field, s.hyperfine, 1, gamma_n) for s in (spin_i, spin_j)]
+    spectra = _pair_spectra(
+        h1[0][None, :], h1[1][None, :], np.array([float(b_ij_khz)]), field_arr, gamma_n
+    )
     t = np.asarray(t_ms, dtype=float)
-    scalar = t.ndim == 0
-    out = np.empty(t.reshape(-1).shape, dtype=float)
-    for idx, ti in enumerate(t.reshape(-1)):
-        u0 = _propagator(ham0, 0.5 * ti)
-        u1 = _propagator(ham1, 0.5 * ti)
-        w0 = u1 @ u0
-        w1 = u0 @ u1
-        out[idx] = np.trace(w1.conj().T @ w0).real / 4.0
-    return float(out[0]) if scalar else out.reshape(t.shape)
+    out = _pair_kernel_factors(spectra, 0.5 * t.reshape(-1))[0]
+    return float(out[0]) if t.ndim == 0 else out.reshape(t.shape)
 
 
 def _single_factors_on_grid(
@@ -391,53 +364,99 @@ def _batched_pair_hamiltonians(
     return ham
 
 
-def _pair_factors_on_grid(
-    bath: BathRealization,
+def _pair_spectra(
+    h1_left: np.ndarray,
+    h1_right: np.ndarray,
+    b: np.ndarray,
     field_arr: np.ndarray,
-    tau_grid: np.ndarray,
     gamma_n: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pair factors for every retained pair, branch duration = tau.
+    """Time-independent part of the pair kernel for n pairs.
 
-    Returns (idx_i, idx_j, factors) with factors of shape (P, T).  Uses the
-    spectral form of both branch propagators: with U_m = V_m P_m V_m^+, the
-    contraction Tr[U1+ U0+ U1 U0] reduces to a fixed 16x16 amplitude matrix
-    per pair applied to outer products of branch phase factors, evaluated
-    for all times at once.
+    ``h1_left``/``h1_right`` are the (n, 3) m = +1 branch fields of each
+    pair's two spins, ``b`` their (n,) couplings; the m = 0 branch sees the
+    bare field.  Returns the (n, 4) level energies ``e0`` and ``e1`` of the
+    two branch Hamiltonians and ``kern`` (n, 32, 8), the real form of
+    K[d, b, a] = O_da conj(O_ba) with O = V0^+ V1: it maps the phase
+    column [cos th_a; sin th_a] of branch 1 to [Re M_db; Im M_db], (d, b)
+    flattened (see :func:`_pair_kernel_factors`).
+    """
+    n = b.size
+    h0 = np.broadcast_to(field_arr, (n, 3))
+    e0, v0 = np.linalg.eigh(_batched_pair_hamiltonians(h0, h0, b, gamma_n))
+    e1, v1 = np.linalg.eigh(_batched_pair_hamiltonians(h1_left, h1_right, b, gamma_n))
+    overlap = np.matmul(v0.conj().transpose(0, 2, 1), v1)  # O = V0^+ V1
+    k = (overlap[:, :, None, :] * overlap.conj()[:, None, :, :]).reshape(n, 16, 4)
+    kern = np.empty((n, 32, 8))
+    kern[:, :16, :4] = k.real
+    kern[:, :16, 4:] = -k.imag
+    kern[:, 16:, :4] = k.imag
+    kern[:, 16:, 4:] = k.real
+    return e0, e1, kern
+
+
+def _pair_kernel_factors(spectra, tau: np.ndarray) -> np.ndarray:
+    """(n, T) pair echo factors at branch durations ``tau`` (total time 2 tau).
+
+    Contraction in the eigenbasis of the m = 0 branch Hamiltonian H0.  With
+    H_m = V_m diag(e_m) V_m^+ and O = V0^+ V1, the m = +1 propagator there
+    is M(tau) = O diag(exp(i th1)) O^+ (up to the sign of all phases, which
+    L does not see), th_m = 2 pi e_m tau, and
+
+        L = 1/4 Re Tr[U1^+ U0^+ U1 U0]
+          = 1/4 sum_bd |M_db|^2 cos(th0_b - th0_d),
+        M_db = sum_a K[d, b, a] exp(i th1_a).
+
+    A pair-point costs four cos/sin pairs per branch, one small real
+    product with the kernel for the 16 entries of M, and the weighted sum.
+    Each phase is evaluated from its own level energy, as in the propagators
+    themselves, never from a level difference.  A difference spans up to
+    twice the Zeeman range and rounds differently, by up to 1e-13 rad at
+    100 G; where a pair factor passes near zero that moves the trace by up
+    to 2e-11 against the direct propagator contraction.  ``spectra`` is
+    the output of :func:`_pair_spectra`.
+    """
+    e0, e1, kern = spectra
+    n, n_t = e1.shape[0], tau.size
+    theta1 = (2.0 * np.pi * e1)[:, :, None] * tau
+    phases1 = np.empty((n, 8, n_t))
+    np.cos(theta1, out=phases1[:, :4])
+    np.sin(theta1, out=phases1[:, 4:])
+    m = np.matmul(kern, phases1)  # (n, 32, T): [Re M; Im M]
+    m *= m
+    amp = (m[:, :16] + m[:, 16:]).reshape(n, 4, 4, n_t)  # |M_db|^2
+    theta0 = (2.0 * np.pi * e0)[:, :, None] * tau
+    cos0, sin0 = np.cos(theta0), np.sin(theta0)
+    # cos(th0_b - th0_d) = cos0_b cos0_d + sin0_b sin0_d
+    in_cos = np.einsum("pdbt,pbt->pdt", amp, cos0)
+    in_sin = np.einsum("pdbt,pbt->pdt", amp, sin0)
+    return 0.25 * (
+        np.einsum("pdt,pdt->pt", cos0, in_cos) + np.einsum("pdt,pdt->pt", sin0, in_sin)
+    )
+
+
+def _pair_factor_chunks(
+    bath: BathRealization,
+    field_arr: np.ndarray,
+    tau: np.ndarray,
+    gamma_n: float,
+):
+    """Yield (idx_i, idx_j, factors) for the bath's pairs, chunk by chunk.
+
+    Pairs run in sorted order, :data:`PAIR_POINTS_PER_CHUNK` // T of them
+    per chunk (at least one); ``factors`` is that chunk's (n, T) block of
+    pair factors at branch durations ``tau``.
     """
     pairs = bath.sorted_pairs()
     idx_i = np.fromiter((p[0] for p in pairs), dtype=int, count=len(pairs))
     idx_j = np.fromiter((p[1] for p in pairs), dtype=int, count=len(pairs))
-    b = np.array([bath.pair_couplings[p] for p in pairs], dtype=float)
-
+    b = np.fromiter((bath.pair_couplings[p] for p in pairs), dtype=float, count=len(pairs))
     h1 = field_arr[None, :] - bath.hyperfine / gamma_n  # (N, 3)
-    h0 = np.broadcast_to(field_arr, (len(pairs), 3))
-    ham0 = _batched_pair_hamiltonians(h0, h0, b, gamma_n)
-    ham1 = _batched_pair_hamiltonians(h1[idx_i], h1[idx_j], b, gamma_n)
-
-    e0, v0 = np.linalg.eigh(ham0)
-    e1, v1 = np.linalg.eigh(ham1)
-    overlap = np.einsum("pki,pkj->pij", v0.conj(), v1)  # V0^+ V1
-    amp = np.einsum(
-        "pba,pbc,pdc,pda->pabcd",
-        overlap.conj(),
-        overlap,
-        overlap.conj(),
-        overlap,
-    ).reshape(-1, 16, 16)
-
-    n_pairs, n_t = len(pairs), tau_grid.size
-    factors = np.empty((n_pairs, n_t), dtype=float)
-    # Chunk so the (chunk, 16, T) complex intermediates stay within ~0.5 GB.
-    chunk = max(8, int(5e8 / (max(n_t, 1) * 16 * 16 * 4)))
-    for lo in range(0, n_pairs, chunk):
-        hi = min(lo + chunk, n_pairs)
-        f0 = np.exp(2j * np.pi * e0[lo:hi, :, None] * tau_grid[None, None, :])
-        f1 = np.exp(2j * np.pi * e1[lo:hi, :, None] * tau_grid[None, None, :])
-        f = (f1[:, :, None, :] * f0[:, None, :, :]).reshape(hi - lo, 16, n_t)
-        gf = np.matmul(amp[lo:hi], f.conj())
-        factors[lo:hi] = np.einsum("pqt,pqt->pt", f, gf).real / 4.0
-    return idx_i, idx_j, factors
+    chunk = max(1, PAIR_POINTS_PER_CHUNK // tau.size)
+    for lo in range(0, len(pairs), chunk):
+        ci, cj = idx_i[lo : lo + chunk], idx_j[lo : lo + chunk]
+        spectra = _pair_spectra(h1[ci], h1[cj], b[lo : lo + chunk], field_arr, gamma_n)
+        yield ci, cj, _pair_kernel_factors(spectra, tau)
 
 
 def echo_coherence_trace(
@@ -452,6 +471,13 @@ def echo_coherence_trace(
     retained pair, the pair factor divided by its constituents' singles
     (equivalently: pair factors times singles raised to one minus their
     pair multiplicity).  Exact for baths of at most two spins.
+
+    Pairs are processed in chunks of about :data:`PAIR_POINTS_PER_CHUNK`
+    pair-points (pairs times grid points, :func:`_pair_factor_chunks`):
+    each chunk's factors are folded into the running log magnitude and
+    sign parity before the next chunk is computed, so no array spans all
+    pairs and all grid points.  Besides the (N, T) single-spin
+    tables, memory stays near 32 doubles per pair-point of one chunk.
     """
     gamma = bath.gamma_n if gamma_n is None else gamma_n
     field_arr = field.as_array()
@@ -467,19 +493,17 @@ def echo_coherence_trace(
         log_total = np.sum(log_singles, axis=0)
         neg_parity = np.sum(singles < 0.0, axis=0)
 
-        if bath.pair_couplings:
-            idx_i, idx_j, pair_factors = _pair_factors_on_grid(
-                bath, field_arr, tau, gamma
-            )
-            log_pairs = np.log(np.maximum(np.abs(pair_factors), _LOG_FLOOR))
-            denom = singles[idx_i] * singles[idx_j]  # (P, T)
+        for ci, cj, factors in _pair_factor_chunks(bath, field_arr, tau, gamma):
+            denom = singles[ci] * singles[cj]
             keep = np.abs(denom) > PAIR_RATIO_FLOOR
-            log_total += np.sum(
-                np.where(keep, log_pairs - log_singles[idx_i] - log_singles[idx_j], 0.0),
-                axis=0,
+            log_ratio = (
+                np.log(np.maximum(np.abs(factors), _LOG_FLOOR))
+                - log_singles[ci]
+                - log_singles[cj]
             )
-            ratio_neg = (pair_factors < 0.0) ^ (denom < 0.0)
-            neg_parity = neg_parity + np.sum(keep & ratio_neg, axis=0)
+            log_total += np.sum(np.where(keep, log_ratio, 0.0), axis=0)
+            ratio_neg = (factors < 0.0) ^ (denom < 0.0)
+            neg_parity += np.sum(keep & ratio_neg, axis=0)
 
         values = np.where(neg_parity % 2 == 1, -1.0, 1.0) * np.exp(log_total)
 

@@ -65,15 +65,18 @@ class TimescaleSet:
         return FLAG_NO_REVIVAL not in self.flags
 
     def to_json_dict(self) -> dict:
-        return {
+        """Values as JSON numbers; a NaN or infinite value becomes null (its flag says why)."""
+        values = {
             "T_w_ms": self.T_w,
             "T_w_err_ms": self.T_w_err,
             "T_R_ms": self.T_R,
             "T_R_err_ms": self.T_R_err,
             "T2_ms": self.T2,
             "T2_err_ms": self.T2_err,
-            "flags": list(self.flags),
         }
+        out = {k: v if math.isfinite(v) else None for k, v in values.items()}
+        out["flags"] = list(self.flags)
+        return out
 
 
 @dataclass(frozen=True)

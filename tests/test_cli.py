@@ -32,6 +32,14 @@ def run(*args):
     return main([str(a) for a in args])
 
 
+def strict_json(text):
+    """json.loads that refuses the NaN and Infinity literals strict JSON lacks."""
+    def refuse(name):
+        raise ValueError(f"not strict JSON: {name}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 class TestTopLevelParser:
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -277,6 +285,42 @@ class TestSweepCommand:
         assert summary["mode"] == "abundance"
         assert set(summary["points"]) == {"0.005", "0.011", "0.02"}
 
+    def test_unextractable_means_are_null_in_strict_json(self, tmp_path):
+        # a 0.1 ms window holds no envelope fit at 5 and 10 G and no revival
+        # at 5 G, so those realization means have nothing to average
+        cfg = write_config(tmp_path)
+        rc = run(
+            "sweep", "--config", cfg, "--fields", "5,10,20", "--realizations", 1,
+            "--t-max", "0.1", "--out-dir", tmp_path,
+        )
+        assert rc == 0
+        summary = strict_json((tmp_path / "sweep_field_summary.json").read_text())
+        strict_json((tmp_path / "sweep_manifest.json").read_text())
+        nulls = sorted(
+            (point, name)
+            for point, entry in summary["points"].items()
+            for name in ("T_R", "T_w", "T2")
+            if entry[f"{name}_ms_mean"] is None
+        )
+        assert nulls == [("10.0", "T2"), ("5.0", "T2"), ("5.0", "T_R")]
+        assert all(summary["points"][p][f"{n}_n"] == 0 for p, n in nulls)
+
+    def test_field_magnitude_from_config_file(self, tmp_path):
+        cfg = write_config(tmp_path, field_magnitude=20.0)
+        rc = run(
+            "sweep", "--config", cfg, "--abundances", "0.005,0.011,0.02",
+            "--realizations", 1, "--t-max", "0.3", "--points-per-period", 44,
+            "--out-dir", tmp_path,
+        )
+        assert rc == 0
+        manifest = json.loads((tmp_path / "sweep_manifest.json").read_text())
+        assert manifest["config"]["field_magnitude"] == 20.0
+        lines = (tmp_path / "sweep_abundance_rows.csv").read_text().splitlines()
+        header = lines[0].split(",")
+        for line in lines[1:]:
+            t_r = float(dict(zip(header, line.split(",")))["T_R_ms"])
+            assert t_r * GAMMA_N_13C_KHZ_PER_G * 20.0 == pytest.approx(1.0, rel=0.03)
+
     def test_both_modes_rejected(self, tmp_path, capsys):
         rc = run(
             "sweep", "--fields", "1,2,5", "--abundances", "0.01,0.02,0.03",
@@ -361,12 +405,17 @@ class TestExtractCommand:
         rows = "\n".join(f"{0.01 * k!r},1.0" for k in range(40))
         path.write_text("t_ms,L\n" + rows + "\n")
         assert run("extract", "--trace", path, "--out-dir", tmp_path) == 0
-        payload = json.loads(capsys.readouterr().out)
+        payload = strict_json(capsys.readouterr().out)
         assert "no-revival" in payload["flags"]
         assert "no-crossing" in payload["flags"]
+        assert payload["T_R_ms"] is None and payload["T2_ms"] is None
 
 
 class TestInvertCommand:
+    def test_non_finite_result_exits_2(self, capsys):
+        assert run("invert", "--tr", "nan") == 2
+        assert "JSON cannot represent" in capsys.readouterr().err
+
     def test_default_calibration(self, capsys):
         assert run("invert", "--tr", "0.2") == 0
         payload = json.loads(capsys.readouterr().out)

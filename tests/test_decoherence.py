@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from nvmag.bath import (
 )
 from nvmag.constants import GAMMA_N_13C_KHZ_PER_G
 from nvmag.decoherence import (
+    PAIR_POINTS_PER_CHUNK,
     CoherenceTrace,
     EchoSchedule,
     FieldVector,
@@ -21,6 +24,7 @@ from nvmag.decoherence import (
     pair_echo_factor,
     required_time_step,
     single_spin_echo_factor,
+    _pair_factor_chunks,
 )
 from nvmag.errors import (
     ConfigError,
@@ -159,6 +163,31 @@ class TestPairFactor:
         assert got == pytest.approx(li * lj, abs=1e-10)
 
 
+class TestPairKernelChunks:
+    def test_chunked_factors_match_full_hilbert_oracle(self):
+        # 15 pairs at 4 pairs per chunk: chunks of 4, 4, 4 and 3, under a
+        # transverse field so that no branch Hamiltonian is block-diagonal
+        bath = make_tiny_bath(6, seed=7, spread_nm=1.2)
+        field = FieldVector.from_sequence((4.0, -3.0, 8.0))
+        tau = np.linspace(0.0, 1.0, PAIR_POINTS_PER_CHUNK // 4)
+        chunks = list(_pair_factor_chunks(bath, field.as_array(), tau, GAMMA))
+        assert [len(factors) for _, _, factors in chunks] == [4, 4, 4, 3]
+        idx = [(int(i), int(j)) for ci, cj, _ in chunks for i, j in zip(ci, cj)]
+        assert idx == bath.sorted_pairs()
+
+        spins = [(np.asarray(s.position), np.asarray(s.hyperfine)) for s in bath.spins]
+        err = 0.0
+        for ci, cj, factors in chunks:
+            for i, j, row in zip(ci, cj, factors):
+                coupling = {(0, 1): bath.pair_couplings[(i, j)]}
+                for k in range(0, tau.size, 97):
+                    want = exact_echo(
+                        [spins[i], spins[j]], coupling, field.as_array(), 2.0 * tau[k], GAMMA
+                    )
+                    err = max(err, abs(row[k] - want))
+        assert err < 1e-10
+
+
 # ------------------------------------------------------------ full engine
 class TestEchoCoherenceTrace:
     def test_empty_bath_is_unity(self):
@@ -244,6 +273,24 @@ class TestEchoCoherenceTrace:
         sched = EchoSchedule.for_field(50.0, t_max_ms=0.1)
         trace = echo_coherence_trace(bath, FieldVector.along_z(50.0), sched)
         assert trace.values[0] == pytest.approx(1.0, abs=1e-12)
+
+    def test_peak_allocation_is_bounded_on_a_long_grid(self):
+        # 349 pairs on 2828 points: chunks are folded into the trace one at
+        # a time, so the peak is the (N, T) single-spin tables plus one
+        # chunk's intermediates, about 15 MB; 16 complex amplitudes per
+        # pair-point for a few hundred pairs (over 100 MB) would exceed it
+        cfg = LatticeConfig(cutoff_radius=2.5, abundance=0.011, seed=1)
+        bath = sample_bath(generate_lattice_sites(cfg), cfg)
+        assert len(bath.pair_couplings) == 349
+        sched = EchoSchedule.for_field(100.0, t_max_ms=0.55)
+        assert len(sched.t_grid) == 2828
+        tracemalloc.start()
+        try:
+            echo_coherence_trace(bath, FieldVector.along_z(100.0), sched)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 24e6
 
     def test_grid_resolution_enforced(self, small_sites):
         bath = sample_bath(small_sites, LatticeConfig(seed=2, abundance=0.1))
