@@ -8,11 +8,13 @@ Configuration file (--config) is a flat JSON object; recognized keys:
 
     lattice_constant, cutoff_radius, exclusion_radius, abundance,
     pair_cutoff, seed, realizations, points_per_period, prominence,
-    alpha, alpha_source, contrast, n_centers, gamma_n, t_max
+    alpha, alpha_source, contrast, n_centers, gamma_n, t_max,
+    field_magnitude
 
 Explicit command-line flags override config values, which override the
-built-in defaults.  NVMAG_THREADS caps the sweep worker pool.  Exit codes:
-0 success, 2 configuration error, 3 physics-constraint error.
+built-in defaults.  NVMAG_THREADS caps the threads that compute the pair
+factors of every trace (default: one per core).  Exit codes: 0 success,
+2 configuration error, 3 physics-constraint error.
 """
 
 from __future__ import annotations
@@ -20,10 +22,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
@@ -191,20 +191,6 @@ def _parse_field(text: str) -> FieldVector:
     if len(parts) == 3:
         return FieldVector.from_sequence(parts)
     raise ConfigError("field must be one magnitude or three components")
-
-
-def _pool_size(n_tasks: int) -> int:
-    env = os.environ.get("NVMAG_THREADS", "").strip()
-    if env:
-        try:
-            cap = int(env)
-        except ValueError as exc:
-            raise ConfigError(f"NVMAG_THREADS must be an integer, got {env!r}") from exc
-        if cap < 1:
-            raise ConfigError("NVMAG_THREADS must be >= 1")
-    else:
-        cap = os.cpu_count() or 1
-    return max(1, min(cap, n_tasks))
 
 
 def _t_max_auto(field_magnitude_g: float, abundance: float, gamma_n: float) -> float:
@@ -375,8 +361,7 @@ def cmd_sweep(ns) -> int:
     site_cfg = settings.lattice_config()
     sites = generate_lattice_sites(site_cfg)
 
-    def one_task(task: tuple[float, int]) -> tuple[tuple[float, int], CoherenceTrace]:
-        key, seed = task
+    def one_task(key: float, seed: int) -> CoherenceTrace:
         b_mag, abundance = point_params(key)
         cfg = LatticeConfig(
             lattice_constant=site_cfg.lattice_constant,
@@ -394,15 +379,14 @@ def cmd_sweep(ns) -> int:
             points_per_period=int(settings.get("points_per_period", 48)),
             gamma_n=gamma_n,
         )
-        trace = echo_coherence_trace(bath, FieldVector.along_z(b_mag), schedule, gamma_n=gamma_n)
-        return task, trace
+        return echo_coherence_trace(bath, FieldVector.along_z(b_mag), schedule, gamma_n=gamma_n)
 
-    tasks = [(key, base_seed + r) for key in keys for r in range(realizations)]
-    traces: dict[tuple[float, int], CoherenceTrace] = {}
     t_sim = time.perf_counter()
-    with ThreadPoolExecutor(max_workers=_pool_size(len(tasks))) as pool:
-        for task, trace in pool.map(one_task, tasks):
-            traces[task] = trace
+    traces = {
+        (key, base_seed + r): one_task(key, base_seed + r)
+        for key in keys
+        for r in range(realizations)
+    }
     sim_elapsed = time.perf_counter() - t_sim
 
     rows: list[dict] = []

@@ -28,7 +28,10 @@ dropped wherever its denominator passes through zero (see
 from __future__ import annotations
 
 import json
+import os
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
@@ -72,11 +75,16 @@ PAIR_RATIO_FLOOR = 1e-4
 _LOG_FLOOR = 1e-300
 
 # Pair-points (pairs x grid points) per chunk of the pair kernel; the pair
-# count per chunk follows from the grid length.  The largest chunk
-# intermediate holds 32 doubles per pair-point (4 MiB), below glibc's
-# dynamic mmap threshold, so freed chunk buffers are reused rather than
-# mapped and page-faulted afresh on every chunk.
+# count per chunk follows from the grid length.
 PAIR_POINTS_PER_CHUNK = 16384
+
+# Doubles per pair-point in the pair kernel's workspace: 4 rows of phase
+# arguments, 8 of their cosines and sines, 32 of the kernel product M.
+# Each pool worker allocates one workspace per trace and reuses it for
+# every chunk it folds: buffers allocated afresh for every chunk are
+# mapped and page-faulted anew, the more so from several threads' malloc
+# arenas at once.
+_WORKSPACE_ROWS = 44
 
 
 @dataclass(frozen=True)
@@ -117,6 +125,14 @@ def required_time_step(field_magnitude_g: float, gamma_n: float = GAMMA_N_13C_KH
     return 1.0 / (gamma_n * abs(field_magnitude_g)) / POINTS_PER_LARMOR_PERIOD_MIN
 
 
+def _check_time_grid(grid: np.ndarray) -> None:
+    """Raise ConfigError unless the echo times are finite and strictly increasing."""
+    if not np.all(np.isfinite(grid)):
+        raise ConfigError("echo times must be finite")
+    if grid.size > 1 and not np.all(np.diff(grid) > 0):
+        raise ConfigError("echo times must be strictly increasing")
+
+
 @dataclass(frozen=True)
 class EchoSchedule:
     """Echo time grid: each entry is the per-interval time tau in ms."""
@@ -129,12 +145,13 @@ class EchoSchedule:
             raise ConfigError("empty echo schedule")
         if grid[0] < 0:
             raise ConfigError("echo times must be non-negative")
-        if grid.size > 1 and not np.all(np.diff(grid) > 0):
-            raise ConfigError("echo times must be strictly increasing")
+        _check_time_grid(grid)
         object.__setattr__(self, "t_grid", grid)
 
     @classmethod
     def regular(cls, t_max_ms: float, step_ms: float) -> "EchoSchedule":
+        if not (np.isfinite(t_max_ms) and np.isfinite(step_ms)):
+            raise ConfigError("t_max and step must be finite")
         if t_max_ms <= 0 or step_ms <= 0:
             raise ConfigError("t_max and step must be positive")
         n = int(np.ceil(t_max_ms / step_ms))
@@ -187,6 +204,9 @@ class CoherenceTrace:
         self.values = np.asarray(self.values, dtype=float).reshape(-1)
         if self.t_grid.shape != self.values.shape:
             raise ShapeError("time grid and values differ in length")
+        _check_time_grid(self.t_grid)
+        if not np.all(np.isfinite(self.values)):
+            raise ConfigError("coherence values must be finite")
         if self.t_grid.size and self.t_grid[0] == 0.0:
             if abs(self.values[0] - 1.0) > 1e-9:
                 raise PhysicsError(
@@ -395,7 +415,9 @@ def _pair_spectra(
     return e0, e1, kern
 
 
-def _pair_kernel_factors(spectra, tau: np.ndarray) -> np.ndarray:
+def _pair_kernel_factors(
+    spectra, tau: np.ndarray, workspace: np.ndarray | None = None
+) -> np.ndarray:
     """(n, T) pair echo factors at branch durations ``tau`` (total time 2 tau).
 
     Contraction in the eigenbasis of the m = 0 branch Hamiltonian H0.  With
@@ -415,48 +437,72 @@ def _pair_kernel_factors(spectra, tau: np.ndarray) -> np.ndarray:
     100 G; where a pair factor passes near zero that moves the trace by up
     to 2e-11 against the direct propagator contraction.  ``spectra`` is
     the output of :func:`_pair_spectra`.
+
+    Every intermediate, and the result, is a view of ``workspace``, a flat
+    float64 buffer of at least :data:`_WORKSPACE_ROWS` doubles per
+    pair-point; the result stays valid until the workspace is reused.
+    Without one, a fresh buffer is allocated.
     """
     e0, e1, kern = spectra
     n, n_t = e1.shape[0], tau.size
-    theta1 = (2.0 * np.pi * e1)[:, :, None] * tau
-    phases1 = np.empty((n, 8, n_t))
-    np.cos(theta1, out=phases1[:, :4])
-    np.sin(theta1, out=phases1[:, 4:])
-    m = np.matmul(kern, phases1)  # (n, 32, T): [Re M; Im M]
-    m *= m
-    amp = (m[:, :16] + m[:, 16:]).reshape(n, 4, 4, n_t)  # |M_db|^2
-    theta0 = (2.0 * np.pi * e0)[:, :, None] * tau
-    cos0, sin0 = np.cos(theta0), np.sin(theta0)
+    size = n * n_t
+    if workspace is None:
+        workspace = np.empty(_WORKSPACE_ROWS * size)
+    theta = workspace[: 4 * size].reshape(n, 4, n_t)
+    phases = workspace[4 * size : 12 * size].reshape(n, 8, n_t)
+    m = workspace[12 * size : _WORKSPACE_ROWS * size].reshape(n, 32, n_t)
+    np.multiply((2.0 * np.pi * e1)[:, :, None], tau, out=theta)
+    np.cos(theta, out=phases[:, :4])
+    np.sin(theta, out=phases[:, 4:])
+    np.matmul(kern, phases, out=m)  # (n, 32, T): [Re M; Im M]
+    np.multiply(m, m, out=m)
+    amp = np.add(m[:, :16], m[:, 16:], out=m[:, :16]).reshape(n, 4, 4, n_t)  # |M_db|^2
+    np.multiply((2.0 * np.pi * e0)[:, :, None], tau, out=theta)
+    cos0, sin0 = phases[:, :4], phases[:, 4:]
+    np.cos(theta, out=cos0)
+    np.sin(theta, out=sin0)
     # cos(th0_b - th0_d) = cos0_b cos0_d + sin0_b sin0_d
-    in_cos = np.einsum("pdbt,pbt->pdt", amp, cos0)
-    in_sin = np.einsum("pdbt,pbt->pdt", amp, sin0)
-    return 0.25 * (
-        np.einsum("pdt,pdt->pt", cos0, in_cos) + np.einsum("pdt,pdt->pt", sin0, in_sin)
-    )
+    in_cos, in_sin = m[:, 16:20], m[:, 20:24]
+    np.einsum("pdbt,pbt->pdt", amp, cos0, out=in_cos)
+    np.einsum("pdbt,pbt->pdt", amp, sin0, out=in_sin)
+    out, sin_part = m[:, 24], m[:, 25]
+    np.einsum("pdt,pdt->pt", cos0, in_cos, out=out)
+    np.einsum("pdt,pdt->pt", sin0, in_sin, out=sin_part)
+    out += sin_part
+    out *= 0.25
+    return out
 
 
-def _pair_factor_chunks(
-    bath: BathRealization,
-    field_arr: np.ndarray,
-    tau: np.ndarray,
-    gamma_n: float,
-):
-    """Yield (idx_i, idx_j, factors) for the bath's pairs, chunk by chunk.
+def _pair_chunks(bath: BathRealization, n_t: int) -> list:
+    """The bath's pairs in sorted order, split for the pair kernel.
 
-    Pairs run in sorted order, :data:`PAIR_POINTS_PER_CHUNK` // T of them
-    per chunk (at least one); ``factors`` is that chunk's (n, T) block of
-    pair factors at branch durations ``tau``.
+    Each chunk holds :data:`PAIR_POINTS_PER_CHUNK` // ``n_t`` pairs (at
+    least one) as (idx_i, idx_j, couplings) arrays.
     """
     pairs = bath.sorted_pairs()
     idx_i = np.fromiter((p[0] for p in pairs), dtype=int, count=len(pairs))
     idx_j = np.fromiter((p[1] for p in pairs), dtype=int, count=len(pairs))
     b = np.fromiter((bath.pair_couplings[p] for p in pairs), dtype=float, count=len(pairs))
-    h1 = field_arr[None, :] - bath.hyperfine / gamma_n  # (N, 3)
-    chunk = max(1, PAIR_POINTS_PER_CHUNK // tau.size)
-    for lo in range(0, len(pairs), chunk):
-        ci, cj = idx_i[lo : lo + chunk], idx_j[lo : lo + chunk]
-        spectra = _pair_spectra(h1[ci], h1[cj], b[lo : lo + chunk], field_arr, gamma_n)
-        yield ci, cj, _pair_kernel_factors(spectra, tau)
+    chunk = max(1, PAIR_POINTS_PER_CHUNK // n_t)
+    return [
+        (idx_i[lo : lo + chunk], idx_j[lo : lo + chunk], b[lo : lo + chunk])
+        for lo in range(0, len(pairs), chunk)
+    ]
+
+
+def _pool_size(n_tasks: int) -> int:
+    """Worker threads for ``n_tasks`` chunks: NVMAG_THREADS, else the core count."""
+    env = os.environ.get("NVMAG_THREADS", "").strip()
+    if env:
+        try:
+            cap = int(env)
+        except ValueError as exc:
+            raise ConfigError(f"NVMAG_THREADS must be an integer, got {env!r}") from exc
+        if cap < 1:
+            raise ConfigError("NVMAG_THREADS must be >= 1")
+    else:
+        cap = os.cpu_count() or 1
+    return max(1, min(cap, n_tasks))
 
 
 def echo_coherence_trace(
@@ -473,16 +519,22 @@ def echo_coherence_trace(
     pair multiplicity).  Exact for baths of at most two spins.
 
     Pairs are processed in chunks of about :data:`PAIR_POINTS_PER_CHUNK`
-    pair-points (pairs times grid points, :func:`_pair_factor_chunks`):
-    each chunk's factors are folded into the running log magnitude and
-    sign parity before the next chunk is computed, so no array spans all
-    pairs and all grid points.  Besides the (N, T) single-spin
-    tables, memory stays near 32 doubles per pair-point of one chunk.
+    pair-points (pairs times grid points, :func:`_pair_chunks`) on a pool
+    of ``NVMAG_THREADS`` worker threads (default: one per core, never more
+    than there are chunks).  A worker reduces its chunk to partial log
+    magnitude and sign-parity sums over the pairs; the calling thread adds
+    them in chunk order, so the trace is bit-identical at every thread
+    count.  Memory is the (N, T) single-spin tables plus, per worker, one
+    workspace of :data:`_WORKSPACE_ROWS` doubles per pair-point of a chunk
+    (5.5 MiB up to 16,384 grid points) and that chunk's few (n, T) fold
+    temporaries.
     """
     gamma = bath.gamma_n if gamma_n is None else gamma_n
     field_arr = field.as_array()
     schedule.validate_resolution(field.magnitude, gamma)
     tau = schedule.t_grid
+    chunks = _pair_chunks(bath, tau.size)
+    n_workers = _pool_size(len(chunks))
 
     n_spins = len(bath)
     if n_spins == 0:
@@ -492,8 +544,18 @@ def echo_coherence_trace(
         log_singles = np.log(np.maximum(np.abs(singles), _LOG_FLOOR))
         log_total = np.sum(log_singles, axis=0)
         neg_parity = np.sum(singles < 0.0, axis=0)
+        h1 = field_arr[None, :] - bath.hyperfine / gamma  # (N, 3)
+        workspaces = threading.local()
 
-        for ci, cj, factors in _pair_factor_chunks(bath, field_arr, tau, gamma):
+        def fold(chunk):
+            ci, cj, b = chunk
+            workspace = getattr(workspaces, "buffer", None)
+            if workspace is None:
+                workspace = workspaces.buffer = np.empty(
+                    _WORKSPACE_ROWS * max(PAIR_POINTS_PER_CHUNK, tau.size)
+                )
+            spectra = _pair_spectra(h1[ci], h1[cj], b, field_arr, gamma)
+            factors = _pair_kernel_factors(spectra, tau, workspace)
             denom = singles[ci] * singles[cj]
             keep = np.abs(denom) > PAIR_RATIO_FLOOR
             log_ratio = (
@@ -501,9 +563,16 @@ def echo_coherence_trace(
                 - log_singles[ci]
                 - log_singles[cj]
             )
-            log_total += np.sum(np.where(keep, log_ratio, 0.0), axis=0)
             ratio_neg = (factors < 0.0) ^ (denom < 0.0)
-            neg_parity += np.sum(keep & ratio_neg, axis=0)
+            return (
+                np.sum(np.where(keep, log_ratio, 0.0), axis=0),
+                np.sum(keep & ratio_neg, axis=0),
+            )
+
+        with ThreadPoolExecutor(max_workers=n_workers) as pool:
+            for log_part, neg_part in pool.map(fold, chunks):
+                log_total += log_part
+                neg_parity += neg_part
 
         values = np.where(neg_parity % 2 == 1, -1.0, 1.0) * np.exp(log_total)
 

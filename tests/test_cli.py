@@ -13,9 +13,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nvmag.cli import RunManifest, _parse_field, _pool_size, _t_max_auto, main
+from nvmag.cli import RunManifest, _parse_field, _t_max_auto, main
 from nvmag.constants import ALPHA_MS_G, GAMMA_N_13C_KHZ_PER_G
-from nvmag.decoherence import CoherenceTrace, EchoSchedule, analytic_trace
+from nvmag.decoherence import CoherenceTrace, EchoSchedule, _pool_size, analytic_trace
 from nvmag.errors import ConfigError, PhysicsError
 from nvmag.magnetometry import reconstruct_field
 
@@ -234,6 +234,28 @@ class TestSimulateCommand:
         assert rc == 2
         assert "ghost.json" in capsys.readouterr().err
 
+    def test_zero_thread_env_exits_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("NVMAG_THREADS", "0")
+        cfg = write_config(tmp_path)
+        assert run("simulate", "--config", cfg, "--field", "10", "--out-dir", tmp_path) == 2
+        assert "NVMAG_THREADS" in capsys.readouterr().err
+
+    def test_infinite_window_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        rc = run(
+            "simulate", "--config", cfg, "--field", "10", "--t-max", "inf",
+            "--out-dir", tmp_path,
+        )
+        assert rc == 2
+        assert "finite" in capsys.readouterr().err
+
+    def test_nan_window_in_config_exits_2(self, tmp_path, capsys):
+        # json.load accepts the bare NaN literal, so the value reaches the schedule
+        path = tmp_path / "config.json"
+        path.write_text('{"cutoff_radius": 1.2, "t_max": NaN}')
+        assert run("simulate", "--config", path, "--field", "10", "--out-dir", tmp_path) == 2
+        assert "finite" in capsys.readouterr().err
+
     def test_plot_writes_valid_svg(self, tmp_path):
         cfg = write_config(tmp_path)
         rc = run(
@@ -399,6 +421,14 @@ class TestExtractCommand:
         path.write_text("t_ms,L\nfoo,bar\n")
         assert run("extract", "--trace", path, "--out-dir", tmp_path) == 2
         assert "trace file" in capsys.readouterr().err
+
+    def test_nan_row_exits_2(self, tmp_path, capsys):
+        path = self.make_trace(tmp_path)
+        lines = path.read_text().splitlines()
+        lines[50] = lines[50].split(",")[0] + ",nan"
+        path.write_text("\n".join(lines) + "\n")
+        assert run("extract", "--trace", path, "--out-dir", tmp_path) == 2
+        assert "finite" in capsys.readouterr().err
 
     def test_flat_trace_downgrades_to_flags(self, tmp_path, capsys):
         path = tmp_path / "flat.csv"

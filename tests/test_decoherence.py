@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 
 import numpy as np
@@ -24,7 +25,10 @@ from nvmag.decoherence import (
     pair_echo_factor,
     required_time_step,
     single_spin_echo_factor,
-    _pair_factor_chunks,
+    _WORKSPACE_ROWS,
+    _pair_chunks,
+    _pair_kernel_factors,
+    _pair_spectra,
 )
 from nvmag.errors import (
     ConfigError,
@@ -86,6 +90,11 @@ class TestEchoSchedule:
     def test_non_monotonic_grid_rejected(self):
         with pytest.raises(ConfigError):
             EchoSchedule(np.array([0.0, 0.2, 0.1]))
+
+    @pytest.mark.parametrize("t_max,step", [(np.inf, 0.01), (np.nan, 0.01), (1.0, np.nan)])
+    def test_non_finite_regular_request_rejected(self, t_max, step):
+        with pytest.raises(ConfigError, match="finite"):
+            EchoSchedule.regular(t_max, step)
 
 
 # ------------------------------------------------------------ branch fields
@@ -170,14 +179,20 @@ class TestPairKernelChunks:
         bath = make_tiny_bath(6, seed=7, spread_nm=1.2)
         field = FieldVector.from_sequence((4.0, -3.0, 8.0))
         tau = np.linspace(0.0, 1.0, PAIR_POINTS_PER_CHUNK // 4)
-        chunks = list(_pair_factor_chunks(bath, field.as_array(), tau, GAMMA))
-        assert [len(factors) for _, _, factors in chunks] == [4, 4, 4, 3]
+        chunks = _pair_chunks(bath, tau.size)
+        assert [len(b) for _, _, b in chunks] == [4, 4, 4, 3]
         idx = [(int(i), int(j)) for ci, cj, _ in chunks for i, j in zip(ci, cj)]
         assert idx == bath.sorted_pairs()
 
+        # one workspace reused for every chunk, as a trace's pool worker does
+        workspace = np.full(_WORKSPACE_ROWS * PAIR_POINTS_PER_CHUNK, np.nan)
+        h1 = np.array([effective_field(field, s.hyperfine, 1) for s in bath.spins])
         spins = [(np.asarray(s.position), np.asarray(s.hyperfine)) for s in bath.spins]
         err = 0.0
-        for ci, cj, factors in chunks:
+        for ci, cj, b in chunks:
+            spectra = _pair_spectra(h1[ci], h1[cj], b, field.as_array(), GAMMA)
+            factors = _pair_kernel_factors(spectra, tau, workspace)
+            assert np.shares_memory(factors, workspace)
             for i, j, row in zip(ci, cj, factors):
                 coupling = {(0, 1): bath.pair_couplings[(i, j)]}
                 for k in range(0, tau.size, 97):
@@ -274,11 +289,30 @@ class TestEchoCoherenceTrace:
         trace = echo_coherence_trace(bath, FieldVector.along_z(50.0), sched)
         assert trace.values[0] == pytest.approx(1.0, abs=1e-12)
 
-    def test_peak_allocation_is_bounded_on_a_long_grid(self):
-        # 349 pairs on 2828 points: chunks are folded into the trace one at
-        # a time, so the peak is the (N, T) single-spin tables plus one
-        # chunk's intermediates, about 15 MB; 16 complex amplitudes per
+    def test_thread_count_does_not_change_the_trace(self, small_sites, monkeypatch):
+        # 79 chunks on more threads than cores, switching threads as often
+        # as the interpreter allows: partial sums must still be added in
+        # chunk order, and no worker may write into another's workspace
+        bath = sample_bath(small_sites, LatticeConfig(seed=2, abundance=0.1))
+        field = FieldVector.along_z(50.0)
+        sched = EchoSchedule.for_field(50.0, t_max_ms=0.1)
+        monkeypatch.setenv("NVMAG_THREADS", "1")
+        serial = echo_coherence_trace(bath, field, sched)
+        monkeypatch.setenv("NVMAG_THREADS", "4")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = echo_coherence_trace(bath, field, sched)
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(threaded.values, serial.values)
+
+    def test_peak_allocation_is_bounded_on_a_long_grid(self, monkeypatch):
+        # 349 pairs on 2828 points on two worker threads: the peak is the
+        # (N, T) single-spin tables plus a 5.5 MiB workspace and one chunk's
+        # fold temporaries per worker, about 18 MB; 16 complex amplitudes per
         # pair-point for a few hundred pairs (over 100 MB) would exceed it
+        monkeypatch.setenv("NVMAG_THREADS", "2")
         cfg = LatticeConfig(cutoff_radius=2.5, abundance=0.011, seed=1)
         bath = sample_bath(generate_lattice_sites(cfg), cfg)
         assert len(bath.pair_couplings) == 349
@@ -343,6 +377,20 @@ class TestCoherenceTrace:
         assert np.array_equal(loaded.t_grid, trace.t_grid)
         assert np.array_equal(loaded.values, trace.values)
         assert loaded.metadata == trace.metadata
+
+    @pytest.mark.parametrize(
+        "grid,values",
+        [
+            ([0.0, 0.1, 0.2], [1.0, np.nan, 0.5]),
+            ([0.0, 0.1, 0.2], [1.0, np.inf, 0.5]),
+            ([0.0, 0.2, 0.1], [1.0, 0.8, 0.5]),
+            ([0.0, 0.1, 0.1], [1.0, 0.8, 0.5]),
+            ([0.0, 0.1, np.inf], [1.0, 0.8, 0.5]),
+        ],
+    )
+    def test_non_finite_or_unsorted_trace_rejected(self, grid, values):
+        with pytest.raises(ConfigError):
+            CoherenceTrace(t_grid=np.array(grid), values=np.array(values))
 
     def test_load_rejects_wrong_column_count(self, tmp_path):
         path = tmp_path / "bad.csv"
