@@ -361,17 +361,25 @@ def cmd_sweep(ns) -> int:
     site_cfg = settings.lattice_config()
     sites = generate_lattice_sites(site_cfg)
 
+    # a bath depends only on (abundance, seed); realizations run outermost,
+    # so a field sweep draws each bath once and reuses it for every field,
+    # while the cache holds one bath at a time
+    bath_cache: dict[tuple[float, int], BathRealization] = {}
+
     def one_task(key: float, seed: int) -> CoherenceTrace:
         b_mag, abundance = point_params(key)
-        cfg = LatticeConfig(
-            lattice_constant=site_cfg.lattice_constant,
-            cutoff_radius=site_cfg.cutoff_radius,
-            exclusion_radius=site_cfg.exclusion_radius,
-            abundance=abundance,
-            pair_cutoff=site_cfg.pair_cutoff,
-            seed=seed,
-        )
-        bath = sample_bath(sites, cfg)
+        if (abundance, seed) not in bath_cache:
+            cfg = LatticeConfig(
+                lattice_constant=site_cfg.lattice_constant,
+                cutoff_radius=site_cfg.cutoff_radius,
+                exclusion_radius=site_cfg.exclusion_radius,
+                abundance=abundance,
+                pair_cutoff=site_cfg.pair_cutoff,
+                seed=seed,
+            )
+            bath_cache.clear()
+            bath_cache[(abundance, seed)] = sample_bath(sites, cfg)
+        bath = bath_cache[(abundance, seed)]
         t_max = settings.get("t_max", None)
         t_max = _t_max_auto(b_mag, abundance, gamma_n) if t_max is None else float(t_max)
         schedule = EchoSchedule.for_field(
@@ -384,8 +392,8 @@ def cmd_sweep(ns) -> int:
     t_sim = time.perf_counter()
     traces = {
         (key, base_seed + r): one_task(key, base_seed + r)
-        for key in keys
         for r in range(realizations)
+        for key in keys
     }
     sim_elapsed = time.perf_counter() - t_sim
 

@@ -192,6 +192,106 @@ def snap_to_comb(peaks: list[RevivalPeak], period_ms: float) -> list[RevivalPeak
     return [kept[k] for k in sorted(kept)]
 
 
+def _row_sums(x: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Sum of each row's first ``counts[row]`` entries along the last axis.
+
+    Rows of one length are summed together, over exactly that many
+    entries: ``np.sum`` adds eight or more terms in interleaved partial
+    sums, so a row padded to a common width would round differently from
+    the same row summed alone.
+    """
+    out = np.zeros(x.shape[:-1])
+    for n in np.unique(counts):
+        rows = counts == n
+        out[..., rows] = x[..., rows, :n].sum(axis=-1)
+    return out
+
+
+def _comb_scores(
+    periods: np.ndarray,
+    t_sc: np.ndarray,
+    w_sc: np.ndarray,
+    t_last: float,
+    grid_step_ms: float | None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Converge every candidate period onto the jury of tall maxima, and score it.
+
+    Arrays are (candidates x jury peaks).  Each of three passes snaps the
+    jury to every candidate's comb, keeps the best peak per claimed tooth
+    and moves the candidate to the weighted regression of those peaks; a
+    candidate leaves the passes when it claims nothing, when its claims
+    carry no weight, or when the regression is not a positive number.
+    Returns the scores and the refined periods, in the order of
+    ``periods``; a candidate with fewer than two claimed teeth, or with no
+    weight on them, scores 0.
+    """
+    n_cand, n_jury = len(periods), len(t_sc)
+    refined = periods.astype(float)
+    live = np.ones(n_cand, dtype=bool)
+    # each candidate's claims from its last snap, best peak per tooth, in
+    # tooth order; entries past n_claims are padding
+    claim_w = np.zeros((n_cand, n_jury))
+    claim_t = np.zeros((n_cand, n_jury))
+    claim_k = np.zeros((n_cand, n_jury))
+    n_claims = np.zeros(n_cand, dtype=int)
+    jury = np.arange(n_jury)
+    later = jury[None, :] > jury[:, None]  # [s, r]: peak r comes after peak s
+    for _ in range(3):
+        # snap/refine/re-snap: a candidate carrying the jitter of a single
+        # peak-pair difference drifts off the comb within a couple dozen
+        # teeth, so converge it onto the comb before judging it
+        rows = np.flatnonzero(live)
+        ratio = t_sc / refined[rows, None]
+        teeth = np.round(ratio)
+        resid = np.abs(ratio - teeth)
+        claim = (teeth >= 1) & (resid <= _SNAP_TOLERANCE)
+        wc = w_sc * (1.0 - (resid / _SNAP_TOLERANCE) ** 2)
+        # only the single best peak per comb tooth counts, so dense ringing
+        # cannot out-vote the revival train by sheer number: a claim loses
+        # to a claim on its tooth with more weight, or as much and later
+        rival = claim[:, None, :] & (teeth[:, :, None] == teeth[:, None, :])
+        outranks = (wc[:, None, :] > wc[:, :, None]) | (
+            (wc[:, None, :] == wc[:, :, None]) & later
+        )
+        best = claim & ~np.any(rival & outranks, axis=2)
+        order = np.argsort(np.where(best, teeth, np.inf), axis=1, kind="stable")
+        pick = (np.arange(len(rows))[:, None], order)
+        w_s, k_s, t_s = wc[pick], teeth[pick], t_sc[order]
+        n_s = best.sum(axis=1)
+        denom, num = _row_sums(np.stack([w_s * k_s**2, w_s * k_s * t_s]), n_s)
+
+        claim_w[rows], claim_t[rows], claim_k[rows] = w_s, t_s, k_s
+        n_claims[rows] = n_s
+        # a weightless claim set gets fit 0, which stops its candidate
+        fit = num / np.where(denom > 0, denom, np.inf)
+        ok = np.isfinite(fit) & (fit > 0)
+        refined[rows[ok]] = fit[ok]
+        live[rows[~ok]] = False
+
+    total, spread = _row_sums(
+        np.stack([claim_w, claim_w * np.abs(claim_t - claim_k * refined[:, None]) ** 2]),
+        n_claims,
+    )
+    # one claimed tooth pins no spacing: a lone artifact peak would
+    # otherwise be its own perfectly tight, fully covered comb
+    judged = (n_claims >= 2) & (total > 0)
+    n_teeth = np.maximum(np.floor(t_last / refined + _SNAP_TOLERANCE), 1.0)
+    coverage = n_claims / n_teeth
+    # a converged comb is tight: loose residuals that survive the
+    # refinement mean the claimed peaks are ringing that merely happens to
+    # fall near the teeth.  The jitter scale is absolute (grid-referenced)
+    # — relative to the candidate period it would flatter subharmonics,
+    # whose teeth see the same scatter divided by a longer period
+    rms_ms = np.sqrt(spread / np.where(total > 0, total, np.inf))
+    scale_ms = (
+        _COMB_JITTER_GRID_STEPS * grid_step_ms
+        if grid_step_ms is not None
+        else _COMB_JITTER_SCALE * refined
+    )
+    tightness = 1.0 / (1.0 + (rms_ms / scale_ms) ** 2)
+    return np.where(judged, total * coverage * tightness, 0.0), refined
+
+
 def extract_TR(
     peaks: list[RevivalPeak], grid_step_ms: float | None = None
 ) -> tuple[float, float]:
@@ -214,8 +314,12 @@ def extract_TR(
     snapped to integer revival indices against the winning period —
     dropping ringing maxima that sit off the comb and tolerating missed
     revivals — and the spacing is the least-squares slope of time against
-    index.
+    index.  A ``grid_step_ms`` that is given must be positive and finite.
     """
+    if grid_step_ms is not None and not (
+        math.isfinite(grid_step_ms) and grid_step_ms > 0
+    ):
+        raise ConfigError(f"grid step must be positive and finite, got {grid_step_ms}")
     if len(peaks) < 2:
         raise NoRevivalError(
             "fewer than two coherence peaks: revival spacing is undefined"
@@ -230,7 +334,7 @@ def extract_TR(
     # truncation artifacts and must not carry extra voting power
     capped = np.clip(heights, 0.0, 1.0)
     gaps = np.diff(times)
-    floor = 3.0 * grid_step_ms if grid_step_ms else float(gaps.min()) * 0.4
+    floor = 3.0 * grid_step_ms if grid_step_ms is not None else float(gaps.min()) * 0.4
 
     # candidate periods: differences between tall peaks, not just adjacent
     # gaps — ringing maxima between revivals would otherwise chop every
@@ -261,72 +365,13 @@ def extract_TR(
             kept.append(period)
 
     best_period, best_score = float(np.median(gaps)), -1.0
-    scored: list[tuple[float, float]] = []  # (score, refined period)
-    t_last = float(t_sc.max()) if len(t_sc) else float(times.max())
-    for period in kept:
-        # snap/refine/re-snap: a candidate carrying the jitter of a single
-        # peak-pair difference drifts off the comb within a couple dozen
-        # teeth, so converge it onto the comb before judging it
-        refined = period
-        final = None
-        for _ in range(3):
-            ratio = t_sc / refined
-            teeth = np.round(ratio)
-            resid = np.abs(ratio - teeth)
-            mask = (teeth >= 1) & (resid <= _SNAP_TOLERANCE)
-            if not np.any(mask):
-                final = None
-                break
-            k = teeth[mask].astype(int)
-            wc = w_sc[mask] * (1.0 - (resid[mask] / _SNAP_TOLERANCE) ** 2)
-            t_m = t_sc[mask]
-            # only the single best peak per comb tooth counts, so dense
-            # ringing cannot out-vote the revival train by sheer number
-            order = np.lexsort((wc, k))
-            uniq = np.unique(k[order])
-            idx = np.searchsorted(k[order], uniq, side="right") - 1
-            best_wc, best_t = wc[order][idx], t_m[order][idx]
-            final = (best_wc, best_t, uniq.astype(float))
-            denom = float(np.sum(best_wc * uniq.astype(float) ** 2))
-            if denom <= 0:
-                break
-            fit = float(np.sum(best_wc * uniq * best_t)) / denom
-            if not math.isfinite(fit) or fit <= 0:
-                break
-            refined = fit
-        if final is None:
-            scored.append((0.0, period))
-            continue
-        best_wc, best_t, uniq = final
-        # one claimed tooth pins no spacing: a lone artifact peak would
-        # otherwise be its own perfectly tight, fully covered comb
-        if len(uniq) < 2:
-            scored.append((0.0, period))
-            continue
-        total = float(best_wc.sum())
-        n_teeth = max(int(math.floor(t_last / refined + _SNAP_TOLERANCE)), 1)
-        coverage = len(uniq) / n_teeth
-        # a converged comb is tight: loose residuals that survive the
-        # refinement mean the claimed peaks are ringing that merely
-        # happens to fall near the teeth.  The jitter scale is absolute
-        # (grid-referenced) — relative to the candidate period it would
-        # flatter subharmonics, whose teeth see the same scatter divided
-        # by a longer period
-        best_r_ms = np.abs(best_t - uniq * refined)
-        rms_ms = math.sqrt(float(np.sum(best_wc * best_r_ms**2)) / total)
-        scale_ms = (
-            _COMB_JITTER_GRID_STEPS * grid_step_ms
-            if grid_step_ms and math.isfinite(grid_step_ms)
-            else _COMB_JITTER_SCALE * refined
-        )
-        tightness = 1.0 / (1.0 + (rms_ms / scale_ms) ** 2)
-        scored.append((total * coverage * tightness, refined))
-    if scored:
-        top = max(s for s, _ in scored)
-        for (score, refined), period in zip(scored, kept):  # kept descends
-            if score >= _TIEBREAK_FRACTION * top:
-                best_period, best_score = refined, score
-                break
+    if kept:
+        t_last = float(t_sc.max()) if len(t_sc) else float(times.max())
+        scores, refined = _comb_scores(np.array(kept), t_sc, w_sc, t_last, grid_step_ms)
+        # kept descends, so the first candidate within a whisker of the top
+        # score is the longest such period
+        win = int(np.argmax(scores >= _TIEBREAK_FRACTION * scores.max()))
+        best_period, best_score = float(refined[win]), float(scores[win])
 
     if best_score > 0:
         # two passes: the regressed slope re-anchors the comb, recovering
@@ -426,7 +471,7 @@ def extract_timescales(
     """All three timescales from one trace, failures downgraded to flags."""
     flags: list[str] = []
     peaks = find_revival_peaks(trace, prominence=prominence)
-    grid_step = float(np.median(np.diff(trace.t_grid))) if len(trace) > 1 else math.nan
+    grid_step = float(np.median(np.diff(trace.t_grid))) if len(trace) > 1 else None
 
     t_w = t_w_err = math.nan
     try:

@@ -4,12 +4,28 @@ Everything here is deliberately written by a different route than the
 package code: full-Hilbert-space matrices instead of factorized products,
 scipy.linalg.expm instead of eigendecomposition, characteristic-polynomial
 roots instead of eigvalsh, raw SI arithmetic instead of shared prefactor
-constants.  Agreement is therefore evidence, not tautology.
+constants.  Agreement is therefore evidence, not tautology.  The comb
+search of ``extract_TR`` is kept here as the per-candidate loop it used to
+be, where the package now scores all candidate periods in array passes.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.linalg import expm
+
+from nvmag.errors import NoRevivalError
+from nvmag.timescales import (
+    _COMB_JITTER_GRID_STEPS,
+    _COMB_JITTER_SCALE,
+    _MAX_TALL_PEAKS,
+    _SNAP_TOLERANCE,
+    _TIEBREAK_FRACTION,
+    RevivalPeak,
+    _index_regression,
+    snap_to_comb,
+)
 
 # Spin-1/2 operators (independent copies).
 IX = np.array([[0.0, 0.5], [0.5, 0.0]], dtype=complex)
@@ -145,3 +161,163 @@ def si_dipole_prefactor_khz_nm3(gamma_i_khz_per_g: float, gamma_j_khz_per_g: flo
     gj = gamma_j_khz_per_g * khz_per_g_to_hz_per_t
     c_si = mu0_over_4pi * planck_h * gi * gj  # Hz m^3
     return c_si * 1e27 * 1e-3                 # kHz nm^3
+
+
+def extract_TR_loop(
+    peaks: list[RevivalPeak], grid_step_ms: float | None = None
+) -> tuple[float, float]:
+    """Revival spacing (ms) from the peak train, with an uncertainty.
+
+    With exactly two peaks the spacing itself is returned and the grid step
+    (when known) stands in for the uncertainty.  With more, the spacing is
+    found by a comb search: every observed gap and every difference between
+    tall maxima (with small integer submultiples) is tried as a candidate
+    period.  Each candidate is converged onto the peak train by iterated
+    weighted regression, then scored against the tallest maxima only —
+    revival apexes always rank among those, while dense ringing, which
+    lands near the teeth of any sufficiently fine comb, stays off the
+    jury.  The score is claimed height-squared weight (best peak per
+    tooth), times coverage — the fraction of predicted teeth actually
+    holding a peak, which starves fine combs — times a jitter penalty on
+    the absolute scatter of claims about their teeth, which starves coarse
+    combs that skip every other revival.  Among candidates within a
+    whisker of the top score the longest period wins.  Peaks are then
+    snapped to integer revival indices against the winning period —
+    dropping ringing maxima that sit off the comb and tolerating missed
+    revivals — and the spacing is the least-squares slope of time against
+    index.
+    """
+    if len(peaks) < 2:
+        raise NoRevivalError(
+            "fewer than two coherence peaks: revival spacing is undefined"
+        )
+    times = np.array([p.time for p in peaks], dtype=float)
+    heights = np.array([p.height for p in peaks], dtype=float)
+    if len(peaks) == 2:
+        spacing = float(times[1] - times[0])
+        return spacing, float("nan") if grid_step_ms is None else float(grid_step_ms)
+
+    # physical coherence cannot exceed 1: heights beyond that are pair
+    # truncation artifacts and must not carry extra voting power
+    capped = np.clip(heights, 0.0, 1.0)
+    gaps = np.diff(times)
+    floor = 3.0 * grid_step_ms if grid_step_ms else float(gaps.min()) * 0.4
+
+    # candidate periods: differences between tall peaks, not just adjacent
+    # gaps — ringing maxima between revivals would otherwise chop every
+    # true-period gap into fragments and the real spacing would never be
+    # on the menu
+    tall = np.argsort(capped, kind="stable")[::-1][:_MAX_TALL_PEAKS]
+    t_tall = np.sort(times[tall])
+    # candidates are judged against the tall maxima alone: revival apexes
+    # always rank among them, while dense ringing — which lands close to
+    # the teeth of any sufficiently fine comb — stays off the jury
+    sc_keep = times[tall] > 0
+    t_sc = times[tall][sc_keep]
+    w_sc = capped[tall][sc_keep] ** 2
+    diffs = {float(g) for g in np.unique(gaps)}
+    for a in range(len(t_tall)):
+        for b in range(a + 1, len(t_tall)):
+            diffs.add(float(t_tall[b] - t_tall[a]))
+    cands: list[float] = []
+    for diff in diffs:
+        for m in (1, 2, 3, 4):
+            period = diff / m
+            if period >= floor:
+                cands.append(period)
+    cands.sort(reverse=True)
+    kept: list[float] = []
+    for period in cands:
+        if not kept or kept[-1] - period > 0.005 * kept[-1]:
+            kept.append(period)
+
+    best_period, best_score = float(np.median(gaps)), -1.0
+    scored: list[tuple[float, float]] = []  # (score, refined period)
+    t_last = float(t_sc.max()) if len(t_sc) else float(times.max())
+    for period in kept:
+        # snap/refine/re-snap: a candidate carrying the jitter of a single
+        # peak-pair difference drifts off the comb within a couple dozen
+        # teeth, so converge it onto the comb before judging it
+        refined = period
+        final = None
+        for _ in range(3):
+            ratio = t_sc / refined
+            teeth = np.round(ratio)
+            resid = np.abs(ratio - teeth)
+            mask = (teeth >= 1) & (resid <= _SNAP_TOLERANCE)
+            if not np.any(mask):
+                final = None
+                break
+            k = teeth[mask].astype(int)
+            wc = w_sc[mask] * (1.0 - (resid[mask] / _SNAP_TOLERANCE) ** 2)
+            t_m = t_sc[mask]
+            # only the single best peak per comb tooth counts, so dense
+            # ringing cannot out-vote the revival train by sheer number
+            order = np.lexsort((wc, k))
+            uniq = np.unique(k[order])
+            idx = np.searchsorted(k[order], uniq, side="right") - 1
+            best_wc, best_t = wc[order][idx], t_m[order][idx]
+            final = (best_wc, best_t, uniq.astype(float))
+            denom = float(np.sum(best_wc * uniq.astype(float) ** 2))
+            if denom <= 0:
+                break
+            fit = float(np.sum(best_wc * uniq * best_t)) / denom
+            if not math.isfinite(fit) or fit <= 0:
+                break
+            refined = fit
+        if final is None:
+            scored.append((0.0, period))
+            continue
+        best_wc, best_t, uniq = final
+        # one claimed tooth pins no spacing: a lone artifact peak would
+        # otherwise be its own perfectly tight, fully covered comb
+        if len(uniq) < 2:
+            scored.append((0.0, period))
+            continue
+        total = float(best_wc.sum())
+        n_teeth = max(int(math.floor(t_last / refined + _SNAP_TOLERANCE)), 1)
+        coverage = len(uniq) / n_teeth
+        # a converged comb is tight: loose residuals that survive the
+        # refinement mean the claimed peaks are ringing that merely
+        # happens to fall near the teeth.  The jitter scale is absolute
+        # (grid-referenced) — relative to the candidate period it would
+        # flatter subharmonics, whose teeth see the same scatter divided
+        # by a longer period
+        best_r_ms = np.abs(best_t - uniq * refined)
+        rms_ms = math.sqrt(float(np.sum(best_wc * best_r_ms**2)) / total)
+        scale_ms = (
+            _COMB_JITTER_GRID_STEPS * grid_step_ms
+            if grid_step_ms and math.isfinite(grid_step_ms)
+            else _COMB_JITTER_SCALE * refined
+        )
+        tightness = 1.0 / (1.0 + (rms_ms / scale_ms) ** 2)
+        scored.append((total * coverage * tightness, refined))
+    if scored:
+        top = max(s for s, _ in scored)
+        for (score, refined), period in zip(scored, kept):  # kept descends
+            if score >= _TIEBREAK_FRACTION * top:
+                best_period, best_score = refined, score
+                break
+
+    if best_score > 0:
+        # two passes: the regressed slope re-anchors the comb, recovering
+        # teeth a slightly-off candidate would let drift out of tolerance
+        period = best_period
+        result = None
+        for _ in range(2):
+            snapped = snap_to_comb(peaks, period)
+            if len(snapped) < 2:
+                break
+            s_times = np.array([p.time for p in snapped])
+            s_indices = np.round(s_times / period)
+            result = _index_regression(s_times, s_indices, grid_step_ms)
+            if not (math.isfinite(result[0]) and result[0] > 0):
+                break
+            period = result[0]
+        if result is not None and math.isfinite(result[0]) and result[0] > 0:
+            return result
+
+    # degenerate comb: fall back to median-gap index assignment
+    median_gap = float(np.median(gaps))
+    indices = np.round((times - times[0]) / median_gap)
+    return _index_regression(times, indices, grid_step_ms)

@@ -307,6 +307,30 @@ class TestSweepCommand:
         assert summary["mode"] == "abundance"
         assert set(summary["points"]) == {"0.005", "0.011", "0.02"}
 
+    def test_each_bath_is_sampled_once(self, tmp_path, monkeypatch):
+        # a bath depends on (abundance, seed) only: a field sweep reuses one
+        # per realization across its fields, an abundance sweep needs one
+        # per point and realization
+        import nvmag.cli
+
+        calls = []
+        sample = nvmag.cli.sample_bath
+
+        def counted(sites, cfg):
+            calls.append((cfg.abundance, cfg.seed))
+            return sample(sites, cfg)
+
+        monkeypatch.setattr(nvmag.cli, "sample_bath", counted)
+        cfg = write_config(tmp_path)
+        common = ("--realizations", 2, "--t-max", "0.1")
+        assert run("sweep", "--config", cfg, "--fields", "5,10,20", *common,
+                   "--out-dir", tmp_path / "f") == 0
+        assert sorted(calls) == [(0.011, 0), (0.011, 1)]
+        calls.clear()
+        assert run("sweep", "--config", cfg, "--abundances", "0.005,0.011,0.02",
+                   "--field-magnitude", "10", *common, "--out-dir", tmp_path / "a") == 0
+        assert sorted(calls) == [(a, s) for a in (0.005, 0.011, 0.02) for s in (0, 1)]
+
     def test_unextractable_means_are_null_in_strict_json(self, tmp_path):
         # a 0.1 ms window holds no envelope fit at 5 and 10 G and no revival
         # at 5 G, so those realization means have nothing to average

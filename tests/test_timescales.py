@@ -12,9 +12,12 @@ from nvmag.errors import (
     NoRevivalError,
 )
 from nvmag.timescales import (
+    FLAG_NO_REVIVAL,
     PowerLawFit,
     RevivalPeak,
     TimescaleSet,
+    _comb_scores,
+    _row_sums,
     extract_T2,
     extract_TR,
     extract_Tw,
@@ -23,6 +26,7 @@ from nvmag.timescales import (
     fit_power_law,
     snap_to_comb,
 )
+from oracles import extract_TR_loop
 
 
 def mk_peaks(times, heights):
@@ -110,6 +114,101 @@ class TestExtractTR:
         heights = [1.0, 0.7, 0.5, 0.35, 0.25, 3.0]
         period, _ = extract_TR(mk_peaks(times, heights), grid_step_ms=0.01)
         assert period == pytest.approx(0.5, abs=0.01)
+
+    def test_weightless_train_falls_back_to_median_gap(self):
+        # peaks of zero height claim teeth but carry no vote: no comb can
+        # win, so the median gap sets the indices
+        peaks = mk_peaks([0.0, 0.5, 1.0, 1.5], [1.0, 0.0, -0.1, 0.0])
+        period, _ = extract_TR(peaks, grid_step_ms=0.01)
+        assert period == pytest.approx(0.5, abs=1e-12)
+
+    @pytest.mark.parametrize("step", [math.nan, -0.001, math.inf, 0.0])
+    def test_bad_grid_step_rejected(self, step):
+        # a NaN floor used to empty the candidate menu and fall back to the
+        # median gap without a word
+        peaks = mk_peaks([0.0, 0.5, 1.0, 1.5], [1.0, 0.8, 0.6, 0.5])
+        with pytest.raises(ConfigError):
+            extract_TR(peaks, grid_step_ms=step)
+
+
+def _peak_train_corpus():
+    """Seeded synthetic peak trains reaching every branch of the comb search."""
+    rng = np.random.default_rng(1708)
+    trains = []
+
+    def add(kind, times, heights, step):
+        times, first = np.unique(np.asarray(times, dtype=float), return_index=True)
+        trains.append((kind, mk_peaks(times, np.asarray(heights)[first]), step))
+
+    def comb(period, n, jitter=0.0, decay=4.0):
+        times = np.arange(n) * period + rng.normal(0.0, jitter * period, n)
+        times[0] = 0.0
+        return times, np.exp(-times / (decay * period))
+
+    def ringing(times, period, n):
+        extra = rng.uniform(0.05 * period, times.max() + period, n)
+        return (np.concatenate([times, extra]),
+                np.concatenate([np.exp(-times / (4.0 * period)), rng.uniform(0.02, 0.45, n)]))
+
+    for _ in range(5):
+        period = float(rng.uniform(0.1, 2.0))
+        n = int(rng.integers(3, 12))
+        step = period / float(rng.choice([24.0, 48.0]))
+        times, heights = comb(period, n)
+        add("exact", times, heights, step)
+        add("exact, grid unknown", times, heights, None)
+        times, heights = comb(period, n, jitter=0.01)
+        add("jittered", times, heights, step)
+        keep = rng.random(n) > 0.35
+        keep[:2] = True
+        add("missing teeth", times[keep], heights[keep], step)
+        add("ringing", *ringing(times, period, 2 * n), step)
+        add("ringing, grid unknown", *ringing(times, period, 2 * n), None)
+        over = heights.copy()
+        over[rng.integers(1, n, size=2)] = rng.uniform(1.0, 3.0, size=2)
+        add("over-unity", times, over, step)
+        long_times, _ = comb(period, 30, jitter=0.004)
+        add("over 24 tall peaks", *ringing(long_times, period, 20), step)
+        add("two peaks", times[:2], heights[:2], step)
+        # a grid step three times coarser than every gap empties the menu
+        add("median-gap fallback", times[:4], heights[:4], float(times[3]))
+    for t_revival, t2 in ((0.5, 1.0), (0.2, 0.6), (0.93, 5.0)):
+        trace = analytic_trace(EchoSchedule.regular(6.0 * t_revival, t_revival / 48.0),
+                               t_revival_ms=t_revival, t2_ms=t2)
+        add("analytic trace", [p.time for p in find_revival_peaks(trace)],
+            [p.height for p in find_revival_peaks(trace)], t_revival / 48.0)
+    return trains
+
+
+class TestCombSearchMatchesLoop:
+    def test_same_spacing_bit_for_bit(self):
+        trains = _peak_train_corpus()
+        assert any(len(peaks) > 24 for _, peaks, _ in trains)
+        for kind, peaks, step in trains:
+            got = extract_TR(peaks, grid_step_ms=step)
+            want = extract_TR_loop(peaks, grid_step_ms=step)
+            assert np.array(got).tobytes() == np.array(want).tobytes(), (kind, got, want)
+
+    def test_tied_claims_on_a_tooth_go_to_the_later_jury_peak(self):
+        # 2.9 and 3.1 sit equally far from tooth 3 with equal weight; the
+        # loop's np.lexsort((wc, k)) kept the later one in jury order
+        period, weights = np.array([1.0]), np.ones(3)
+        tied = _comb_scores(period, np.array([1.0, 3.1, 2.9]), weights, 3.1, 0.01)
+        later = _comb_scores(period, np.array([1.0, 2.9]), weights[:2], 3.1, 0.01)
+        earlier = _comb_scores(period, np.array([1.0, 3.1]), weights[:2], 3.1, 0.01)
+        assert np.array(tied).tobytes() == np.array(later).tobytes()
+        assert np.array(tied).tobytes() != np.array(earlier).tobytes()
+
+    def test_row_sums_round_as_numpy_sums_each_row(self):
+        # the comb scores equal the loop's only if every per-candidate sum
+        # rounds as np.sum over that candidate's claims alone
+        rng = np.random.default_rng(0)
+        counts = rng.integers(0, 25, size=200)
+        x = rng.random((2, 200, 24)) * 10.0 ** rng.integers(-3, 3, size=(2, 200, 24))
+        sums = _row_sums(x, counts)
+        for j in range(2):
+            want = [np.sum(row[:n]) for row, n in zip(x[j], counts)]
+            assert sums[j].tobytes() == np.array(want).tobytes()
 
 
 class TestSnapToComb:
@@ -222,6 +321,12 @@ class TestExtractTimescales:
         ts = extract_timescales(CoherenceTrace(grid, vals))
         assert math.isinf(ts.T2)
         assert "undamped" in ts.flags
+
+    def test_one_point_trace_flags_no_revival(self):
+        # no grid step can be read off a single point; it must not reach
+        # the comb search as NaN
+        ts = extract_timescales(CoherenceTrace(np.array([0.0]), np.array([1.0])))
+        assert FLAG_NO_REVIVAL in ts.flags
 
     def test_json_round_trip_keys(self):
         ts = TimescaleSet(T_w=0.1, T_R=0.5, T2=1.0)
