@@ -80,6 +80,24 @@ _CONFIG_KEYS = {
 }
 
 
+def _load_json(path, what: str):
+    """Strict JSON input: NaN, Infinity and numbers beyond float range are refused."""
+    def refuse(literal: str):
+        raise ConfigError(f"{what} holds {literal}; every number must be finite")
+
+    def finite(literal: str) -> float:
+        value = float(literal)
+        if not math.isfinite(value):
+            refuse(literal)
+        return value
+
+    with open(path) as fh:
+        try:
+            return json.load(fh, parse_constant=refuse, parse_float=finite)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{what} is not valid JSON: {exc}") from exc
+
+
 def _json_text(payload) -> str:
     """Strict JSON for every file and printout: NaN and infinities are refused."""
     try:
@@ -130,11 +148,7 @@ class Settings:
             path = Path(ns.config)
             if not path.exists():
                 raise ConfigError(f"config file not found: {path}")
-            with open(path) as fh:
-                try:
-                    self.file_config = json.load(fh)
-                except json.JSONDecodeError as exc:
-                    raise ConfigError(f"config file is not valid JSON: {exc}") from exc
+            self.file_config = _load_json(path, "config file")
             unknown = set(self.file_config) - _CONFIG_KEYS
             if unknown:
                 raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -147,19 +161,40 @@ class Settings:
             return self.file_config[name]
         return default
 
-    def lattice_config(self, seed: int | None = None) -> LatticeConfig:
+    def _finite(self, name: str, default):
+        value = self.get(name, default)
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(f"{name} must be a number, got {value!r}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value!r}")
+        return value
+
+    def number(self, name: str, default: float | None) -> float | None:
+        """A finite real setting; None only when unset with a None default."""
+        if default is None and self.get(name, None) is None:
+            return None
+        return float(self._finite(name, default))
+
+    def integer(self, name: str, default: int) -> int:
+        """An integral setting; a float must be a whole number."""
+        value = self._finite(name, default)
+        if isinstance(value, float) and not value.is_integer():
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
+        return int(value)
+
+    def lattice_config(self) -> LatticeConfig:
         return LatticeConfig(
-            lattice_constant=float(self.get("lattice_constant", 3.567)),
-            cutoff_radius=float(self.get("cutoff_radius", 4.0)),
-            exclusion_radius=float(self.get("exclusion_radius", 1.55)),
-            abundance=float(self.get("abundance", 0.011)),
-            pair_cutoff=float(self.get("pair_cutoff", 1.0)),
-            seed=int(self.get("seed", 0) if seed is None else seed),
+            lattice_constant=self.number("lattice_constant", 3.567),
+            cutoff_radius=self.number("cutoff_radius", 4.0),
+            exclusion_radius=self.number("exclusion_radius", 1.55),
+            abundance=self.number("abundance", 0.011),
+            pair_cutoff=self.number("pair_cutoff", 1.0),
+            seed=self.integer("seed", 0),
         )
 
     def calibration(self) -> Calibration:
         return Calibration(
-            alpha=float(self.get("alpha", Calibration().alpha)),
+            alpha=self.number("alpha", Calibration().alpha),
             source=str(self.get("alpha_source", "paper")),
         )
 
@@ -265,23 +300,23 @@ def cmd_bath(ns) -> int:
 
 def _simulate_trace(settings: Settings, ns, bath: BathRealization) -> CoherenceTrace:
     field = _parse_field(ns.field)
-    gamma_n = float(settings.get("gamma_n", GAMMA_N_13C_KHZ_PER_G))
+    gamma_n = settings.number("gamma_n", GAMMA_N_13C_KHZ_PER_G)
     abundance = bath.config.abundance if bath.config else 0.011
-    t_max = settings.get("t_max", None)
+    t_max = settings.number("t_max", None)
     if t_max is None:
         if field.magnitude == 0.0:
             raise ConfigError("zero field needs an explicit --t-max and --step")
         t_max = _t_max_auto(field.magnitude, abundance, gamma_n)
     step = getattr(ns, "step", None)
     if step is not None:
-        schedule = EchoSchedule.regular(float(t_max), float(step))
+        schedule = EchoSchedule.regular(t_max, float(step))
     else:
         if field.magnitude == 0.0:
             raise ConfigError("zero field has no revival period; pass --step")
         schedule = EchoSchedule.for_field(
             field.magnitude,
-            float(t_max),
-            points_per_period=int(settings.get("points_per_period", 48)),
+            t_max,
+            points_per_period=settings.integer("points_per_period", 48),
             gamma_n=gamma_n,
         )
     return echo_coherence_trace(bath, field, schedule, gamma_n=gamma_n)
@@ -325,12 +360,14 @@ def cmd_sweep(ns) -> int:
     settings = Settings(ns)
     out_dir = Path(ns.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    prominence = float(settings.get("prominence", PROMINENCE_DEFAULT))
-    gamma_n = float(settings.get("gamma_n", GAMMA_N_13C_KHZ_PER_G))
-    realizations = int(settings.get("realizations", 10))
+    prominence = settings.number("prominence", PROMINENCE_DEFAULT)
+    gamma_n = settings.number("gamma_n", GAMMA_N_13C_KHZ_PER_G)
+    realizations = settings.integer("realizations", 10)
     if realizations < 1:
         raise ConfigError("realizations must be >= 1")
-    base_seed = int(settings.get("seed", 0))
+    base_seed = settings.integer("seed", 0)
+    t_max_setting = settings.number("t_max", None)
+    points_per_period = settings.integer("points_per_period", 48)
 
     if ns.fields and ns.abundances:
         raise ConfigError("sweep takes --fields or --abundances, not both")
@@ -349,8 +386,8 @@ def cmd_sweep(ns) -> int:
     if mode == "abundance" and any(not 0 < k <= 1 for k in keys):
         raise ConfigError("sweep abundances must be in (0, 1]")
 
-    fixed_field = float(settings.get("field_magnitude", 10.0))
-    fixed_abundance = float(settings.get("abundance", 0.011))
+    fixed_field = settings.number("field_magnitude", 10.0)
+    fixed_abundance = settings.number("abundance", 0.011)
 
     def point_params(key: float) -> tuple[float, float]:
         if mode == "field":
@@ -380,12 +417,11 @@ def cmd_sweep(ns) -> int:
             bath_cache.clear()
             bath_cache[(abundance, seed)] = sample_bath(sites, cfg)
         bath = bath_cache[(abundance, seed)]
-        t_max = settings.get("t_max", None)
-        t_max = _t_max_auto(b_mag, abundance, gamma_n) if t_max is None else float(t_max)
+        t_max = t_max_setting
+        if t_max is None:
+            t_max = _t_max_auto(b_mag, abundance, gamma_n)
         schedule = EchoSchedule.for_field(
-            b_mag, t_max,
-            points_per_period=int(settings.get("points_per_period", 48)),
-            gamma_n=gamma_n,
+            b_mag, t_max, points_per_period=points_per_period, gamma_n=gamma_n
         )
         return echo_coherence_trace(bath, FieldVector.along_z(b_mag), schedule, gamma_n=gamma_n)
 
@@ -483,7 +519,7 @@ def cmd_extract(ns) -> int:
     settings = Settings(ns)
     trace = CoherenceTrace.load_csv(ns.trace)
     ts = extract_timescales(
-        trace, prominence=float(settings.get("prominence", PROMINENCE_DEFAULT))
+        trace, prominence=settings.number("prominence", PROMINENCE_DEFAULT)
     )
     payload = ts.to_json_dict()
     payload["trace"] = str(ns.trace)
@@ -505,11 +541,7 @@ def cmd_invert(ns) -> int:
 def cmd_reconstruct(ns) -> int:
     settings = Settings(ns)
     cal = settings.calibration()
-    with open(ns.measurements) as fh:
-        try:
-            entries = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"measurement file is not valid JSON: {exc}") from exc
+    entries = _load_json(ns.measurements, "measurement file")
     if not isinstance(entries, list):
         raise ConfigError("measurement file must hold a JSON list")
     try:
@@ -555,11 +587,7 @@ def cmd_odmr(ns) -> int:
 
     out_dir = Path(ns.out_dir)
     if ns.candidates:
-        with open(ns.candidates) as fh:
-            try:
-                cand_list = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"candidates file is not valid JSON: {exc}") from exc
+        cand_list = _load_json(ns.candidates, "candidates file")
         if not ns.true_field:
             raise ConfigError("--candidates needs --true-field for the probe")
         probe = make_simulated_probe(_parse_field(ns.true_field).as_array())
@@ -588,8 +616,8 @@ def cmd_sensitivity(ns) -> int:
     t0 = time.perf_counter()
     settings = Settings(ns)
     readout = ReadoutModel(
-        C=float(settings.get("contrast", READOUT_CONTRAST_DEFAULT)),
-        n_centers=int(settings.get("n_centers", 1)),
+        C=settings.number("contrast", READOUT_CONTRAST_DEFAULT),
+        n_centers=settings.integer("n_centers", 1),
     )
     report = build_report(
         t2=float(ns.t2),

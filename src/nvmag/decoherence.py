@@ -78,8 +78,9 @@ _LOG_FLOOR = 1e-300
 # count per chunk follows from the grid length.
 PAIR_POINTS_PER_CHUNK = 16384
 
-# Doubles per pair-point in the pair kernel's workspace: 4 rows of phase
-# arguments, 8 of their cosines and sines, 32 of the kernel product M.
+# Doubles per pair-point in the pair kernel's workspace: 4 rows of half
+# phase arguments (then their tangents), 8 of the phases' cosines and sines,
+# 32 of the kernel product M.
 # Each pool worker allocates one workspace per trace and reuses it for
 # every chunk it folds: buffers allocated afresh for every chunk are
 # mapped and page-faulted anew, the more so from several threads' malloc
@@ -275,13 +276,6 @@ def effective_field(
     )
 
 
-def _unit_and_norm(vec: np.ndarray) -> tuple[np.ndarray, float]:
-    norm = float(np.linalg.norm(vec))
-    if norm == 0.0:
-        return np.zeros(3), 0.0
-    return vec / norm, norm
-
-
 def single_spin_echo_factor(
     h0_g,
     h1_g,
@@ -296,22 +290,15 @@ def single_spin_echo_factor(
         L = 1 - 2 |n0 x n1|^2 sin^2(w0 t / 4) sin^2(w1 t / 4),
 
     with w_m = 2 pi gamma_n |h_m| the angular precession rates and n_m the
-    field unit vectors.  Accepts scalar or array ``t_ms``.
+    field unit vectors.  Runs the trace engine's single-spin table
+    (:func:`_single_factors_on_grid`) at branch duration t/2.  Accepts
+    scalar or array ``t_ms``.
     """
     h0 = np.asarray(h0_g, dtype=float)
-    h1 = np.asarray(h1_g, dtype=float)
+    h1 = np.asarray(h1_g, dtype=float).reshape(1, 3)
     t = np.asarray(t_ms, dtype=float)
-    n0, b0 = _unit_and_norm(h0)
-    n1, b1 = _unit_and_norm(h1)
-    if b0 == 0.0 or b1 == 0.0:
-        # One branch does not precess: its propagator is the identity and
-        # the echo closes perfectly.
-        return np.ones_like(t) if t.ndim else 1.0
-    k = float(np.sum(np.cross(n0, n1) ** 2))
-    s0 = np.sin(0.5 * np.pi * gamma_n * b0 * t)
-    s1 = np.sin(0.5 * np.pi * gamma_n * b1 * t)
-    out = 1.0 - 2.0 * k * s0**2 * s1**2
-    return out if t.ndim else float(out)
+    out = _single_factors_on_grid(h0, h1, 0.5 * t.reshape(-1), gamma_n)[0]
+    return float(out[0]) if t.ndim == 0 else out.reshape(t.shape)
 
 
 def pair_echo_factor(
@@ -341,15 +328,17 @@ def pair_echo_factor(
 
 
 def _single_factors_on_grid(
-    hyperfine: np.ndarray,
-    field_arr: np.ndarray,
+    h0: np.ndarray,
+    h1: np.ndarray,
     tau_grid: np.ndarray,
     gamma_n: float,
 ) -> np.ndarray:
-    """(N, T) single-spin factors, branch duration = tau (total time 2 tau)."""
-    n_spins = hyperfine.shape[0]
-    h0 = field_arr
-    h1 = field_arr[None, :] - hyperfine / gamma_n  # (N, 3)
+    """(N, T) single-spin factors, branch duration = tau (total time 2 tau).
+
+    ``h0`` is the (3,) m = 0 branch field, ``h1`` the (N, 3) m = +1 branch
+    fields of the spins.
+    """
+    n_spins = h1.shape[0]
     b0 = float(np.linalg.norm(h0))
     b1 = np.linalg.norm(h1, axis=1)  # (N,)
 
@@ -415,6 +404,23 @@ def _pair_spectra(
     return e0, e1, kern
 
 
+def _cos_sin_from_half(half: np.ndarray, cos_out: np.ndarray, sin_out: np.ndarray) -> None:
+    """cos(2 half) and sin(2 half) into ``cos_out``/``sin_out``; overwrites ``half``.
+
+    With t = tan(half): cos = (1 - t^2) / (1 + t^2), sin = 2 t / (1 + t^2).
+    Within 2.3e-16 of libm's cos and sin for angles up to 1e7 rad, exactly
+    (1, 0) at zero, and finite next to odd multiples of pi, where |t|
+    reaches about 1e16 and t^2 does not overflow.
+    """
+    t = np.tan(half, out=half)
+    np.multiply(t, t, out=sin_out)
+    np.subtract(1.0, sin_out, out=cos_out)
+    np.add(1.0, sin_out, out=sin_out)
+    np.divide(cos_out, sin_out, out=cos_out)
+    np.multiply(t, 2.0, out=t)
+    np.divide(t, sin_out, out=sin_out)
+
+
 def _pair_kernel_factors(
     spectra, tau: np.ndarray, workspace: np.ndarray | None = None
 ) -> np.ndarray:
@@ -431,6 +437,12 @@ def _pair_kernel_factors(
 
     A pair-point costs four cos/sin pairs per branch, one small real
     product with the kernel for the 16 entries of M, and the weighted sum.
+    The cos/sin pairs come from one tangent of the half phase each
+    (:func:`_cos_sin_from_half`): numpy's float64 ``tan`` is vectorised,
+    while its ``cos`` and ``sin`` are scalar libm calls, each several
+    times slower per element.  The half phase pi e_m tau is exactly half
+    of 2 pi e_m tau, since scaling by a power of two commutes with
+    rounding.
     Each phase is evaluated from its own level energy, as in the propagators
     themselves, never from a level difference.  A difference spans up to
     twice the Zeeman range and rounds differently, by up to 1e-13 rad at
@@ -451,16 +463,14 @@ def _pair_kernel_factors(
     theta = workspace[: 4 * size].reshape(n, 4, n_t)
     phases = workspace[4 * size : 12 * size].reshape(n, 8, n_t)
     m = workspace[12 * size : _WORKSPACE_ROWS * size].reshape(n, 32, n_t)
-    np.multiply((2.0 * np.pi * e1)[:, :, None], tau, out=theta)
-    np.cos(theta, out=phases[:, :4])
-    np.sin(theta, out=phases[:, 4:])
+    half1 = np.multiply((np.pi * e1)[:, :, None], tau, out=theta)
+    _cos_sin_from_half(half1, phases[:, :4], phases[:, 4:])
     np.matmul(kern, phases, out=m)  # (n, 32, T): [Re M; Im M]
     np.multiply(m, m, out=m)
     amp = np.add(m[:, :16], m[:, 16:], out=m[:, :16]).reshape(n, 4, 4, n_t)  # |M_db|^2
-    np.multiply((2.0 * np.pi * e0)[:, :, None], tau, out=theta)
+    half0 = np.multiply((np.pi * e0)[:, :, None], tau, out=theta)
     cos0, sin0 = phases[:, :4], phases[:, 4:]
-    np.cos(theta, out=cos0)
-    np.sin(theta, out=sin0)
+    _cos_sin_from_half(half0, cos0, sin0)
     # cos(th0_b - th0_d) = cos0_b cos0_d + sin0_b sin0_d
     in_cos, in_sin = m[:, 16:20], m[:, 20:24]
     np.einsum("pdbt,pbt->pdt", amp, cos0, out=in_cos)
@@ -540,11 +550,11 @@ def echo_coherence_trace(
     if n_spins == 0:
         values = np.ones_like(tau)
     else:
-        singles = _single_factors_on_grid(bath.hyperfine, field_arr, tau, gamma)
+        h1 = field_arr[None, :] - bath.hyperfine / gamma  # (N, 3)
+        singles = _single_factors_on_grid(field_arr, h1, tau, gamma)
         log_singles = np.log(np.maximum(np.abs(singles), _LOG_FLOOR))
         log_total = np.sum(log_singles, axis=0)
         neg_parity = np.sum(singles < 0.0, axis=0)
-        h1 = field_arr[None, :] - bath.hyperfine / gamma  # (N, 3)
         workspaces = threading.local()
 
         def fold(chunk):

@@ -6,7 +6,9 @@ scipy.linalg.expm instead of eigendecomposition, characteristic-polynomial
 roots instead of eigvalsh, raw SI arithmetic instead of shared prefactor
 constants.  Agreement is therefore evidence, not tautology.  The comb
 search of ``extract_TR`` is kept here as the per-candidate loop it used to
-be, where the package now scores all candidate periods in array passes.
+be, where the package now scores all candidate periods in array passes, and
+the pair kernel as it was with libm ``cos``/``sin`` of every phase, where
+the package now takes both from one tangent of the half phase.
 """
 from __future__ import annotations
 
@@ -15,6 +17,7 @@ import math
 import numpy as np
 from scipy.linalg import expm
 
+from nvmag.decoherence import _WORKSPACE_ROWS
 from nvmag.errors import NoRevivalError
 from nvmag.timescales import (
     _COMB_JITTER_GRID_STEPS,
@@ -321,3 +324,61 @@ def extract_TR_loop(
     median_gap = float(np.median(gaps))
     indices = np.round((times - times[0]) / median_gap)
     return _index_regression(times, indices, grid_step_ms)
+
+
+def pair_kernel_factors_libm(
+    spectra, tau: np.ndarray, workspace: np.ndarray | None = None
+) -> np.ndarray:
+    """(n, T) pair echo factors at branch durations ``tau`` (total time 2 tau).
+
+    Contraction in the eigenbasis of the m = 0 branch Hamiltonian H0.  With
+    H_m = V_m diag(e_m) V_m^+ and O = V0^+ V1, the m = +1 propagator there
+    is M(tau) = O diag(exp(i th1)) O^+ (up to the sign of all phases, which
+    L does not see), th_m = 2 pi e_m tau, and
+
+        L = 1/4 Re Tr[U1^+ U0^+ U1 U0]
+          = 1/4 sum_bd |M_db|^2 cos(th0_b - th0_d),
+        M_db = sum_a K[d, b, a] exp(i th1_a).
+
+    A pair-point costs four cos/sin pairs per branch, one small real
+    product with the kernel for the 16 entries of M, and the weighted sum.
+    Each phase is evaluated from its own level energy, as in the propagators
+    themselves, never from a level difference.  A difference spans up to
+    twice the Zeeman range and rounds differently, by up to 1e-13 rad at
+    100 G; where a pair factor passes near zero that moves the trace by up
+    to 2e-11 against the direct propagator contraction.  ``spectra`` is
+    the output of :func:`_pair_spectra`.
+
+    Every intermediate, and the result, is a view of ``workspace``, a flat
+    float64 buffer of at least :data:`_WORKSPACE_ROWS` doubles per
+    pair-point; the result stays valid until the workspace is reused.
+    Without one, a fresh buffer is allocated.
+    """
+    e0, e1, kern = spectra
+    n, n_t = e1.shape[0], tau.size
+    size = n * n_t
+    if workspace is None:
+        workspace = np.empty(_WORKSPACE_ROWS * size)
+    theta = workspace[: 4 * size].reshape(n, 4, n_t)
+    phases = workspace[4 * size : 12 * size].reshape(n, 8, n_t)
+    m = workspace[12 * size : _WORKSPACE_ROWS * size].reshape(n, 32, n_t)
+    np.multiply((2.0 * np.pi * e1)[:, :, None], tau, out=theta)
+    np.cos(theta, out=phases[:, :4])
+    np.sin(theta, out=phases[:, 4:])
+    np.matmul(kern, phases, out=m)  # (n, 32, T): [Re M; Im M]
+    np.multiply(m, m, out=m)
+    amp = np.add(m[:, :16], m[:, 16:], out=m[:, :16]).reshape(n, 4, 4, n_t)  # |M_db|^2
+    np.multiply((2.0 * np.pi * e0)[:, :, None], tau, out=theta)
+    cos0, sin0 = phases[:, :4], phases[:, 4:]
+    np.cos(theta, out=cos0)
+    np.sin(theta, out=sin0)
+    # cos(th0_b - th0_d) = cos0_b cos0_d + sin0_b sin0_d
+    in_cos, in_sin = m[:, 16:20], m[:, 20:24]
+    np.einsum("pdbt,pbt->pdt", amp, cos0, out=in_cos)
+    np.einsum("pdbt,pbt->pdt", amp, sin0, out=in_sin)
+    out, sin_part = m[:, 24], m[:, 25]
+    np.einsum("pdt,pdt->pt", cos0, in_cos, out=out)
+    np.einsum("pdt,pdt->pt", sin0, in_sin, out=sin_part)
+    out += sin_part
+    out *= 0.25
+    return out

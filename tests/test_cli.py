@@ -134,6 +134,38 @@ class TestConfigFile:
         bath = json.loads((tmp_path / "bath_seed0.json").read_text())
         assert bath["config"]["abundance"] == pytest.approx(0.05)
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
+    def test_non_finite_literal_exits_2_before_any_work(self, tmp_path, capsys, literal):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(f'{{"cutoff_radius": 1.2, "abundance": {literal}}}')
+        assert run("bath", "--config", cfg, "--out-dir", tmp_path / "out") == 2
+        assert f"config file holds {literal}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    # unchecked, each value reaches int() or float(): a traceback with
+    # exit 1, or a silently truncated integer with exit 0
+    @pytest.mark.parametrize(
+        "command,key,text,named",
+        [
+            (("simulate", "--field", "10"), "points_per_period", "NaN", "NaN"),
+            (("sweep", "--fields", "5,10,20"), "realizations", "1e999", "1e999"),
+            (("bath",), "abundance", '"abc"', "abundance"),
+            (("sweep", "--fields", "5,10,20"), "realizations", "2.7", "realizations"),
+            (("sensitivity", "--t2", "0.5"), "n_centers", "2.5", "n_centers"),
+            (("bath",), "seed", "1.5", "seed"),
+        ],
+        ids=lambda v: v if isinstance(v, str) else v[0],
+    )
+    def test_malformed_value_exits_2_before_any_work(
+        self, tmp_path, capsys, command, key, text, named
+    ):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(f'{{"cutoff_radius": 1.2, "{key}": {text}}}')
+        out_dir = tmp_path / "out"
+        assert run(*command, "--config", cfg, "--out-dir", out_dir) == 2
+        assert named in capsys.readouterr().err
+        assert not any(out_dir.glob("*"))
+
 
 class TestBathCommand:
     def test_writes_bath_and_manifest(self, tmp_path, capsys):
@@ -250,7 +282,7 @@ class TestSimulateCommand:
         assert "finite" in capsys.readouterr().err
 
     def test_nan_window_in_config_exits_2(self, tmp_path, capsys):
-        # json.load accepts the bare NaN literal, so the value reaches the schedule
+        # the config loader refuses the bare NaN literal
         path = tmp_path / "config.json"
         path.write_text('{"cutoff_radius": 1.2, "t_max": NaN}')
         assert run("simulate", "--config", path, "--field", "10", "--out-dir", tmp_path) == 2
@@ -558,6 +590,18 @@ class TestReconstructCommand:
         assert run("reconstruct", "--measurements", path, "--out-dir", tmp_path) == 2
         assert "not valid JSON" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("literal", ["NaN", "1e999"])
+    def test_non_finite_spacing_exits_2_before_any_output(self, tmp_path, capsys, literal):
+        # 1e999 overflows to infinity, which inverts to a zero component
+        path = tmp_path / "measurements.json"
+        path.write_text(
+            f'[{{"axis": [1, 0, 0], "T_R_ms": {literal}}}, '
+            '{"axis": [0, 1, 0], "T_R_ms": 1.0}, {"axis": [0, 0, 1], "T_R_ms": 1.0}]'
+        )
+        assert run("reconstruct", "--measurements", path, "--out-dir", tmp_path / "out") == 2
+        assert f"measurement file holds {literal}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_file_exits_2(self, tmp_path):
         rc = run(
             "reconstruct", "--measurements", tmp_path / "none.json",
@@ -612,6 +656,17 @@ class TestOdmrCommand:
             fields = line.split(",")
             assert len(fields) == 5
             assert all(math.isfinite(float(v)) for v in fields)
+
+    def test_infinite_candidate_exits_2(self, tmp_path, capsys):
+        cand_path = tmp_path / "cands.json"
+        cand_path.write_text("[[0.0, 0.0, 1.0], [0.0, 0.0, Infinity]]")
+        rc = run(
+            "odmr", "--field", "1", "--candidates", cand_path,
+            "--true-field", "1", "--out-dir", tmp_path / "out",
+        )
+        assert rc == 2
+        assert "candidates file holds Infinity" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_bad_candidates_json_exits_2(self, tmp_path, capsys):
         cand_path = tmp_path / "cands.json"

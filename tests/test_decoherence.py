@@ -26,9 +26,11 @@ from nvmag.decoherence import (
     required_time_step,
     single_spin_echo_factor,
     _WORKSPACE_ROWS,
+    _cos_sin_from_half,
     _pair_chunks,
     _pair_kernel_factors,
     _pair_spectra,
+    _single_factors_on_grid,
 )
 from nvmag.errors import (
     ConfigError,
@@ -40,7 +42,7 @@ from nvmag.errors import (
 )
 
 from conftest import make_tiny_bath
-from oracles import exact_echo_trace, single_echo_unitary, exact_echo
+from oracles import exact_echo_trace, single_echo_unitary, exact_echo, pair_kernel_factors_libm
 
 GAMMA = GAMMA_N_13C_KHZ_PER_G
 
@@ -147,6 +149,19 @@ class TestSingleSpinFactor:
         h0, h1 = np.array([0.0, 0.0, 4.0]), np.array([5.0, 0.0, 1.0])
         assert single_spin_echo_factor(h0, h1, 0.0) == pytest.approx(1.0, abs=1e-15)
 
+    @pytest.mark.parametrize("h0", [(3.0, -1.0, 10.0), (0.0, 0.0, 0.0)])
+    def test_is_the_trace_engine_row(self, h0):
+        # at total time 2 tau the factor is the engine's table row bit for
+        # bit, for a spin whose m = +1 field vanishes and at zero field too
+        h0 = np.array(h0)
+        h1 = np.array([[4.0, 2.0, -7.0], [0.0, 0.0, 0.0], [1.5, -0.5, 5.0]])
+        tau = np.linspace(0.0, 0.9, 257)
+        table = _single_factors_on_grid(h0, h1, tau, GAMMA)
+        assert np.array_equal(table[1], np.ones_like(tau))
+        for h, row in zip(h1, table):
+            assert np.array_equal(single_spin_echo_factor(h0, h, 2.0 * tau), row)
+            assert single_spin_echo_factor(h0, h, 2.0 * tau[100]) == row[100]
+
 
 class TestPairFactor:
     @pytest.mark.parametrize("t_total", [0.017, 0.4, 2.3])
@@ -201,6 +216,47 @@ class TestPairKernelChunks:
                     )
                     err = max(err, abs(row[k] - want))
         assert err < 1e-10
+
+    # the benchmark's three trace fields, on every 20th chunk of a full bath
+    @pytest.mark.parametrize(
+        "abundance,field,t_max,n_points",
+        [(0.03, (0.0, 0.0, 10.0), 0.55, 284), (0.011, (0.0, 0.0, 100.0), 0.55, 2828),
+         (0.011, (30.0, 0.0, 95.0), 0.1, 513)],
+    )
+    def test_agrees_with_libm_kernel(self, full_sites, abundance, field, t_max, n_points):
+        bath = sample_bath(full_sites, LatticeConfig(abundance=abundance, seed=0))
+        field = FieldVector.from_sequence(field)
+        tau = EchoSchedule.for_field(field.magnitude, t_max).t_grid
+        assert tau.size == n_points
+        h1 = field.as_array()[None, :] - bath.hyperfine / GAMMA
+        err = 0.0
+        for ci, cj, b in _pair_chunks(bath, tau.size)[::20]:
+            spectra = _pair_spectra(h1[ci], h1[cj], b, field.as_array(), GAMMA)
+            want = pair_kernel_factors_libm(spectra, tau)
+            err = max(err, np.max(np.abs(_pair_kernel_factors(spectra, tau) - want)))
+        assert err <= 2e-15
+
+
+class TestHalfAngleTrig:
+    def test_cos_sin_match_libm(self):
+        rng = np.random.default_rng(0)
+        # half angles next to odd multiples of pi/2 put theta next to odd
+        # multiples of pi, where the tangent reaches about 1e16
+        odd = (rng.integers(-1_500_000, 1_500_000, 2000) + 0.5) * np.pi
+        half = np.concatenate([
+            [0.0, np.pi / 2, -np.pi / 2],
+            np.nextafter(odd, np.inf), odd, np.nextafter(odd, -np.inf),
+            rng.uniform(-10.0, 10.0, 20000),
+            rng.uniform(-5e6, 5e6, 20000),  # |theta| up to 1e7
+        ])
+        theta = 2.0 * half
+        cos, sin = np.empty_like(half), np.empty_like(half)
+        _cos_sin_from_half(half.copy(), cos, sin)
+        assert np.max(np.abs(np.tan(half[1:3]))) > 1e16
+        assert cos[0] == 1.0 and sin[0] == 0.0
+        assert np.all(np.isfinite(cos)) and np.all(np.isfinite(sin))
+        assert np.max(np.abs(cos - np.cos(theta))) <= 2.3e-16
+        assert np.max(np.abs(sin - np.sin(theta))) <= 2.3e-16
 
 
 # ------------------------------------------------------------ full engine
