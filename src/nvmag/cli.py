@@ -215,6 +215,8 @@ def _parse_float_list(text: str, what: str) -> list[float]:
         raise ConfigError(f"could not parse {what} from {text!r}") from exc
     if not values:
         raise ConfigError(f"{what} is empty")
+    if not all(math.isfinite(v) for v in values):
+        raise ConfigError(f"{what} must be finite, got {text!r}")
     return values
 
 
@@ -530,9 +532,10 @@ def cmd_extract(ns) -> int:
 def cmd_invert(ns) -> int:
     settings = Settings(ns)
     cal = settings.calibration()
-    b = invert_TR_to_B(float(ns.tr), cal)
+    t_revival = settings.number("tr", None)
+    b = invert_TR_to_B(t_revival, cal)
     _print_json(
-        {"T_R_ms": float(ns.tr), "B_G": b, "alpha_ms_G": cal.alpha, "alpha_source": cal.source},
+        {"T_R_ms": t_revival, "B_G": b, "alpha_ms_G": cal.alpha, "alpha_source": cal.source},
         ns,
     )
     return 0
@@ -620,7 +623,7 @@ def cmd_sensitivity(ns) -> int:
         n_centers=settings.integer("n_centers", 1),
     )
     report = build_report(
-        t2=float(ns.t2),
+        t2=settings.number("t2", None),
         readout=readout,
         cal=settings.calibration(),
         field_g=None if ns.field is None else _parse_field(ns.field).magnitude,
@@ -632,7 +635,7 @@ def cmd_sensitivity(ns) -> int:
     csv_path = manifest.add_output(out_dir / "sensitivity_eta.csv")
     with open(csv_path, "w") as fh:
         fh.write("tau_ms,eta_G_per_sqrtHz,eta_uT_per_sqrtHz\n")
-        for tau, eta in zip(report.tau_grid_ms, report.eta_G_sqHz):
+        for tau, eta in zip(report.tau_grid_ms.tolist(), report.eta_G_sqHz.tolist()):
             fh.write(f"{tau!r},{eta!r},{eta * 100.0!r}\n")
     json_path = manifest.add_output(out_dir / "sensitivity_report.json")
     json_path.write_text(_json_text(report.to_json_dict()) + "\n")

@@ -78,14 +78,29 @@ _LOG_FLOOR = 1e-300
 # count per chunk follows from the grid length.
 PAIR_POINTS_PER_CHUNK = 16384
 
-# Doubles per pair-point in the pair kernel's workspace: 4 rows of half
-# phase arguments (then their tangents), 8 of the phases' cosines and sines,
-# 32 of the kernel product M.
+# Doubles per pair-point in the pair kernel's workspace, laid out level-major
+# as (rows, pairs, points): 4 rows of half phase arguments (then their
+# tangents, then feature temporaries), 8 of the per-level cosines and sines,
+# 7 of one branch's cosine features (the first all ones), 7 of G f0.
 # Each pool worker allocates one workspace per trace and reuses it for
 # every chunk it folds: buffers allocated afresh for every chunk are
 # mapped and page-faulted anew, the more so from several threads' malloc
 # arenas at once.
-_WORKSPACE_ROWS = 44
+_WORKSPACE_ROWS = 26
+
+# The level pairs (a, a') with a <= a' that the pair kernel's form needs:
+# the four a = a', then the six a < a' grouped by index shift,
+# (0,1),(1,2),(2,3) | (0,2),(1,3) | (0,3), so that the cosines of each
+# shift are one basic slice of the level-major phase rows.
+_LEVEL_LO = np.array([0, 1, 2, 3, 0, 1, 2, 0, 1, 0])
+_LEVEL_HI = np.array([0, 1, 2, 3, 1, 2, 3, 2, 3, 3])
+# Sums those ten level pairs into the form's seven classes: class 0 the
+# four a = a' (weight 1), class k the k-th pair a < a' (weight 2, for
+# (a, a') and (a', a)).  Each weight is halved, so that weighting both
+# branches gives the 1/4 of L.
+_CLASS_WEIGHTS = np.zeros((10, 7))
+_CLASS_WEIGHTS[:4, 0] = 0.5
+_CLASS_WEIGHTS[4:, 1:] = np.eye(6)
 
 
 @dataclass(frozen=True)
@@ -385,23 +400,21 @@ def _pair_spectra(
     ``h1_left``/``h1_right`` are the (n, 3) m = +1 branch fields of each
     pair's two spins, ``b`` their (n,) couplings; the m = 0 branch sees the
     bare field.  Returns the (n, 4) level energies ``e0`` and ``e1`` of the
-    two branch Hamiltonians and ``kern`` (n, 32, 8), the real form of
-    K[d, b, a] = O_da conj(O_ba) with O = V0^+ V1: it maps the phase
-    column [cos th_a; sin th_a] of branch 1 to [Re M_db; Im M_db], (d, b)
-    flattened (see :func:`_pair_kernel_factors`).
+    two branch Hamiltonians and ``gram`` (n, 7, 7), the real matrix G of
+    the form L = f1^T G f0 over the seven level-pair classes of each branch
+    (see :func:`_pair_kernel_factors`).
     """
     n = b.size
     h0 = np.broadcast_to(field_arr, (n, 3))
     e0, v0 = np.linalg.eigh(_batched_pair_hamiltonians(h0, h0, b, gamma_n))
     e1, v1 = np.linalg.eigh(_batched_pair_hamiltonians(h1_left, h1_right, b, gamma_n))
     overlap = np.matmul(v0.conj().transpose(0, 2, 1), v1)  # O = V0^+ V1
-    k = (overlap[:, :, None, :] * overlap.conj()[:, None, :, :]).reshape(n, 16, 4)
-    kern = np.empty((n, 32, 8))
-    kern[:, :16, :4] = k.real
-    kern[:, :16, 4:] = -k.imag
-    kern[:, 16:, :4] = k.imag
-    kern[:, 16:, 4:] = k.real
-    return e0, e1, kern
+    # P[d, u] = O_da conj(O_da') over level pairs u = (a, a') of branch 1
+    p = overlap[:, :, _LEVEL_LO] * overlap[:, :, _LEVEL_HI].conj()
+    # Re(K_dba conj K_dba') = Re(P[d, u] conj P[b, u]), (b, d) the pairs q
+    re_kk = (p[:, _LEVEL_LO] * p[:, _LEVEL_HI].conj()).real  # (n, q, u)
+    gram = np.matmul(np.matmul(re_kk, _CLASS_WEIGHTS).transpose(0, 2, 1), _CLASS_WEIGHTS)
+    return e0, e1, gram
 
 
 def _cos_sin_from_half(half: np.ndarray, cos_out: np.ndarray, sin_out: np.ndarray) -> None:
@@ -421,6 +434,25 @@ def _cos_sin_from_half(half: np.ndarray, cos_out: np.ndarray, sin_out: np.ndarra
     np.divide(t, sin_out, out=sin_out)
 
 
+def _level_cosines(
+    cos: np.ndarray, sin: np.ndarray, out: np.ndarray, scratch: np.ndarray
+) -> None:
+    """cos(th_a - th_a') of the six level pairs a < a' into the rows of ``out``.
+
+    Each is cos th_a cos th_a' + sin th_a sin th_a', from the four
+    per-level rows of ``cos`` and ``sin``, in the order of
+    :data:`_LEVEL_LO`/:data:`_LEVEL_HI`: every index shift is one basic
+    slice.  ``scratch`` holds at least three rows.
+    """
+    lo = 0
+    for shift in (1, 2, 3):
+        rows, tmp = out[lo : lo + 4 - shift], scratch[: 4 - shift]
+        np.multiply(cos[:-shift], cos[shift:], out=rows)
+        np.multiply(sin[:-shift], sin[shift:], out=tmp)
+        rows += tmp
+        lo += 4 - shift
+
+
 def _pair_kernel_factors(
     spectra, tau: np.ndarray, workspace: np.ndarray | None = None
 ) -> np.ndarray:
@@ -433,53 +465,64 @@ def _pair_kernel_factors(
 
         L = 1/4 Re Tr[U1^+ U0^+ U1 U0]
           = 1/4 sum_bd |M_db|^2 cos(th0_b - th0_d),
-        M_db = sum_a K[d, b, a] exp(i th1_a).
+        M_db = sum_a K[d, b, a] exp(i th1_a),  K[d, b, a] = O_da conj(O_ba).
 
-    A pair-point costs four cos/sin pairs per branch, one small real
-    product with the kernel for the 16 entries of M, and the weighted sum.
-    The cos/sin pairs come from one tangent of the half phase each
-    (:func:`_cos_sin_from_half`): numpy's float64 ``tan`` is vectorised,
-    while its ``cos`` and ``sin`` are scalar libm calls, each several
-    times slower per element.  The half phase pi e_m tau is exactly half
-    of 2 pi e_m tau, since scaling by a power of two commutes with
-    rounding.
+    The weight cos(th0_b - th0_d) is symmetric in (b, d), so only
+    |M_db|^2 + |M_bd|^2 counts.  K[b, d, a] = conj K[d, b, a], so the sine
+    terms of the two squares cancel:
+
+        |M_db|^2 + |M_bd|^2 = sum_aa' 2 Re(K_dba conj K_dba') cos(th1_a - th1_a').
+
+    Both double sums then run over classes of level pairs: class 0 holds
+    the four a = a' (cosine 1), classes 1-6 the six a < a' (each standing
+    for (a, a') and (a', a)), and
+
+        L = f1^T G f0,  f_m = [1, cos(th_m,a - th_m,a') over the six a < a'],
+
+    with the per-pair real 7x7 matrix G of :func:`_pair_spectra`.  This
+    holds for any O: no unitarity is assumed, so eigh's rounding passes
+    through as it is.  A pair-point costs four cos/sin pairs and six
+    feature cosines per branch, one 7x7 product and a 7-row weighted sum.
+
     Each phase is evaluated from its own level energy, as in the propagators
-    themselves, never from a level difference.  A difference spans up to
-    twice the Zeeman range and rounds differently, by up to 1e-13 rad at
-    100 G; where a pair factor passes near zero that moves the trace by up
-    to 2e-11 against the direct propagator contraction.  ``spectra`` is
-    the output of :func:`_pair_spectra`.
+    themselves, and each feature cosine from products of per-level cosines
+    and sines (:func:`_level_cosines`), never from a level difference.  A
+    difference spans up to twice the Zeeman range and rounds differently,
+    by up to 1e-13 rad at 100 G; where a pair factor passes near zero that
+    moves the trace by up to 2e-11 against the direct propagator
+    contraction.  The cos/sin pairs come from one tangent of the half phase
+    each (:func:`_cos_sin_from_half`): numpy's float64 ``tan`` is
+    vectorised, while its ``cos`` and ``sin`` are scalar libm calls, each
+    several times slower per element.  The half phase pi e_m tau is
+    exactly half of 2 pi e_m tau, since scaling by a power of two commutes
+    with rounding.  ``spectra`` is the output of :func:`_pair_spectra`.
 
     Every intermediate, and the result, is a view of ``workspace``, a flat
     float64 buffer of at least :data:`_WORKSPACE_ROWS` doubles per
-    pair-point; the result stays valid until the workspace is reused.
-    Without one, a fresh buffer is allocated.
+    pair-point, laid out as (rows, pairs, points) so that every row group
+    is one contiguous slice; the result stays valid until the workspace is
+    reused.  Without one, a fresh buffer is allocated.
     """
-    e0, e1, kern = spectra
+    e0, e1, gram = spectra
     n, n_t = e1.shape[0], tau.size
     size = n * n_t
     if workspace is None:
         workspace = np.empty(_WORKSPACE_ROWS * size)
-    theta = workspace[: 4 * size].reshape(n, 4, n_t)
-    phases = workspace[4 * size : 12 * size].reshape(n, 8, n_t)
-    m = workspace[12 * size : _WORKSPACE_ROWS * size].reshape(n, 32, n_t)
-    half1 = np.multiply((np.pi * e1)[:, :, None], tau, out=theta)
-    _cos_sin_from_half(half1, phases[:, :4], phases[:, 4:])
-    np.matmul(kern, phases, out=m)  # (n, 32, T): [Re M; Im M]
-    np.multiply(m, m, out=m)
-    amp = np.add(m[:, :16], m[:, 16:], out=m[:, :16]).reshape(n, 4, 4, n_t)  # |M_db|^2
-    half0 = np.multiply((np.pi * e0)[:, :, None], tau, out=theta)
-    cos0, sin0 = phases[:, :4], phases[:, 4:]
-    _cos_sin_from_half(half0, cos0, sin0)
-    # cos(th0_b - th0_d) = cos0_b cos0_d + sin0_b sin0_d
-    in_cos, in_sin = m[:, 16:20], m[:, 20:24]
-    np.einsum("pdbt,pbt->pdt", amp, cos0, out=in_cos)
-    np.einsum("pdbt,pbt->pdt", amp, sin0, out=in_sin)
-    out, sin_part = m[:, 24], m[:, 25]
-    np.einsum("pdt,pdt->pt", cos0, in_cos, out=out)
-    np.einsum("pdt,pdt->pt", sin0, in_sin, out=sin_part)
-    out += sin_part
-    out *= 0.25
+    rows = workspace[: _WORKSPACE_ROWS * size].reshape(_WORKSPACE_ROWS, n, n_t)
+    half, cos, sin = rows[:4], rows[4:8], rows[8:12]
+    features, g_f0 = rows[12:19], rows[19:26]
+    features[0] = 1.0
+    np.multiply((np.pi * e0).T[:, :, None], tau, out=half)
+    _cos_sin_from_half(half, cos, sin)
+    _level_cosines(cos, sin, features[1:], half)
+    np.matmul(gram, features.transpose(1, 0, 2), out=g_f0.transpose(1, 0, 2))
+    np.multiply((np.pi * e1).T[:, :, None], tau, out=half)
+    _cos_sin_from_half(half, cos, sin)
+    _level_cosines(cos, sin, features[1:], half)
+    np.multiply(features[1:], g_f0[1:], out=features[1:])
+    out = g_f0[0]
+    for row in features[1:]:
+        out += row
     return out
 
 
@@ -536,7 +579,7 @@ def echo_coherence_trace(
     them in chunk order, so the trace is bit-identical at every thread
     count.  Memory is the (N, T) single-spin tables plus, per worker, one
     workspace of :data:`_WORKSPACE_ROWS` doubles per pair-point of a chunk
-    (5.5 MiB up to 16,384 grid points) and that chunk's few (n, T) fold
+    (3.25 MiB up to 16,384 grid points) and that chunk's few (n, T) fold
     temporaries.
     """
     gamma = bath.gamma_n if gamma_n is None else gamma_n

@@ -7,8 +7,10 @@ roots instead of eigvalsh, raw SI arithmetic instead of shared prefactor
 constants.  Agreement is therefore evidence, not tautology.  The comb
 search of ``extract_TR`` is kept here as the per-candidate loop it used to
 be, where the package now scores all candidate periods in array passes, and
-the pair kernel as it was with libm ``cos``/``sin`` of every phase, where
-the package now takes both from one tangent of the half phase.
+the pair kernel as it was with the 32-row product for the entries of M
+and libm ``cos``/``sin`` of every phase, where the package now contracts a
+7x7 form in the cosines of phase differences and takes every cos/sin pair
+from one tangent of the half phase.
 """
 from __future__ import annotations
 
@@ -17,7 +19,7 @@ import math
 import numpy as np
 from scipy.linalg import expm
 
-from nvmag.decoherence import _WORKSPACE_ROWS
+from nvmag.decoherence import _batched_pair_hamiltonians, _cos_sin_from_half
 from nvmag.errors import NoRevivalError
 from nvmag.timescales import (
     _COMB_JITTER_GRID_STEPS,
@@ -326,9 +328,54 @@ def extract_TR_loop(
     return _index_regression(times, indices, grid_step_ms)
 
 
-def pair_kernel_factors_libm(
-    spectra, tau: np.ndarray, workspace: np.ndarray | None = None
-) -> np.ndarray:
+# Doubles per pair-point in the workspace of the M-product kernels below:
+# 4 rows of phase arguments, 8 of the phases' cosines and sines, 32 of M.
+_M_KERNEL_WORKSPACE_ROWS = 44
+
+
+def pair_spectra_m_kernel(
+    h1_left: np.ndarray,
+    h1_right: np.ndarray,
+    b: np.ndarray,
+    field_arr: np.ndarray,
+    gamma_n: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Time-independent part of the M-product pair kernels for n pairs.
+
+    ``h1_left``/``h1_right`` are the (n, 3) m = +1 branch fields of each
+    pair's two spins, ``b`` their (n,) couplings; the m = 0 branch sees the
+    bare field.  Returns the (n, 4) level energies ``e0`` and ``e1`` of the
+    two branch Hamiltonians and ``kern`` (n, 32, 8), the real form of
+    K[d, b, a] = O_da conj(O_ba) with O = V0^+ V1: it maps the phase
+    column [cos th_a; sin th_a] of branch 1 to [Re M_db; Im M_db], (d, b)
+    flattened (see :func:`pair_kernel_factors_libm`).
+    """
+    n = b.size
+    h0 = np.broadcast_to(field_arr, (n, 3))
+    e0, v0 = np.linalg.eigh(_batched_pair_hamiltonians(h0, h0, b, gamma_n))
+    e1, v1 = np.linalg.eigh(_batched_pair_hamiltonians(h1_left, h1_right, b, gamma_n))
+    overlap = np.matmul(v0.conj().transpose(0, 2, 1), v1)  # O = V0^+ V1
+    k = (overlap[:, :, None, :] * overlap.conj()[:, None, :, :]).reshape(n, 16, 4)
+    kern = np.empty((n, 32, 8))
+    kern[:, :16, :4] = k.real
+    kern[:, :16, 4:] = -k.imag
+    kern[:, 16:, :4] = k.imag
+    kern[:, 16:, 4:] = k.real
+    return e0, e1, kern
+
+
+def _libm_cos_sin(e, tau, theta, cos_out, sin_out):
+    np.multiply((2.0 * np.pi * e)[:, :, None], tau, out=theta)
+    np.cos(theta, out=cos_out)
+    np.sin(theta, out=sin_out)
+
+
+def _half_angle_cos_sin(e, tau, theta, cos_out, sin_out):
+    half = np.multiply((np.pi * e)[:, :, None], tau, out=theta)
+    _cos_sin_from_half(half, cos_out, sin_out)
+
+
+def _m_product_kernel(spectra, tau: np.ndarray, cos_sin) -> np.ndarray:
     """(n, T) pair echo factors at branch durations ``tau`` (total time 2 tau).
 
     Contraction in the eigenbasis of the m = 0 branch Hamiltonian H0.  With
@@ -342,36 +389,24 @@ def pair_kernel_factors_libm(
 
     A pair-point costs four cos/sin pairs per branch, one small real
     product with the kernel for the 16 entries of M, and the weighted sum.
-    Each phase is evaluated from its own level energy, as in the propagators
-    themselves, never from a level difference.  A difference spans up to
-    twice the Zeeman range and rounds differently, by up to 1e-13 rad at
-    100 G; where a pair factor passes near zero that moves the trace by up
-    to 2e-11 against the direct propagator contraction.  ``spectra`` is
-    the output of :func:`_pair_spectra`.
-
-    Every intermediate, and the result, is a view of ``workspace``, a flat
-    float64 buffer of at least :data:`_WORKSPACE_ROWS` doubles per
-    pair-point; the result stays valid until the workspace is reused.
-    Without one, a fresh buffer is allocated.
+    ``cos_sin(e, tau, theta, cos_out, sin_out)`` writes the cosines and
+    sines of one branch's phases, each from its own level energy, with
+    ``theta`` as scratch.  ``spectra`` is the output of
+    :func:`pair_spectra_m_kernel`.
     """
     e0, e1, kern = spectra
     n, n_t = e1.shape[0], tau.size
     size = n * n_t
-    if workspace is None:
-        workspace = np.empty(_WORKSPACE_ROWS * size)
+    workspace = np.empty(_M_KERNEL_WORKSPACE_ROWS * size)
     theta = workspace[: 4 * size].reshape(n, 4, n_t)
     phases = workspace[4 * size : 12 * size].reshape(n, 8, n_t)
-    m = workspace[12 * size : _WORKSPACE_ROWS * size].reshape(n, 32, n_t)
-    np.multiply((2.0 * np.pi * e1)[:, :, None], tau, out=theta)
-    np.cos(theta, out=phases[:, :4])
-    np.sin(theta, out=phases[:, 4:])
+    m = workspace[12 * size :].reshape(n, 32, n_t)
+    cos_sin(e1, tau, theta, phases[:, :4], phases[:, 4:])
     np.matmul(kern, phases, out=m)  # (n, 32, T): [Re M; Im M]
     np.multiply(m, m, out=m)
     amp = np.add(m[:, :16], m[:, 16:], out=m[:, :16]).reshape(n, 4, 4, n_t)  # |M_db|^2
-    np.multiply((2.0 * np.pi * e0)[:, :, None], tau, out=theta)
     cos0, sin0 = phases[:, :4], phases[:, 4:]
-    np.cos(theta, out=cos0)
-    np.sin(theta, out=sin0)
+    cos_sin(e0, tau, theta, cos0, sin0)
     # cos(th0_b - th0_d) = cos0_b cos0_d + sin0_b sin0_d
     in_cos, in_sin = m[:, 16:20], m[:, 20:24]
     np.einsum("pdbt,pbt->pdt", amp, cos0, out=in_cos)
@@ -382,3 +417,14 @@ def pair_kernel_factors_libm(
     out += sin_part
     out *= 0.25
     return out
+
+
+def pair_kernel_factors_libm(spectra, tau: np.ndarray) -> np.ndarray:
+    """The M-product kernel with libm ``cos``/``sin`` of every phase 2 pi e tau."""
+    return _m_product_kernel(spectra, tau, _libm_cos_sin)
+
+
+def pair_kernel_factors_half_angle(spectra, tau: np.ndarray) -> np.ndarray:
+    """The M-product kernel with each cos/sin pair from the tangent of the
+    half phase pi e tau (:func:`nvmag.decoherence._cos_sin_from_half`)."""
+    return _m_product_kernel(spectra, tau, _half_angle_cos_sin)

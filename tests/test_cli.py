@@ -428,6 +428,24 @@ class TestSweepCommand:
     def test_unparseable_field_list(self, tmp_path):
         assert run("sweep", "--fields", "5,ten,20", "--out-dir", tmp_path) == 2
 
+    @pytest.mark.parametrize("mode,points", [("--fields", "5,10,nan"),
+                                             ("--abundances", "0.005,inf,0.02")])
+    def test_non_finite_point_exits_2_before_any_trace(
+        self, tmp_path, monkeypatch, capsys, mode, points
+    ):
+        import nvmag.cli
+
+        calls = []
+        monkeypatch.setattr(
+            nvmag.cli, "echo_coherence_trace", lambda *args, **kw: calls.append(args)
+        )
+        cfg = write_config(tmp_path)
+        rc = run("sweep", "--config", cfg, mode, points, "--realizations", 1,
+                 "--t-max", "0.1", "--out-dir", tmp_path)
+        assert rc == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert calls == []
+
     def test_bad_thread_env_exits_2(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("NVMAG_THREADS", "notanint")
         cfg = write_config(tmp_path)
@@ -499,7 +517,8 @@ class TestExtractCommand:
 
 class TestInvertCommand:
     def test_non_finite_result_exits_2(self, capsys):
-        assert run("invert", "--tr", "nan") == 2
+        # a finite, subnormal spacing inverts to an infinite field
+        assert run("invert", "--tr", "1e-320") == 2
         assert "JSON cannot represent" in capsys.readouterr().err
 
     def test_default_calibration(self, capsys):
@@ -515,6 +534,11 @@ class TestInvertCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["B_G"] == pytest.approx(2.0, rel=1e-12)
         assert payload["alpha_source"] == "refit"
+
+    @pytest.mark.parametrize("literal", ["inf", "nan"])
+    def test_non_finite_spacing_exits_2(self, capsys, literal):
+        assert run("invert", "--tr", literal) == 2
+        assert "tr must be finite" in capsys.readouterr().err
 
     def test_nonpositive_spacing_exits_3(self, capsys):
         assert run("invert", "--tr", "-0.5") == 3
@@ -690,7 +714,15 @@ class TestSensitivityCommand:
         lines = (tmp_path / "sensitivity_eta.csv").read_text().splitlines()
         assert lines[0] == "tau_ms,eta_G_per_sqrtHz,eta_uT_per_sqrtHz"
         assert len(lines) == 1 + 400
+        for line in lines[1:]:
+            values = [float(tok) for tok in line.split(",")]
+            assert len(values) == 3 and all(math.isfinite(v) for v in values), line
         assert "eta_min" in capsys.readouterr().out
+
+    def test_non_finite_t2_exits_2_before_any_output(self, tmp_path, capsys):
+        assert run("sensitivity", "--t2", "nan", "--out-dir", tmp_path) == 2
+        assert "t2 must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "sensitivity_eta.csv").exists()
 
     def test_contrast_scaling_and_ensemble(self, tmp_path):
         assert run("sensitivity", "--t2", "0.5", "--out-dir", tmp_path / "a") == 0

@@ -1,5 +1,7 @@
+import json
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,7 +44,14 @@ from nvmag.errors import (
 )
 
 from conftest import make_tiny_bath
-from oracles import exact_echo_trace, single_echo_unitary, exact_echo, pair_kernel_factors_libm
+from oracles import (
+    exact_echo,
+    exact_echo_trace,
+    pair_kernel_factors_half_angle,
+    pair_kernel_factors_libm,
+    pair_spectra_m_kernel,
+    single_echo_unitary,
+)
 
 GAMMA = GAMMA_N_13C_KHZ_PER_G
 
@@ -218,12 +227,16 @@ class TestPairKernelChunks:
         assert err < 1e-10
 
     # the benchmark's three trace fields, on every 20th chunk of a full bath
-    @pytest.mark.parametrize(
+    BENCHMARK_FIELDS = pytest.mark.parametrize(
         "abundance,field,t_max,n_points",
         [(0.03, (0.0, 0.0, 10.0), 0.55, 284), (0.011, (0.0, 0.0, 100.0), 0.55, 2828),
          (0.011, (30.0, 0.0, 95.0), 0.1, 513)],
     )
-    def test_agrees_with_libm_kernel(self, full_sites, abundance, field, t_max, n_points):
+
+    @staticmethod
+    def _error_against(oracle, full_sites, abundance, field, t_max, n_points) -> float:
+        """Largest |kernel - oracle| over every 20th chunk; the oracle runs on
+        the M-product spectra of the same eigendecompositions."""
         bath = sample_bath(full_sites, LatticeConfig(abundance=abundance, seed=0))
         field = FieldVector.from_sequence(field)
         tau = EchoSchedule.for_field(field.magnitude, t_max).t_grid
@@ -231,9 +244,25 @@ class TestPairKernelChunks:
         h1 = field.as_array()[None, :] - bath.hyperfine / GAMMA
         err = 0.0
         for ci, cj, b in _pair_chunks(bath, tau.size)[::20]:
-            spectra = _pair_spectra(h1[ci], h1[cj], b, field.as_array(), GAMMA)
-            want = pair_kernel_factors_libm(spectra, tau)
-            err = max(err, np.max(np.abs(_pair_kernel_factors(spectra, tau) - want)))
+            args = (h1[ci], h1[cj], b, field.as_array(), GAMMA)
+            want = oracle(pair_spectra_m_kernel(*args), tau)
+            err = max(err, np.max(np.abs(_pair_kernel_factors(_pair_spectra(*args), tau) - want)))
+        return err
+
+    @BENCHMARK_FIELDS
+    def test_agrees_with_libm_kernel(self, full_sites, abundance, field, t_max, n_points):
+        err = self._error_against(
+            pair_kernel_factors_libm, full_sites, abundance, field, t_max, n_points
+        )
+        assert err <= 2e-15
+
+    @BENCHMARK_FIELDS
+    def test_agrees_with_half_angle_m_kernel(
+        self, full_sites, abundance, field, t_max, n_points
+    ):
+        err = self._error_against(
+            pair_kernel_factors_half_angle, full_sites, abundance, field, t_max, n_points
+        )
         assert err <= 2e-15
 
 
@@ -401,6 +430,49 @@ class TestEchoCoherenceTrace:
         m_fast = sched.t_grid[np.argmin(tr_fast.values)]
         m_ref = sched.t_grid[np.argmin(tr_ref.values)]
         assert m_fast < m_ref
+
+
+# The benchmark's recorded traces (read only): a kernel change must keep
+# every trace within this absolute error of them.
+REFERENCE_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
+REFERENCE_ABS_TOL = 1e-12
+
+
+@pytest.fixture(scope="module")
+def reference():
+    with open(REFERENCE_PATH) as fh:
+        return json.load(fh)
+
+
+class TestReferenceTraces:
+    # Trace-dense bath 4 is the reference's worst case; longgrid and
+    # transverse bath 2 are where earlier kernels that rounded phases
+    # differently missed the reference.  Longgrid bath 2 passes over unity,
+    # which the trace reports with a warning.
+    @pytest.mark.filterwarnings("ignore:coherence magnitudes exceed 1")
+    @pytest.mark.parametrize(
+        "workload,seed,transverse",
+        [("trace-dense", 0, False), ("trace-dense", 4, False),
+         ("trace-longgrid", 2, False), ("trace-longgrid", 2, True)],
+    )
+    def test_trace_matches_benchmark_reference(
+        self, full_sites, reference, workload, seed, transverse
+    ):
+        spec = reference[workload]
+        record = spec["baths"][str(seed)]
+        bath = sample_bath(full_sites, LatticeConfig(abundance=spec["abundance"], seed=seed))
+        assert (len(bath), len(bath.pair_couplings)) == (record["n_spins"], record["n_pairs"])
+        if transverse:
+            spec = spec["transverse"]
+            values = spec["values"][str(seed)]
+        else:
+            values = record["values"]
+        field = FieldVector.from_sequence(spec["field_G"])
+        schedule = EchoSchedule.for_field(field.magnitude, spec["t_max_ms"])
+        trace = echo_coherence_trace(bath, field, schedule)
+        sampled = trace.values[:: spec["stride"]]
+        assert sampled.shape == (len(values),)
+        assert np.max(np.abs(sampled - np.asarray(values))) <= REFERENCE_ABS_TOL
 
 
 # ------------------------------------------------------------ trace object
