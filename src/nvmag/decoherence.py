@@ -74,8 +74,14 @@ PAIR_RATIO_FLOOR = 1e-4
 
 _LOG_FLOOR = 1e-300
 
-# Pair-points (pairs x grid points) per chunk of the pair kernel; the pair
-# count per chunk follows from the grid length.
+# Pairs per batch, the unit of a trace's pool work: one pair-spectra call
+# each.  A spectra call has a fixed cost of about 0.1 ms, which small
+# batches pay over and over.  The batch size must not depend on the worker
+# count, or the order of the trace's sums, and so its rounding, would.
+PAIRS_PER_BATCH = 256
+
+# Pair-points (pairs x grid points) per chunk of the pair kernel within a
+# batch; the pair count per chunk follows from the grid length.
 PAIR_POINTS_PER_CHUNK = 16384
 
 # Doubles per pair-point in the pair kernel's workspace, laid out level-major
@@ -83,7 +89,7 @@ PAIR_POINTS_PER_CHUNK = 16384
 # tangents, then feature temporaries), 8 of the per-level cosines and sines,
 # 7 of one branch's cosine features (the first all ones), 7 of G f0.
 # Each pool worker allocates one workspace per trace and reuses it for
-# every chunk it folds: buffers allocated afresh for every chunk are
+# every chunk of every batch it folds: buffers allocated afresh are
 # mapped and page-faulted anew, the more so from several threads' malloc
 # arenas at once.
 _WORKSPACE_ROWS = 26
@@ -495,7 +501,8 @@ def _pair_kernel_factors(
     vectorised, while its ``cos`` and ``sin`` are scalar libm calls, each
     several times slower per element.  The half phase pi e_m tau is
     exactly half of 2 pi e_m tau, since scaling by a power of two commutes
-    with rounding.  ``spectra`` is the output of :func:`_pair_spectra`.
+    with rounding.  ``spectra`` is the output of :func:`_pair_spectra`, or
+    the same slice of pairs of each of its arrays.
 
     Every intermediate, and the result, is a view of ``workspace``, a flat
     float64 buffer of at least :data:`_WORKSPACE_ROWS` doubles per
@@ -526,25 +533,32 @@ def _pair_kernel_factors(
     return out
 
 
-def _pair_chunks(bath: BathRealization, n_t: int) -> list:
-    """The bath's pairs in sorted order, split for the pair kernel.
+def _pair_batches(bath: BathRealization) -> list:
+    """The bath's pairs in sorted order, split into the pool's batches.
 
-    Each chunk holds :data:`PAIR_POINTS_PER_CHUNK` // ``n_t`` pairs (at
-    least one) as (idx_i, idx_j, couplings) arrays.
+    Each batch holds :data:`PAIRS_PER_BATCH` pairs (the last one the rest)
+    as (idx_i, idx_j, couplings) arrays.
     """
     pairs = bath.sorted_pairs()
     idx_i = np.fromiter((p[0] for p in pairs), dtype=int, count=len(pairs))
     idx_j = np.fromiter((p[1] for p in pairs), dtype=int, count=len(pairs))
     b = np.fromiter((bath.pair_couplings[p] for p in pairs), dtype=float, count=len(pairs))
-    chunk = max(1, PAIR_POINTS_PER_CHUNK // n_t)
-    return [
-        (idx_i[lo : lo + chunk], idx_j[lo : lo + chunk], b[lo : lo + chunk])
-        for lo in range(0, len(pairs), chunk)
-    ]
+    batches = (slice(lo, lo + PAIRS_PER_BATCH) for lo in range(0, len(pairs), PAIRS_PER_BATCH))
+    return [(idx_i[s], idx_j[s], b[s]) for s in batches]
+
+
+def _kernel_chunks(n_pairs: int, n_t: int) -> list[slice]:
+    """Slices of a batch's ``n_pairs`` pairs, one per pair-kernel call.
+
+    Each holds :data:`PAIR_POINTS_PER_CHUNK` // ``n_t`` pairs (at least
+    one), so that one call's workspace stays within the chunk budget.
+    """
+    step = max(1, PAIR_POINTS_PER_CHUNK // n_t)
+    return [slice(lo, lo + step) for lo in range(0, n_pairs, step)]
 
 
 def _pool_size(n_tasks: int) -> int:
-    """Worker threads for ``n_tasks`` chunks: NVMAG_THREADS, else the core count."""
+    """Worker threads for ``n_tasks`` batches: NVMAG_THREADS, else the core count."""
     env = os.environ.get("NVMAG_THREADS", "").strip()
     if env:
         try:
@@ -571,61 +585,86 @@ def echo_coherence_trace(
     (equivalently: pair factors times singles raised to one minus their
     pair multiplicity).  Exact for baths of at most two spins.
 
-    Pairs are processed in chunks of about :data:`PAIR_POINTS_PER_CHUNK`
-    pair-points (pairs times grid points, :func:`_pair_chunks`) on a pool
-    of ``NVMAG_THREADS`` worker threads (default: one per core, never more
-    than there are chunks).  A worker reduces its chunk to partial log
-    magnitude and sign-parity sums over the pairs; the calling thread adds
-    them in chunk order, so the trace is bit-identical at every thread
-    count.  Memory is the (N, T) single-spin tables plus, per worker, one
-    workspace of :data:`_WORKSPACE_ROWS` doubles per pair-point of a chunk
-    (3.25 MiB up to 16,384 grid points) and that chunk's few (n, T) fold
-    temporaries.
+    Pairs are processed in batches of :data:`PAIRS_PER_BATCH`
+    (:func:`_pair_batches`) on a pool of ``NVMAG_THREADS`` worker threads
+    (default: one per core, never more than there are batches).  A worker
+    runs :func:`_pair_spectra` once for its whole batch, then the pair
+    kernel chunk by chunk (:func:`_kernel_chunks`, about
+    :data:`PAIR_POINTS_PER_CHUNK` pair-points each), and adds each chunk's
+    partial log magnitude and sign-parity sums over its pairs into the
+    batch's, in chunk order.  The calling thread adds the batch partials in
+    batch order.  The batch size does not depend on the worker count, so
+    the trace is bit-identical at every thread count.  Memory is the (N, T)
+    single-spin tables plus, per worker, one workspace of
+    :data:`_WORKSPACE_ROWS` doubles per pair-point of a chunk (3.25 MiB up
+    to 16,384 grid points), its batch's spectra (57 doubles per pair) and
+    one chunk's few (n, T) fold temporaries.
+
+    ``metadata["diagnostics"]`` counts how hard the model was pushed:
+
+    - ``pair_points_dropped``: pair-points (pair, grid point) whose
+      correction ratio was dropped because |L_i L_j| <= :data:`PAIR_RATIO_FLOOR`;
+    - ``undersampled_spins``: spins whose m = +1 precession rate
+      gamma_n |h1| exceeds the Nyquist rate 1 / (2 step) of the grid, with
+      step its largest spacing.  Their factors alias on the grid; the grid
+      is not resampled.
     """
     gamma = bath.gamma_n if gamma_n is None else gamma_n
     field_arr = field.as_array()
     schedule.validate_resolution(field.magnitude, gamma)
     tau = schedule.t_grid
-    chunks = _pair_chunks(bath, tau.size)
-    n_workers = _pool_size(len(chunks))
+    batches = _pair_batches(bath)
+    n_workers = _pool_size(len(batches))
 
     n_spins = len(bath)
+    dropped = undersampled = 0
     if n_spins == 0:
         values = np.ones_like(tau)
     else:
         h1 = field_arr[None, :] - bath.hyperfine / gamma  # (N, 3)
+        if tau.size > 1:
+            nyquist = 0.5 / float(np.max(np.diff(tau)))
+            undersampled = int(np.count_nonzero(gamma * np.linalg.norm(h1, axis=1) > nyquist))
         singles = _single_factors_on_grid(field_arr, h1, tau, gamma)
         log_singles = np.log(np.maximum(np.abs(singles), _LOG_FLOOR))
         log_total = np.sum(log_singles, axis=0)
         neg_parity = np.sum(singles < 0.0, axis=0)
         workspaces = threading.local()
 
-        def fold(chunk):
-            ci, cj, b = chunk
+        def fold(batch):
+            bi, bj, bb = batch
             workspace = getattr(workspaces, "buffer", None)
             if workspace is None:
                 workspace = workspaces.buffer = np.empty(
                     _WORKSPACE_ROWS * max(PAIR_POINTS_PER_CHUNK, tau.size)
                 )
-            spectra = _pair_spectra(h1[ci], h1[cj], b, field_arr, gamma)
-            factors = _pair_kernel_factors(spectra, tau, workspace)
-            denom = singles[ci] * singles[cj]
-            keep = np.abs(denom) > PAIR_RATIO_FLOOR
-            log_ratio = (
-                np.log(np.maximum(np.abs(factors), _LOG_FLOOR))
-                - log_singles[ci]
-                - log_singles[cj]
-            )
-            ratio_neg = (factors < 0.0) ^ (denom < 0.0)
-            return (
-                np.sum(np.where(keep, log_ratio, 0.0), axis=0),
-                np.sum(keep & ratio_neg, axis=0),
-            )
+            spectra = _pair_spectra(h1[bi], h1[bj], bb, field_arr, gamma)
+            log_part = np.zeros_like(tau)
+            neg_part = np.zeros(tau.size, dtype=int)
+            n_dropped = 0
+            for chunk in _kernel_chunks(bb.size, tau.size):
+                ci, cj = bi[chunk], bj[chunk]
+                factors = _pair_kernel_factors(
+                    tuple(part[chunk] for part in spectra), tau, workspace
+                )
+                denom = singles[ci] * singles[cj]
+                keep = np.abs(denom) > PAIR_RATIO_FLOOR
+                n_dropped += keep.size - int(np.count_nonzero(keep))
+                log_ratio = (
+                    np.log(np.maximum(np.abs(factors), _LOG_FLOOR))
+                    - log_singles[ci]
+                    - log_singles[cj]
+                )
+                ratio_neg = (factors < 0.0) ^ (denom < 0.0)
+                log_part += np.sum(np.where(keep, log_ratio, 0.0), axis=0)
+                neg_part += np.sum(keep & ratio_neg, axis=0)
+            return log_part, neg_part, n_dropped
 
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            for log_part, neg_part in pool.map(fold, chunks):
+            for log_part, neg_part, n_dropped in pool.map(fold, batches):
                 log_total += log_part
                 neg_parity += neg_part
+                dropped += n_dropped
 
         values = np.where(neg_parity % 2 == 1, -1.0, 1.0) * np.exp(log_total)
 
@@ -637,12 +676,19 @@ def echo_coherence_trace(
         "abundance": bath.config.abundance if bath.config else None,
         "n_spins": n_spins,
         "n_pairs": len(bath.pair_couplings),
+        "diagnostics": {
+            "pair_points_dropped": dropped,
+            "undersampled_spins": undersampled,
+        },
     }
     return CoherenceTrace(t_grid=tau.copy(), values=values, metadata=metadata)
 
 
 def ensemble_average(traces: list[CoherenceTrace]) -> CoherenceTrace:
-    """Pointwise mean of traces sharing an identical time grid."""
+    """Pointwise mean of traces sharing an identical time grid.
+
+    The members' diagnostic counts are summed, when every member has them.
+    """
     if not traces:
         raise ConfigError("cannot average an empty trace collection")
     grid = traces[0].t_grid
@@ -655,6 +701,11 @@ def ensemble_average(traces: list[CoherenceTrace]) -> CoherenceTrace:
         seeds.extend(tr.metadata.get("seeds", []))
     metadata = dict(traces[0].metadata)
     metadata["seeds"] = seeds
+    counts = [tr.metadata.get("diagnostics") for tr in traces]
+    if all(counts):
+        metadata["diagnostics"] = {key: sum(c[key] for c in counts) for key in counts[0]}
+    else:
+        metadata.pop("diagnostics", None)
     metadata["ensemble_size"] = len(traces)
     return CoherenceTrace(t_grid=grid.copy(), values=values, metadata=metadata)
 

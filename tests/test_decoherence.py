@@ -16,6 +16,8 @@ from nvmag.bath import (
 from nvmag.constants import GAMMA_N_13C_KHZ_PER_G
 from nvmag.decoherence import (
     PAIR_POINTS_PER_CHUNK,
+    PAIR_RATIO_FLOOR,
+    PAIRS_PER_BATCH,
     CoherenceTrace,
     EchoSchedule,
     FieldVector,
@@ -29,7 +31,8 @@ from nvmag.decoherence import (
     single_spin_echo_factor,
     _WORKSPACE_ROWS,
     _cos_sin_from_half,
-    _pair_chunks,
+    _kernel_chunks,
+    _pair_batches,
     _pair_kernel_factors,
     _pair_spectra,
     _single_factors_on_grid,
@@ -197,27 +200,41 @@ class TestPairFactor:
 
 
 class TestPairKernelChunks:
+    def test_batches_cover_the_sorted_pairs_in_order(self, small_sites):
+        bath = sample_bath(small_sites, LatticeConfig(seed=2, abundance=0.1))
+        batches = _pair_batches(bath)
+        sizes = [len(b) for _, _, b in batches]
+        assert len(sizes) >= 4
+        assert set(sizes[:-1]) == {PAIRS_PER_BATCH} and 0 < sizes[-1] <= PAIRS_PER_BATCH
+        idx = [(int(i), int(j)) for bi, bj, _ in batches for i, j in zip(bi, bj)]
+        assert idx == bath.sorted_pairs()
+        b = np.concatenate([b for _, _, b in batches])
+        assert b.tolist() == [bath.pair_couplings[p] for p in idx]
+
     def test_chunked_factors_match_full_hilbert_oracle(self):
-        # 15 pairs at 4 pairs per chunk: chunks of 4, 4, 4 and 3, under a
-        # transverse field so that no branch Hamiltonian is block-diagonal
+        # 15 pairs, one batch, whose kernel runs in chunks of 4, 4, 4 and 3
+        # pairs, under a transverse field so that no branch Hamiltonian is
+        # block-diagonal
         bath = make_tiny_bath(6, seed=7, spread_nm=1.2)
         field = FieldVector.from_sequence((4.0, -3.0, 8.0))
         tau = np.linspace(0.0, 1.0, PAIR_POINTS_PER_CHUNK // 4)
-        chunks = _pair_chunks(bath, tau.size)
-        assert [len(b) for _, _, b in chunks] == [4, 4, 4, 3]
-        idx = [(int(i), int(j)) for ci, cj, _ in chunks for i, j in zip(ci, cj)]
-        assert idx == bath.sorted_pairs()
+        [(bi, bj, bb)] = _pair_batches(bath)
+        chunks = _kernel_chunks(bb.size, tau.size)
+        assert [bb[c].size for c in chunks] == [4, 4, 4, 3]
 
-        # one workspace reused for every chunk, as a trace's pool worker does
+        # one spectra call for the batch, one workspace reused for every
+        # chunk, as a trace's pool worker does
         workspace = np.full(_WORKSPACE_ROWS * PAIR_POINTS_PER_CHUNK, np.nan)
         h1 = np.array([effective_field(field, s.hyperfine, 1) for s in bath.spins])
         spins = [(np.asarray(s.position), np.asarray(s.hyperfine)) for s in bath.spins]
+        spectra = _pair_spectra(h1[bi], h1[bj], bb, field.as_array(), GAMMA)
         err = 0.0
-        for ci, cj, b in chunks:
-            spectra = _pair_spectra(h1[ci], h1[cj], b, field.as_array(), GAMMA)
-            factors = _pair_kernel_factors(spectra, tau, workspace)
+        for chunk in chunks:
+            factors = _pair_kernel_factors(
+                tuple(part[chunk] for part in spectra), tau, workspace
+            )
             assert np.shares_memory(factors, workspace)
-            for i, j, row in zip(ci, cj, factors):
+            for i, j, row in zip(bi[chunk], bj[chunk], factors):
                 coupling = {(0, 1): bath.pair_couplings[(i, j)]}
                 for k in range(0, tau.size, 97):
                     want = exact_echo(
@@ -226,7 +243,8 @@ class TestPairKernelChunks:
                     err = max(err, abs(row[k] - want))
         assert err < 1e-10
 
-    # the benchmark's three trace fields, on every 20th chunk of a full bath
+    # the benchmark's three trace fields, on every 20th kernel chunk of a
+    # full bath's batches
     BENCHMARK_FIELDS = pytest.mark.parametrize(
         "abundance,field,t_max,n_points",
         [(0.03, (0.0, 0.0, 10.0), 0.55, 284), (0.011, (0.0, 0.0, 100.0), 0.55, 2828),
@@ -235,18 +253,24 @@ class TestPairKernelChunks:
 
     @staticmethod
     def _error_against(oracle, full_sites, abundance, field, t_max, n_points) -> float:
-        """Largest |kernel - oracle| over every 20th chunk; the oracle runs on
-        the M-product spectra of the same eigendecompositions."""
+        """Largest |kernel - oracle| over every 20th chunk; the kernel runs on
+        its batch's spectra, the oracle on the M-product spectra of the
+        chunk's own eigendecompositions."""
         bath = sample_bath(full_sites, LatticeConfig(abundance=abundance, seed=0))
         field = FieldVector.from_sequence(field)
         tau = EchoSchedule.for_field(field.magnitude, t_max).t_grid
         assert tau.size == n_points
         h1 = field.as_array()[None, :] - bath.hyperfine / GAMMA
-        err = 0.0
-        for ci, cj, b in _pair_chunks(bath, tau.size)[::20]:
-            args = (h1[ci], h1[cj], b, field.as_array(), GAMMA)
-            want = oracle(pair_spectra_m_kernel(*args), tau)
-            err = max(err, np.max(np.abs(_pair_kernel_factors(_pair_spectra(*args), tau) - want)))
+        err, n_chunks = 0.0, 0
+        for bi, bj, bb in _pair_batches(bath):
+            spectra = _pair_spectra(h1[bi], h1[bj], bb, field.as_array(), GAMMA)
+            for chunk in _kernel_chunks(bb.size, tau.size):
+                if n_chunks % 20 == 0:
+                    got = _pair_kernel_factors(tuple(part[chunk] for part in spectra), tau)
+                    args = (h1[bi[chunk]], h1[bj[chunk]], bb[chunk], field.as_array(), GAMMA)
+                    want = oracle(pair_spectra_m_kernel(*args), tau)
+                    err = max(err, np.max(np.abs(got - want)))
+                n_chunks += 1
         return err
 
     @BENCHMARK_FIELDS
@@ -326,6 +350,42 @@ class TestEchoCoherenceTrace:
         gap = np.max(np.abs(trace.values - exact))
         assert 1e-7 < gap < 1e-3
 
+    def test_counts_dropped_pair_points(self):
+        # the same shared-vertex bath: the count is every (pair, point)
+        # whose denominator |L_i L_j| falls to the floor or below; the
+        # first such point comes after 1 ms
+        cfg = LatticeConfig(cutoff_radius=0.75, abundance=0.011, seed=2)
+        bath = sample_bath(generate_lattice_sites(cfg), cfg)
+        field = FieldVector.along_z(10.0)
+        sched = EchoSchedule.for_field(10.0, t_max_ms=2.0)
+        trace = echo_coherence_trace(bath, field, sched)
+        h0 = effective_field(field, (0.0, 0.0, 0.0), 0)
+        singles = [
+            single_spin_echo_factor(h0, effective_field(field, s.hyperfine, 1), 2.0 * sched.t_grid)
+            for s in bath.spins
+        ]
+        want = sum(
+            int(np.sum(np.abs(singles[i] * singles[j]) <= PAIR_RATIO_FLOOR))
+            for i, j in bath.pair_couplings
+        )
+        assert want > 0
+        assert trace.metadata["diagnostics"]["pair_points_dropped"] == want
+
+    def test_counts_undersampled_spins(self, full_sites):
+        # at 1 G the grid resolves the bare Larmor period, but the m = +1
+        # branch of strongly coupled spins precesses past its Nyquist rate
+        bath = sample_bath(full_sites, LatticeConfig(abundance=0.003, seed=0))
+        field = FieldVector.along_z(1.0)
+        sched = EchoSchedule.for_field(1.0, t_max_ms=2.0)
+        trace = echo_coherence_trace(bath, field, sched)
+        nyquist = 0.5 / np.max(np.diff(sched.t_grid))
+        rates = [
+            GAMMA * np.linalg.norm(effective_field(field, s.hyperfine, 1)) for s in bath.spins
+        ]
+        want = sum(rate > nyquist for rate in rates)
+        assert want > 0
+        assert trace.metadata["diagnostics"]["undersampled_spins"] == want
+
     def test_assembly_matches_independent_pair_expansion(self):
         # on that same shared-vertex bath the trace must still equal an
         # independently assembled pair expansion (exact subcluster factors
@@ -375,10 +435,11 @@ class TestEchoCoherenceTrace:
         assert trace.values[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_thread_count_does_not_change_the_trace(self, small_sites, monkeypatch):
-        # 79 chunks on more threads than cores, switching threads as often
-        # as the interpreter allows: partial sums must still be added in
-        # chunk order, and no worker may write into another's workspace
+        # several batches on more threads than cores, switching threads as
+        # often as the interpreter allows: partial sums must still be added
+        # in batch order, and no worker may write into another's workspace
         bath = sample_bath(small_sites, LatticeConfig(seed=2, abundance=0.1))
+        assert len(_pair_batches(bath)) >= 4
         field = FieldVector.along_z(50.0)
         sched = EchoSchedule.for_field(50.0, t_max_ms=0.1)
         monkeypatch.setenv("NVMAG_THREADS", "1")
@@ -391,12 +452,15 @@ class TestEchoCoherenceTrace:
         finally:
             sys.setswitchinterval(interval)
         assert np.array_equal(threaded.values, serial.values)
+        assert threaded.metadata["diagnostics"] == serial.metadata["diagnostics"]
+        assert serial.metadata["diagnostics"]["pair_points_dropped"] > 0
 
     def test_peak_allocation_is_bounded_on_a_long_grid(self, monkeypatch):
         # 349 pairs on 2828 points on two worker threads: the peak is the
-        # (N, T) single-spin tables plus a 5.5 MiB workspace and one chunk's
-        # fold temporaries per worker, about 18 MB; 16 complex amplitudes per
-        # pair-point for a few hundred pairs (over 100 MB) would exceed it
+        # (N, T) single-spin tables plus, per worker, a 3.25 MiB workspace,
+        # a batch's spectra and one chunk's fold temporaries; 16 complex
+        # amplitudes per pair-point for a few hundred pairs (over 100 MB)
+        # would exceed it
         monkeypatch.setenv("NVMAG_THREADS", "2")
         cfg = LatticeConfig(cutoff_radius=2.5, abundance=0.011, seed=1)
         bath = sample_bath(generate_lattice_sites(cfg), cfg)
@@ -530,12 +594,21 @@ class TestCoherenceTrace:
 class TestEnsembleAverage:
     def test_pointwise_mean_and_seed_merge(self):
         grid = np.linspace(0.0, 1.0, 5)
-        t1 = CoherenceTrace(grid, np.ones(5), {"seeds": [0]})
-        t2 = CoherenceTrace(grid, np.linspace(1.0, 0.0, 5), {"seeds": [1]})
+        counts = [{"pair_points_dropped": 7, "undersampled_spins": 1},
+                  {"pair_points_dropped": 5, "undersampled_spins": 0}]
+        t1 = CoherenceTrace(grid, np.ones(5), {"seeds": [0], "diagnostics": counts[0]})
+        t2 = CoherenceTrace(
+            grid, np.linspace(1.0, 0.0, 5), {"seeds": [1], "diagnostics": counts[1]}
+        )
         ens = ensemble_average([t1, t2])
         assert np.allclose(ens.values, 0.5 * (t1.values + t2.values))
         assert ens.metadata["seeds"] == [0, 1]
         assert ens.metadata["ensemble_size"] == 2
+        assert ens.metadata["diagnostics"] == {"pair_points_dropped": 12, "undersampled_spins": 1}
+        assert t1.metadata["diagnostics"] == counts[0]
+        # an average over a member without counts has none
+        ens = ensemble_average([t1, CoherenceTrace(grid, np.ones(5))])
+        assert "diagnostics" not in ens.metadata
 
     def test_mismatched_grids_rejected(self):
         t1 = CoherenceTrace(np.linspace(0.0, 1.0, 5), np.ones(5))
