@@ -1,8 +1,16 @@
 """Command-line front end: reproducible runs over the simulation pipeline.
 
-Every subcommand writes its outputs under --out-dir together with a JSON
-run manifest (configuration echo, seeds, package version, output paths,
-wall-clock timing) so a run can be reproduced from the manifest alone.
+Every subcommand runs through one :class:`Run`.  A command that writes
+files (bath, simulate, sweep, reconstruct, odmr --candidates, sensitivity)
+writes them under --out-dir, created only then, together with a JSON run
+manifest (configuration echo, seeds, package version, output paths,
+wall-clock timing) so the run can be reproduced from the manifest alone.
+extract, invert and odmr without --candidates only print.
+
+Of the common flags, --seed is read by bath, simulate and sweep; --plot by
+simulate, sweep and sensitivity; --format by extract, invert, reconstruct
+and odmr.  simulate --bath takes abundance and seed from the saved bath and
+refuses --abundance and --seed.
 
 Configuration file (--config) is a flat JSON object; recognized keys:
 
@@ -24,7 +32,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field, replace
 from pathlib import Path
 
 import numpy as np
@@ -55,7 +63,6 @@ from .sensitivity import ReadoutModel, build_report
 from .svgplot import line_plot
 from .timescales import (
     PROMINENCE_DEFAULT,
-    TimescaleSet,
     extract_timescales,
     fit_power_law,
 )
@@ -123,15 +130,7 @@ class RunManifest:
 
     def write(self, out_dir: Path) -> Path:
         path = out_dir / f"{self.command}_manifest.json"
-        payload = {
-            "command": self.command,
-            "version": self.version,
-            "config": self.config,
-            "seeds": self.seeds,
-            "outputs": self.outputs,
-            "timings_s": self.timings_s,
-        }
-        path.write_text(_json_text(payload) + "\n")
+        path.write_text(_json_text(asdict(self)) + "\n")
         missing = [p for p in self.outputs if not Path(p).exists()]
         if missing:
             raise PhysicsError(f"manifest lists outputs that were never written: {missing}")
@@ -244,103 +243,127 @@ def _t_max_auto(field_magnitude_g: float, abundance: float, gamma_n: float) -> f
     return min(max(4.6 * t_revival, 0.55), 1.05)
 
 
-def _timescale_row(key_name: str, key, seed_label, ts: TimescaleSet) -> dict:
-    return {
-        key_name: key,
-        "seed": seed_label,
-        "T_w_ms": ts.T_w,
-        "T_w_err_ms": ts.T_w_err,
-        "T_R_ms": ts.T_R,
-        "T_R_err_ms": ts.T_R_err,
-        "T2_ms": ts.T2,
-        "T2_err_ms": ts.T2_err,
-        "flags": ";".join(ts.flags),
+class Run:
+    """One command invocation: everything a command does besides its own work.
+
+    It resolves the settings, creates the out-dir when the first output is
+    written, registers every output in the manifest, writes the manifest
+    (with the total time) only when a file was written, and then prints the
+    command's result: a ``str`` as is, a ``dict`` as strict JSON or, with
+    ``--format csv``, as a one-row table of its scalars.
+    """
+
+    def __init__(self, ns: argparse.Namespace):
+        self.t0 = time.perf_counter()
+        self.ns = ns
+        self.settings = Settings(ns)
+        self.manifest = RunManifest(ns.command, __version__, self.settings.echo_config())
+        self.out_dir = Path(ns.out_dir)
+
+    def output(self, name: str) -> Path:
+        """Register output ``name`` in the manifest; the out-dir is created here."""
+        self.out_dir.mkdir(parents=True, exist_ok=True)
+        return self.manifest.add_output(self.out_dir / name)
+
+    def write_text(self, name: str, text: str) -> Path:
+        path = self.output(name)
+        path.write_text(text)
+        return path
+
+    def write_json(self, name: str, payload) -> Path:
+        return self.write_text(name, _json_text(payload) + "\n")
+
+    def write_csv(self, name: str, header: list[str], rows) -> Path:
+        """Every float cell as ``repr(float(x))``, so it reads back exactly."""
+        lines = [",".join(header)] + [
+            ",".join(repr(float(x)) if isinstance(x, float) else str(x) for x in row)
+            for row in rows
+        ]
+        return self.write_text(name, "\n".join(lines) + "\n")
+
+    def finish(self, result: str | dict) -> int:
+        if self.manifest.outputs:
+            self.manifest.timings_s["total"] = time.perf_counter() - self.t0
+            self.manifest.write(self.out_dir)
+        if isinstance(result, str):
+            print(result)
+        elif self.ns.format == "csv":
+            flat = {k: v for k, v in result.items() if not isinstance(v, (dict, list))}
+            print(",".join(flat))
+            print(",".join(str(v) for v in flat.values()))
+        else:
+            print(_json_text(result))
+        return 0
+
+
+def _schedule(
+    settings: Settings, b_mag: float, abundance: float, step: float | None = None
+) -> EchoSchedule:
+    """The echo grid: a regular ``step``, else points per revival period."""
+    gamma_n = settings.number("gamma_n", GAMMA_N_13C_KHZ_PER_G)
+    t_max = settings.number("t_max", None)
+    if t_max is None:
+        if b_mag == 0.0:
+            raise ConfigError("zero field needs an explicit --t-max and --step")
+        t_max = _t_max_auto(b_mag, abundance, gamma_n)
+    if step is not None:
+        return EchoSchedule.regular(t_max, step)
+    if b_mag == 0.0:
+        raise ConfigError("zero field has no revival period; pass --step")
+    return EchoSchedule.for_field(
+        b_mag,
+        t_max,
+        points_per_period=settings.integer("points_per_period", 48),
+        gamma_n=gamma_n,
+    )
+
+
+def _resolve(candidates, true_field: str):
+    """Probe ``candidates`` in a simulated true field: the resolution and its JSON record."""
+    probe = make_simulated_probe(_parse_field(true_field).as_array())
+    resolution = resolve_alignment(candidates, probe)
+    return resolution, {
+        "resolved": resolution.resolved,
+        "selected": [list(c) for c in resolution.selected],
+        "note": resolution.note,
     }
-
-
-def _write_rows_csv(path: Path, rows: list[dict]) -> None:
-    if not rows:
-        raise ConfigError("no rows to write")
-    cols = list(rows[0].keys())
-    with open(path, "w") as fh:
-        fh.write(",".join(cols) + "\n")
-        for row in rows:
-            fh.write(",".join(str(row[c]) for c in cols) + "\n")
-
-
-def _print_json(payload: dict, ns) -> None:
-    if getattr(ns, "format", "json") == "csv":
-        flat = {k: v for k, v in payload.items() if not isinstance(v, (dict, list))}
-        print(",".join(flat.keys()))
-        print(",".join(str(v) for v in flat.values()))
-    else:
-        print(_json_text(payload))
 
 
 # ---------------------------------------------------------------- commands
 
 
-def cmd_bath(ns) -> int:
-    t0 = time.perf_counter()
-    settings = Settings(ns)
-    out_dir = Path(ns.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    cfg = settings.lattice_config()
-    sites = generate_lattice_sites(cfg)
-    bath = sample_bath(sites, cfg)
-    manifest = RunManifest("bath", __version__, settings.echo_config(), seeds=[cfg.seed])
-    path = manifest.add_output(out_dir / f"bath_seed{cfg.seed}.json")
+def cmd_bath(run: Run) -> str:
+    cfg = run.settings.lattice_config()
+    bath = sample_bath(generate_lattice_sites(cfg), cfg)
+    run.manifest.seeds = [cfg.seed]
+    path = run.output(f"bath_seed{cfg.seed}.json")
     bath.save(path)
-    manifest.timings_s["total"] = time.perf_counter() - t0
-    manifest.write(out_dir)
-    print(
+    return (
         f"bath: {len(bath)} spins, {len(bath.pair_couplings)} coupled pairs "
         f"(seed {cfg.seed}, abundance {cfg.abundance}) -> {path}"
     )
-    return 0
 
 
-def _simulate_trace(settings: Settings, ns, bath: BathRealization) -> CoherenceTrace:
+def cmd_simulate(run: Run) -> str:
+    ns, settings = run.ns, run.settings
     field = _parse_field(ns.field)
-    gamma_n = settings.number("gamma_n", GAMMA_N_13C_KHZ_PER_G)
-    abundance = bath.config.abundance if bath.config else 0.011
-    t_max = settings.number("t_max", None)
-    if t_max is None:
-        if field.magnitude == 0.0:
-            raise ConfigError("zero field needs an explicit --t-max and --step")
-        t_max = _t_max_auto(field.magnitude, abundance, gamma_n)
-    step = getattr(ns, "step", None)
-    if step is not None:
-        schedule = EchoSchedule.regular(t_max, float(step))
-    else:
-        if field.magnitude == 0.0:
-            raise ConfigError("zero field has no revival period; pass --step")
-        schedule = EchoSchedule.for_field(
-            field.magnitude,
-            t_max,
-            points_per_period=settings.integer("points_per_period", 48),
-            gamma_n=gamma_n,
-        )
-    return echo_coherence_trace(bath, field, schedule, gamma_n=gamma_n)
-
-
-def cmd_simulate(ns) -> int:
-    t0 = time.perf_counter()
-    settings = Settings(ns)
-    out_dir = Path(ns.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    step = settings.number("step", None)
     if ns.bath:
+        if ns.abundance is not None or ns.seed is not None:
+            raise ConfigError("--bath fixes abundance and seed; drop --abundance and --seed")
         bath = BathRealization.load(ns.bath)
+        cfg = bath.config
     else:
-        cfg = settings.lattice_config()
+        cfg, bath = settings.lattice_config(), None
+    schedule = _schedule(settings, field.magnitude, cfg.abundance if cfg else 0.011, step)
+    if bath is None:
         bath = sample_bath(generate_lattice_sites(cfg), cfg)
-    trace = _simulate_trace(settings, ns, bath)
-    manifest = RunManifest(
-        "simulate", __version__, settings.echo_config(), seeds=[bath.seed]
-    )
-    tag = f"B{_parse_field(ns.field).magnitude:g}_seed{bath.seed}"
-    csv_path = manifest.add_output(out_dir / f"trace_{tag}.csv")
-    manifest.add_output(trace.save_csv(csv_path))
+    gamma_n = settings.number("gamma_n", GAMMA_N_13C_KHZ_PER_G)
+    trace = echo_coherence_trace(bath, field, schedule, gamma_n=gamma_n)
+    run.manifest.seeds = [bath.seed]
+    tag = f"B{field.magnitude:g}_seed{bath.seed}"
+    csv_path = run.output(f"trace_{tag}.csv")
+    run.manifest.add_output(trace.save_csv(csv_path))
     if ns.plot:
         svg = line_plot(
             [("coherence", trace.t_grid.tolist(), trace.values.tolist())],
@@ -348,37 +371,28 @@ def cmd_simulate(ns) -> int:
             x_label="interval time (ms)",
             y_label="L",
         )
-        svg_path = manifest.add_output(out_dir / f"trace_{tag}.svg")
-        svg_path.write_text(svg)
-    manifest.timings_s["total"] = time.perf_counter() - t0
-    manifest.write(out_dir)
-    print(f"simulate: {len(trace)} points, L in [{trace.values.min():.4f}, "
-          f"{trace.values.max():.4f}] -> {csv_path}")
-    return 0
+        run.write_text(f"trace_{tag}.svg", svg)
+    return (f"simulate: {len(trace)} points, L in [{trace.values.min():.4f}, "
+            f"{trace.values.max():.4f}] -> {csv_path}")
 
 
-def cmd_sweep(ns) -> int:
-    t0 = time.perf_counter()
-    settings = Settings(ns)
-    out_dir = Path(ns.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def cmd_sweep(run: Run) -> str:
+    ns, settings = run.ns, run.settings
     prominence = settings.number("prominence", PROMINENCE_DEFAULT)
     gamma_n = settings.number("gamma_n", GAMMA_N_13C_KHZ_PER_G)
     realizations = settings.integer("realizations", 10)
     if realizations < 1:
         raise ConfigError("realizations must be >= 1")
-    base_seed = settings.integer("seed", 0)
-    t_max_setting = settings.number("t_max", None)
-    points_per_period = settings.integer("points_per_period", 48)
+    seeds = [settings.integer("seed", 0) + r for r in range(realizations)]
 
     if ns.fields and ns.abundances:
         raise ConfigError("sweep takes --fields or --abundances, not both")
     if ns.fields:
         keys = _parse_float_list(ns.fields, "--fields")
-        key_name, mode = "B_G", "field"
+        key_name, mode, fits = "B_G", "field", {"T_R_vs_B": "T_R", "T_w_vs_B": "T_w"}
     elif ns.abundances:
         keys = _parse_float_list(ns.abundances, "--abundances")
-        key_name, mode = "abundance", "abundance"
+        key_name, mode, fits = "abundance", "abundance", {"T2_vs_abundance": "T2"}
     else:
         raise ConfigError("sweep needs --fields or --abundances")
     if len(keys) < 3:
@@ -389,110 +403,72 @@ def cmd_sweep(ns) -> int:
         raise ConfigError("sweep abundances must be in (0, 1]")
 
     fixed_field = settings.number("field_magnitude", 10.0)
-    fixed_abundance = settings.number("abundance", 0.011)
-
-    def point_params(key: float) -> tuple[float, float]:
-        if mode == "field":
-            return key, fixed_abundance
-        return fixed_field, key
-
     # lattice sites depend only on geometry, which the sweep never varies
     site_cfg = settings.lattice_config()
+    points = [(k, site_cfg.abundance) if mode == "field" else (fixed_field, k) for k in keys]
+    # every grid is built, and so every setting it reads checked, before any work
+    schedules = [_schedule(settings, b_mag, abundance) for b_mag, abundance in points]
     sites = generate_lattice_sites(site_cfg)
 
-    # a bath depends only on (abundance, seed); realizations run outermost,
-    # so a field sweep draws each bath once and reuses it for every field,
-    # while the cache holds one bath at a time
-    bath_cache: dict[tuple[float, int], BathRealization] = {}
-
-    def one_task(key: float, seed: int) -> CoherenceTrace:
-        b_mag, abundance = point_params(key)
-        if (abundance, seed) not in bath_cache:
-            cfg = LatticeConfig(
-                lattice_constant=site_cfg.lattice_constant,
-                cutoff_radius=site_cfg.cutoff_radius,
-                exclusion_radius=site_cfg.exclusion_radius,
-                abundance=abundance,
-                pair_cutoff=site_cfg.pair_cutoff,
-                seed=seed,
-            )
-            bath_cache.clear()
-            bath_cache[(abundance, seed)] = sample_bath(sites, cfg)
-        bath = bath_cache[(abundance, seed)]
-        t_max = t_max_setting
-        if t_max is None:
-            t_max = _t_max_auto(b_mag, abundance, gamma_n)
-        schedule = EchoSchedule.for_field(
-            b_mag, t_max, points_per_period=points_per_period, gamma_n=gamma_n
-        )
-        return echo_coherence_trace(bath, FieldVector.along_z(b_mag), schedule, gamma_n=gamma_n)
-
+    # a bath depends only on (abundance, seed); with realizations outermost a
+    # field sweep draws each bath once for all its fields, and one bath is
+    # held at a time
     t_sim = time.perf_counter()
-    traces = {
-        (key, base_seed + r): one_task(key, base_seed + r)
-        for r in range(realizations)
-        for key in keys
-    }
-    sim_elapsed = time.perf_counter() - t_sim
-
-    rows: list[dict] = []
-    summary_points = []
-    for key in keys:
-        per_real: list[TimescaleSet] = []
-        members = [traces[(key, base_seed + r)] for r in range(realizations)]
-        for trace in members:
-            ts = extract_timescales(trace, prominence=prominence)
-            per_real.append(ts)
-            rows.append(_timescale_row(key_name, key, trace.metadata["seeds"][0], ts))
-        ens = extract_timescales(ensemble_average(members), prominence=prominence)
-        rows.append(_timescale_row(key_name, key, "ensemble", ens))
-        summary_points.append((key, per_real, ens))
-
-    manifest = RunManifest(
-        "sweep", __version__, settings.echo_config(),
-        seeds=[base_seed + r for r in range(realizations)],
-    )
-    rows_path = manifest.add_output(out_dir / f"sweep_{mode}_rows.csv")
-    _write_rows_csv(rows_path, rows)
+    traces = {}
+    for seed in seeds:
+        bath = None
+        for key, (b_mag, abundance), schedule in zip(keys, points, schedules):
+            if bath is None or bath.config.abundance != abundance:
+                bath = sample_bath(sites, replace(site_cfg, abundance=abundance, seed=seed))
+            traces[key, seed] = echo_coherence_trace(
+                bath, FieldVector.along_z(b_mag), schedule, gamma_n=gamma_n
+            )
+    run.manifest.timings_s["simulate"] = time.perf_counter() - t_sim
+    run.manifest.seeds = seeds
 
     def finite_mean(values):
         vals = [v for v in values if v is not None and math.isfinite(v)]
         return (sum(vals) / len(vals), len(vals)) if vals else (None, 0)
 
+    rows: list[list] = []
     summary: dict = {"mode": mode, "points": {}, "fits": {}}
     fit_x: dict[str, list] = {"T_R": [], "T_w": [], "T2": []}
     fit_y: dict[str, list] = {"T_R": [], "T_w": [], "T2": []}
-    for key, per_real, ens in summary_points:
+    for key in keys:
+        members = [traces[key, seed] for seed in seeds]
+        per_real = [extract_timescales(trace, prominence=prominence) for trace in members]
+        ens = extract_timescales(ensemble_average(members), prominence=prominence)
+        labels = [trace.metadata["seeds"][0] for trace in members] + ["ensemble"]
+        for label, ts in zip(labels, per_real + [ens]):
+            rows.append([key, label, ts.T_w, ts.T_w_err, ts.T_R, ts.T_R_err,
+                         ts.T2, ts.T2_err, ";".join(ts.flags)])
         entry = {}
-        for name, pick in (("T_R", lambda t: t.T_R), ("T_w", lambda t: t.T_w), ("T2", lambda t: t.T2)):
-            mean, n_ok = finite_mean([pick(t) for t in per_real])
+        for name in fit_x:
+            mean, n_ok = finite_mean([getattr(t, name) for t in per_real])
             entry[f"{name}_ms_mean"] = mean
             entry[f"{name}_n"] = n_ok
-            entry[f"{name}_ms_ensemble"] = pick(ens) if math.isfinite(pick(ens)) else None
+            ens_value = getattr(ens, name)
+            entry[f"{name}_ms_ensemble"] = ens_value if math.isfinite(ens_value) else None
             if n_ok:
                 fit_x[name].append(key)
                 fit_y[name].append(mean)
         entry["flags_ensemble"] = list(ens.flags)
         summary["points"][str(key)] = entry
+    rows_path = run.write_csv(
+        f"sweep_{mode}_rows.csv",
+        [key_name, "seed", "T_w_ms", "T_w_err_ms", "T_R_ms", "T_R_err_ms",
+         "T2_ms", "T2_err_ms", "flags"],
+        rows,
+    )
 
-    if mode == "field":
-        for name in ("T_R", "T_w"):
-            if len(fit_x[name]) >= 3:
-                fit = fit_power_law(fit_x[name], fit_y[name])
-                summary["fits"][f"{name}_vs_B"] = fit.to_json_dict()
-    else:
-        if len(fit_x["T2"]) >= 3:
-            fit = fit_power_law(fit_x["T2"], fit_y["T2"])
-            summary["fits"]["T2_vs_abundance"] = fit.to_json_dict()
+    for fit_name, name in fits.items():
+        if len(fit_x[name]) >= 3:
+            summary["fits"][fit_name] = fit_power_law(fit_x[name], fit_y[name]).to_json_dict()
 
-    summary_path = manifest.add_output(out_dir / f"sweep_{mode}_summary.json")
-    summary_path.write_text(_json_text(summary) + "\n")
+    run.write_json(f"sweep_{mode}_summary.json", summary)
 
     if ns.plot:
-        series = []
-        for name in ("T_R", "T_w", "T2"):
-            if fit_x[name]:
-                series.append((f"{name} (ms)", fit_x[name], fit_y[name]))
+        series = [(f"{name} (ms)", fit_x[name], fit_y[name]) for name in fit_x if fit_x[name]]
         svg = line_plot(
             series,
             title=f"timescales vs {key_name}",
@@ -501,49 +477,34 @@ def cmd_sweep(ns) -> int:
             log_x=True,
             log_y=True,
         )
-        svg_path = manifest.add_output(out_dir / f"sweep_{mode}.svg")
-        svg_path.write_text(svg)
+        run.write_text(f"sweep_{mode}.svg", svg)
 
-    manifest.timings_s["simulate"] = sim_elapsed
-    manifest.timings_s["total"] = time.perf_counter() - t0
-    manifest.write(out_dir)
-    for fit_name, fit_payload in summary["fits"].items():
-        print(
-            f"sweep fit {fit_name}: coefficient={fit_payload['coefficient']:.5g}, "
-            f"exponent={fit_payload['exponent']:.4f} "
-            f"(log-RMS {fit_payload['log_rms_residual']:.3g})"
-        )
-    print(f"sweep: {len(rows)} rows -> {rows_path}")
-    return 0
+    lines = [
+        f"sweep fit {fit_name}: coefficient={fit_payload['coefficient']:.5g}, "
+        f"exponent={fit_payload['exponent']:.4f} "
+        f"(log-RMS {fit_payload['log_rms_residual']:.3g})"
+        for fit_name, fit_payload in summary["fits"].items()
+    ]
+    return "\n".join(lines + [f"sweep: {len(rows)} rows -> {rows_path}"])
 
 
-def cmd_extract(ns) -> int:
-    settings = Settings(ns)
-    trace = CoherenceTrace.load_csv(ns.trace)
+def cmd_extract(run: Run) -> dict:
+    trace = CoherenceTrace.load_csv(run.ns.trace)
     ts = extract_timescales(
-        trace, prominence=settings.number("prominence", PROMINENCE_DEFAULT)
+        trace, prominence=run.settings.number("prominence", PROMINENCE_DEFAULT)
     )
-    payload = ts.to_json_dict()
-    payload["trace"] = str(ns.trace)
-    _print_json(payload, ns)
-    return 0
+    return {**ts.to_json_dict(), "trace": str(run.ns.trace)}
 
 
-def cmd_invert(ns) -> int:
-    settings = Settings(ns)
-    cal = settings.calibration()
-    t_revival = settings.number("tr", None)
+def cmd_invert(run: Run) -> dict:
+    cal = run.settings.calibration()
+    t_revival = run.settings.number("tr", None)
     b = invert_TR_to_B(t_revival, cal)
-    _print_json(
-        {"T_R_ms": t_revival, "B_G": b, "alpha_ms_G": cal.alpha, "alpha_source": cal.source},
-        ns,
-    )
-    return 0
+    return {"T_R_ms": t_revival, "B_G": b, "alpha_ms_G": cal.alpha, "alpha_source": cal.source}
 
 
-def cmd_reconstruct(ns) -> int:
-    settings = Settings(ns)
-    cal = settings.calibration()
+def cmd_reconstruct(run: Run) -> dict:
+    ns, cal = run.ns, run.settings.calibration()
     entries = _load_json(ns.measurements, "measurement file")
     if not isinstance(entries, list):
         raise ConfigError("measurement file must hold a JSON list")
@@ -563,61 +524,33 @@ def cmd_reconstruct(ns) -> int:
     payload = estimate.to_json_dict()
     payload["alpha_source"] = cal.source
     if ns.resolve_true:
-        true_field = _parse_field(ns.resolve_true)
-        probe = make_simulated_probe(true_field.as_array())
-        resolution = resolve_alignment(estimate.sign_candidates, probe)
-        payload["alignment"] = {
-            "resolved": resolution.resolved,
-            "selected": [list(c) for c in resolution.selected],
-            "note": resolution.note,
-        }
-    out_dir = Path(ns.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = RunManifest("reconstruct", __version__, settings.echo_config())
-    est_path = manifest.add_output(out_dir / "field_estimate.json")
-    est_path.write_text(_json_text(payload) + "\n")
-    manifest.write(out_dir)
-    _print_json(payload, ns)
-    return 0
+        _, payload["alignment"] = _resolve(estimate.sign_candidates, ns.resolve_true)
+    run.write_json("field_estimate.json", payload)
+    return payload
 
 
-def cmd_odmr(ns) -> int:
-    settings = Settings(ns)
-    field = _parse_field(ns.field)
-    levels = zeeman_levels(field.as_array())
-    spectrum = odmr_transitions(field.as_array())
-    payload = {"levels_GHz": levels.tolist(), **spectrum.to_json_dict()}
-
-    out_dir = Path(ns.out_dir)
+def cmd_odmr(run: Run) -> dict:
+    ns = run.ns
+    field = _parse_field(ns.field).as_array()
+    payload = {
+        "levels_GHz": zeeman_levels(field).tolist(), **odmr_transitions(field).to_json_dict()
+    }
     if ns.candidates:
         cand_list = _load_json(ns.candidates, "candidates file")
         if not ns.true_field:
             raise ConfigError("--candidates needs --true-field for the probe")
-        probe = make_simulated_probe(_parse_field(ns.true_field).as_array())
-        resolution = resolve_alignment(cand_list, probe)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        manifest = RunManifest("odmr", __version__, settings.echo_config())
-        csv_path = manifest.add_output(out_dir / "odmr_candidates.csv")
-        with open(csv_path, "w") as fh:
-            fh.write("candidate_id,f_minus_GHz,f_plus_GHz,splitting_GHz,asymmetry_GHz\n")
-            for i, spectrum in enumerate(resolution.spectra):
-                fh.write(
-                    f"{i},{spectrum.f_minus!r},{spectrum.f_plus!r},"
-                    f"{spectrum.splitting!r},{spectrum.asymmetry!r}\n"
-                )
-        manifest.write(out_dir)
-        payload["alignment"] = {
-            "resolved": resolution.resolved,
-            "selected": [list(c) for c in resolution.selected],
-            "note": resolution.note,
-        }
-    _print_json(payload, ns)
-    return 0
+        resolution, payload["alignment"] = _resolve(cand_list, ns.true_field)
+        run.write_csv(
+            "odmr_candidates.csv",
+            ["candidate_id", "f_minus_GHz", "f_plus_GHz", "splitting_GHz", "asymmetry_GHz"],
+            [(i, s.f_minus, s.f_plus, s.splitting, s.asymmetry)
+             for i, s in enumerate(resolution.spectra)],
+        )
+    return payload
 
 
-def cmd_sensitivity(ns) -> int:
-    t0 = time.perf_counter()
-    settings = Settings(ns)
+def cmd_sensitivity(run: Run) -> str:
+    ns, settings = run.ns, run.settings
     readout = ReadoutModel(
         C=settings.number("contrast", READOUT_CONTRAST_DEFAULT),
         n_centers=settings.integer("n_centers", 1),
@@ -629,40 +562,29 @@ def cmd_sensitivity(ns) -> int:
         field_g=None if ns.field is None else _parse_field(ns.field).magnitude,
         tau_points=int(ns.tau_points),
     )
-    out_dir = Path(ns.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = RunManifest("sensitivity", __version__, settings.echo_config())
-    csv_path = manifest.add_output(out_dir / "sensitivity_eta.csv")
-    with open(csv_path, "w") as fh:
-        fh.write("tau_ms,eta_G_per_sqrtHz,eta_uT_per_sqrtHz\n")
-        for tau, eta in zip(report.tau_grid_ms.tolist(), report.eta_G_sqHz.tolist()):
-            fh.write(f"{tau!r},{eta!r},{eta * 100.0!r}\n")
-    json_path = manifest.add_output(out_dir / "sensitivity_report.json")
-    json_path.write_text(_json_text(report.to_json_dict()) + "\n")
+    eta_uT = report.eta_G_sqHz * 100.0
+    run.write_csv(
+        "sensitivity_eta.csv",
+        ["tau_ms", "eta_G_per_sqrtHz", "eta_uT_per_sqrtHz"],
+        zip(report.tau_grid_ms, report.eta_G_sqHz, eta_uT),
+    )
+    run.write_json("sensitivity_report.json", report.to_json_dict())
     if ns.plot:
         finite = np.isfinite(report.eta_G_sqHz)
         svg = line_plot(
-            [(
-                "eta (uT/sqrt(Hz))",
-                report.tau_grid_ms[finite].tolist(),
-                (report.eta_G_sqHz[finite] * 100.0).tolist(),
-            )],
+            [("eta (uT/sqrt(Hz))", report.tau_grid_ms[finite].tolist(), eta_uT[finite].tolist())],
             title="sensitivity vs evolution time",
             x_label="tau (ms)",
             y_label="uT per sqrt(Hz)",
             log_y=True,
             markers=False,
         )
-        svg_path = manifest.add_output(out_dir / "sensitivity_eta.svg")
-        svg_path.write_text(svg)
-    manifest.timings_s["total"] = time.perf_counter() - t0
-    manifest.write(out_dir)
-    print(
+        run.write_text("sensitivity_eta.svg", svg)
+    return (
         f"sensitivity: eta_min = {report.eta_min_G_sqHz * 100.0:.4g} uT/sqrt(Hz) "
         f"at tau = {report.tau_opt_ms:.4g} ms "
         f"(ensemble of {report.n_centers}: {report.ensemble_eta_G_sqHz * 100.0:.4g})"
     )
-    return 0
 
 
 # ---------------------------------------------------------------- parser
@@ -767,19 +689,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
+    ns = build_parser().parse_args(argv)
     try:
-        return ns.func(ns)
-    except ConfigError as exc:
+        run = Run(ns)
+        return run.finish(ns.func(run))
+    except (ConfigError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except PhysicsError as exc:
         print(f"physics error: {exc}", file=sys.stderr)
         return 3
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -164,7 +164,7 @@ class TestConfigFile:
         out_dir = tmp_path / "out"
         assert run(*command, "--config", cfg, "--out-dir", out_dir) == 2
         assert named in capsys.readouterr().err
-        assert not any(out_dir.glob("*"))
+        assert not out_dir.exists()
 
 
 class TestBathCommand:
@@ -257,6 +257,53 @@ class TestSimulateCommand:
         cfg = write_config(tmp_path)
         assert run("simulate", "--config", cfg, "--field", "1,2", "--out-dir", tmp_path) == 2
 
+    @pytest.mark.parametrize(
+        "flags,named",
+        [
+            (("--field", "1,2"), "three components"),
+            (("--field", "10", "--step", "nan"), "step must be finite"),
+            (("--field", "0"), "zero field"),
+        ],
+        ids=["two-component-field", "nan-step", "zero-field-no-window"],
+    )
+    def test_bad_input_exits_2_before_any_work(
+        self, tmp_path, monkeypatch, capsys, flags, named
+    ):
+        import nvmag.cli
+
+        calls = []
+        monkeypatch.setattr(nvmag.cli, "sample_bath", lambda *args: calls.append(args))
+        out_dir = tmp_path / "out"
+        cfg = write_config(tmp_path)
+        assert run("simulate", "--config", cfg, *flags, "--out-dir", out_dir) == 2
+        assert named in capsys.readouterr().err
+        assert calls == []
+        assert not out_dir.exists()
+
+    # a saved bath fixes its own abundance and seed; a flag for either would
+    # be recorded in the manifest but never used
+    @pytest.mark.parametrize("flag,value", [("--abundance", "0.05"), ("--seed", "7")])
+    def test_saved_bath_refuses_lattice_flags(
+        self, tmp_path, monkeypatch, capsys, flag, value
+    ):
+        import nvmag.cli
+
+        cfg = write_config(tmp_path)
+        assert run("bath", "--config", cfg, "--seed", 2, "--out-dir", tmp_path) == 0
+        calls = []
+        monkeypatch.setattr(
+            nvmag.cli, "echo_coherence_trace", lambda *args, **kw: calls.append(args)
+        )
+        out_dir = tmp_path / "out"
+        rc = run(
+            "simulate", "--bath", tmp_path / "bath_seed2.json", flag, value,
+            "--field", "10", "--out-dir", out_dir,
+        )
+        assert rc == 2
+        assert flag in capsys.readouterr().err
+        assert calls == []
+        assert not out_dir.exists()
+
     def test_missing_bath_file_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         rc = run(
@@ -315,6 +362,12 @@ class TestSweepCommand:
         )
         assert len(lines) == 1 + 3 * (2 + 1)  # per-seed rows plus one ensemble per field
         assert sum(",ensemble," in line for line in lines) == 3
+        header = lines[0].split(",")
+        for line in lines[1:]:
+            row = dict(zip(header, line.split(",")))
+            for name in header:
+                if name not in ("seed", "flags"):
+                    assert repr(float(row[name])) == row[name], line
         summary = json.loads((tmp_path / "sweep_field_summary.json").read_text())
         assert summary["mode"] == "field"
         assert set(summary["points"]) == {"5.0", "10.0", "20.0"}
@@ -680,6 +733,7 @@ class TestOdmrCommand:
             fields = line.split(",")
             assert len(fields) == 5
             assert all(math.isfinite(float(v)) for v in fields)
+            assert all(repr(float(v)) == v for v in fields[1:]), line
 
     def test_infinite_candidate_exits_2(self, tmp_path, capsys):
         cand_path = tmp_path / "cands.json"
@@ -717,6 +771,7 @@ class TestSensitivityCommand:
         for line in lines[1:]:
             values = [float(tok) for tok in line.split(",")]
             assert len(values) == 3 and all(math.isfinite(v) for v in values), line
+            assert ",".join(repr(v) for v in values) == line
         assert "eta_min" in capsys.readouterr().out
 
     def test_non_finite_t2_exits_2_before_any_output(self, tmp_path, capsys):
@@ -751,6 +806,31 @@ class TestSensitivityCommand:
 
 
 class TestRunManifest:
+    @pytest.mark.parametrize(
+        "command", ["bath", "simulate", "sweep", "reconstruct", "odmr", "sensitivity"]
+    )
+    def test_each_file_writing_command_records_total_time(self, tmp_path, command):
+        cfg = write_config(tmp_path)
+        meas = TestReconstructCommand.measurement_file(tmp_path, (0.5, -1.2, 2.0))
+        cands = tmp_path / "cands.json"
+        cands.write_text(json.dumps([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]))
+        args = {
+            "bath": ("--config", cfg),
+            "simulate": ("--config", cfg, "--field", "20"),
+            "sweep": ("--config", cfg, "--fields", "5,10,20", "--realizations", 1,
+                      "--t-max", "0.1"),
+            "reconstruct": ("--measurements", meas),
+            "odmr": ("--field", "1", "--candidates", cands, "--true-field", "0,0,1"),
+            "sensitivity": ("--t2", "0.5"),
+        }[command]
+        out_dir = tmp_path / "out"
+        assert run(command, *args, "--out-dir", out_dir) == 0
+        manifest = strict_json((out_dir / f"{command}_manifest.json").read_text())
+        assert manifest["command"] == command
+        assert manifest["timings_s"]["total"] > 0
+        assert manifest["outputs"]
+        assert all(Path(p).exists() for p in manifest["outputs"])
+
     def test_missing_output_raises(self, tmp_path):
         manifest = RunManifest("demo", "0.0", {})
         manifest.add_output(tmp_path / "never_written.txt")
