@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,6 +40,45 @@ _FCC_OFFSETS = np.array(
 _DIAMOND_BASIS = np.array([(0.0, 0.0, 0.0), (0.25, 0.25, 0.25)])
 
 _Z_HAT = np.array([0.0, 0.0, 1.0])
+
+
+def load_strict_json(path, what: str):
+    """Strict JSON input: NaN, Infinity and numbers beyond float range are refused."""
+    def refuse(literal: str):
+        raise ConfigError(f"{what} holds {literal}; every number must be finite")
+
+    def finite(literal: str) -> float:
+        value = float(literal)
+        if not math.isfinite(value):
+            refuse(literal)
+        return value
+
+    with open(path) as fh:
+        try:
+            return json.load(fh, parse_constant=refuse, parse_float=finite)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{what} is not valid JSON: {exc}") from exc
+
+
+def finite_number(value, what: str):
+    """``value`` itself if it is an int or a finite float; bools are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{what} must be a number, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{what} must be finite, got {value!r}")
+    return value
+
+
+def _integer(value, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _vector(value, what: str) -> tuple[float, float, float]:
+    if not isinstance(value, (list, tuple)) or len(value) != 3:
+        raise ConfigError(f"{what} must hold three numbers, got {value!r}")
+    return tuple(float(finite_number(x, what)) for x in value)
 
 
 def _rotation_111_to_z() -> np.ndarray:
@@ -75,6 +115,9 @@ class LatticeConfig:
     pair_cutoff: float = 1.0
 
     def __post_init__(self) -> None:
+        for name in ("lattice_constant", "cutoff_radius", "exclusion_radius", "pair_cutoff"):
+            finite_number(getattr(self, name), name)
+        _integer(self.seed, "seed")
         if self.lattice_constant <= 0:
             raise ConfigError("lattice_constant must be positive")
         if self.exclusion_radius < 0:
@@ -111,7 +154,9 @@ class BathRealization:
 
     pair_couplings maps index pairs (i, j) with i < j to the secular dipolar
     coupling b_ij in kHz; only pairs within the configured pair cutoff are
-    stored, all other couplings are treated as zero.
+    stored, all other couplings are treated as zero.  ``gamma_n`` records
+    the 13C ratio the couplings were computed with; it is fixed at
+    GAMMA_N_13C_KHZ_PER_G, and any other value is refused.
     """
 
     spins: list[NuclearSpin]
@@ -126,8 +171,10 @@ class BathRealization:
         for i, j in self.pair_couplings:
             if not 0 <= i < j < len(self.spins):
                 raise ConfigError(f"pair index ({i}, {j}) out of range")
-        if self.gamma_n <= 0:
-            raise ConfigError("gamma_n must be positive")
+        if self.gamma_n != GAMMA_N_13C_KHZ_PER_G:
+            raise ConfigError(
+                f"gamma_n is the 13C ratio {GAMMA_N_13C_KHZ_PER_G} kHz/G, got {self.gamma_n!r}"
+            )
 
     def __len__(self) -> int:
         return len(self.spins)
@@ -169,23 +216,28 @@ class BathRealization:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "BathRealization":
+        """Rebuild a saved bath; every position, hyperfine vector and coupling
+        must be finite, and every index and seed an integer."""
         try:
             spins = [
-                NuclearSpin(tuple(s["position_nm"]), tuple(s["hyperfine_khz"]))
+                NuclearSpin(_vector(s["position_nm"], "position_nm"),
+                            _vector(s["hyperfine_khz"], "hyperfine_khz"))
                 for s in data["spins"]
             ]
             pairs = {
-                (int(i), int(j)): float(b) for i, j, b in data["pair_couplings_khz"]
+                (_integer(i, "pair index"), _integer(j, "pair index")):
+                    float(finite_number(b, "pair coupling"))
+                for i, j, b in data["pair_couplings_khz"]
             }
             config = LatticeConfig(**data["config"]) if data.get("config") else None
             return cls(
                 spins=spins,
                 pair_couplings=pairs,
-                gamma_n=float(data["gamma_n_khz_per_g"]),
-                seed=int(data["seed"]),
+                gamma_n=float(finite_number(data["gamma_n_khz_per_g"], "gamma_n")),
+                seed=_integer(data["seed"], "seed"),
                 config=config,
             )
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"malformed bath record: {exc}") from exc
 
     def save(self, path) -> None:
@@ -195,8 +247,7 @@ class BathRealization:
 
     @classmethod
     def load(cls, path) -> "BathRealization":
-        with open(path) as fh:
-            return cls.from_json_dict(json.load(fh))
+        return cls.from_json_dict(load_strict_json(path, f"bath file {path}"))
 
 
 def generate_lattice_sites(config: LatticeConfig) -> np.ndarray:
@@ -231,10 +282,7 @@ def generate_lattice_sites(config: LatticeConfig) -> np.ndarray:
     return sites[order]
 
 
-def hyperfine_vector(
-    position_nm: np.ndarray,
-    prefactor_khz_nm3: float = HYPERFINE_PREFACTOR_KHZ_NM3,
-) -> np.ndarray:
+def hyperfine_vector(position_nm: np.ndarray) -> np.ndarray:
     """Secular hyperfine vector A (kHz) of a nucleus at ``position_nm``.
 
     Point-dipole form: the z row of the dipolar tensor between the electron
@@ -247,14 +295,10 @@ def hyperfine_vector(
     if r == 0.0:
         raise DomainError("hyperfine vector undefined at the electron position")
     r_hat = r_vec / r
-    return (prefactor_khz_nm3 / r**3) * (_Z_HAT - 3.0 * r_hat[2] * r_hat)
+    return (HYPERFINE_PREFACTOR_KHZ_NM3 / r**3) * (_Z_HAT - 3.0 * r_hat[2] * r_hat)
 
 
-def nuclear_dipolar_coupling(
-    position_i_nm: np.ndarray,
-    position_j_nm: np.ndarray,
-    prefactor_khz_nm3: float = NUCLEAR_DIPOLE_PREFACTOR_KHZ_NM3,
-) -> float:
+def nuclear_dipolar_coupling(position_i_nm: np.ndarray, position_j_nm: np.ndarray) -> float:
     """Secular dipolar coupling b_ij (kHz) between two bath nuclei.
 
     b_ij = C/r^3 * (1 - 3 cos^2 theta_ij) with theta_ij the angle between
@@ -266,7 +310,7 @@ def nuclear_dipolar_coupling(
     if r == 0.0:
         raise DomainError("coincident nuclei have no defined dipolar coupling")
     cos_t = d[2] / r
-    return (prefactor_khz_nm3 / r**3) * (1.0 - 3.0 * cos_t**2)
+    return (NUCLEAR_DIPOLE_PREFACTOR_KHZ_NM3 / r**3) * (1.0 - 3.0 * cos_t**2)
 
 
 def sample_bath(sites: np.ndarray, config: LatticeConfig) -> BathRealization:
@@ -296,7 +340,6 @@ def sample_bath(sites: np.ndarray, config: LatticeConfig) -> BathRealization:
     return BathRealization(
         spins=spins,
         pair_couplings=pair_couplings,
-        gamma_n=GAMMA_N_13C_KHZ_PER_G,
         seed=config.seed,
         config=config,
     )

@@ -16,8 +16,10 @@ Configuration file (--config) is a flat JSON object; recognized keys:
 
     lattice_constant, cutoff_radius, exclusion_radius, abundance,
     pair_cutoff, seed, realizations, points_per_period, prominence,
-    alpha, alpha_source, contrast, n_centers, gamma_n, t_max,
-    field_magnitude
+    alpha, alpha_source, contrast, n_centers, t_max, field_magnitude
+
+The physical constants (13C and electron gyromagnetic ratios, zero-field
+splitting) are fixed and are not settings.
 
 Explicit command-line flags override config values, which override the
 built-in defaults.  NVMAG_THREADS caps the threads that compute the pair
@@ -32,20 +34,28 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, dataclass, field as dc_field, replace
+from dataclasses import asdict, dataclass, field as dc_field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .bath import BathRealization, LatticeConfig, generate_lattice_sites, sample_bath
-from .constants import GAMMA_N_13C_KHZ_PER_G, READOUT_CONTRAST_DEFAULT
+from .bath import (
+    BathRealization,
+    LatticeConfig,
+    finite_number,
+    generate_lattice_sites,
+    load_strict_json,
+    sample_bath,
+)
+from .constants import G_TO_UT, READOUT_CONTRAST_DEFAULT
 from .decoherence import (
     CoherenceTrace,
     EchoSchedule,
     FieldVector,
     echo_coherence_trace,
     ensemble_average,
+    larmor_period,
 )
 from .errors import ConfigError, PhysicsError
 from .magnetometry import (
@@ -67,6 +77,8 @@ from .timescales import (
     fit_power_law,
 )
 
+_LATTICE_KEYS = {f.name for f in fields(LatticeConfig)}
+
 _CONFIG_KEYS = {
     "lattice_constant",
     "cutoff_radius",
@@ -81,28 +93,9 @@ _CONFIG_KEYS = {
     "alpha_source",
     "contrast",
     "n_centers",
-    "gamma_n",
     "t_max",
     "field_magnitude",
 }
-
-
-def _load_json(path, what: str):
-    """Strict JSON input: NaN, Infinity and numbers beyond float range are refused."""
-    def refuse(literal: str):
-        raise ConfigError(f"{what} holds {literal}; every number must be finite")
-
-    def finite(literal: str) -> float:
-        value = float(literal)
-        if not math.isfinite(value):
-            refuse(literal)
-        return value
-
-    with open(path) as fh:
-        try:
-            return json.load(fh, parse_constant=refuse, parse_float=finite)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{what} is not valid JSON: {exc}") from exc
 
 
 def _json_text(payload) -> str:
@@ -147,7 +140,7 @@ class Settings:
             path = Path(ns.config)
             if not path.exists():
                 raise ConfigError(f"config file not found: {path}")
-            self.file_config = _load_json(path, "config file")
+            self.file_config = load_strict_json(path, "config file")
             unknown = set(self.file_config) - _CONFIG_KEYS
             if unknown:
                 raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -160,36 +153,25 @@ class Settings:
             return self.file_config[name]
         return default
 
-    def _finite(self, name: str, default):
-        value = self.get(name, default)
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{name} must be a number, got {value!r}")
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ConfigError(f"{name} must be finite, got {value!r}")
-        return value
-
     def number(self, name: str, default: float | None) -> float | None:
         """A finite real setting; None only when unset with a None default."""
         if default is None and self.get(name, None) is None:
             return None
-        return float(self._finite(name, default))
+        return float(finite_number(self.get(name, default), name))
 
     def integer(self, name: str, default: int) -> int:
         """An integral setting; a float must be a whole number."""
-        value = self._finite(name, default)
+        value = finite_number(self.get(name, default), name)
         if isinstance(value, float) and not value.is_integer():
             raise ConfigError(f"{name} must be an integer, got {value!r}")
         return int(value)
 
     def lattice_config(self) -> LatticeConfig:
-        return LatticeConfig(
-            lattice_constant=self.number("lattice_constant", 3.567),
-            cutoff_radius=self.number("cutoff_radius", 4.0),
-            exclusion_radius=self.number("exclusion_radius", 1.55),
-            abundance=self.number("abundance", 0.011),
-            pair_cutoff=self.number("pair_cutoff", 1.0),
-            seed=self.integer("seed", 0),
-        )
+        """Every lattice setting, each defaulting to LatticeConfig's own."""
+        default = LatticeConfig()
+        values = {f.name: self.number(f.name, getattr(default, f.name))
+                  for f in fields(default) if f.name != "seed"}
+        return LatticeConfig(**values, seed=self.integer("seed", default.seed))
 
     def calibration(self) -> Calibration:
         return Calibration(
@@ -229,7 +211,7 @@ def _parse_field(text: str) -> FieldVector:
     raise ConfigError("field must be one magnitude or three components")
 
 
-def _t_max_auto(field_magnitude_g: float, abundance: float, gamma_n: float) -> float:
+def _t_max_auto(field_magnitude_g: float, abundance: float) -> float:
     """Simulation window: several revivals, but not past the dead envelope.
 
     Dilute baths keep their envelope long, so take six revival periods.
@@ -237,7 +219,7 @@ def _t_max_auto(field_magnitude_g: float, abundance: float, gamma_n: float) -> f
     of field, so cap the window there and always cover at least ~0.55 ms
     (enough envelope for the high-field decay fit).
     """
-    t_revival = 1.0 / (gamma_n * abs(field_magnitude_g))
+    t_revival = larmor_period(field_magnitude_g)
     if abundance <= 0.004:
         return 6.2 * t_revival
     return min(max(4.6 * t_revival, 0.55), 1.05)
@@ -299,22 +281,19 @@ class Run:
 def _schedule(
     settings: Settings, b_mag: float, abundance: float, step: float | None = None
 ) -> EchoSchedule:
-    """The echo grid: a regular ``step``, else points per revival period."""
-    gamma_n = settings.number("gamma_n", GAMMA_N_13C_KHZ_PER_G)
+    """The echo grid: a regular ``step``, else points per revival period.
+
+    Only simulate takes ``step``; a sweep refuses a zero field before this.
+    """
     t_max = settings.number("t_max", None)
+    if b_mag == 0.0 and (t_max is None or step is None):
+        raise ConfigError("zero field has no revival period; pass --t-max and --step")
     if t_max is None:
-        if b_mag == 0.0:
-            raise ConfigError("zero field needs an explicit --t-max and --step")
-        t_max = _t_max_auto(b_mag, abundance, gamma_n)
+        t_max = _t_max_auto(b_mag, abundance)
     if step is not None:
         return EchoSchedule.regular(t_max, step)
-    if b_mag == 0.0:
-        raise ConfigError("zero field has no revival period; pass --step")
     return EchoSchedule.for_field(
-        b_mag,
-        t_max,
-        points_per_period=settings.integer("points_per_period", 48),
-        gamma_n=gamma_n,
+        b_mag, t_max, points_per_period=settings.integer("points_per_period", 48)
     )
 
 
@@ -353,13 +332,15 @@ def cmd_simulate(run: Run) -> str:
             raise ConfigError("--bath fixes abundance and seed; drop --abundance and --seed")
         bath = BathRealization.load(ns.bath)
         cfg = bath.config
+        # the trace runs on the saved bath's lattice, not the config file's
+        echo = run.manifest.config
+        echo.update({key: getattr(cfg, key, None) for key in echo.keys() & _LATTICE_KEYS})
     else:
         cfg, bath = settings.lattice_config(), None
     schedule = _schedule(settings, field.magnitude, cfg.abundance if cfg else 0.011, step)
     if bath is None:
         bath = sample_bath(generate_lattice_sites(cfg), cfg)
-    gamma_n = settings.number("gamma_n", GAMMA_N_13C_KHZ_PER_G)
-    trace = echo_coherence_trace(bath, field, schedule, gamma_n=gamma_n)
+    trace = echo_coherence_trace(bath, field, schedule)
     run.manifest.seeds = [bath.seed]
     tag = f"B{field.magnitude:g}_seed{bath.seed}"
     csv_path = run.output(f"trace_{tag}.csv")
@@ -379,7 +360,6 @@ def cmd_simulate(run: Run) -> str:
 def cmd_sweep(run: Run) -> str:
     ns, settings = run.ns, run.settings
     prominence = settings.number("prominence", PROMINENCE_DEFAULT)
-    gamma_n = settings.number("gamma_n", GAMMA_N_13C_KHZ_PER_G)
     realizations = settings.integer("realizations", 10)
     if realizations < 1:
         raise ConfigError("realizations must be >= 1")
@@ -403,6 +383,8 @@ def cmd_sweep(run: Run) -> str:
         raise ConfigError("sweep abundances must be in (0, 1]")
 
     fixed_field = settings.number("field_magnitude", 10.0)
+    if mode == "abundance" and fixed_field == 0.0:
+        raise ConfigError("field_magnitude must be nonzero: zero field has no revival period")
     # lattice sites depend only on geometry, which the sweep never varies
     site_cfg = settings.lattice_config()
     points = [(k, site_cfg.abundance) if mode == "field" else (fixed_field, k) for k in keys]
@@ -420,9 +402,7 @@ def cmd_sweep(run: Run) -> str:
         for key, (b_mag, abundance), schedule in zip(keys, points, schedules):
             if bath is None or bath.config.abundance != abundance:
                 bath = sample_bath(sites, replace(site_cfg, abundance=abundance, seed=seed))
-            traces[key, seed] = echo_coherence_trace(
-                bath, FieldVector.along_z(b_mag), schedule, gamma_n=gamma_n
-            )
+            traces[key, seed] = echo_coherence_trace(bath, FieldVector.along_z(b_mag), schedule)
     run.manifest.timings_s["simulate"] = time.perf_counter() - t_sim
     run.manifest.seeds = seeds
 
@@ -505,7 +485,7 @@ def cmd_invert(run: Run) -> dict:
 
 def cmd_reconstruct(run: Run) -> dict:
     ns, cal = run.ns, run.settings.calibration()
-    entries = _load_json(ns.measurements, "measurement file")
+    entries = load_strict_json(ns.measurements, "measurement file")
     if not isinstance(entries, list):
         raise ConfigError("measurement file must hold a JSON list")
     try:
@@ -536,7 +516,7 @@ def cmd_odmr(run: Run) -> dict:
         "levels_GHz": zeeman_levels(field).tolist(), **odmr_transitions(field).to_json_dict()
     }
     if ns.candidates:
-        cand_list = _load_json(ns.candidates, "candidates file")
+        cand_list = load_strict_json(ns.candidates, "candidates file")
         if not ns.true_field:
             raise ConfigError("--candidates needs --true-field for the probe")
         resolution, payload["alignment"] = _resolve(cand_list, ns.true_field)
@@ -562,7 +542,7 @@ def cmd_sensitivity(run: Run) -> str:
         field_g=None if ns.field is None else _parse_field(ns.field).magnitude,
         tau_points=int(ns.tau_points),
     )
-    eta_uT = report.eta_G_sqHz * 100.0
+    eta_uT = report.eta_uT_sqHz
     run.write_csv(
         "sensitivity_eta.csv",
         ["tau_ms", "eta_G_per_sqrtHz", "eta_uT_per_sqrtHz"],
@@ -581,9 +561,9 @@ def cmd_sensitivity(run: Run) -> str:
         )
         run.write_text("sensitivity_eta.svg", svg)
     return (
-        f"sensitivity: eta_min = {report.eta_min_G_sqHz * 100.0:.4g} uT/sqrt(Hz) "
+        f"sensitivity: eta_min = {report.eta_min_G_sqHz * G_TO_UT:.4g} uT/sqrt(Hz) "
         f"at tau = {report.tau_opt_ms:.4g} ms "
-        f"(ensemble of {report.n_centers}: {report.ensemble_eta_G_sqHz * 100.0:.4g})"
+        f"(ensemble of {report.n_centers}: {report.ensemble_eta_G_sqHz * G_TO_UT:.4g})"
     )
 
 

@@ -34,18 +34,11 @@ ANGSTROM_TO_NM = 0.1
 #   each ratio from kHz/G to Hz/T] * 1e27 [m^3 -> nm^3] * 1e-3 [Hz -> kHz]
 DIPOLE_COUPLING_KHZ_NM3 = 6.62607015e-3
 
-
-def dipole_prefactor_khz_nm3(gamma_i_khz_per_g: float, gamma_j_khz_per_g: float) -> float:
-    """Point-dipole coupling prefactor C such that C / r^3 is in kHz."""
-    return DIPOLE_COUPLING_KHZ_NM3 * gamma_i_khz_per_g * gamma_j_khz_per_g
-
-
-# Electron-nuclear and nuclear-nuclear prefactors at the default ratios.
-HYPERFINE_PREFACTOR_KHZ_NM3 = dipole_prefactor_khz_nm3(
-    GAMMA_E_KHZ_PER_G, GAMMA_N_13C_KHZ_PER_G
-)
-NUCLEAR_DIPOLE_PREFACTOR_KHZ_NM3 = dipole_prefactor_khz_nm3(
-    GAMMA_N_13C_KHZ_PER_G, GAMMA_N_13C_KHZ_PER_G
+# Electron-nuclear and nuclear-nuclear point-dipole prefactors C, such that
+# C / r^3 is a coupling in kHz.
+HYPERFINE_PREFACTOR_KHZ_NM3 = DIPOLE_COUPLING_KHZ_NM3 * GAMMA_E_KHZ_PER_G * GAMMA_N_13C_KHZ_PER_G
+NUCLEAR_DIPOLE_PREFACTOR_KHZ_NM3 = (
+    DIPOLE_COUPLING_KHZ_NM3 * GAMMA_N_13C_KHZ_PER_G * GAMMA_N_13C_KHZ_PER_G
 )
 
 # Revival-law calibration constant (ms * G): T_revival = ALPHA / B.  The

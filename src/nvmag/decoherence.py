@@ -15,7 +15,8 @@ Time axes: the echo *factor* functions take the total free-evolution time
 tabulated against ``tau``, the duration of each of the two free-precession
 intervals (the axis revival laws are quoted on), so the trace evaluates the
 factors at total time ``2 * tau``.  On that axis revivals recur every
-``1 / (gamma_n * |B|)``.
+Larmor period ``1 / (gamma_n * |B|)`` (:func:`larmor_period`), gamma_n the
+fixed 13C ratio.
 
 Bath correlations are truncated at pair level: the trace is the product of
 all single-spin factors times, for every retained pair, the pair factor
@@ -140,11 +141,16 @@ class FieldVector:
         return float(np.linalg.norm(self.as_array()))
 
 
-def required_time_step(field_magnitude_g: float, gamma_n: float = GAMMA_N_13C_KHZ_PER_G) -> float:
+def larmor_period(field_magnitude_g: float) -> float:
+    """13C Larmor period (ms) at this field: the revival spacing on the tau axis."""
+    return 1.0 / (GAMMA_N_13C_KHZ_PER_G * abs(field_magnitude_g))
+
+
+def required_time_step(field_magnitude_g: float) -> float:
     """Largest grid step (ms) resolving the Larmor period at this field."""
     if field_magnitude_g == 0.0:
         return np.inf
-    return 1.0 / (gamma_n * abs(field_magnitude_g)) / POINTS_PER_LARMOR_PERIOD_MIN
+    return larmor_period(field_magnitude_g) / POINTS_PER_LARMOR_PERIOD_MIN
 
 
 def _check_time_grid(grid: np.ndarray) -> None:
@@ -185,7 +191,6 @@ class EchoSchedule:
         field_magnitude_g: float,
         t_max_ms: float,
         points_per_period: int = 48,
-        gamma_n: float = GAMMA_N_13C_KHZ_PER_G,
     ) -> "EchoSchedule":
         """Regular grid resolving the revival period at the given field."""
         if field_magnitude_g == 0.0:
@@ -194,17 +199,14 @@ class EchoSchedule:
             raise ConfigError(
                 f"points_per_period must be >= {POINTS_PER_LARMOR_PERIOD_MIN}"
             )
-        step = 1.0 / (gamma_n * abs(field_magnitude_g)) / points_per_period
-        return cls.regular(t_max_ms, step)
+        return cls.regular(t_max_ms, larmor_period(field_magnitude_g) / points_per_period)
 
-    def validate_resolution(
-        self, field_magnitude_g: float, gamma_n: float = GAMMA_N_13C_KHZ_PER_G
-    ) -> None:
+    def validate_resolution(self, field_magnitude_g: float) -> None:
         """Raise if the grid undersamples the expected revival period."""
         if self.t_grid.size < 2 or field_magnitude_g == 0.0:
             return
         step = float(np.max(np.diff(self.t_grid)))
-        required = required_time_step(field_magnitude_g, gamma_n)
+        required = required_time_step(field_magnitude_g)
         if step > required * (1.0 + 1e-9):
             raise GridTooCoarseError(
                 f"grid step {step:.6g} ms undersamples the revival period at "
@@ -276,33 +278,24 @@ class CoherenceTrace:
         return cls(t_grid=data[:, 0], values=data[:, 1], metadata=metadata)
 
 
-def effective_field(
-    field: FieldVector,
-    hyperfine_khz,
-    m: int,
-    gamma_n: float = GAMMA_N_13C_KHZ_PER_G,
-) -> np.ndarray:
+def effective_field(field: FieldVector, hyperfine_khz, m: int) -> np.ndarray:
     """Effective field (Gauss) seen by a nucleus in electron branch ``m``.
 
     m = 0 leaves the applied field untouched; m = +1 shifts it by the
-    hyperfine vector converted to field units, B - A / gamma_n.
+    hyperfine vector converted to field units, B - A / gamma_n.  With an
+    (N, 3) stack of hyperfine vectors the m = +1 result is (N, 3).
     """
     b = field.as_array() if isinstance(field, FieldVector) else np.asarray(field, float)
     if m == 0:
         return b.copy()
     if m == 1:
-        return b - np.asarray(hyperfine_khz, dtype=float) / gamma_n
+        return b - np.asarray(hyperfine_khz, dtype=float) / GAMMA_N_13C_KHZ_PER_G
     raise UnsupportedBranchError(
         f"electron projection m = {m} is outside the modeled {{0, +1}} pair"
     )
 
 
-def single_spin_echo_factor(
-    h0_g,
-    h1_g,
-    t_ms,
-    gamma_n: float = GAMMA_N_13C_KHZ_PER_G,
-):
+def single_spin_echo_factor(h0_g, h1_g, t_ms):
     """Echo factor of one nucleus for total evolution time ``t_ms``.
 
     Each branch precesses about its effective field for t/2 on either side
@@ -318,7 +311,7 @@ def single_spin_echo_factor(
     h0 = np.asarray(h0_g, dtype=float)
     h1 = np.asarray(h1_g, dtype=float).reshape(1, 3)
     t = np.asarray(t_ms, dtype=float)
-    out = _single_factors_on_grid(h0, h1, 0.5 * t.reshape(-1), gamma_n)[0]
+    out = _single_factors_on_grid(h0, h1, 0.5 * t.reshape(-1))[0]
     return float(out[0]) if t.ndim == 0 else out.reshape(t.shape)
 
 
@@ -328,7 +321,6 @@ def pair_echo_factor(
     b_ij_khz: float,
     field: FieldVector,
     t_ms,
-    gamma_n: float = GAMMA_N_13C_KHZ_PER_G,
 ):
     """Echo factor of a coupled nuclear pair for total evolution time ``t_ms``.
 
@@ -338,22 +330,14 @@ def pair_echo_factor(
     engine's pair kernel (:func:`_pair_kernel_factors`) on this one pair at
     branch duration t/2.  Accepts scalar or array ``t_ms``.
     """
-    field_arr = field.as_array()
-    h1 = [effective_field(field, s.hyperfine, 1, gamma_n) for s in (spin_i, spin_j)]
-    spectra = _pair_spectra(
-        h1[0][None, :], h1[1][None, :], np.array([float(b_ij_khz)]), field_arr, gamma_n
-    )
+    h1 = [effective_field(field, s.hyperfine, 1)[None, :] for s in (spin_i, spin_j)]
+    spectra = _pair_spectra(*h1, np.array([float(b_ij_khz)]), field.as_array())
     t = np.asarray(t_ms, dtype=float)
     out = _pair_kernel_factors(spectra, 0.5 * t.reshape(-1))[0]
     return float(out[0]) if t.ndim == 0 else out.reshape(t.shape)
 
 
-def _single_factors_on_grid(
-    h0: np.ndarray,
-    h1: np.ndarray,
-    tau_grid: np.ndarray,
-    gamma_n: float,
-) -> np.ndarray:
+def _single_factors_on_grid(h0: np.ndarray, h1: np.ndarray, tau_grid: np.ndarray) -> np.ndarray:
     """(N, T) single-spin factors, branch duration = tau (total time 2 tau).
 
     ``h0`` is the (3,) m = 0 branch field, ``h1`` the (N, 3) m = +1 branch
@@ -369,13 +353,13 @@ def _single_factors_on_grid(
     k = np.sum(np.cross(np.broadcast_to(n0, (n_spins, 3)), n1) ** 2, axis=1)
     k = np.where((b1 > 0) & (b0 > 0), k, 0.0)  # non-precessing branch: closed echo
 
-    s0sq = np.sin(np.pi * gamma_n * b0 * tau_grid) ** 2  # (T,)
-    s1sq = np.sin(np.pi * gamma_n * b1[:, None] * tau_grid[None, :]) ** 2  # (N, T)
+    s0sq = np.sin(np.pi * GAMMA_N_13C_KHZ_PER_G * b0 * tau_grid) ** 2  # (T,)
+    s1sq = np.sin(np.pi * GAMMA_N_13C_KHZ_PER_G * b1[:, None] * tau_grid[None, :]) ** 2
     return 1.0 - 2.0 * k[:, None] * s0sq[None, :] * s1sq
 
 
 def _batched_pair_hamiltonians(
-    h_left: np.ndarray, h_right: np.ndarray, b: np.ndarray, gamma_n: float
+    h_left: np.ndarray, h_right: np.ndarray, b: np.ndarray
 ) -> np.ndarray:
     """(P, 4, 4) conditioned pair Hamiltonians for one branch."""
     def zeeman_stack(h: np.ndarray) -> np.ndarray:
@@ -384,7 +368,7 @@ def _batched_pair_hamiltonians(
         z[:, 1, 1] = -h[:, 2]
         z[:, 0, 1] = h[:, 0] - 1j * h[:, 1]
         z[:, 1, 0] = h[:, 0] + 1j * h[:, 1]
-        return -0.5 * gamma_n * z
+        return -0.5 * GAMMA_N_13C_KHZ_PER_G * z
 
     zi = zeeman_stack(h_left)
     zj = zeeman_stack(h_right)
@@ -399,7 +383,6 @@ def _pair_spectra(
     h1_right: np.ndarray,
     b: np.ndarray,
     field_arr: np.ndarray,
-    gamma_n: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Time-independent part of the pair kernel for n pairs.
 
@@ -412,8 +395,8 @@ def _pair_spectra(
     """
     n = b.size
     h0 = np.broadcast_to(field_arr, (n, 3))
-    e0, v0 = np.linalg.eigh(_batched_pair_hamiltonians(h0, h0, b, gamma_n))
-    e1, v1 = np.linalg.eigh(_batched_pair_hamiltonians(h1_left, h1_right, b, gamma_n))
+    e0, v0 = np.linalg.eigh(_batched_pair_hamiltonians(h0, h0, b))
+    e1, v1 = np.linalg.eigh(_batched_pair_hamiltonians(h1_left, h1_right, b))
     overlap = np.matmul(v0.conj().transpose(0, 2, 1), v1)  # O = V0^+ V1
     # P[d, u] = O_da conj(O_da') over level pairs u = (a, a') of branch 1
     p = overlap[:, :, _LEVEL_LO] * overlap[:, :, _LEVEL_HI].conj()
@@ -576,7 +559,6 @@ def echo_coherence_trace(
     bath: BathRealization,
     field: FieldVector,
     schedule: EchoSchedule,
-    gamma_n: float | None = None,
 ) -> CoherenceTrace:
     """Pair-truncated echo coherence of the full bath on the schedule grid.
 
@@ -609,9 +591,8 @@ def echo_coherence_trace(
       step its largest spacing.  Their factors alias on the grid; the grid
       is not resampled.
     """
-    gamma = bath.gamma_n if gamma_n is None else gamma_n
     field_arr = field.as_array()
-    schedule.validate_resolution(field.magnitude, gamma)
+    schedule.validate_resolution(field.magnitude)
     tau = schedule.t_grid
     batches = _pair_batches(bath)
     n_workers = _pool_size(len(batches))
@@ -621,11 +602,12 @@ def echo_coherence_trace(
     if n_spins == 0:
         values = np.ones_like(tau)
     else:
-        h1 = field_arr[None, :] - bath.hyperfine / gamma  # (N, 3)
+        h1 = effective_field(field, bath.hyperfine, 1)  # (N, 3)
         if tau.size > 1:
             nyquist = 0.5 / float(np.max(np.diff(tau)))
-            undersampled = int(np.count_nonzero(gamma * np.linalg.norm(h1, axis=1) > nyquist))
-        singles = _single_factors_on_grid(field_arr, h1, tau, gamma)
+            rates = GAMMA_N_13C_KHZ_PER_G * np.linalg.norm(h1, axis=1)
+            undersampled = int(np.count_nonzero(rates > nyquist))
+        singles = _single_factors_on_grid(field_arr, h1, tau)
         log_singles = np.log(np.maximum(np.abs(singles), _LOG_FLOOR))
         log_total = np.sum(log_singles, axis=0)
         neg_parity = np.sum(singles < 0.0, axis=0)
@@ -638,7 +620,7 @@ def echo_coherence_trace(
                 workspace = workspaces.buffer = np.empty(
                     _WORKSPACE_ROWS * max(PAIR_POINTS_PER_CHUNK, tau.size)
                 )
-            spectra = _pair_spectra(h1[bi], h1[bj], bb, field_arr, gamma)
+            spectra = _pair_spectra(h1[bi], h1[bj], bb, field_arr)
             log_part = np.zeros_like(tau)
             neg_part = np.zeros(tau.size, dtype=int)
             n_dropped = 0
@@ -671,7 +653,7 @@ def echo_coherence_trace(
     metadata = {
         "model": "pair-truncated echo",
         "field_G": [field.bx, field.by, field.bz],
-        "gamma_n_khz_per_g": gamma,
+        "gamma_n_khz_per_g": GAMMA_N_13C_KHZ_PER_G,
         "seeds": [bath.seed],
         "abundance": bath.config.abundance if bath.config else None,
         "n_spins": n_spins,

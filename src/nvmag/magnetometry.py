@@ -152,11 +152,7 @@ def reconstruct_field(components_g) -> FieldEstimate:
     )
 
 
-def zeeman_levels(
-    field_g,
-    splitting_ghz: float = ZERO_FIELD_SPLITTING_GHZ,
-    gamma_e_ghz_per_g: float = GAMMA_E_GHZ_PER_G,
-) -> np.ndarray:
+def zeeman_levels(field_g) -> np.ndarray:
     """Ground-triplet energies (GHz), ascending, for a field in the defect frame.
 
     Exact eigenvalues of  D Sz^2 - gamma_e B . S.  For an axial field the
@@ -166,7 +162,7 @@ def zeeman_levels(
     b = np.asarray(field_g, dtype=float).reshape(-1)
     if b.size != 3:
         raise ConfigError("field must have three components")
-    ham = splitting_ghz * (SPIN1_SZ @ SPIN1_SZ) - gamma_e_ghz_per_g * (
+    ham = ZERO_FIELD_SPLITTING_GHZ * (SPIN1_SZ @ SPIN1_SZ) - GAMMA_E_GHZ_PER_G * (
         b[0] * SPIN1_SX + b[1] * SPIN1_SY + b[2] * SPIN1_SZ
     )
     return np.linalg.eigvalsh(ham)
@@ -190,11 +186,7 @@ class OdmrSpectrum:
         }
 
 
-def odmr_transitions(
-    field_g,
-    splitting_ghz: float = ZERO_FIELD_SPLITTING_GHZ,
-    gamma_e_ghz_per_g: float = GAMMA_E_GHZ_PER_G,
-) -> OdmrSpectrum:
+def odmr_transitions(field_g) -> OdmrSpectrum:
     """Transition frequencies out of the lowest level, plus alignment checks.
 
     In the weak-field regime (Zeeman energy well below the zero-field
@@ -204,14 +196,14 @@ def odmr_transitions(
     exactly 2 gamma_e |B|; both diagnostics degrade smoothly with
     misalignment.  Zero field gives a doubly degenerate line (splitting 0).
     """
-    levels = zeeman_levels(field_g, splitting_ghz, gamma_e_ghz_per_g)
+    levels = zeeman_levels(field_g)
     f_minus = float(levels[1] - levels[0])
     f_plus = float(levels[2] - levels[0])
     return OdmrSpectrum(
         f_minus=f_minus,
         f_plus=f_plus,
         splitting=f_plus - f_minus,
-        asymmetry=abs(0.5 * (f_minus + f_plus) - splitting_ghz),
+        asymmetry=abs(0.5 * (f_minus + f_plus) - ZERO_FIELD_SPLITTING_GHZ),
     )
 
 
@@ -225,11 +217,7 @@ class AlignmentResolution:
     note: str = ""
 
 
-def make_simulated_probe(
-    true_field_g,
-    splitting_ghz: float = ZERO_FIELD_SPLITTING_GHZ,
-    gamma_e_ghz_per_g: float = GAMMA_E_GHZ_PER_G,
-):
+def make_simulated_probe(true_field_g):
     """An ODMR probe backed by the level solver: axis -> OdmrSpectrum.
 
     Models re-orienting the defect axis along ``axis`` in a fixed true
@@ -245,9 +233,7 @@ def make_simulated_probe(
             raise ConfigError("probe axis must be a unit vector")
         b_par = float(true @ a)
         b_perp = float(np.linalg.norm(true - b_par * a))
-        return odmr_transitions(
-            (b_perp, 0.0, b_par), splitting_ghz, gamma_e_ghz_per_g
-        )
+        return odmr_transitions((b_perp, 0.0, b_par))
 
     return probe
 
@@ -263,7 +249,6 @@ def resolve_alignment(
     candidates,
     probe,
     tolerance_ghz: float = 1e-3,
-    gamma_e_ghz_per_g: float = GAMMA_E_GHZ_PER_G,
 ) -> AlignmentResolution:
     """Select the sign candidate whose probe spectrum is best aligned.
 
@@ -289,7 +274,7 @@ def resolve_alignment(
         spectrum = probe(cand / mag)
         spectra.append(spectrum)
         symmetric = spectrum.asymmetry <= tolerance_ghz
-        split_ok = abs(spectrum.splitting - 2.0 * gamma_e_ghz_per_g * mag) <= tolerance_ghz
+        split_ok = abs(spectrum.splitting - 2.0 * GAMMA_E_GHZ_PER_G * mag) <= tolerance_ghz
         if symmetric and split_ok:
             gated.append(i)
 

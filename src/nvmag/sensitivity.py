@@ -182,18 +182,17 @@ def min_detectable_field(
 ) -> DetectionLimit:
     """Smallest field change resolvable above shot noise in one run (Gauss).
 
-    delta_B = shot_noise / |dS/dB|.  At response nodes the readout is
-    blind to the field; that is reported as an insensitive result with an
-    infinite limit rather than raised, since scanning tau across nodes is
-    routine.
+    delta_B = shot_noise / |dS/dB| = eta / sqrt(T), with eta from
+    :func:`sensitivity_eta`.  At response nodes the readout is blind to the
+    field; that is reported as an insensitive result with an infinite limit
+    rather than raised, since scanning tau across nodes is routine.
     """
-    cal = cal or Calibration()
-    response = signal_response(tau_ms, field_g, t2, cal)
-    noise = shot_noise(t_total_s, tau_ms * 1e-3, contrast)
-    sin_term = abs(math.sin(2.0 * math.pi * tau_ms * field_g / cal.alpha))
-    if sin_term < _INSENSITIVE_SIN:
-        return DetectionLimit(math.inf, insensitive=True)
-    return DetectionLimit(noise / abs(response), insensitive=False)
+    if tau_ms * 1e-3 > t_total_s:
+        raise DomainError(
+            f"evolution time {tau_ms * 1e-3} s exceeds the total measurement time {t_total_s} s"
+        )
+    eta = sensitivity_eta(tau_ms, field_g, t2, contrast, cal)
+    return DetectionLimit(eta / math.sqrt(t_total_s), insensitive=math.isinf(eta))
 
 
 def sensitivity_eta(

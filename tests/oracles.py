@@ -338,7 +338,6 @@ def pair_spectra_m_kernel(
     h1_right: np.ndarray,
     b: np.ndarray,
     field_arr: np.ndarray,
-    gamma_n: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Time-independent part of the M-product pair kernels for n pairs.
 
@@ -352,8 +351,8 @@ def pair_spectra_m_kernel(
     """
     n = b.size
     h0 = np.broadcast_to(field_arr, (n, 3))
-    e0, v0 = np.linalg.eigh(_batched_pair_hamiltonians(h0, h0, b, gamma_n))
-    e1, v1 = np.linalg.eigh(_batched_pair_hamiltonians(h1_left, h1_right, b, gamma_n))
+    e0, v0 = np.linalg.eigh(_batched_pair_hamiltonians(h0, h0, b))
+    e1, v1 = np.linalg.eigh(_batched_pair_hamiltonians(h1_left, h1_right, b))
     overlap = np.matmul(v0.conj().transpose(0, 2, 1), v1)  # O = V0^+ V1
     k = (overlap[:, :, None, :] * overlap.conj()[:, None, :, :]).reshape(n, 16, 4)
     kern = np.empty((n, 32, 8))

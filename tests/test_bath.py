@@ -58,6 +58,22 @@ class TestLatticeGeometry:
         expected = 8.0 / a_nm**3 * vol
         assert len(small_sites) == pytest.approx(expected, rel=0.05)
 
+    @pytest.mark.parametrize(
+        "name,value",
+        [("lattice_constant", math.nan), ("cutoff_radius", math.inf),
+         ("exclusion_radius", math.nan), ("pair_cutoff", math.nan)],
+    )
+    def test_non_finite_geometry_rejected(self, name, value):
+        # NaN passes every "<= 0" check, and an infinite cutoff would
+        # enumerate lattice cells without end
+        with pytest.raises(ConfigError, match=name):
+            LatticeConfig(**{name: value})
+
+    def test_fractional_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seed"):
+            LatticeConfig(seed=1.5)
+        assert LatticeConfig(seed=np.int64(3)).seed == 3
+
     def test_cutoff_must_exceed_exclusion(self):
         with pytest.raises(ConfigError):
             LatticeConfig(cutoff_radius=0.1, exclusion_radius=1.55)
@@ -205,6 +221,42 @@ class TestPersistence:
         path.write_text('{"spins": "nope"}\n')
         with pytest.raises(ConfigError):
             BathRealization.load(path)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda d: d["spins"][0]["position_nm"].__setitem__(0, math.nan),
+            lambda d: d["spins"][0]["hyperfine_khz"].__setitem__(2, -math.inf),
+            lambda d: d["spins"][0]["hyperfine_khz"].pop(),
+            lambda d: d["spins"][0].__setitem__("position_nm", "abc"),
+            lambda d: d["pair_couplings_khz"][0].__setitem__(2, math.inf),
+            lambda d: d["pair_couplings_khz"][0].__setitem__(2, "1.0"),
+            lambda d: d["pair_couplings_khz"][0].__setitem__(0, 0.9),
+            lambda d: d.__setitem__("seed", 2.7),
+            lambda d: d["config"].__setitem__("pair_cutoff", math.nan),
+            lambda d: d["config"].__setitem__("seed", 1.5),
+        ],
+        ids=["nan-position", "infinite-hyperfine", "two-component-hyperfine",
+             "string-position", "infinite-coupling", "string-coupling", "fractional-index",
+             "fractional-seed", "nan-pair-cutoff", "fractional-config-seed"],
+    )
+    def test_non_finite_or_misshapen_record_rejected(self, small_sites, edit):
+        record = sample_bath(small_sites, LatticeConfig(seed=9, abundance=0.1)).to_json_dict()
+        assert record["pair_couplings_khz"]
+        edit(record)
+        with pytest.raises(ConfigError, match="malformed bath record"):
+            BathRealization.from_json_dict(record)
+
+    def test_gamma_n_other_than_13c_rejected(self, small_sites):
+        # hyperfine and dipolar couplings are computed with the 13C ratio;
+        # a bath claiming another would be evolved inconsistently
+        spin = NuclearSpin((0.5, 0.0, 0.0), (1.0, 0.0, 0.0))
+        with pytest.raises(ConfigError, match="gamma_n"):
+            BathRealization(spins=[spin], pair_couplings={}, gamma_n=2 * GAMMA_N_13C_KHZ_PER_G)
+        record = sample_bath(small_sites, LatticeConfig(seed=9, abundance=0.1)).to_json_dict()
+        record["gamma_n_khz_per_g"] = 2.0
+        with pytest.raises(ConfigError, match="gamma_n"):
+            BathRealization.from_json_dict(record)
 
     def test_pair_index_validation(self):
         spin = NuclearSpin((0.5, 0.0, 0.0), (1.0, 0.0, 0.0))

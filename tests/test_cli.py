@@ -73,13 +73,11 @@ class TestParseHelpers:
 
     def test_window_scales_for_dilute_baths(self):
         t_l = 1.0 / (GAMMA_N_13C_KHZ_PER_G * 10.0)
-        assert _t_max_auto(10.0, 0.003, GAMMA_N_13C_KHZ_PER_G) == pytest.approx(
-            6.2 * t_l
-        )
+        assert _t_max_auto(10.0, 0.003) == pytest.approx(6.2 * t_l)
 
     def test_window_floor_and_cap_at_natural_abundance(self):
-        assert _t_max_auto(10.0, 0.011, GAMMA_N_13C_KHZ_PER_G) == pytest.approx(0.55)
-        assert _t_max_auto(1.0, 0.011, GAMMA_N_13C_KHZ_PER_G) == pytest.approx(1.05)
+        assert _t_max_auto(10.0, 0.011) == pytest.approx(0.55)
+        assert _t_max_auto(1.0, 0.011) == pytest.approx(1.05)
 
     def test_pool_size_env_cap(self, monkeypatch):
         monkeypatch.setenv("NVMAG_THREADS", "2")
@@ -105,6 +103,14 @@ class TestConfigFile:
         cfg.write_text(json.dumps({"cutoff": 1.0}))
         assert run("bath", "--config", cfg, "--out-dir", tmp_path) == 2
         assert "unknown config keys" in capsys.readouterr().err
+
+    def test_gamma_n_is_not_a_config_key(self, tmp_path, capsys):
+        # the 13C ratio is a physical constant, not a setting
+        cfg = write_config(tmp_path, gamma_n=2.0)
+        out_dir = tmp_path / "out"
+        assert run("simulate", "--config", cfg, "--field", "10", "--out-dir", out_dir) == 2
+        assert "unknown config keys: ['gamma_n']" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_missing_file_exits_2(self, tmp_path, capsys):
         rc = run("bath", "--config", tmp_path / "nope.json", "--out-dir", tmp_path)
@@ -304,6 +310,62 @@ class TestSimulateCommand:
         assert calls == []
         assert not out_dir.exists()
 
+    def test_manifest_records_the_saved_bath_settings(self, tmp_path):
+        # the config file's abundance and seed are not what the trace used
+        assert run("bath", "--config", write_config(tmp_path), "--seed", 2,
+                   "--out-dir", tmp_path) == 0
+        cfg = write_config(tmp_path, abundance=0.05, seed=7)
+        rc = run("simulate", "--config", cfg, "--bath", tmp_path / "bath_seed2.json",
+                 "--field", "10", "--t-max", "0.05", "--out-dir", tmp_path)
+        assert rc == 0
+        manifest = json.loads((tmp_path / "simulate_manifest.json").read_text())
+        assert manifest["seeds"] == [2]
+        assert manifest["config"] == {
+            "abundance": 0.011, "cutoff_radius": 1.2, "seed": 2, "t_max": 0.05
+        }
+
+    # unchecked, each of these ends in a traceback (exit 1) or runs on with
+    # plausible numbers (exit 0)
+    @pytest.mark.parametrize(
+        "edit,named",
+        [
+            (lambda d: d["spins"][0]["hyperfine_khz"].__setitem__(1, math.nan), "NaN"),
+            (lambda d: d["pair_couplings_khz"][0].__setitem__(2, math.inf), "Infinity"),
+            (lambda d: d["spins"][0].__setitem__("hyperfine_khz", [1.0, 2.0]),
+             "hyperfine_khz must hold three numbers"),
+            (lambda d: d["spins"][0].__setitem__("position_nm", "abc"),
+             "position_nm must hold three numbers"),
+            (lambda d: d["pair_couplings_khz"][0].__setitem__(0, 0.9),
+             "pair index must be an integer"),
+            (lambda d: d["config"].__setitem__("pair_cutoff", math.nan), "NaN"),
+            (lambda d: d.__setitem__("gamma_n_khz_per_g", 2.0), "gamma_n"),
+        ],
+        ids=["nan-hyperfine", "infinite-coupling", "two-component-hyperfine",
+             "string-position", "fractional-pair-index", "nan-pair-cutoff",
+             "foreign-gamma-n"],
+    )
+    def test_malformed_bath_file_exits_2_before_any_work(
+        self, tmp_path, monkeypatch, capsys, edit, named
+    ):
+        import nvmag.cli
+
+        assert run("bath", "--config", write_config(tmp_path), "--seed", 2,
+                   "--out-dir", tmp_path) == 0
+        record = json.loads((tmp_path / "bath_seed2.json").read_text())
+        edit(record)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(record))  # writes NaN and Infinity as bare literals
+        calls = []
+        monkeypatch.setattr(
+            nvmag.cli, "echo_coherence_trace", lambda *args, **kw: calls.append(args)
+        )
+        out_dir = tmp_path / "out"
+        rc = run("simulate", "--bath", bad, "--field", "10", "--out-dir", out_dir)
+        assert rc == 2
+        assert named in capsys.readouterr().err
+        assert calls == []
+        assert not out_dir.exists()
+
     def test_missing_bath_file_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         rc = run(
@@ -459,6 +521,17 @@ class TestSweepCommand:
         )
         assert rc == 2
         assert "not both" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("window", [(), ("--t-max", "0.5")])
+    def test_zero_field_abundance_sweep_exits_2(self, tmp_path, capsys, window):
+        # a sweep has no --step, and no revival period to sweep at zero field
+        rc = run("sweep", "--abundances", "0.01,0.02,0.03", "--field-magnitude", "0",
+                 *window, "--out-dir", tmp_path / "out")
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "field_magnitude must be nonzero" in err
+        assert "--step" not in err
+        assert not (tmp_path / "out").exists()
 
     def test_needs_a_mode(self, tmp_path):
         assert run("sweep", "--out-dir", tmp_path) == 2

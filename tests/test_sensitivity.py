@@ -133,6 +133,11 @@ class TestMinDetectableField:
         b = min_detectable_field(0.2, 4.0, 1.5, 0.5)
         assert b.delta_B_G == pytest.approx(a.delta_B_G / 2, rel=1e-12)
 
+    def test_evolution_beyond_total_time_rejected(self):
+        # a 2 s evolution does not fit in a 1 s measurement
+        with pytest.raises(DomainError):
+            min_detectable_field(2000.0, 1.0, 1.5, 0.5)
+
 
 # --------------------------------------------------------------- eta
 class TestSensitivityEta:
