@@ -7,10 +7,19 @@ manifest (configuration echo, seeds, package version, output paths,
 wall-clock timing) so the run can be reproduced from the manifest alone.
 extract, invert and odmr without --candidates only print.
 
-Of the common flags, --seed is read by bath, simulate and sweep; --plot by
-simulate, sweep and sensitivity; --format by extract, invert, reconstruct
-and odmr.  simulate --bath takes abundance and seed from the saved bath and
-refuses --abundance and --seed.
+Each subcommand takes only the common flags it reads:
+
+    bath             --config --seed --out-dir
+    simulate, sweep  --config --seed --out-dir --plot
+    extract, invert  --config --format
+    reconstruct      --config --out-dir --format
+    odmr             --out-dir --format
+    sensitivity      --config --out-dir --plot
+
+A flag that another flag overrides is refused: --abundance and --seed next
+to simulate --bath (the saved bath fixes both), --points-per-period next to
+simulate --step, --field-magnitude next to sweep --fields, and --abundance
+next to sweep --abundances.  A config file may still set any of them.
 
 Configuration file (--config) is a flat JSON object; recognized keys:
 
@@ -50,6 +59,7 @@ from .bath import (
 )
 from .constants import G_TO_UT, READOUT_CONTRAST_DEFAULT
 from .decoherence import (
+    POINTS_PER_LARMOR_PERIOD_DEFAULT,
     CoherenceTrace,
     EchoSchedule,
     FieldVector,
@@ -240,12 +250,12 @@ class Run:
         self.ns = ns
         self.settings = Settings(ns)
         self.manifest = RunManifest(ns.command, __version__, self.settings.echo_config())
-        self.out_dir = Path(ns.out_dir)
 
     def output(self, name: str) -> Path:
         """Register output ``name`` in the manifest; the out-dir is created here."""
-        self.out_dir.mkdir(parents=True, exist_ok=True)
-        return self.manifest.add_output(self.out_dir / name)
+        out_dir = Path(self.ns.out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        return self.manifest.add_output(out_dir / name)
 
     def write_text(self, name: str, text: str) -> Path:
         path = self.output(name)
@@ -266,7 +276,7 @@ class Run:
     def finish(self, result: str | dict) -> int:
         if self.manifest.outputs:
             self.manifest.timings_s["total"] = time.perf_counter() - self.t0
-            self.manifest.write(self.out_dir)
+            self.manifest.write(Path(self.ns.out_dir))
         if isinstance(result, str):
             print(result)
         elif self.ns.format == "csv":
@@ -292,9 +302,8 @@ def _schedule(
         t_max = _t_max_auto(b_mag, abundance)
     if step is not None:
         return EchoSchedule.regular(t_max, step)
-    return EchoSchedule.for_field(
-        b_mag, t_max, points_per_period=settings.integer("points_per_period", 48)
-    )
+    per_period = settings.integer("points_per_period", POINTS_PER_LARMOR_PERIOD_DEFAULT)
+    return EchoSchedule.for_field(b_mag, t_max, points_per_period=per_period)
 
 
 def _resolve(candidates, true_field: str):
@@ -327,6 +336,8 @@ def cmd_simulate(run: Run) -> str:
     ns, settings = run.ns, run.settings
     field = _parse_field(ns.field)
     step = settings.number("step", None)
+    if step is not None and ns.points_per_period is not None:
+        raise ConfigError("--step fixes the grid; drop --points-per-period")
     if ns.bath:
         if ns.abundance is not None or ns.seed is not None:
             raise ConfigError("--bath fixes abundance and seed; drop --abundance and --seed")
@@ -368,9 +379,13 @@ def cmd_sweep(run: Run) -> str:
     if ns.fields and ns.abundances:
         raise ConfigError("sweep takes --fields or --abundances, not both")
     if ns.fields:
+        if ns.field_magnitude is not None:
+            raise ConfigError("--fields sweeps the field; drop --field-magnitude")
         keys = _parse_float_list(ns.fields, "--fields")
         key_name, mode, fits = "B_G", "field", {"T_R_vs_B": "T_R", "T_w_vs_B": "T_w"}
     elif ns.abundances:
+        if ns.abundance is not None:
+            raise ConfigError("--abundances sweeps the abundance; drop --abundance")
         keys = _parse_float_list(ns.abundances, "--abundances")
         key_name, mode, fits = "abundance", "abundance", {"T2_vs_abundance": "T2"}
     else:
@@ -570,15 +585,22 @@ def cmd_sensitivity(run: Run) -> str:
 # ---------------------------------------------------------------- parser
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="flat JSON config file")
-    sub.add_argument("--seed", type=int, default=None, help="base RNG seed")
-    sub.add_argument("--out-dir", default=".", help="output directory")
-    sub.add_argument(
-        "--format", choices=("csv", "json"), default="json",
-        help="stdout format for scalar results",
-    )
-    sub.add_argument("--plot", action="store_true", help="also write SVG plots")
+_COMMON_FLAGS = {
+    "--config": {"help": "flat JSON config file"},
+    "--seed": {"type": int, "help": "base RNG seed"},
+    "--out-dir": {"default": ".", "help": "output directory"},
+    "--format": {
+        "choices": ("csv", "json"), "default": "json",
+        "help": "stdout format for scalar results",
+    },
+    "--plot": {"action": "store_true", "help": "also write SVG plots"},
+}
+
+
+def _add_common(sub: argparse.ArgumentParser, *flags: str) -> None:
+    """Add the common ``flags`` the command reads, each as in ``_COMMON_FLAGS``."""
+    for flag in flags:
+        sub.add_argument(flag, **_COMMON_FLAGS[flag])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -593,7 +615,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--abundance", type=float, default=None)
     p.add_argument("--cutoff-radius", dest="cutoff_radius", type=float, default=None)
     p.add_argument("--pair-cutoff", dest="pair_cutoff", type=float, default=None)
-    _add_common(p)
+    _add_common(p, "--config", "--seed", "--out-dir")
     p.set_defaults(func=cmd_bath)
 
     p = subs.add_parser("simulate", help="compute an echo coherence trace")
@@ -605,7 +627,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--points-per-period", dest="points_per_period", type=int, default=None
     )
-    _add_common(p)
+    _add_common(p, "--config", "--seed", "--out-dir", "--plot")
     p.set_defaults(func=cmd_simulate)
 
     p = subs.add_parser("sweep", help="field or abundance sweep with fits")
@@ -622,20 +644,20 @@ def build_parser() -> argparse.ArgumentParser:
         "--points-per-period", dest="points_per_period", type=int, default=None
     )
     p.add_argument("--prominence", type=float, default=None)
-    _add_common(p)
+    _add_common(p, "--config", "--seed", "--out-dir", "--plot")
     p.set_defaults(func=cmd_sweep)
 
     p = subs.add_parser("extract", help="timescales from a trace CSV")
     p.add_argument("--trace", required=True)
     p.add_argument("--prominence", type=float, default=None)
-    _add_common(p)
+    _add_common(p, "--config", "--format")
     p.set_defaults(func=cmd_extract)
 
     p = subs.add_parser("invert", help="revival spacing -> field magnitude")
     p.add_argument("--tr", required=True, type=float, help="revival spacing (ms)")
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--alpha-source", dest="alpha_source", default=None)
-    _add_common(p)
+    _add_common(p, "--config", "--format")
     p.set_defaults(func=cmd_invert)
 
     p = subs.add_parser("reconstruct", help="three axis measurements -> field vector")
@@ -646,14 +668,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--resolve-true", dest="resolve_true", default=None,
         help="true field for a simulated alignment probe",
     )
-    _add_common(p)
+    _add_common(p, "--config", "--out-dir", "--format")
     p.set_defaults(func=cmd_reconstruct)
 
     p = subs.add_parser("odmr", help="level spectrum and alignment diagnostics")
     p.add_argument("--field", required=True)
     p.add_argument("--candidates", help="JSON list of candidate field vectors")
     p.add_argument("--true-field", dest="true_field", default=None)
-    _add_common(p)
+    _add_common(p, "--out-dir", "--format")
     p.set_defaults(func=cmd_odmr)
 
     p = subs.add_parser("sensitivity", help="shot-noise sensitivity report")
@@ -662,7 +684,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-centers", dest="n_centers", type=int, default=None)
     p.add_argument("--field", default=None, help="scan field (G); default: matched")
     p.add_argument("--tau-points", dest="tau_points", type=int, default=400)
-    _add_common(p)
+    _add_common(p, "--config", "--out-dir", "--plot")
     p.set_defaults(func=cmd_sensitivity)
 
     return parser

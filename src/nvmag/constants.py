@@ -46,11 +46,6 @@ NUCLEAR_DIPOLE_PREFACTOR_KHZ_NM3 = (
 # prediction it should stay close to.
 ALPHA_MS_G = 0.9366
 
-# Power law for the width of the first coherence peak, T_w = C * B^p with t
-# in ms and B in Gauss.
-TW_COEFF_MS = 0.0427
-TW_EXPONENT = -0.65
-
 READOUT_CONTRAST_DEFAULT = 0.3
 
 NATURAL_ABUNDANCE_13C = 0.011

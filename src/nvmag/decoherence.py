@@ -38,7 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bath import BathRealization, NuclearSpin
+from .bath import BathRealization, NuclearSpin, load_strict_json
 from .constants import GAMMA_N_13C_KHZ_PER_G
 from .errors import (
     ConfigError,
@@ -62,8 +62,10 @@ _PAIR_DIPOLAR_OP = np.array(
     dtype=complex,
 )
 
-# Minimum sampling of the expected revival period demanded of a time grid.
+# Minimum sampling of the expected revival period demanded of a time grid,
+# and the sampling EchoSchedule.for_field uses unless told otherwise.
 POINTS_PER_LARMOR_PERIOD_MIN = 40
+POINTS_PER_LARMOR_PERIOD_DEFAULT = 48
 
 # A pair's correction ratio  L_pair / (L_i L_j)  is indeterminate where its
 # constituent single factors pass through zero (numerator and denominator
@@ -190,7 +192,7 @@ class EchoSchedule:
         cls,
         field_magnitude_g: float,
         t_max_ms: float,
-        points_per_period: int = 48,
+        points_per_period: int = POINTS_PER_LARMOR_PERIOD_DEFAULT,
     ) -> "EchoSchedule":
         """Regular grid resolving the revival period at the given field."""
         if field_magnitude_g == 0.0:
@@ -271,10 +273,7 @@ class CoherenceTrace:
         if data.shape[1] != 2:
             raise ConfigError(f"{csv_path} is not a two-column trace file")
         sidecar = csv_path.with_suffix(".json")
-        metadata = {}
-        if sidecar.exists():
-            with open(sidecar) as fh:
-                metadata = json.load(fh)
+        metadata = load_strict_json(sidecar, "trace sidecar") if sidecar.exists() else {}
         return cls(t_grid=data[:, 0], values=data[:, 1], metadata=metadata)
 
 

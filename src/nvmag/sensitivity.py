@@ -32,19 +32,16 @@ _INSENSITIVE_SIN = 1e-12
 
 @dataclass(frozen=True)
 class ReadoutModel:
-    """Readout constants: contrast factor, center count, total time (s)."""
+    """Readout constants: contrast factor and center count."""
 
     C: float = READOUT_CONTRAST_DEFAULT
     n_centers: int = 1
-    T_total_s: float = 1.0
 
     def __post_init__(self) -> None:
         if not 0.0 < self.C <= 1.0:
             raise ConfigError(f"contrast C must be in (0, 1], got {self.C}")
         if self.n_centers < 1 or int(self.n_centers) != self.n_centers:
             raise ConfigError("n_centers must be a positive integer")
-        if self.T_total_s <= 0:
-            raise ConfigError("total measurement time must be positive")
 
 
 @dataclass(frozen=True)
@@ -65,9 +62,8 @@ class OptimalPoint:
 
     eta_min_G_sqHz: float
     tau_opt_ms: float
-    matched_B_G: float  # field whose revival spacing puts a response
-    # antinode exactly at tau_opt (harmonic index k below)
-    harmonic_k: int
+    matched_B_G: float  # field whose revival spacing puts the k = 0
+    # response antinode exactly at tau_opt
     ensemble_eta_G_sqHz: float
 
     @property
@@ -264,7 +260,6 @@ def optimal_sensitivity(
         eta_min_G_sqHz=eta_min,
         tau_opt_ms=tau_opt,
         matched_B_G=matched_b,
-        harmonic_k=0,
         ensemble_eta_G_sqHz=eta_min / math.sqrt(n_centers),
     )
 

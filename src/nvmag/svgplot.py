@@ -12,6 +12,7 @@ import math
 from .errors import ConfigError
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
+_WIDTH, _HEIGHT = 640, 420
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 64, 16, 34, 46
 
 
@@ -54,8 +55,6 @@ def line_plot(
     y_label: str = "",
     log_x: bool = False,
     log_y: bool = False,
-    width: int = 640,
-    height: int = 420,
     markers: bool = True,
 ) -> str:
     """Render labeled (x, y) series to an SVG document string.
@@ -89,8 +88,8 @@ def line_plot(
         pad = 0.06 * (y_hi - y_lo)
         y_lo, y_hi = y_lo - pad, y_hi + pad
 
-    plot_w = width - _MARGIN_L - _MARGIN_R
-    plot_h = height - _MARGIN_T - _MARGIN_B
+    plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
+    plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
 
     def sx(x: float) -> float:
         f = (
@@ -109,15 +108,15 @@ def line_plot(
         return _MARGIN_T + (1.0 - f) * plot_h
 
     out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}" font-family="sans-serif" font-size="11">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
+        f'viewBox="0 0 {_WIDTH} {_HEIGHT}" font-family="sans-serif" font-size="11">',
+        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
         f'<rect x="{_MARGIN_L}" y="{_MARGIN_T}" width="{plot_w}" height="{plot_h}" '
         'fill="none" stroke="#333" stroke-width="1"/>',
     ]
     if title:
         out.append(
-            f'<text x="{width / 2:.1f}" y="20" text-anchor="middle" '
+            f'<text x="{_WIDTH / 2:.1f}" y="20" text-anchor="middle" '
             f'font-size="13">{title}</text>'
         )
 
@@ -145,7 +144,7 @@ def line_plot(
         )
     if x_label:
         out.append(
-            f'<text x="{_MARGIN_L + plot_w / 2:.1f}" y="{height - 10}" '
+            f'<text x="{_MARGIN_L + plot_w / 2:.1f}" y="{_HEIGHT - 10}" '
             f'text-anchor="middle">{x_label}</text>'
         )
     if y_label:

@@ -25,9 +25,11 @@ from .errors import (
 
 PROMINENCE_DEFAULT = 0.02
 _MAX_TALL_PEAKS = 24
-_COMB_JITTER_SCALE = 0.02
 _COMB_JITTER_GRID_STEPS = 2.0
 ONE_OVER_E = 1.0 / math.e
+# extract_Tw's first collapse ends where the trace rises this far above its
+# running minimum: the onset of the first revival
+_RISE_TOLERANCE = 0.1
 
 # Flags carried by TimescaleSet instead of raising mid-pipeline.
 FLAG_NO_REVIVAL = "no-revival"
@@ -105,27 +107,24 @@ class PowerLawFit:
 
 
 def find_revival_peaks(
-    trace: CoherenceTrace,
-    prominence: float = PROMINENCE_DEFAULT,
-    min_height: float | None = None,
+    trace: CoherenceTrace, prominence: float = PROMINENCE_DEFAULT
 ) -> list[RevivalPeak]:
     """Locate revival peaks, sub-grid refined, with t = 0 as peak zero.
 
-    Interior local maxima must clear both the prominence threshold and a
-    height floor (defaulting to the prominence value); each is then refined
-    by a three-point parabola through its neighbours.  If the grid starts
-    at zero that point is always included as the zeroth peak.
+    Interior local maxima must clear the prominence threshold and reach at
+    least that value in height; each is then refined by a three-point
+    parabola through its neighbours.  If the grid starts at zero that point
+    is always included as the zeroth peak.
     """
     if prominence <= 0:
         raise ConfigError("prominence must be positive")
-    height = prominence if min_height is None else min_height
     grid, values = trace.t_grid, trace.values
 
     peaks: list[RevivalPeak] = []
     if grid.size and grid[0] == 0.0:
         peaks.append(RevivalPeak(0.0, float(values[0])))
 
-    idx, _ = find_peaks(values, prominence=prominence, height=height)
+    idx, _ = find_peaks(values, prominence=prominence, height=prominence)
     for i in idx:
         if i <= 0 or i >= grid.size - 1:
             continue
@@ -148,15 +147,14 @@ _TIEBREAK_FRACTION = 0.92
 
 
 def _index_regression(
-    times: np.ndarray, indices: np.ndarray, grid_step_ms: float | None
+    times: np.ndarray, indices: np.ndarray, grid_step_ms: float
 ) -> tuple[float, float]:
     """Least-squares slope of peak time against revival index."""
     if len(np.unique(indices)) == 2:
         order = np.argsort(indices)
         lo, hi = order[0], order[-1]
         spacing = (times[hi] - times[lo]) / (indices[hi] - indices[lo])
-        err = float("nan") if grid_step_ms is None else float(grid_step_ms)
-        return float(spacing), err
+        return float(spacing), float(grid_step_ms)
     design = np.vstack([indices, np.ones_like(indices)]).T
     coeffs, *_ = np.linalg.lstsq(design, times, rcond=None)
     slope = float(coeffs[0])
@@ -212,7 +210,7 @@ def _comb_scores(
     t_sc: np.ndarray,
     w_sc: np.ndarray,
     t_last: float,
-    grid_step_ms: float | None,
+    grid_step_ms: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Converge every candidate period onto the jury of tall maxima, and score it.
 
@@ -283,22 +281,15 @@ def _comb_scores(
     # — relative to the candidate period it would flatter subharmonics,
     # whose teeth see the same scatter divided by a longer period
     rms_ms = np.sqrt(spread / np.where(total > 0, total, np.inf))
-    scale_ms = (
-        _COMB_JITTER_GRID_STEPS * grid_step_ms
-        if grid_step_ms is not None
-        else _COMB_JITTER_SCALE * refined
-    )
-    tightness = 1.0 / (1.0 + (rms_ms / scale_ms) ** 2)
+    tightness = 1.0 / (1.0 + (rms_ms / (_COMB_JITTER_GRID_STEPS * grid_step_ms)) ** 2)
     return np.where(judged, total * coverage * tightness, 0.0), refined
 
 
-def extract_TR(
-    peaks: list[RevivalPeak], grid_step_ms: float | None = None
-) -> tuple[float, float]:
+def extract_TR(peaks: list[RevivalPeak], grid_step_ms: float) -> tuple[float, float]:
     """Revival spacing (ms) from the peak train, with an uncertainty.
 
     With exactly two peaks the spacing itself is returned and the grid step
-    (when known) stands in for the uncertainty.  With more, the spacing is
+    stands in for the uncertainty.  With more, the spacing is
     found by a comb search: every observed gap and every difference between
     tall maxima (with small integer submultiples) is tried as a candidate
     period.  Each candidate is converged onto the peak train by iterated
@@ -314,11 +305,9 @@ def extract_TR(
     snapped to integer revival indices against the winning period —
     dropping ringing maxima that sit off the comb and tolerating missed
     revivals — and the spacing is the least-squares slope of time against
-    index.  A ``grid_step_ms`` that is given must be positive and finite.
+    index.  ``grid_step_ms`` must be positive and finite.
     """
-    if grid_step_ms is not None and not (
-        math.isfinite(grid_step_ms) and grid_step_ms > 0
-    ):
+    if not (math.isfinite(grid_step_ms) and grid_step_ms > 0):
         raise ConfigError(f"grid step must be positive and finite, got {grid_step_ms}")
     if len(peaks) < 2:
         raise NoRevivalError(
@@ -327,14 +316,13 @@ def extract_TR(
     times = np.array([p.time for p in peaks], dtype=float)
     heights = np.array([p.height for p in peaks], dtype=float)
     if len(peaks) == 2:
-        spacing = float(times[1] - times[0])
-        return spacing, float("nan") if grid_step_ms is None else float(grid_step_ms)
+        return float(times[1] - times[0]), float(grid_step_ms)
 
     # physical coherence cannot exceed 1: heights beyond that are pair
     # truncation artifacts and must not carry extra voting power
     capped = np.clip(heights, 0.0, 1.0)
     gaps = np.diff(times)
-    floor = 3.0 * grid_step_ms if grid_step_ms is not None else float(gaps.min()) * 0.4
+    floor = 3.0 * grid_step_ms
 
     # candidate periods: differences between tall peaks, not just adjacent
     # gaps — ringing maxima between revivals would otherwise chop every
@@ -435,13 +423,11 @@ def extract_T2(peaks: list[RevivalPeak]) -> tuple[float, float]:
     return float(t2), float(slope_err / slope**2)
 
 
-def extract_Tw(
-    trace: CoherenceTrace, rise_tolerance: float = 0.1
-) -> tuple[float, float]:
+def extract_Tw(trace: CoherenceTrace) -> tuple[float, float]:
     """First-collapse width: the first 1/e crossing, linearly interpolated.
 
     The search is confined to the first collapse: it stops where the trace
-    has rebounded by more than ``rise_tolerance`` above its running minimum
+    has rebounded by more than ``_RISE_TOLERANCE`` above its running minimum
     (the onset of the first revival).  No crossing inside that window is a
     :class:`CrossingNotFoundError`.
     """
@@ -449,7 +435,7 @@ def extract_Tw(
     if grid.size < 2:
         raise CrossingNotFoundError("trace too short to locate a 1/e crossing")
     running_min = np.minimum.accumulate(values)
-    rebounded = np.nonzero(values > running_min + rise_tolerance)[0]
+    rebounded = np.nonzero(values > running_min + _RISE_TOLERANCE)[0]
     stop = int(rebounded[0]) if rebounded.size else grid.size
     segment = values[:stop]
     below = np.nonzero(segment < ONE_OVER_E)[0]
@@ -464,26 +450,25 @@ def extract_Tw(
 
 
 def extract_timescales(
-    trace: CoherenceTrace,
-    prominence: float = PROMINENCE_DEFAULT,
-    rise_tolerance: float = 0.1,
+    trace: CoherenceTrace, prominence: float = PROMINENCE_DEFAULT
 ) -> TimescaleSet:
     """All three timescales from one trace, failures downgraded to flags."""
     flags: list[str] = []
     peaks = find_revival_peaks(trace, prominence=prominence)
-    grid_step = float(np.median(np.diff(trace.t_grid))) if len(trace) > 1 else None
 
     t_w = t_w_err = math.nan
     try:
-        t_w, t_w_err = extract_Tw(trace, rise_tolerance=rise_tolerance)
+        t_w, t_w_err = extract_Tw(trace)
     except CrossingNotFoundError:
         flags.append(FLAG_NO_CROSSING)
 
+    # two peaks need an interior point, so a trace with two peaks has a step
     t_r = t_r_err = math.nan
-    try:
-        t_r, t_r_err = extract_TR(peaks, grid_step_ms=grid_step)
-    except NoRevivalError:
+    if len(peaks) < 2:
         flags.append(FLAG_NO_REVIVAL)
+    else:
+        grid_step = float(np.median(np.diff(trace.t_grid)))
+        t_r, t_r_err = extract_TR(peaks, grid_step_ms=grid_step)
 
     # the envelope lives on the revival comb: once the spacing is known,
     # inter-revival ringing maxima must not masquerade as envelope samples

@@ -23,7 +23,6 @@ from nvmag.decoherence import _batched_pair_hamiltonians, _cos_sin_from_half
 from nvmag.errors import NoRevivalError
 from nvmag.timescales import (
     _COMB_JITTER_GRID_STEPS,
-    _COMB_JITTER_SCALE,
     _MAX_TALL_PEAKS,
     _SNAP_TOLERANCE,
     _TIEBREAK_FRACTION,
@@ -37,6 +36,10 @@ IX = np.array([[0.0, 0.5], [0.5, 0.0]], dtype=complex)
 IY = np.array([[0.0, -0.5j], [0.5j, 0.0]], dtype=complex)
 IZ = np.array([[0.5, 0.0], [0.0, -0.5]], dtype=complex)
 I2 = np.eye(2, dtype=complex)
+
+# extract_TR_loop's jitter scale, as a fraction of the candidate period, for
+# a peak train whose grid step is unknown
+_COMB_JITTER_SCALE = 0.02
 
 
 def _embed(op: np.ndarray, site: int, n: int) -> np.ndarray:

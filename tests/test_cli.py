@@ -5,6 +5,7 @@ directory, so the assertions cover argument parsing, the settings layering,
 manifest writing, and the error-to-exit-code mapping together.
 """
 
+import argparse
 import json
 import math
 import xml.etree.ElementTree as ET
@@ -13,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nvmag.cli import RunManifest, _parse_field, _t_max_auto, main
+from nvmag.cli import RunManifest, _parse_field, _t_max_auto, build_parser, main
 from nvmag.constants import ALPHA_MS_G, GAMMA_N_13C_KHZ_PER_G
 from nvmag.decoherence import CoherenceTrace, EchoSchedule, _pool_size, analytic_trace
 from nvmag.errors import ConfigError, PhysicsError
@@ -51,6 +52,87 @@ class TestTopLevelParser:
         with pytest.raises(SystemExit) as exc:
             run()
         assert exc.value.code == 2
+
+
+# the common flags each command reads, and so the only ones it accepts
+COMMON_FLAGS = {
+    "bath": ("--config", "--seed", "--out-dir"),
+    "simulate": ("--config", "--seed", "--out-dir", "--plot"),
+    "sweep": ("--config", "--seed", "--out-dir", "--plot"),
+    "extract": ("--config", "--format"),
+    "invert": ("--config", "--format"),
+    "reconstruct": ("--config", "--out-dir", "--format"),
+    "odmr": ("--out-dir", "--format"),
+    "sensitivity": ("--config", "--out-dir", "--plot"),
+}
+ALL_COMMON_FLAGS = ("--config", "--seed", "--out-dir", "--format", "--plot")
+UNREAD_FLAGS = [
+    (command, flag)
+    for command, flags in COMMON_FLAGS.items()
+    for flag in ALL_COMMON_FLAGS
+    if flag not in flags
+]
+
+
+class TestCommonFlags:
+    def test_each_command_takes_exactly_the_common_flags_it_reads(self):
+        subs = next(
+            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        ).choices
+        assert set(subs) == set(COMMON_FLAGS)
+        for command, sub in subs.items():
+            options = [opt for action in sub._actions for opt in action.option_strings]
+            common = tuple(opt for opt in options if opt in ALL_COMMON_FLAGS)
+            assert common == COMMON_FLAGS[command], command
+        assert len(UNREAD_FLAGS) == 17
+
+    @pytest.mark.parametrize("command,flag", UNREAD_FLAGS)
+    def test_unread_flag_exits_2_before_any_work(self, tmp_path, capsys, command, flag):
+        out_dir = tmp_path / "out"
+        required = {
+            "bath": (), "simulate": ("--field", "10"), "sweep": ("--fields", "5,10,20"),
+            "extract": ("--trace", "t.csv"), "invert": ("--tr", "0.0933"),
+            "reconstruct": ("--measurements", "m.json"), "odmr": ("--field", "10"),
+            "sensitivity": (),
+        }[command]
+        value = {"--config": ("c.json",), "--seed": ("3",), "--out-dir": (out_dir,),
+                 "--format": ("csv",), "--plot": ()}[flag]
+        own_out_dir = ("--out-dir", out_dir) if "--out-dir" in COMMON_FLAGS[command] else ()
+        with pytest.raises(SystemExit) as exc:
+            run(command, *required, flag, *value, *own_out_dir)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    # each pair: a flag, then a flag it overrides that would be accepted unused
+    OVERRIDES = [
+        ("simulate", ("--field", "10", "--step", "0.002"), ("--points-per-period", "44")),
+        ("sweep", ("--fields", "5,10,20"), ("--field-magnitude", "7")),
+        ("sweep", ("--abundances", "0.005,0.011,0.02"), ("--abundance", "0.03")),
+    ]
+
+    @pytest.mark.parametrize("command,args,overridden", OVERRIDES)
+    def test_overridden_flag_exits_2_before_any_work(
+        self, tmp_path, monkeypatch, capsys, command, args, overridden
+    ):
+        import nvmag.cli
+
+        calls = []
+        monkeypatch.setattr(nvmag.cli, "sample_bath", lambda *a: calls.append(a))
+        out_dir = tmp_path / "out"
+        assert run(command, *args, *overridden, "--out-dir", out_dir) == 2
+        assert f"drop {overridden[0]}" in capsys.readouterr().err
+        assert calls == []
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("command,args,overridden", OVERRIDES)
+    def test_overridden_value_from_config_file_is_allowed(
+        self, tmp_path, command, args, overridden
+    ):
+        key = overridden[0].removeprefix("--").replace("-", "_")
+        cfg = write_config(tmp_path, **{key: float(overridden[1]), "realizations": 1})
+        assert run(command, "--config", cfg, *args, "--t-max", "0.05",
+                   "--out-dir", tmp_path / "out") == 0
 
 
 class TestParseHelpers:
@@ -592,7 +674,7 @@ class TestExtractCommand:
 
     def test_extract_analytic_trace(self, tmp_path, capsys):
         path = self.make_trace(tmp_path)
-        assert run("extract", "--trace", path, "--out-dir", tmp_path) == 0
+        assert run("extract", "--trace", path) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["T_R_ms"] == pytest.approx(0.5, rel=5e-3)
         assert payload["T2_ms"] == pytest.approx(1.0, rel=1e-2)
@@ -601,10 +683,7 @@ class TestExtractCommand:
 
     def test_format_csv_prints_flat_table(self, tmp_path, capsys):
         path = self.make_trace(tmp_path)
-        rc = run(
-            "extract", "--trace", path, "--format", "csv", "--out-dir", tmp_path
-        )
-        assert rc == 0
+        assert run("extract", "--trace", path, "--format", "csv") == 0
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 2
         header = lines[0].split(",")
@@ -614,12 +693,12 @@ class TestExtractCommand:
         assert float(by_name["T_R_ms"]) == pytest.approx(0.5, rel=5e-3)
 
     def test_missing_trace_exits_2(self, tmp_path):
-        assert run("extract", "--trace", tmp_path / "none.csv", "--out-dir", tmp_path) == 2
+        assert run("extract", "--trace", tmp_path / "none.csv") == 2
 
     def test_malformed_trace_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
         path.write_text("t_ms,L\nfoo,bar\n")
-        assert run("extract", "--trace", path, "--out-dir", tmp_path) == 2
+        assert run("extract", "--trace", path) == 2
         assert "trace file" in capsys.readouterr().err
 
     def test_nan_row_exits_2(self, tmp_path, capsys):
@@ -627,14 +706,20 @@ class TestExtractCommand:
         lines = path.read_text().splitlines()
         lines[50] = lines[50].split(",")[0] + ",nan"
         path.write_text("\n".join(lines) + "\n")
-        assert run("extract", "--trace", path, "--out-dir", tmp_path) == 2
+        assert run("extract", "--trace", path) == 2
         assert "finite" in capsys.readouterr().err
+
+    def test_non_finite_sidecar_exits_2(self, tmp_path, capsys):
+        path = self.make_trace(tmp_path)
+        path.with_suffix(".json").write_text('{"abundance": NaN}\n')
+        assert run("extract", "--trace", path) == 2
+        assert "trace sidecar holds NaN" in capsys.readouterr().err
 
     def test_flat_trace_downgrades_to_flags(self, tmp_path, capsys):
         path = tmp_path / "flat.csv"
         rows = "\n".join(f"{0.01 * k!r},1.0" for k in range(40))
         path.write_text("t_ms,L\n" + rows + "\n")
-        assert run("extract", "--trace", path, "--out-dir", tmp_path) == 0
+        assert run("extract", "--trace", path) == 0
         payload = strict_json(capsys.readouterr().out)
         assert "no-revival" in payload["flags"]
         assert "no-crossing" in payload["flags"]
