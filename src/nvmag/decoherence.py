@@ -77,6 +77,10 @@ PAIR_RATIO_FLOOR = 1e-4
 
 _LOG_FLOOR = 1e-300
 
+# Spins per row block in which a trace fills its (N, T) single-spin tables
+# in place, so that no full-size temporary is ever live next to them.
+SINGLE_ROWS_PER_BLOCK = 32
+
 # Pairs per batch, the unit of a trace's pool work: one pair-spectra call
 # each.  A spectra call has a fixed cost of about 0.1 ms, which small
 # batches pay over and over.  The batch size must not depend on the worker
@@ -357,6 +361,29 @@ def _single_factors_on_grid(h0: np.ndarray, h1: np.ndarray, tau_grid: np.ndarray
     return 1.0 - 2.0 * k[:, None] * s0sq[None, :] * s1sq
 
 
+def _single_tables(h0: np.ndarray, h1: np.ndarray, tau: np.ndarray) -> tuple:
+    """The trace's (N, T) single-spin factors, their clamped log magnitudes,
+    and per grid point the count of negative factors.
+
+    Both tables are allocated once and filled :data:`SINGLE_ROWS_PER_BLOCK`
+    spins at a time, with the same per-element operations as
+    :func:`_single_factors_on_grid` over the whole grid, so only block-sized
+    temporaries are ever live next to them.
+    """
+    singles = np.empty((h1.shape[0], tau.size))
+    log_singles = np.empty_like(singles)
+    neg_count = np.zeros(tau.size, dtype=int)
+    for lo in range(0, h1.shape[0], SINGLE_ROWS_PER_BLOCK):
+        rows = slice(lo, lo + SINGLE_ROWS_PER_BLOCK)
+        block, log_block = singles[rows], log_singles[rows]
+        block[...] = _single_factors_on_grid(h0, h1[rows], tau)
+        np.abs(block, out=log_block)
+        np.maximum(log_block, _LOG_FLOOR, out=log_block)
+        np.log(log_block, out=log_block)
+        neg_count += np.sum(block < 0.0, axis=0)
+    return singles, log_singles, neg_count
+
+
 def _batched_pair_hamiltonians(
     h_left: np.ndarray, h_right: np.ndarray, b: np.ndarray
 ) -> np.ndarray:
@@ -575,8 +602,9 @@ def echo_coherence_trace(
     partial log magnitude and sign-parity sums over its pairs into the
     batch's, in chunk order.  The calling thread adds the batch partials in
     batch order.  The batch size does not depend on the worker count, so
-    the trace is bit-identical at every thread count.  Memory is the (N, T)
-    single-spin tables plus, per worker, one workspace of
+    the trace is bit-identical at every thread count.  Memory is two (N, T)
+    tables, the single-spin factors and their log magnitudes, built in place
+    (:func:`_single_tables`), plus, per worker, one workspace of
     :data:`_WORKSPACE_ROWS` doubles per pair-point of a chunk (3.25 MiB up
     to 16,384 grid points), its batch's spectra (57 doubles per pair) and
     one chunk's few (n, T) fold temporaries.
@@ -606,10 +634,8 @@ def echo_coherence_trace(
             nyquist = 0.5 / float(np.max(np.diff(tau)))
             rates = GAMMA_N_13C_KHZ_PER_G * np.linalg.norm(h1, axis=1)
             undersampled = int(np.count_nonzero(rates > nyquist))
-        singles = _single_factors_on_grid(field_arr, h1, tau)
-        log_singles = np.log(np.maximum(np.abs(singles), _LOG_FLOOR))
+        singles, log_singles, neg_parity = _single_tables(field_arr, h1, tau)
         log_total = np.sum(log_singles, axis=0)
-        neg_parity = np.sum(singles < 0.0, axis=0)
         workspaces = threading.local()
 
         def fold(batch):

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import find_peaks
 
 from .decoherence import CoherenceTrace
 from .errors import (
@@ -123,6 +122,9 @@ def find_revival_peaks(
     peaks: list[RevivalPeak] = []
     if grid.size and grid[0] == 0.0:
         peaks.append(RevivalPeak(0.0, float(values[0])))
+
+    # deferred: scipy.signal loads stats, optimize and more, which simulation never needs
+    from scipy.signal import find_peaks
 
     idx, _ = find_peaks(values, prominence=prominence, height=prominence)
     for i in idx:

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from nvmag import decoherence
 from nvmag.bath import (
     BathRealization,
     LatticeConfig,
@@ -29,6 +30,7 @@ from nvmag.decoherence import (
     pair_echo_factor,
     required_time_step,
     single_spin_echo_factor,
+    _LOG_FLOOR,
     _WORKSPACE_ROWS,
     _cos_sin_from_half,
     _kernel_chunks,
@@ -36,6 +38,7 @@ from nvmag.decoherence import (
     _pair_kernel_factors,
     _pair_spectra,
     _single_factors_on_grid,
+    _single_tables,
 )
 from nvmag.errors import (
     ConfigError,
@@ -474,6 +477,52 @@ class TestEchoCoherenceTrace:
         finally:
             tracemalloc.stop()
         assert peak < 24e6
+
+    def test_single_tables_fill_in_blocks_as_one_full_table(self, full_sites, monkeypatch):
+        # 514 spins, some factors negative: blocks of 7 rows leave a ragged
+        # last block, and neither the tables nor the trace may notice
+        bath = sample_bath(full_sites, LatticeConfig(abundance=0.011, seed=1, pair_cutoff=0.3))
+        assert len(bath) == 514
+        field = FieldVector.along_z(100.0)
+        sched = EchoSchedule.for_field(100.0, t_max_ms=0.55)
+        default = echo_coherence_trace(bath, field, sched)
+        monkeypatch.setattr(decoherence, "SINGLE_ROWS_PER_BLOCK", 7)
+        blocked = echo_coherence_trace(bath, field, sched)
+        assert blocked.values.tobytes() == default.values.tobytes()
+        assert blocked.metadata == default.metadata
+
+        h1 = effective_field(field, bath.hyperfine, 1)
+        singles, log_singles, neg_count = _single_tables(field.as_array(), h1, sched.t_grid)
+        full = _single_factors_on_grid(field.as_array(), h1, sched.t_grid)
+        assert singles.tobytes() == full.tobytes()
+        assert log_singles.tobytes() == np.log(np.maximum(np.abs(full), _LOG_FLOOR)).tobytes()
+        assert np.array_equal(neg_count, np.sum(full < 0.0, axis=0))
+        assert np.any(neg_count % 2 == 1)
+
+    def test_peak_allocation_is_two_single_tables_plus_the_workers(
+        self, full_sites, monkeypatch
+    ):
+        # 1405 spins but 549 pairs on 2828 points: the (N, T) tables
+        # (30.3 MiB each) dominate.  The peak is both tables plus, per worker,
+        # its workspace and a batch's spectra build, plus 4 MiB slack for
+        # the pool, the batches and the per-point sums.  A third full-size
+        # table live at once (a temporary of the table build) exceeds it.
+        monkeypatch.setenv("NVMAG_THREADS", "2")
+        bath = sample_bath(full_sites, LatticeConfig(abundance=0.03, seed=1, pair_cutoff=0.3))
+        assert (len(bath), len(bath.pair_couplings)) == (1405, 549)
+        sched = EchoSchedule.for_field(100.0, t_max_ms=0.55)
+        assert len(sched.t_grid) == 2828
+        table = len(bath) * len(sched.t_grid) * 8
+        workspace = _WORKSPACE_ROWS * PAIR_POINTS_PER_CHUNK * 8
+        spectra_build = 1.6 * 2**20
+        bound = 2 * table + 2 * (workspace + spectra_build) + 4 * 2**20
+        tracemalloc.start()
+        try:
+            echo_coherence_trace(bath, FieldVector.along_z(100.0), sched)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
 
     def test_grid_resolution_enforced(self, small_sites):
         bath = sample_bath(small_sites, LatticeConfig(seed=2, abundance=0.1))

@@ -1,8 +1,15 @@
+import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nvmag
 from nvmag.decoherence import CoherenceTrace, EchoSchedule, analytic_trace
 from nvmag.errors import (
     ConfigError,
@@ -65,6 +72,35 @@ class TestFindRevivalPeaks:
         tr = CoherenceTrace(np.array([0.0, 0.1]), np.array([1.0, 0.5]))
         with pytest.raises(Exception):
             find_revival_peaks(tr, prominence=0.0)
+
+    def test_scipy_signal_loads_only_at_the_first_peak_search(self):
+        # a process that only simulates must not pay for the extraction
+        # stack, which scipy.signal pulls in (stats, optimize, ...)
+        script = textwrap.dedent("""
+            import json, sys
+            import nvmag, nvmag.cli
+            from nvmag.decoherence import EchoSchedule, analytic_trace
+            from nvmag.timescales import find_revival_peaks
+            stack = ("scipy.signal", "scipy.stats", "scipy.interpolate",
+                     "scipy.optimize", "scipy.ndimage")
+            before = [m for m in stack if m in sys.modules]
+            trace = analytic_trace(EchoSchedule.regular(2.0, 0.5 / 48.0), 0.5, 1.0)
+            peaks = [[p.time, p.height] for p in find_revival_peaks(trace)]
+            print(json.dumps([before, peaks, "scipy.signal" in sys.modules]))
+        """)
+        src = str(Path(nvmag.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
+        ))
+        out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        before, peaks, loaded = json.loads(out)
+        assert before == []
+        # the peaks found while scipy.signal was still imported with nvmag
+        assert peaks == [[0.0, 1.0], [0.48737972184854406, 0.610377342940362],
+                         [0.9873797218485441, 0.3702125724872621],
+                         [1.487379721848544, 0.22454527582461017]]
+        assert loaded
 
 
 # ------------------------------------------------------------- comb search
@@ -171,8 +207,9 @@ def _peak_train_corpus():
         long_times, _ = comb(period, 30, jitter=0.004)
         add("over 24 tall peaks", *ringing(long_times, period, 20), step)
         add("two peaks", times[:2], heights[:2], step)
-        # a grid step three times coarser than every gap empties the menu
-        add("median-gap fallback", times[:4], heights[:4], float(times[3]))
+        if n >= 4:
+            # a grid step three times coarser than every gap empties the menu
+            add("median-gap fallback", times[:4], heights[:4], float(times[3]))
     for t_revival, t2 in ((0.5, 1.0), (0.2, 0.6), (0.93, 5.0)):
         trace = analytic_trace(EchoSchedule.regular(6.0 * t_revival, t_revival / 48.0),
                                t_revival_ms=t_revival, t2_ms=t2)
@@ -185,6 +222,7 @@ class TestCombSearchMatchesLoop:
     def test_same_spacing_bit_for_bit(self):
         trains = _peak_train_corpus()
         assert any(len(peaks) > 24 for _, peaks, _ in trains)
+        assert any(kind == "median-gap fallback" for kind, _, _ in trains)
         for kind, peaks, step in trains:
             got = extract_TR(peaks, grid_step_ms=step)
             want = extract_TR_loop(peaks, grid_step_ms=step)
