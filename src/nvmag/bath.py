@@ -10,6 +10,10 @@ nitrogen occupies the adjacent lattice site, and all coordinates are returned
 in a frame whose z axis points along the vacancy-nitrogen bond (the defect
 symmetry axis).  Neither the vacancy nor the nitrogen site carries a nuclear
 spin.  Positions are in nm, couplings in kHz.
+
+The package's strict JSON reader and writer and its CSV writer live here
+too: every JSON file nvmag reads or writes, and every CSV file it writes,
+goes through them.
 """
 
 from __future__ import annotations
@@ -58,6 +62,23 @@ def load_strict_json(path, what: str):
             return json.load(fh, parse_constant=refuse, parse_float=finite)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{what} is not valid JSON: {exc}") from exc
+
+
+def json_text(payload, sort_keys: bool = True) -> str:
+    """Strict JSON for every file and printout: NaN and infinities are refused."""
+    try:
+        return json.dumps(payload, indent=1, sort_keys=sort_keys, allow_nan=False)
+    except ValueError as exc:
+        raise ConfigError(f"output holds a value JSON cannot represent: {exc}") from exc
+
+
+def csv_text(header: list[str], rows) -> str:
+    """A CSV table with every float cell as ``repr(float(x))``, so it reads back exactly."""
+    lines = [",".join(header)] + [
+        ",".join(repr(float(x)) if isinstance(x, float) else str(x) for x in row)
+        for row in rows
+    ]
+    return "\n".join(lines) + "\n"
 
 
 def finite_number(value, what: str):
@@ -241,9 +262,10 @@ class BathRealization:
             raise ConfigError(f"malformed bath record: {exc}") from exc
 
     def save(self, path) -> None:
+        """Write the bath record, keys in record order; a bath JSON cannot hold is refused."""
+        text = json_text(self.to_json_dict(), sort_keys=False) + "\n"
         with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=1)
-            fh.write("\n")
+            fh.write(text)
 
     @classmethod
     def load(cls, path) -> "BathRealization":

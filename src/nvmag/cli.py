@@ -39,7 +39,6 @@ factors of every trace (default: one per core).  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 import time
@@ -52,8 +51,10 @@ from . import __version__
 from .bath import (
     BathRealization,
     LatticeConfig,
+    csv_text,
     finite_number,
     generate_lattice_sites,
+    json_text,
     load_strict_json,
     sample_bath,
 )
@@ -108,14 +109,6 @@ _CONFIG_KEYS = {
 }
 
 
-def _json_text(payload) -> str:
-    """Strict JSON for every file and printout: NaN and infinities are refused."""
-    try:
-        return json.dumps(payload, indent=1, sort_keys=True, allow_nan=False)
-    except ValueError as exc:
-        raise ConfigError(f"output holds a value JSON cannot represent: {exc}") from exc
-
-
 @dataclass
 class RunManifest:
     """What a command did: enough to rerun it and find what it wrote."""
@@ -132,11 +125,11 @@ class RunManifest:
         return path
 
     def write(self, out_dir: Path) -> Path:
-        path = out_dir / f"{self.command}_manifest.json"
-        path.write_text(_json_text(asdict(self)) + "\n")
         missing = [p for p in self.outputs if not Path(p).exists()]
         if missing:
             raise PhysicsError(f"manifest lists outputs that were never written: {missing}")
+        path = out_dir / f"{self.command}_manifest.json"
+        path.write_text(json_text(asdict(self)) + "\n")
         return path
 
 
@@ -263,15 +256,10 @@ class Run:
         return path
 
     def write_json(self, name: str, payload) -> Path:
-        return self.write_text(name, _json_text(payload) + "\n")
+        return self.write_text(name, json_text(payload) + "\n")
 
     def write_csv(self, name: str, header: list[str], rows) -> Path:
-        """Every float cell as ``repr(float(x))``, so it reads back exactly."""
-        lines = [",".join(header)] + [
-            ",".join(repr(float(x)) if isinstance(x, float) else str(x) for x in row)
-            for row in rows
-        ]
-        return self.write_text(name, "\n".join(lines) + "\n")
+        return self.write_text(name, csv_text(header, rows))
 
     def finish(self, result: str | dict) -> int:
         if self.manifest.outputs:
@@ -284,7 +272,7 @@ class Run:
             print(",".join(flat))
             print(",".join(str(v) for v in flat.values()))
         else:
-            print(_json_text(result))
+            print(json_text(result))
         return 0
 
 
@@ -695,7 +683,7 @@ def main(argv=None) -> int:
     try:
         run = Run(ns)
         return run.finish(ns.func(run))
-    except (ConfigError, OSError, json.JSONDecodeError) as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except PhysicsError as exc:

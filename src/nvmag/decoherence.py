@@ -6,7 +6,8 @@ The electron is prepared in a superposition of the m = 0 and m = +1
 projections, refocused once, and read out.  Each bath nucleus precesses
 about a branch-dependent effective field: the bare applied field in the
 m = 0 branch, and the applied field shifted by its hyperfine vector
-(converted to Gauss) in the m = +1 branch.  Echo factors contract the two
+(converted to Gauss) in the m = +1 branch (:func:`effective_field`); no
+other electron projection is modelled.  Echo factors contract the two
 branch propagators against a maximally mixed bath state; pulses are ideal
 and instantaneous.
 
@@ -28,7 +29,6 @@ dropped wherever its denominator passes through zero (see
 
 from __future__ import annotations
 
-import json
 import os
 import threading
 import warnings
@@ -38,7 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bath import BathRealization, NuclearSpin, load_strict_json
+from .bath import BathRealization, NuclearSpin, csv_text, json_text, load_strict_json
 from .constants import GAMMA_N_13C_KHZ_PER_G
 from .errors import (
     ConfigError,
@@ -46,7 +46,6 @@ from .errors import (
     GridTooCoarseError,
     PhysicsError,
     ShapeError,
-    UnsupportedBranchError,
 )
 
 _I2 = np.eye(2, dtype=complex)
@@ -254,17 +253,17 @@ class CoherenceTrace:
         return len(self.t_grid)
 
     def save_csv(self, csv_path) -> Path:
-        """Write (t_ms, L) rows plus a JSON metadata sidecar; returns sidecar path."""
+        """Write (t_ms, L) rows plus a JSON metadata sidecar; returns sidecar path.
+
+        Metadata that strict JSON cannot hold is refused before either file
+        is opened.
+        """
         csv_path = Path(csv_path)
-        with open(csv_path, "w") as fh:
-            fh.write("t_ms,L\n")
-            for t, v in zip(self.t_grid, self.values):
-                # repr of builtin floats: shortest round-trippable decimal
-                fh.write(f"{float(t)!r},{float(v)!r}\n")
         sidecar = csv_path.with_suffix(".json")
-        with open(sidecar, "w") as fh:
-            json.dump(self.metadata, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        table = csv_text(["t_ms", "L"], zip(self.t_grid.tolist(), self.values.tolist()))
+        metadata = json_text(self.metadata) + "\n"
+        csv_path.write_text(table)
+        sidecar.write_text(metadata)
         return sidecar
 
     @classmethod
@@ -281,21 +280,15 @@ class CoherenceTrace:
         return cls(t_grid=data[:, 0], values=data[:, 1], metadata=metadata)
 
 
-def effective_field(field: FieldVector, hyperfine_khz, m: int) -> np.ndarray:
-    """Effective field (Gauss) seen by a nucleus in electron branch ``m``.
+def effective_field(field: FieldVector, hyperfine_khz) -> np.ndarray:
+    """Effective field (Gauss) seen by a nucleus in the m = +1 electron branch.
 
-    m = 0 leaves the applied field untouched; m = +1 shifts it by the
-    hyperfine vector converted to field units, B - A / gamma_n.  With an
-    (N, 3) stack of hyperfine vectors the m = +1 result is (N, 3).
+    The applied field shifted by the hyperfine vector converted to field
+    units, B - A / gamma_n; with an (N, 3) stack of hyperfine vectors the
+    result is (N, 3).  The m = 0 branch sees the applied field itself,
+    ``field.as_array()``.
     """
-    b = field.as_array() if isinstance(field, FieldVector) else np.asarray(field, float)
-    if m == 0:
-        return b.copy()
-    if m == 1:
-        return b - np.asarray(hyperfine_khz, dtype=float) / GAMMA_N_13C_KHZ_PER_G
-    raise UnsupportedBranchError(
-        f"electron projection m = {m} is outside the modeled {{0, +1}} pair"
-    )
+    return field.as_array() - np.asarray(hyperfine_khz, dtype=float) / GAMMA_N_13C_KHZ_PER_G
 
 
 def single_spin_echo_factor(h0_g, h1_g, t_ms):
@@ -333,7 +326,7 @@ def pair_echo_factor(
     engine's pair kernel (:func:`_pair_kernel_factors`) on this one pair at
     branch duration t/2.  Accepts scalar or array ``t_ms``.
     """
-    h1 = [effective_field(field, s.hyperfine, 1)[None, :] for s in (spin_i, spin_j)]
+    h1 = [effective_field(field, s.hyperfine)[None, :] for s in (spin_i, spin_j)]
     spectra = _pair_spectra(*h1, np.array([float(b_ij_khz)]), field.as_array())
     t = np.asarray(t_ms, dtype=float)
     out = _pair_kernel_factors(spectra, 0.5 * t.reshape(-1))[0]
@@ -591,7 +584,8 @@ def echo_coherence_trace(
     The trace is the product of every single-spin factor and, for each
     retained pair, the pair factor divided by its constituents' singles
     (equivalently: pair factors times singles raised to one minus their
-    pair multiplicity).  Exact for baths of at most two spins.
+    pair multiplicity).  Exact for baths of at most two spins; a bath
+    without spins sums over no rows, so its trace is exactly 1.
 
     Pairs are processed in batches of :data:`PAIRS_PER_BATCH`
     (:func:`_pair_batches`) on a pool of ``NVMAG_THREADS`` worker threads
@@ -624,56 +618,52 @@ def echo_coherence_trace(
     batches = _pair_batches(bath)
     n_workers = _pool_size(len(batches))
 
-    n_spins = len(bath)
-    dropped = undersampled = 0
-    if n_spins == 0:
-        values = np.ones_like(tau)
-    else:
-        h1 = effective_field(field, bath.hyperfine, 1)  # (N, 3)
-        if tau.size > 1:
-            nyquist = 0.5 / float(np.max(np.diff(tau)))
-            rates = GAMMA_N_13C_KHZ_PER_G * np.linalg.norm(h1, axis=1)
-            undersampled = int(np.count_nonzero(rates > nyquist))
-        singles, log_singles, neg_parity = _single_tables(field_arr, h1, tau)
-        log_total = np.sum(log_singles, axis=0)
-        workspaces = threading.local()
+    h1 = effective_field(field, bath.hyperfine)  # (N, 3)
+    undersampled = dropped = 0
+    if tau.size > 1:
+        nyquist = 0.5 / float(np.max(np.diff(tau)))
+        rates = GAMMA_N_13C_KHZ_PER_G * np.linalg.norm(h1, axis=1)
+        undersampled = int(np.count_nonzero(rates > nyquist))
+    singles, log_singles, neg_parity = _single_tables(field_arr, h1, tau)
+    log_total = np.sum(log_singles, axis=0)
+    workspaces = threading.local()
 
-        def fold(batch):
-            bi, bj, bb = batch
-            workspace = getattr(workspaces, "buffer", None)
-            if workspace is None:
-                workspace = workspaces.buffer = np.empty(
-                    _WORKSPACE_ROWS * max(PAIR_POINTS_PER_CHUNK, tau.size)
-                )
-            spectra = _pair_spectra(h1[bi], h1[bj], bb, field_arr)
-            log_part = np.zeros_like(tau)
-            neg_part = np.zeros(tau.size, dtype=int)
-            n_dropped = 0
-            for chunk in _kernel_chunks(bb.size, tau.size):
-                ci, cj = bi[chunk], bj[chunk]
-                factors = _pair_kernel_factors(
-                    tuple(part[chunk] for part in spectra), tau, workspace
-                )
-                denom = singles[ci] * singles[cj]
-                keep = np.abs(denom) > PAIR_RATIO_FLOOR
-                n_dropped += keep.size - int(np.count_nonzero(keep))
-                log_ratio = (
-                    np.log(np.maximum(np.abs(factors), _LOG_FLOOR))
-                    - log_singles[ci]
-                    - log_singles[cj]
-                )
-                ratio_neg = (factors < 0.0) ^ (denom < 0.0)
-                log_part += np.sum(np.where(keep, log_ratio, 0.0), axis=0)
-                neg_part += np.sum(keep & ratio_neg, axis=0)
-            return log_part, neg_part, n_dropped
+    def fold(batch):
+        bi, bj, bb = batch
+        workspace = getattr(workspaces, "buffer", None)
+        if workspace is None:
+            workspace = workspaces.buffer = np.empty(
+                _WORKSPACE_ROWS * max(PAIR_POINTS_PER_CHUNK, tau.size)
+            )
+        spectra = _pair_spectra(h1[bi], h1[bj], bb, field_arr)
+        log_part = np.zeros_like(tau)
+        neg_part = np.zeros(tau.size, dtype=int)
+        n_dropped = 0
+        for chunk in _kernel_chunks(bb.size, tau.size):
+            ci, cj = bi[chunk], bj[chunk]
+            factors = _pair_kernel_factors(
+                tuple(part[chunk] for part in spectra), tau, workspace
+            )
+            denom = singles[ci] * singles[cj]
+            keep = np.abs(denom) > PAIR_RATIO_FLOOR
+            n_dropped += keep.size - int(np.count_nonzero(keep))
+            log_ratio = (
+                np.log(np.maximum(np.abs(factors), _LOG_FLOOR))
+                - log_singles[ci]
+                - log_singles[cj]
+            )
+            ratio_neg = (factors < 0.0) ^ (denom < 0.0)
+            log_part += np.sum(np.where(keep, log_ratio, 0.0), axis=0)
+            neg_part += np.sum(keep & ratio_neg, axis=0)
+        return log_part, neg_part, n_dropped
 
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            for log_part, neg_part, n_dropped in pool.map(fold, batches):
-                log_total += log_part
-                neg_parity += neg_part
-                dropped += n_dropped
+    with ThreadPoolExecutor(max_workers=n_workers) as pool:
+        for log_part, neg_part, n_dropped in pool.map(fold, batches):
+            log_total += log_part
+            neg_parity += neg_part
+            dropped += n_dropped
 
-        values = np.where(neg_parity % 2 == 1, -1.0, 1.0) * np.exp(log_total)
+    values = np.where(neg_parity % 2 == 1, -1.0, 1.0) * np.exp(log_total)
 
     metadata = {
         "model": "pair-truncated echo",
@@ -681,7 +671,7 @@ def echo_coherence_trace(
         "gamma_n_khz_per_g": GAMMA_N_13C_KHZ_PER_G,
         "seeds": [bath.seed],
         "abundance": bath.config.abundance if bath.config else None,
-        "n_spins": n_spins,
+        "n_spins": len(bath),
         "n_pairs": len(bath.pair_couplings),
         "diagnostics": {
             "pair_points_dropped": dropped,

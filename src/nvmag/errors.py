@@ -21,10 +21,6 @@ class DomainError(PhysicsError):
     """Arguments outside the mathematical domain of an operation."""
 
 
-class UnsupportedBranchError(PhysicsError):
-    """An electron spin projection outside the modeled {0, +1} pair."""
-
-
 class GridTooCoarseError(PhysicsError):
     """Echo time grid too coarse to resolve the nuclear Larmor period."""
 

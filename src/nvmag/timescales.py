@@ -127,9 +127,8 @@ def find_revival_peaks(
     from scipy.signal import find_peaks
 
     idx, _ = find_peaks(values, prominence=prominence, height=prominence)
+    # find_peaks reports only samples with a neighbour on each side
     for i in idx:
-        if i <= 0 or i >= grid.size - 1:
-            continue
         y0, y1, y2 = values[i - 1], values[i], values[i + 1]
         curvature = y0 - 2.0 * y1 + y2
         shift = 0.0 if curvature == 0 else 0.5 * (y0 - y2) / curvature

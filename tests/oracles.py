@@ -37,11 +37,6 @@ IY = np.array([[0.0, -0.5j], [0.5j, 0.0]], dtype=complex)
 IZ = np.array([[0.5, 0.0], [0.0, -0.5]], dtype=complex)
 I2 = np.eye(2, dtype=complex)
 
-# extract_TR_loop's jitter scale, as a fraction of the candidate period, for
-# a peak train whose grid step is unknown
-_COMB_JITTER_SCALE = 0.02
-
-
 def _embed(op: np.ndarray, site: int, n: int) -> np.ndarray:
     """Single-site operator embedded in an n-spin tensor product."""
     out = np.array([[1.0 + 0j]])
@@ -171,15 +166,13 @@ def si_dipole_prefactor_khz_nm3(gamma_i_khz_per_g: float, gamma_j_khz_per_g: flo
     return c_si * 1e27 * 1e-3                 # kHz nm^3
 
 
-def extract_TR_loop(
-    peaks: list[RevivalPeak], grid_step_ms: float | None = None
-) -> tuple[float, float]:
+def extract_TR_loop(peaks: list[RevivalPeak], grid_step_ms: float) -> tuple[float, float]:
     """Revival spacing (ms) from the peak train, with an uncertainty.
 
     With exactly two peaks the spacing itself is returned and the grid step
-    (when known) stands in for the uncertainty.  With more, the spacing is
-    found by a comb search: every observed gap and every difference between
-    tall maxima (with small integer submultiples) is tried as a candidate
+    stands in for the uncertainty.  With more, the spacing is found by a
+    comb search: every observed gap and every difference between tall
+    maxima (with small integer submultiples) is tried as a candidate
     period.  Each candidate is converged onto the peak train by iterated
     weighted regression, then scored against the tallest maxima only —
     revival apexes always rank among those, while dense ringing, which
@@ -203,13 +196,13 @@ def extract_TR_loop(
     heights = np.array([p.height for p in peaks], dtype=float)
     if len(peaks) == 2:
         spacing = float(times[1] - times[0])
-        return spacing, float("nan") if grid_step_ms is None else float(grid_step_ms)
+        return spacing, float(grid_step_ms)
 
     # physical coherence cannot exceed 1: heights beyond that are pair
     # truncation artifacts and must not carry extra voting power
     capped = np.clip(heights, 0.0, 1.0)
     gaps = np.diff(times)
-    floor = 3.0 * grid_step_ms if grid_step_ms else float(gaps.min()) * 0.4
+    floor = 3.0 * grid_step_ms
 
     # candidate periods: differences between tall peaks, not just adjacent
     # gaps — ringing maxima between revivals would otherwise chop every
@@ -293,11 +286,7 @@ def extract_TR_loop(
         # by a longer period
         best_r_ms = np.abs(best_t - uniq * refined)
         rms_ms = math.sqrt(float(np.sum(best_wc * best_r_ms**2)) / total)
-        scale_ms = (
-            _COMB_JITTER_GRID_STEPS * grid_step_ms
-            if grid_step_ms and math.isfinite(grid_step_ms)
-            else _COMB_JITTER_SCALE * refined
-        )
+        scale_ms = _COMB_JITTER_GRID_STEPS * grid_step_ms
         tightness = 1.0 / (1.0 + (rms_ms / scale_ms) ** 2)
         scored.append((total * coverage * tightness, refined))
     if scored:

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -215,6 +216,15 @@ class TestPersistence:
         assert np.allclose(loaded.positions, bath.positions)
         assert np.allclose(loaded.hyperfine, bath.hyperfine)
         assert loaded.pair_couplings == bath.pair_couplings
+        # the file keeps the record's own key order
+        assert path.read_text() == json.dumps(bath.to_json_dict(), indent=1) + "\n"
+
+    def test_save_refuses_a_value_json_cannot_hold(self, tmp_path):
+        spin = NuclearSpin((0.5, 0.0, 0.0), (1.0, 0.0, math.inf))
+        path = tmp_path / "bath.json"
+        with pytest.raises(ConfigError, match="JSON cannot represent"):
+            BathRealization(spins=[spin], pair_couplings={}).save(path)
+        assert not path.exists()
 
     def test_malformed_record_rejected(self, tmp_path):
         path = tmp_path / "bad.json"

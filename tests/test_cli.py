@@ -8,6 +8,8 @@ manifest writing, and the error-to-exit-code mapping together.
 import argparse
 import json
 import math
+import re
+import shlex
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -636,6 +638,25 @@ class TestSweepCommand:
     def test_unparseable_field_list(self, tmp_path):
         assert run("sweep", "--fields", "5,ten,20", "--out-dir", tmp_path) == 2
 
+    def test_empty_field_list_exits_2_without_out_dir(self, tmp_path, capsys):
+        assert run("sweep", "--fields", ",", "--out-dir", tmp_path / "out") == 2
+        assert "--fields is empty" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_plot_is_listed_valid_and_repeatable(self, tmp_path):
+        cfg = write_config(tmp_path)
+        svgs = []
+        for out in (tmp_path / "a", tmp_path / "b"):
+            rc = run("sweep", "--config", cfg, "--fields", "5,10,20", "--realizations", 1,
+                     "--t-max", "0.3", "--plot", "--out-dir", out)
+            assert rc == 0
+            svg = out / "sweep_field.svg"
+            manifest = json.loads((out / "sweep_manifest.json").read_text())
+            assert str(svg) in manifest["outputs"]
+            ET.fromstring(svg.read_text())
+            svgs.append(svg.read_bytes())
+        assert svgs[0] == svgs[1]
+
     @pytest.mark.parametrize("mode,points", [("--fields", "5,10,nan"),
                                              ("--abundances", "0.005,inf,0.02")])
     def test_non_finite_point_exits_2_before_any_trace(
@@ -844,6 +865,15 @@ class TestReconstructCommand:
         )
         assert rc == 2
 
+    def test_non_unit_axis_exits_2_with_its_own_message(self, tmp_path, capsys):
+        path = tmp_path / "measurements.json"
+        path.write_text(json.dumps([{"axis": [1, 1, 0], "T_R_ms": 1.0}]))
+        assert run("reconstruct", "--measurements", path, "--out-dir", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert "measurement axis must be a unit vector" in err
+        assert "each measurement needs" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_wrong_axis_count_exits_2(self, tmp_path):
         path = tmp_path / "measurements.json"
         path.write_text(json.dumps([{"axis": [1, 0, 0], "T_R_ms": 1.0}]))
@@ -994,6 +1024,7 @@ class TestRunManifest:
         manifest.add_output(tmp_path / "never_written.txt")
         with pytest.raises(PhysicsError):
             manifest.write(tmp_path)
+        assert not (tmp_path / "demo_manifest.json").exists()
 
     def test_written_outputs_pass(self, tmp_path):
         manifest = RunManifest("demo", "0.0", {"k": 1}, seeds=[7])
@@ -1005,3 +1036,57 @@ class TestRunManifest:
         assert payload["config"] == {"k": 1}
         assert payload["seeds"] == [7]
         assert payload["outputs"] == [str(target)]
+
+
+# a JSON number token, not the digits inside a key such as "T2_ms"
+_NUMBER = re.compile(r"(?<![\w.])-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?(?![\w.])")
+
+
+def _readme_examples() -> list[tuple[str, list[str]]]:
+    """Every ``$ nvmag ...`` command in README.md with the output shown under it."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    # odd pieces between fences are the fenced blocks
+    blocks = re.split(r"^```.*\n", readme, flags=re.M)[1::2]
+    examples = []
+    for block in blocks:
+        for chunk in re.split(r"^\$ ", block, flags=re.M)[1:]:
+            command, *output = chunk.rstrip("\n").split("\n")
+            if command.startswith("nvmag "):
+                examples.append((command, output))
+    return examples
+
+
+class TestReadmeExamples:
+    """README's command examples, run in a fresh working directory.
+
+    Each example whose output the README shows in full runs in order
+    through ``main`` (bath, simulate --plot, extract, invert, odmr,
+    sensitivity --plot).  Text lines must match exactly; in JSON output the
+    layout must match exactly and each number to a relative 1e-9, because
+    eigensolver rounding differs between BLAS builds.  The sweep example is
+    left out: it takes about 3 s, and TestSweepCommand checks its products.
+    The reconstruct example abbreviates its output, so it is left out too.
+    """
+
+    SKIPPED = {"sweep", "reconstruct"}
+
+    def test_shown_output_is_what_the_command_prints(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        ran = []
+        for command, want in _readme_examples():
+            argv = shlex.split(command)[1:]
+            if argv[0] in self.SKIPPED:
+                continue
+            assert main(argv) == 0, command
+            got = capsys.readouterr().out.rstrip("\n").split("\n")
+            assert len(got) == len(want), (command, got)
+            is_json = want[0].startswith("{")
+            for got_line, want_line in zip(got, want):
+                if not is_json:
+                    assert got_line == want_line, command
+                    continue
+                assert _NUMBER.sub("#", got_line) == _NUMBER.sub("#", want_line), command
+                for g, w in zip(_NUMBER.findall(got_line), _NUMBER.findall(want_line)):
+                    assert float(g) == pytest.approx(float(w), rel=1e-9), (command, got_line)
+            ran.append(argv[0])
+        assert ran == ["bath", "simulate", "extract", "invert", "odmr", "sensitivity"]

@@ -46,7 +46,6 @@ from nvmag.errors import (
     GridTooCoarseError,
     PhysicsError,
     ShapeError,
-    UnsupportedBranchError,
 )
 
 from conftest import make_tiny_bath
@@ -116,18 +115,10 @@ class TestEchoSchedule:
 
 # ------------------------------------------------------------ branch fields
 class TestEffectiveField:
-    def test_branch_zero_is_bare_field(self):
-        b = effective_field(FieldVector.along_z(5.0), (10.0, 0.0, 3.0), 0)
-        assert np.allclose(b, [0.0, 0.0, 5.0])
-
     def test_branch_one_shifts_by_hyperfine(self):
         a = np.array([10.0, -4.0, 3.0])
-        b = effective_field(FieldVector.along_z(5.0), a, 1)
+        b = effective_field(FieldVector.along_z(5.0), a)
         assert np.allclose(b, np.array([0.0, 0.0, 5.0]) - a / GAMMA, rtol=1e-15)
-
-    def test_other_branches_rejected(self):
-        with pytest.raises(UnsupportedBranchError):
-            effective_field(FieldVector.along_z(5.0), (0.0, 0.0, 0.0), -1)
 
 
 # ------------------------------------------------------------ echo factors
@@ -196,9 +187,9 @@ class TestPairFactor:
         field = FieldVector.along_z(7.0)
         t = 0.8
         got = pair_echo_factor(spin_i, spin_j, 0.0, field, t)
-        h0 = effective_field(field, (0, 0, 0), 0)
-        li = single_spin_echo_factor(h0, effective_field(field, spin_i.hyperfine, 1), t)
-        lj = single_spin_echo_factor(h0, effective_field(field, spin_j.hyperfine, 1), t)
+        h0 = field.as_array()
+        li = single_spin_echo_factor(h0, effective_field(field, spin_i.hyperfine), t)
+        lj = single_spin_echo_factor(h0, effective_field(field, spin_j.hyperfine), t)
         assert got == pytest.approx(li * lj, abs=1e-10)
 
 
@@ -228,7 +219,7 @@ class TestPairKernelChunks:
         # one spectra call for the batch, one workspace reused for every
         # chunk, as a trace's pool worker does
         workspace = np.full(_WORKSPACE_ROWS * PAIR_POINTS_PER_CHUNK, np.nan)
-        h1 = np.array([effective_field(field, s.hyperfine, 1) for s in bath.spins])
+        h1 = np.array([effective_field(field, s.hyperfine) for s in bath.spins])
         spins = [(np.asarray(s.position), np.asarray(s.hyperfine)) for s in bath.spins]
         spectra = _pair_spectra(h1[bi], h1[bj], bb, field.as_array())
         err = 0.0
@@ -263,7 +254,7 @@ class TestPairKernelChunks:
         field = FieldVector.from_sequence(field)
         tau = EchoSchedule.for_field(field.magnitude, t_max).t_grid
         assert tau.size == n_points
-        h1 = effective_field(field, bath.hyperfine, 1)
+        h1 = effective_field(field, bath.hyperfine)
         err, n_chunks = 0.0, 0
         for bi, bj, bb in _pair_batches(bath):
             spectra = _pair_spectra(h1[bi], h1[bj], bb, field.as_array())
@@ -362,9 +353,9 @@ class TestEchoCoherenceTrace:
         field = FieldVector.along_z(10.0)
         sched = EchoSchedule.for_field(10.0, t_max_ms=2.0)
         trace = echo_coherence_trace(bath, field, sched)
-        h0 = effective_field(field, (0.0, 0.0, 0.0), 0)
+        h0 = field.as_array()
         singles = [
-            single_spin_echo_factor(h0, effective_field(field, s.hyperfine, 1), 2.0 * sched.t_grid)
+            single_spin_echo_factor(h0, effective_field(field, s.hyperfine), 2.0 * sched.t_grid)
             for s in bath.spins
         ]
         want = sum(
@@ -383,7 +374,7 @@ class TestEchoCoherenceTrace:
         trace = echo_coherence_trace(bath, field, sched)
         nyquist = 0.5 / np.max(np.diff(sched.t_grid))
         rates = [
-            GAMMA * np.linalg.norm(effective_field(field, s.hyperfine, 1)) for s in bath.spins
+            GAMMA * np.linalg.norm(effective_field(field, s.hyperfine)) for s in bath.spins
         ]
         want = sum(rate > nyquist for rate in rates)
         assert want > 0
@@ -491,7 +482,7 @@ class TestEchoCoherenceTrace:
         assert blocked.values.tobytes() == default.values.tobytes()
         assert blocked.metadata == default.metadata
 
-        h1 = effective_field(field, bath.hyperfine, 1)
+        h1 = effective_field(field, bath.hyperfine)
         singles, log_singles, neg_count = _single_tables(field.as_array(), h1, sched.t_grid)
         full = _single_factors_on_grid(field.as_array(), h1, sched.t_grid)
         assert singles.tobytes() == full.tobytes()
@@ -604,6 +595,13 @@ class TestCoherenceTrace:
         assert np.array_equal(loaded.t_grid, trace.t_grid)
         assert np.array_equal(loaded.values, trace.values)
         assert loaded.metadata == trace.metadata
+
+    def test_save_refuses_metadata_json_cannot_hold(self, tmp_path):
+        # an undamped analytic trace records T2_ms = inf
+        trace = analytic_trace(EchoSchedule.regular(1.0, 0.01), 0.2, np.inf)
+        with pytest.raises(ConfigError, match="JSON cannot represent"):
+            trace.save_csv(tmp_path / "trace.csv")
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
         "grid,values",
