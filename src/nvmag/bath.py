@@ -96,7 +96,8 @@ def _integer(value, what: str) -> int:
     return int(value)
 
 
-def _vector(value, what: str) -> tuple[float, float, float]:
+def finite_vector(value, what: str) -> tuple[float, float, float]:
+    """Three finite numbers, as floats: a list or tuple of length three."""
     if not isinstance(value, (list, tuple)) or len(value) != 3:
         raise ConfigError(f"{what} must hold three numbers, got {value!r}")
     return tuple(float(finite_number(x, what)) for x in value)
@@ -241,8 +242,8 @@ class BathRealization:
         must be finite, and every index and seed an integer."""
         try:
             spins = [
-                NuclearSpin(_vector(s["position_nm"], "position_nm"),
-                            _vector(s["hyperfine_khz"], "hyperfine_khz"))
+                NuclearSpin(finite_vector(s["position_nm"], "position_nm"),
+                            finite_vector(s["hyperfine_khz"], "hyperfine_khz"))
                 for s in data["spins"]
             ]
             pairs = {

@@ -7,19 +7,12 @@ manifest (configuration echo, seeds, package version, output paths,
 wall-clock timing) so the run can be reproduced from the manifest alone.
 extract, invert and odmr without --candidates only print.
 
-Each subcommand takes only the common flags it reads:
-
-    bath             --config --seed --out-dir
-    simulate, sweep  --config --seed --out-dir --plot
-    extract, invert  --config --format
-    reconstruct      --config --out-dir --format
-    odmr             --out-dir --format
-    sensitivity      --config --out-dir --plot
-
-A flag that another flag overrides is refused: --abundance and --seed next
-to simulate --bath (the saved bath fixes both), --points-per-period next to
-simulate --step, --field-magnitude next to sweep --fields, and --abundance
-next to sweep --abundances.  A config file may still set any of them.
+Every option is declared once, in ``_OPTIONS``, and each subcommand takes
+only the options ``_COMMANDS`` lists for it.  A flag that another flag
+overrides is refused: --abundance and --seed next to simulate --bath (the
+saved bath fixes both), --points-per-period next to simulate --step,
+--field-magnitude next to sweep --fields, and --abundance next to sweep
+--abundances.  A config file may still set any of them.
 
 Configuration file (--config) is a flat JSON object; recognized keys:
 
@@ -31,9 +24,13 @@ The physical constants (13C and electron gyromagnetic ratios, zero-field
 splitting) are fixed and are not settings.
 
 Explicit command-line flags override config values, which override the
-built-in defaults.  NVMAG_THREADS caps the threads that compute the pair
-factors of every trace (default: one per core).  Exit codes: 0 success,
-2 configuration error, 3 physics-constraint error.
+built-in defaults.  The --measurements and --candidates files are JSON
+lists read with the bath file's strict readers: every number must be a
+finite JSON number, not a string or a bool, and every axis or candidate
+must hold three; a malformed record exits 2 naming the file.
+NVMAG_THREADS caps the threads that compute the pair factors of every
+trace (default: one per core).  Exit codes: 0 success, 2 configuration
+error, 3 physics-constraint error.
 """
 
 from __future__ import annotations
@@ -53,12 +50,13 @@ from .bath import (
     LatticeConfig,
     csv_text,
     finite_number,
+    finite_vector,
     generate_lattice_sites,
     json_text,
     load_strict_json,
     sample_bath,
 )
-from .constants import G_TO_UT, READOUT_CONTRAST_DEFAULT
+from .constants import G_TO_UT, NATURAL_ABUNDANCE_13C
 from .decoherence import (
     POINTS_PER_LARMOR_PERIOD_DEFAULT,
     CoherenceTrace,
@@ -80,7 +78,7 @@ from .magnetometry import (
     resolve_alignment,
     zeeman_levels,
 )
-from .sensitivity import ReadoutModel, build_report
+from .sensitivity import TAU_POINTS_DEFAULT, ReadoutModel, build_report
 from .svgplot import line_plot
 from .timescales import (
     PROMINENCE_DEFAULT,
@@ -90,22 +88,10 @@ from .timescales import (
 
 _LATTICE_KEYS = {f.name for f in fields(LatticeConfig)}
 
-_CONFIG_KEYS = {
-    "lattice_constant",
-    "cutoff_radius",
-    "exclusion_radius",
-    "abundance",
-    "pair_cutoff",
-    "seed",
-    "realizations",
-    "points_per_period",
-    "prominence",
-    "alpha",
-    "alpha_source",
-    "contrast",
-    "n_centers",
-    "t_max",
-    "field_magnitude",
+# the lattice settings, and the settings each command reads besides them
+_CONFIG_KEYS = _LATTICE_KEYS | {
+    "realizations", "points_per_period", "prominence", "alpha", "alpha_source",
+    "contrast", "n_centers", "t_max", "field_magnitude",
 }
 
 
@@ -177,9 +163,10 @@ class Settings:
         return LatticeConfig(**values, seed=self.integer("seed", default.seed))
 
     def calibration(self) -> Calibration:
+        default = Calibration()
         return Calibration(
-            alpha=self.number("alpha", Calibration().alpha),
-            source=str(self.get("alpha_source", "paper")),
+            alpha=self.number("alpha", default.alpha),
+            source=str(self.get("alpha_source", default.source)),
         )
 
     def echo_config(self) -> dict:
@@ -212,6 +199,27 @@ def _parse_field(text: str) -> FieldVector:
     if len(parts) == 3:
         return FieldVector.from_sequence(parts)
     raise ConfigError("field must be one magnitude or three components")
+
+
+def _load_records(path, what: str, read) -> list:
+    """``read`` over each record of the JSON list in ``path``; a malformed record
+    is refused as in ``BathRealization.from_json_dict``, naming the file."""
+    records = load_strict_json(path, what)
+    if not isinstance(records, list):
+        raise ConfigError(f"{what} {path} must hold a JSON list")
+    try:
+        return [read(record) for record in records]
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"malformed {what} {path}: {exc}") from exc
+
+
+def _measurement(record: dict) -> AxisMeasurement:
+    """One --measurements record: "axis", "T_R_ms" and an optional "bias_G"."""
+    return AxisMeasurement(
+        axis=finite_vector(record["axis"], "axis"),
+        T_R=float(finite_number(record["T_R_ms"], "T_R_ms")),
+        bias=float(finite_number(record.get("bias_G", 0.0), "bias_G")),
+    )
 
 
 def _t_max_auto(field_magnitude_g: float, abundance: float) -> float:
@@ -336,7 +344,8 @@ def cmd_simulate(run: Run) -> str:
         echo.update({key: getattr(cfg, key, None) for key in echo.keys() & _LATTICE_KEYS})
     else:
         cfg, bath = settings.lattice_config(), None
-    schedule = _schedule(settings, field.magnitude, cfg.abundance if cfg else 0.011, step)
+    abundance = cfg.abundance if cfg else NATURAL_ABUNDANCE_13C
+    schedule = _schedule(settings, field.magnitude, abundance, step)
     if bath is None:
         bath = sample_bath(generate_lattice_sites(cfg), cfg)
     trace = echo_coherence_trace(bath, field, schedule)
@@ -362,7 +371,6 @@ def cmd_sweep(run: Run) -> str:
     realizations = settings.integer("realizations", 10)
     if realizations < 1:
         raise ConfigError("realizations must be >= 1")
-    seeds = [settings.integer("seed", 0) + r for r in range(realizations)]
 
     if ns.fields and ns.abundances:
         raise ConfigError("sweep takes --fields or --abundances, not both")
@@ -390,6 +398,7 @@ def cmd_sweep(run: Run) -> str:
         raise ConfigError("field_magnitude must be nonzero: zero field has no revival period")
     # lattice sites depend only on geometry, which the sweep never varies
     site_cfg = settings.lattice_config()
+    seeds = [site_cfg.seed + r for r in range(realizations)]
     points = [(k, site_cfg.abundance) if mode == "field" else (fixed_field, k) for k in keys]
     # every grid is built, and so every setting it reads checked, before any work
     schedules = [_schedule(settings, b_mag, abundance) for b_mag, abundance in points]
@@ -488,20 +497,7 @@ def cmd_invert(run: Run) -> dict:
 
 def cmd_reconstruct(run: Run) -> dict:
     ns, cal = run.ns, run.settings.calibration()
-    entries = load_strict_json(ns.measurements, "measurement file")
-    if not isinstance(entries, list):
-        raise ConfigError("measurement file must hold a JSON list")
-    try:
-        measurements = [
-            AxisMeasurement(
-                axis=tuple(e["axis"]), T_R=float(e["T_R_ms"]), bias=float(e.get("bias_G", 0.0))
-            )
-            for e in entries
-        ]
-    except ConfigError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"each measurement needs 'axis' and 'T_R_ms': {exc}") from exc
+    measurements = _load_records(ns.measurements, "measurement file", _measurement)
     components = measurements_to_components(measurements, cal)
     estimate = reconstruct_field(components)
     payload = estimate.to_json_dict()
@@ -519,7 +515,9 @@ def cmd_odmr(run: Run) -> dict:
         "levels_GHz": zeeman_levels(field).tolist(), **odmr_transitions(field).to_json_dict()
     }
     if ns.candidates:
-        cand_list = load_strict_json(ns.candidates, "candidates file")
+        cand_list = _load_records(
+            ns.candidates, "candidates file", lambda c: finite_vector(c, "candidate")
+        )
         if not ns.true_field:
             raise ConfigError("--candidates needs --true-field for the probe")
         resolution, payload["alignment"] = _resolve(cand_list, ns.true_field)
@@ -534,16 +532,17 @@ def cmd_odmr(run: Run) -> dict:
 
 def cmd_sensitivity(run: Run) -> str:
     ns, settings = run.ns, run.settings
+    default = ReadoutModel()
     readout = ReadoutModel(
-        C=settings.number("contrast", READOUT_CONTRAST_DEFAULT),
-        n_centers=settings.integer("n_centers", 1),
+        C=settings.number("contrast", default.C),
+        n_centers=settings.integer("n_centers", default.n_centers),
     )
     report = build_report(
-        t2=settings.number("t2", None),
+        t2=settings.number("t2", 0.5),
         readout=readout,
         cal=settings.calibration(),
         field_g=None if ns.field is None else _parse_field(ns.field).magnitude,
-        tau_points=int(ns.tau_points),
+        tau_points=settings.integer("tau_points", TAU_POINTS_DEFAULT),
     )
     eta_uT = report.eta_uT_sqHz
     run.write_csv(
@@ -573,22 +572,65 @@ def cmd_sensitivity(run: Run) -> str:
 # ---------------------------------------------------------------- parser
 
 
-_COMMON_FLAGS = {
+# every option, declared once; a setting left unset is None, so the config
+# file or the default the command reads it with applies
+_OPTIONS = {
+    "--abundance": {"type": float, "help": "13C abundance (fraction)"},
+    "--cutoff-radius": {"type": float},
+    "--pair-cutoff": {"type": float},
+    "--bath": {"help": "bath JSON from the bath command"},
+    "--field": {"help": "Gauss: '10' (axial) or 'bx,by,bz'"},
+    "--t-max": {"type": float},
+    "--step": {"type": float, "help": "explicit grid step (ms)"},
+    "--points-per-period": {"type": int},
+    "--fields": {"help": "comma list of field magnitudes (G)"},
+    "--abundances": {"help": "comma list of abundances (fraction)"},
+    "--realizations": {"type": int},
+    "--field-magnitude": {"type": float, "help": "fixed field for abundance sweeps (G)"},
+    "--prominence": {"type": float},
+    "--trace": {},
+    "--tr": {"type": float, "help": "revival spacing (ms)"},
+    "--alpha": {"type": float},
+    "--alpha-source": {},
+    "--measurements": {"help": "JSON list of axis measurements"},
+    "--resolve-true": {"help": "true field for a simulated alignment probe"},
+    "--candidates": {"help": "JSON list of candidate field vectors"},
+    "--true-field": {},
+    "--t2": {"type": float, "help": "coherence time (ms)"},
+    "--contrast": {"type": float},
+    "--n-centers": {"type": int},
+    "--tau-points": {"type": int},
     "--config": {"help": "flat JSON config file"},
     "--seed": {"type": int, "help": "base RNG seed"},
     "--out-dir": {"default": ".", "help": "output directory"},
-    "--format": {
-        "choices": ("csv", "json"), "default": "json",
-        "help": "stdout format for scalar results",
-    },
+    "--format": {"choices": ("csv", "json"), "default": "json",
+                 "help": "stdout format for scalar results"},
     "--plot": {"action": "store_true", "help": "also write SVG plots"},
 }
 
-
-def _add_common(sub: argparse.ArgumentParser, *flags: str) -> None:
-    """Add the common ``flags`` the command reads, each as in ``_COMMON_FLAGS``."""
-    for flag in flags:
-        sub.add_argument(flag, **_COMMON_FLAGS[flag])
+# each command: its help, its function and the options it takes, in help
+# order; a trailing "!" marks a required option
+_COMMANDS = {
+    "bath": ("sample a nuclear-spin bath realization", cmd_bath,
+             "--abundance --cutoff-radius --pair-cutoff --config --seed --out-dir"),
+    "simulate": ("compute an echo coherence trace", cmd_simulate,
+                 "--bath --field! --abundance --t-max --step --points-per-period"
+                 " --config --seed --out-dir --plot"),
+    "sweep": ("field or abundance sweep with fits", cmd_sweep,
+              "--fields --abundances --realizations --abundance --field-magnitude --t-max"
+              " --points-per-period --prominence --config --seed --out-dir --plot"),
+    "extract": ("timescales from a trace CSV", cmd_extract,
+                "--trace! --prominence --config --format"),
+    "invert": ("revival spacing -> field magnitude", cmd_invert,
+               "--tr! --alpha --alpha-source --config --format"),
+    "reconstruct": ("three axis measurements -> field vector", cmd_reconstruct,
+                    "--measurements! --alpha --alpha-source --resolve-true"
+                    " --config --out-dir --format"),
+    "odmr": ("level spectrum and alignment diagnostics", cmd_odmr,
+             "--field! --candidates --true-field --out-dir --format"),
+    "sensitivity": ("shot-noise sensitivity report", cmd_sensitivity,
+                    "--t2 --contrast --n-centers --field --tau-points --config --out-dir --plot"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -598,83 +640,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("bath", help="sample a nuclear-spin bath realization")
-    p.add_argument("--abundance", type=float, default=None)
-    p.add_argument("--cutoff-radius", dest="cutoff_radius", type=float, default=None)
-    p.add_argument("--pair-cutoff", dest="pair_cutoff", type=float, default=None)
-    _add_common(p, "--config", "--seed", "--out-dir")
-    p.set_defaults(func=cmd_bath)
-
-    p = subs.add_parser("simulate", help="compute an echo coherence trace")
-    p.add_argument("--bath", help="bath JSON from the bath command")
-    p.add_argument("--field", required=True, help="Gauss: '10' (axial) or 'bx,by,bz'")
-    p.add_argument("--abundance", type=float, default=None)
-    p.add_argument("--t-max", dest="t_max", type=float, default=None)
-    p.add_argument("--step", type=float, default=None, help="explicit grid step (ms)")
-    p.add_argument(
-        "--points-per-period", dest="points_per_period", type=int, default=None
-    )
-    _add_common(p, "--config", "--seed", "--out-dir", "--plot")
-    p.set_defaults(func=cmd_simulate)
-
-    p = subs.add_parser("sweep", help="field or abundance sweep with fits")
-    p.add_argument("--fields", help="comma list of field magnitudes (G)")
-    p.add_argument("--abundances", help="comma list of abundances (fraction)")
-    p.add_argument("--realizations", type=int, default=None)
-    p.add_argument("--abundance", type=float, default=None, help="fixed abundance for field sweeps")
-    p.add_argument(
-        "--field-magnitude", dest="field_magnitude", type=float, default=None,
-        help="fixed field for abundance sweeps (G)",
-    )
-    p.add_argument("--t-max", dest="t_max", type=float, default=None)
-    p.add_argument(
-        "--points-per-period", dest="points_per_period", type=int, default=None
-    )
-    p.add_argument("--prominence", type=float, default=None)
-    _add_common(p, "--config", "--seed", "--out-dir", "--plot")
-    p.set_defaults(func=cmd_sweep)
-
-    p = subs.add_parser("extract", help="timescales from a trace CSV")
-    p.add_argument("--trace", required=True)
-    p.add_argument("--prominence", type=float, default=None)
-    _add_common(p, "--config", "--format")
-    p.set_defaults(func=cmd_extract)
-
-    p = subs.add_parser("invert", help="revival spacing -> field magnitude")
-    p.add_argument("--tr", required=True, type=float, help="revival spacing (ms)")
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--alpha-source", dest="alpha_source", default=None)
-    _add_common(p, "--config", "--format")
-    p.set_defaults(func=cmd_invert)
-
-    p = subs.add_parser("reconstruct", help="three axis measurements -> field vector")
-    p.add_argument("--measurements", required=True, help="JSON list of axis measurements")
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--alpha-source", dest="alpha_source", default=None)
-    p.add_argument(
-        "--resolve-true", dest="resolve_true", default=None,
-        help="true field for a simulated alignment probe",
-    )
-    _add_common(p, "--config", "--out-dir", "--format")
-    p.set_defaults(func=cmd_reconstruct)
-
-    p = subs.add_parser("odmr", help="level spectrum and alignment diagnostics")
-    p.add_argument("--field", required=True)
-    p.add_argument("--candidates", help="JSON list of candidate field vectors")
-    p.add_argument("--true-field", dest="true_field", default=None)
-    _add_common(p, "--out-dir", "--format")
-    p.set_defaults(func=cmd_odmr)
-
-    p = subs.add_parser("sensitivity", help="shot-noise sensitivity report")
-    p.add_argument("--t2", type=float, default=0.5, help="coherence time (ms)")
-    p.add_argument("--contrast", type=float, default=None)
-    p.add_argument("--n-centers", dest="n_centers", type=int, default=None)
-    p.add_argument("--field", default=None, help="scan field (G); default: matched")
-    p.add_argument("--tau-points", dest="tau_points", type=int, default=400)
-    _add_common(p, "--config", "--out-dir", "--plot")
-    p.set_defaults(func=cmd_sensitivity)
-
+    for command, (help_text, func, options) in _COMMANDS.items():
+        sub = subs.add_parser(command, help=help_text)
+        for option in options.split():
+            flag = option.rstrip("!")
+            sub.add_argument(flag, required=option.endswith("!"), **_OPTIONS[flag])
+        sub.set_defaults(func=func)
     return parser
 
 

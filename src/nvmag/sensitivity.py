@@ -29,6 +29,9 @@ from .magnetometry import Calibration
 # the readout carries no field information there.
 _INSENSITIVE_SIN = 1e-12
 
+# points on a report's evolution-time scan
+TAU_POINTS_DEFAULT = 400
+
 
 @dataclass(frozen=True)
 class ReadoutModel:
@@ -174,7 +177,7 @@ def min_detectable_field(
     field_g: float,
     t2: float,
     contrast: float = READOUT_CONTRAST_DEFAULT,
-    cal: Calibration | None = None,
+    cal: Calibration = Calibration(),
 ) -> DetectionLimit:
     """Smallest field change resolvable above shot noise in one run (Gauss).
 
@@ -196,7 +199,7 @@ def sensitivity_eta(
     field_g: float,
     t2: float,
     contrast: float = READOUT_CONTRAST_DEFAULT,
-    cal: Calibration | None = None,
+    cal: Calibration = Calibration(),
 ):
     """Sensitivity eta = deltaB*sqrt(T) in G per root hertz.
 
@@ -204,7 +207,6 @@ def sensitivity_eta(
     independent of the total averaging time.  Response nodes give inf.
     Accepts a scalar or an array of evolution times.
     """
-    cal = cal or Calibration()
     if not 0.0 < contrast <= 1.0:
         raise ConfigError(f"contrast must be in (0, 1], got {contrast}")
     if field_g <= 0:
@@ -229,7 +231,7 @@ def sensitivity_eta(
 def optimal_sensitivity(
     t2: float,
     contrast: float = READOUT_CONTRAST_DEFAULT,
-    cal: Calibration | None = None,
+    cal: Calibration = Calibration(),
     n_centers: int = 1,
 ) -> OptimalPoint:
     """Analytic best sensitivity and the operating point that attains it.
@@ -242,7 +244,6 @@ def optimal_sensitivity(
     this envelope.  An ensemble of n independent centers improves the
     result by sqrt(n).
     """
-    cal = cal or Calibration()
     if not 0.0 < contrast <= 1.0:
         raise ConfigError(f"contrast must be in (0, 1], got {contrast}")
     if t2 <= 0:
@@ -266,10 +267,10 @@ def optimal_sensitivity(
 
 def build_report(
     t2: float,
-    readout: ReadoutModel | None = None,
-    cal: Calibration | None = None,
+    readout: ReadoutModel = ReadoutModel(),
+    cal: Calibration = Calibration(),
     field_g: float | None = None,
-    tau_points: int = 400,
+    tau_points: int = TAU_POINTS_DEFAULT,
 ) -> SensitivityReport:
     """Scan eta over tau at one field and attach the analytic optimum.
 
@@ -277,14 +278,10 @@ def build_report(
     k = 0 antinode coincides with tau_opt, so the grid minimum touches
     the analytic envelope.
     """
-    readout = readout or ReadoutModel()
-    cal = cal or Calibration()
     if tau_points < 2:
         raise ConfigError("tau grid needs at least two points")
     best = optimal_sensitivity(t2, readout.C, cal, readout.n_centers)
     b = best.matched_B_G if field_g is None else field_g
-    if b <= 0:
-        raise DomainError(f"field must be positive, got {b}")
     tau_grid = np.linspace(t2 / 50.0, 2.5 * t2, tau_points)
     eta = sensitivity_eta(tau_grid, b, t2, readout.C, cal)
     return SensitivityReport(

@@ -160,13 +160,11 @@ def _index_regression(
     coeffs, *_ = np.linalg.lstsq(design, times, rcond=None)
     slope = float(coeffs[0])
     fitted = design @ coeffs
+    # extract_TR always passes two or more distinct indices, so past the two-index
+    # case above there are three or more, and dof and var_idx are positive
     dof = len(times) - 2
     var_idx = float(np.sum((indices - indices.mean()) ** 2))
-    if dof > 0 and var_idx > 0:
-        err = math.sqrt(float(np.sum((times - fitted) ** 2)) / dof / var_idx)
-    else:
-        err = float("nan")
-    return slope, err
+    return slope, math.sqrt(float(np.sum((times - fitted) ** 2)) / dof / var_idx)
 
 
 def snap_to_comb(peaks: list[RevivalPeak], period_ms: float) -> list[RevivalPeak]:
@@ -306,7 +304,8 @@ def extract_TR(peaks: list[RevivalPeak], grid_step_ms: float) -> tuple[float, fl
     snapped to integer revival indices against the winning period —
     dropping ringing maxima that sit off the comb and tolerating missed
     revivals — and the spacing is the least-squares slope of time against
-    index.  ``grid_step_ms`` must be positive and finite.
+    index.  ``grid_step_ms`` must be positive and finite, and the peak
+    times finite and strictly increasing.
     """
     if not (math.isfinite(grid_step_ms) and grid_step_ms > 0):
         raise ConfigError(f"grid step must be positive and finite, got {grid_step_ms}")
@@ -316,6 +315,8 @@ def extract_TR(peaks: list[RevivalPeak], grid_step_ms: float) -> tuple[float, fl
         )
     times = np.array([p.time for p in peaks], dtype=float)
     heights = np.array([p.height for p in peaks], dtype=float)
+    if not (np.all(np.isfinite(times)) and np.all(np.diff(times) > 0)):
+        raise ConfigError("peak times must be finite and strictly increase")
     if len(peaks) == 2:
         return float(times[1] - times[0]), float(grid_step_ms)
 

@@ -70,6 +70,15 @@ class TestLatticeGeometry:
         with pytest.raises(ConfigError, match=name):
             LatticeConfig(**{name: value})
 
+    @pytest.mark.parametrize(
+        "name,value",
+        [("lattice_constant", 0.0), ("lattice_constant", -3.567),
+         ("exclusion_radius", -0.1), ("pair_cutoff", 0.0)],
+    )
+    def test_non_positive_geometry_rejected(self, name, value):
+        with pytest.raises(ConfigError, match=name):
+            LatticeConfig(**{name: value})
+
     def test_fractional_seed_rejected(self):
         with pytest.raises(ConfigError, match="seed"):
             LatticeConfig(seed=1.5)

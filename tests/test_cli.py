@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import nvmag.cli
 from nvmag.cli import RunManifest, _parse_field, _t_max_auto, build_parser, main
 from nvmag.constants import ALPHA_MS_G, GAMMA_N_13C_KHZ_PER_G
 from nvmag.decoherence import CoherenceTrace, EchoSchedule, _pool_size, analytic_trace
@@ -858,6 +859,27 @@ class TestReconstructCommand:
         assert f"measurement file holds {literal}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "key,value",
+        [("T_R_ms", '"1e999"'), ("T_R_ms", "true"), ("T_R_ms", '"2.8098"'),
+         ("T_R_ms", "1" + "0" * 400), ("bias_G", '"0.5"')],
+        ids=["string-1e999", "bool", "string", "int-past-float-range", "string-bias"],
+    )
+    def test_value_that_is_not_a_finite_number_exits_2_naming_the_file(
+        self, tmp_path, capsys, key, value
+    ):
+        # float() reads a numeric string, and true as 1; an integer past float
+        # range overflows it
+        first = {"axis": [1, 0, 0], "T_R_ms": 5.6196}
+        first[key] = "VALUE"
+        path = tmp_path / "measurements.json"
+        path.write_text(json.dumps([first, {"axis": [0, 1, 0], "T_R_ms": 2.8098},
+                                    {"axis": [0, 0, 1], "T_R_ms": 2.8098}])
+                        .replace('"VALUE"', value))
+        assert run("reconstruct", "--measurements", path, "--out-dir", tmp_path / "out") == 2
+        assert f"malformed measurement file {path}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_file_exits_2(self, tmp_path):
         rc = run(
             "reconstruct", "--measurements", tmp_path / "none.json",
@@ -934,6 +956,24 @@ class TestOdmrCommand:
         assert "candidates file holds Infinity" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [('[["nan", 1, 1], [1, 1, 1]]', "malformed"), ("[[1, true, 1]]", "malformed"),
+         ("[[1, 1]]", "malformed"), ('{"a": 1}', "must hold a JSON list")],
+        ids=["string-nan", "bool", "two-numbers", "object"],
+    )
+    def test_malformed_candidates_exit_2_naming_the_file(self, tmp_path, capsys, text, message):
+        cand_path = tmp_path / "cands.json"
+        cand_path.write_text(text)
+        rc = run(
+            "odmr", "--field", "1", "--candidates", cand_path,
+            "--true-field", "1", "--out-dir", tmp_path / "out",
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"candidates file {cand_path}" in err and message in err
+        assert not (tmp_path / "out").exists()
+
     def test_bad_candidates_json_exits_2(self, tmp_path, capsys):
         cand_path = tmp_path / "cands.json"
         cand_path.write_text("[[0, 0")
@@ -982,6 +1022,16 @@ class TestSensitivityCommand:
         assert half["ensemble_eta_G_per_sqrtHz"] == pytest.approx(
             half["eta_min_G_per_sqrtHz"] / 2.0, rel=1e-12
         )
+
+    def test_unset_options_take_their_defaults(self, tmp_path):
+        assert run("sensitivity", "--out-dir", tmp_path / "a") == 0
+        rc = run(
+            "sensitivity", "--t2", "0.5", "--contrast", "0.3", "--n-centers", 1,
+            "--tau-points", 400, "--out-dir", tmp_path / "b",
+        )
+        assert rc == 0
+        for name in ("sensitivity_report.json", "sensitivity_eta.csv"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_tau_points_too_few_exits_2(self, tmp_path):
         assert run("sensitivity", "--t2", "0.5", "--tau-points", 1, "--out-dir", tmp_path) == 2
@@ -1042,9 +1092,12 @@ class TestRunManifest:
 _NUMBER = re.compile(r"(?<![\w.])-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?(?![\w.])")
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def _readme_examples() -> list[tuple[str, list[str]]]:
     """Every ``$ nvmag ...`` command in README.md with the output shown under it."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    readme = README.read_text()
     # odd pieces between fences are the fenced blocks
     blocks = re.split(r"^```.*\n", readme, flags=re.M)[1::2]
     examples = []
@@ -1090,3 +1143,19 @@ class TestReadmeExamples:
                     assert float(g) == pytest.approx(float(w), rel=1e-9), (command, got_line)
             ran.append(argv[0])
         assert ran == ["bath", "simulate", "extract", "invert", "odmr", "sensitivity"]
+
+
+def _listed_config_keys(text: str) -> set[str]:
+    """The names in the paragraph after "recognized keys:"; a code fence holds no word."""
+    listing = text.split("recognized keys:", 1)[1].strip().split("\n\n", 1)[0]
+    return set(re.findall(r"\w+", listing))
+
+
+class TestConfigKeysListed:
+    """README and the cli module docstring list exactly the keys --config accepts."""
+
+    def test_readme_lists_the_accepted_keys(self):
+        assert _listed_config_keys(README.read_text()) == nvmag.cli._CONFIG_KEYS
+
+    def test_docstring_lists_the_accepted_keys(self):
+        assert _listed_config_keys(nvmag.cli.__doc__) == nvmag.cli._CONFIG_KEYS

@@ -72,6 +72,16 @@ class TestFieldVector:
         f = FieldVector.from_sequence((1.0, 2.0, 2.0))
         assert f.magnitude == pytest.approx(3.0, rel=1e-15)
 
+    @pytest.mark.parametrize("components", [(np.nan, 0.0, 1.0), (0.0, -np.inf, 1.0)])
+    def test_non_finite_component_rejected(self, components):
+        with pytest.raises(ConfigError, match="finite"):
+            FieldVector(*components)
+
+    @pytest.mark.parametrize("seq", [(1.0, 2.0), (1.0, 2.0, 2.0, 0.0)])
+    def test_wrong_length_rejected(self, seq):
+        with pytest.raises(ConfigError, match="three components"):
+            FieldVector.from_sequence(seq)
+
 
 # ------------------------------------------------------------ schedules
 class TestEchoSchedule:
@@ -106,6 +116,18 @@ class TestEchoSchedule:
     def test_non_monotonic_grid_rejected(self):
         with pytest.raises(ConfigError):
             EchoSchedule(np.array([0.0, 0.2, 0.1]))
+
+    @pytest.mark.parametrize(
+        "grid,message", [([], "empty"), ([-0.1, 0.0, 0.1], "non-negative")]
+    )
+    def test_empty_or_negative_grid_rejected(self, grid, message):
+        with pytest.raises(ConfigError, match=message):
+            EchoSchedule(np.array(grid))
+
+    @pytest.mark.parametrize("t_max,step", [(0.0, 0.01), (-1.0, 0.01), (1.0, 0.0), (1.0, -0.01)])
+    def test_non_positive_regular_request_rejected(self, t_max, step):
+        with pytest.raises(ConfigError, match="positive"):
+            EchoSchedule.regular(t_max, step)
 
     @pytest.mark.parametrize("t_max,step", [(np.inf, 0.01), (np.nan, 0.01), (1.0, np.nan)])
     def test_non_finite_regular_request_rejected(self, t_max, step):

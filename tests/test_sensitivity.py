@@ -171,6 +171,8 @@ class TestSensitivityEta:
             sensitivity_eta(-0.1, 1.0, 0.5)
         with pytest.raises(DomainError):
             sensitivity_eta(0.1, 0.0, 0.5)
+        with pytest.raises(DomainError, match="decay time"):
+            sensitivity_eta(0.1, 1.0, 0.0)
         with pytest.raises(ConfigError):
             sensitivity_eta(0.1, 1.0, 0.5, contrast=2.0)
 
@@ -231,6 +233,11 @@ class TestBuildReport:
     def test_explicit_field(self):
         report = build_report(0.5, field_g=5.0)
         assert report.B_G == 5.0
+
+    @pytest.mark.parametrize("field_g", [0.0, -1.0])
+    def test_non_positive_field_rejected(self, field_g):
+        with pytest.raises(DomainError, match=f"field must be positive, got {field_g}"):
+            build_report(0.5, field_g=field_g)
 
     def test_json_replaces_infinities(self):
         cal = Calibration(alpha=1.0, source="refit")

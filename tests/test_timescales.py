@@ -158,6 +158,18 @@ class TestExtractTR:
         period, _ = extract_TR(peaks, grid_step_ms=0.01)
         assert period == pytest.approx(0.5, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "times",
+        [[0.0, 0.1, 0.1, 0.1], [0.0, 0.1, 0.1], [0.1, 0.1], [0.0, 0.2, 0.1],
+         [0.0, 1.0, math.inf], [0.0, 1.0, 2.0, math.inf]],
+    )
+    def test_peak_times_must_be_finite_and_strictly_increase(self, times):
+        # these used to give a NaN spacing, a spacing of 0.05 for [0, .1, .1],
+        # or a LinAlgError
+        peaks = mk_peaks(times, [1.0, 0.8, 0.6, 0.5][: len(times)])
+        with pytest.raises(ConfigError, match="finite and strictly increase"):
+            extract_TR(peaks, grid_step_ms=0.01)
+
     @pytest.mark.parametrize("step", [math.nan, -0.001, math.inf, 0.0])
     def test_bad_grid_step_rejected(self, step):
         # a NaN floor used to empty the candidate menu and fall back to the
@@ -400,6 +412,12 @@ class TestFitPowerLaw:
     def test_needs_two_points(self):
         with pytest.raises(ConfigError):
             fit_power_law([1.0], [1.0])
+
+    @pytest.mark.parametrize("x,y", [([1.0, 2.0, 3.0], [1.0, 2.0]),
+                                     ([[1.0, 2.0]], [[1.0, 2.0]])])
+    def test_mismatched_shapes_rejected(self, x, y):
+        with pytest.raises(ConfigError, match="one-dimensional"):
+            fit_power_law(x, y)
 
     def test_nonpositive_coefficient_rejected(self):
         with pytest.raises(DomainError):
