@@ -3,7 +3,9 @@
 Builds the diamond carbon lattice around a single defect site, samples 13C
 occupancy, and attaches the secular couplings the echo engine needs: the
 electron-nuclear hyperfine vector of every nucleus (point-dipole form) and
-the intra-bath dipolar coupling of every retained nuclear pair.
+the intra-bath dipolar coupling of every retained nuclear pair.  The pairs
+within the pair cutoff come from a blocked numpy search (``_pairs_within``),
+so sampling a bath needs numpy alone.
 
 Geometry convention: the defect vacancy sits at the origin, the substituting
 nitrogen occupies the adjacent lattice site, and all coordinates are returned
@@ -24,7 +26,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .constants import (
     ANGSTROM_TO_NM,
@@ -336,6 +337,48 @@ def nuclear_dipolar_coupling(position_i_nm: np.ndarray, position_j_nm: np.ndarra
     return (NUCLEAR_DIPOLE_PREFACTOR_KHZ_NM3 / r**3) * (1.0 - 3.0 * cos_t**2)
 
 
+# spins per block of the pair search: a block's tables hold 64 rows of at most N doubles
+_PAIR_BLOCK = 64
+
+
+def _pairs_within(positions: np.ndarray, cutoff: float) -> list[tuple[int, int]]:
+    """Every index pair (i, j), i < j, with |r_i - r_j| <= cutoff, in sorted order.
+
+    The rule is dx*dx + dy*dy + dz*dz <= cutoff*cutoff, summed in that order,
+    so a pair exactly at the cutoff is kept.  The spins are sorted along z and
+    each block of rows is compared only with the later spins within reach in z.
+    """
+    n = len(positions)
+    if n < 2:
+        return []
+    order = np.argsort(positions[:, 2], kind="stable")
+    pos = positions[order]
+    z = pos[:, 2]
+    limit = cutoff * cutoff
+    # any pair that passes the test is less than cutoff * (1 + 2**-50) apart in z
+    reach = z + cutoff * (1.0 + 1e-9)
+    firsts, seconds = [], []
+    for a in range(0, n - 1, _PAIR_BLOCK):
+        b = min(a + _PAIR_BLOCK, n - 1)
+        c = int(np.searchsorted(z, reach[b - 1], side="right"))
+        rows, cols = pos[a:b, None, :], pos[None, a + 1:c, :]
+        d = rows[..., 0] - cols[..., 0]
+        sq = d * d
+        d = rows[..., 1] - cols[..., 1]
+        sq += d * d
+        d = rows[..., 2] - cols[..., 2]
+        sq += d * d
+        near = sq <= limit
+        near &= np.arange(a + 1, c) > np.arange(a, b)[:, None]
+        i, j = np.nonzero(near)
+        firsts.append(order[i + a])
+        seconds.append(order[j + a + 1])
+    i, j = np.concatenate(firsts), np.concatenate(seconds)
+    lo, hi = np.minimum(i, j), np.maximum(i, j)
+    rank = np.argsort(lo * n + hi)
+    return list(zip(lo[rank].tolist(), hi[rank].tolist()))
+
+
 def sample_bath(sites: np.ndarray, config: LatticeConfig) -> BathRealization:
     """Sample 13C occupancy over ``sites`` and assemble the couplings.
 
@@ -352,13 +395,10 @@ def sample_bath(sites: np.ndarray, config: LatticeConfig) -> BathRealization:
         NuclearSpin(tuple(pos), tuple(hyperfine_vector(pos))) for pos in positions
     ]
 
-    pair_couplings: dict[tuple[int, int], float] = {}
-    if len(positions) >= 2:
-        tree = cKDTree(positions)
-        for i, j in sorted(tree.query_pairs(config.pair_cutoff)):
-            pair_couplings[(i, j)] = nuclear_dipolar_coupling(
-                positions[i], positions[j]
-            )
+    pair_couplings = {
+        (i, j): nuclear_dipolar_coupling(positions[i], positions[j])
+        for i, j in _pairs_within(positions, config.pair_cutoff)
+    }
 
     return BathRealization(
         spins=spins,

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
+from .bath import finite_number
 from .constants import ALPHA_MS_G, GAMMA_E_GHZ_PER_G, ZERO_FIELD_SPLITTING_GHZ
 from .errors import ConfigError, DomainError
 
@@ -61,8 +62,9 @@ class AxisMeasurement:
     def __post_init__(self) -> None:
         if abs(np.linalg.norm(self.axis) - 1.0) > _UNIT_TOL:
             raise ConfigError("measurement axis must be a unit vector")
-        if self.T_R <= 0:
+        if finite_number(self.T_R, "T_R") <= 0:
             raise ConfigError("revival time must be positive")
+        finite_number(self.bias, "bias")
 
 
 @dataclass(frozen=True)

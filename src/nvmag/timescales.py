@@ -4,6 +4,8 @@ Three numbers summarize a collapse-revival trace: the revival spacing (the
 first peak counts as revival zero), the 1/e width of the first peak, and
 the 1/e decay time of the revival-peak envelope.  Power-law fits of those
 numbers against field close the loop with the field-inversion layer.
+Revival peaks come from ``_local_peaks``, a numpy search that reports the
+same maxima as ``scipy.signal.find_peaks`` with a height and prominence floor.
 """
 
 from __future__ import annotations
@@ -105,6 +107,50 @@ class PowerLawFit:
         }
 
 
+def _local_peaks(values: np.ndarray, floor: float) -> np.ndarray:
+    """Indices of the local maxima whose height and prominence are both >= floor.
+
+    A maximum is a run of equal values with a strictly lower sample on each
+    side, reported at its middle index (the left one of two).  Its prominence
+    is its height less the higher of its two bases; a base is the lowest value
+    between the maximum and the nearest strictly higher sample on that side,
+    or the end of the trace.  This is ``scipy.signal.find_peaks(values,
+    prominence=floor, height=floor)``, index for index.
+    """
+    if values.size < 3:
+        return np.zeros(0, dtype=np.intp)
+    starts = np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
+    ends = np.append(starts[1:], values.size) - 1
+    # between two infinite walls the runs alternate minimum, maximum, ...,
+    # minimum: dips[k] and dips[k + 1] flank maximum k
+    walled = np.concatenate(([np.inf], values[starts], [np.inf]))
+    rise = walled[1:] > walled[:-1]
+    tops = np.flatnonzero(rise[:-1] & ~rise[1:])
+    dips = values[starts[np.flatnonzero(~rise[:-1] & rise[1:])]]
+    # a maximum below the floor is never reported and never stops a taller
+    # maximum's base, so only its dips count: fold them into the tall ones' gaps
+    tall = np.flatnonzero(values[starts[tops]] >= floor)
+    tops = tops[tall]
+    heights = values[starts[tops]]
+    highs = heights.tolist()
+    gaps = np.minimum.reduceat(dips, np.concatenate(([0], tall + 1))).tolist()
+    # one monotone stack per side: a maximum's base is the lowest gap out to
+    # the nearest strictly higher maximum (or wall)
+    bases = []
+    for order, side in ((range(tops.size), 0), (range(tops.size - 1, -1, -1), 1)):
+        base = [0.0] * tops.size
+        stack = [(math.inf, 0.0)]
+        for k in order:
+            h, low = highs[k], gaps[k + side]
+            while stack[-1][0] <= h:
+                low = min(low, stack.pop()[1])
+            base[k] = low
+            stack.append((h, low))
+        bases.append(base)
+    keep = floor <= heights - np.maximum(*bases)
+    return (starts[tops] + ends[tops])[keep] // 2
+
+
 def find_revival_peaks(
     trace: CoherenceTrace, prominence: float = PROMINENCE_DEFAULT
 ) -> list[RevivalPeak]:
@@ -123,12 +169,8 @@ def find_revival_peaks(
     if grid.size and grid[0] == 0.0:
         peaks.append(RevivalPeak(0.0, float(values[0])))
 
-    # deferred: scipy.signal loads stats, optimize and more, which simulation never needs
-    from scipy.signal import find_peaks
-
-    idx, _ = find_peaks(values, prominence=prominence, height=prominence)
-    # find_peaks reports only samples with a neighbour on each side
-    for i in idx:
+    # _local_peaks reports only samples with a neighbour on each side
+    for i in _local_peaks(values, prominence):
         y0, y1, y2 = values[i - 1], values[i], values[i + 1]
         curvature = y0 - 2.0 * y1 + y2
         shift = 0.0 if curvature == 0 else 0.5 * (y0 - y2) / curvature

@@ -8,6 +8,7 @@ from nvmag.bath import (
     BathRealization,
     LatticeConfig,
     NuclearSpin,
+    _pairs_within,
     generate_lattice_sites,
     hyperfine_vector,
     nuclear_dipolar_coupling,
@@ -208,6 +209,48 @@ class TestSampling:
             assert np.allclose(
                 s.hyperfine, hyperfine_vector(np.array(s.position)), rtol=1e-12
             )
+
+
+class TestPairSearch:
+    """The numpy pair search against scipy's k-d tree; scipy is needed only here."""
+
+    @staticmethod
+    def kd_pairs(positions, cutoff):
+        from scipy.spatial import cKDTree
+
+        return sorted(cKDTree(positions).query_pairs(cutoff))
+
+    @pytest.mark.parametrize("abundance, pair_cutoff, seed", [
+        (0.003, 1.0, 0), (0.011, 1.0, 1), (0.03, 1.0, 2), (0.1, 1.0, 3),
+        (0.011, 0.5, 4), (0.011, 1.5, 5), (0.03, 0.5, 6), (0.03, 1.5, 7),
+    ])
+    def test_matches_kd_tree_on_sampled_baths(self, full_sites, abundance, pair_cutoff, seed):
+        # sample_bath's occupancy draw, without its per-pair couplings
+        rng = np.random.default_rng(seed)
+        positions = full_sites[rng.random(len(full_sites)) < abundance]
+        expected = self.kd_pairs(positions, pair_cutoff)
+        assert len(expected) > 0
+        assert _pairs_within(positions, pair_cutoff) == expected
+
+    def test_sample_bath_keeps_the_pairs_found(self, full_sites):
+        cfg = LatticeConfig(seed=1, abundance=0.011, pair_cutoff=0.5)
+        bath = sample_bath(full_sites, cfg)
+        assert list(bath.pair_couplings) == self.kd_pairs(bath.positions, 0.5)
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_few_spins(self, n):
+        positions = np.array([[0.1, 0.2, 0.3], [0.4, -0.2, 0.9]])[:n]
+        assert _pairs_within(positions, 1.0) == self.kd_pairs(positions, 1.0)
+        assert _pairs_within(positions, 1.0) == ([(0, 1)] if n == 2 else [])
+        assert _pairs_within(positions, 0.5) == []
+
+    def test_pair_exactly_at_the_cutoff_is_kept(self):
+        beyond = np.nextafter(1.0, 2.0)
+        positions = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 1.0],
+                              [0.0, beyond, 0.0], [-1.0, 0.0, 0.0]])
+        expected = [(0, 1), (0, 4), (1, 2)]
+        assert _pairs_within(positions, 1.0) == expected
+        assert self.kd_pairs(positions, 1.0) == expected
 
 
 # ---------------------------------------------------------------- persistence

@@ -100,6 +100,16 @@ class TestMeasurementsToComponents:
         with pytest.raises(ConfigError):
             AxisMeasurement(axis=AXES[0], T_R=0.0)
 
+    @pytest.mark.parametrize("T_R", [math.inf, -math.inf, math.nan, True])
+    def test_revival_time_must_be_a_finite_number(self, T_R):
+        with pytest.raises(ConfigError, match="T_R"):
+            AxisMeasurement(axis=(1, 0, 0), T_R=T_R)
+
+    @pytest.mark.parametrize("bias", [math.inf, -math.inf, math.nan, True])
+    def test_bias_must_be_a_finite_number(self, bias):
+        with pytest.raises(ConfigError, match="bias"):
+            AxisMeasurement(axis=AXES[0], T_R=1.0, bias=bias)
+
 
 # ------------------------------------------------------------- reconstruction
 class TestReconstructField:

@@ -10,7 +10,14 @@ import numpy as np
 import pytest
 
 import nvmag
-from nvmag.decoherence import CoherenceTrace, EchoSchedule, analytic_trace
+from nvmag.bath import LatticeConfig, sample_bath
+from nvmag.decoherence import (
+    CoherenceTrace,
+    EchoSchedule,
+    FieldVector,
+    analytic_trace,
+    echo_coherence_trace,
+)
 from nvmag.errors import (
     ConfigError,
     CrossingNotFoundError,
@@ -20,10 +27,12 @@ from nvmag.errors import (
 )
 from nvmag.timescales import (
     FLAG_NO_REVIVAL,
+    PROMINENCE_DEFAULT,
     PowerLawFit,
     RevivalPeak,
     TimescaleSet,
     _comb_scores,
+    _local_peaks,
     _row_sums,
     extract_T2,
     extract_TR,
@@ -73,34 +82,75 @@ class TestFindRevivalPeaks:
         with pytest.raises(Exception):
             find_revival_peaks(tr, prominence=0.0)
 
-    def test_scipy_signal_loads_only_at_the_first_peak_search(self):
-        # a process that only simulates must not pay for the extraction
-        # stack, which scipy.signal pulls in (stats, optimize, ...)
+    def test_no_command_loads_scipy(self, tmp_path):
+        # sampling, simulation, peak search and a CLI extraction run on numpy alone
         script = textwrap.dedent("""
-            import json, sys
+            import contextlib, io, json, sys
             import nvmag, nvmag.cli
-            from nvmag.decoherence import EchoSchedule, analytic_trace
+            from nvmag.bath import LatticeConfig, generate_lattice_sites, sample_bath
+            from nvmag.decoherence import (
+                EchoSchedule, FieldVector, analytic_trace, echo_coherence_trace)
             from nvmag.timescales import find_revival_peaks
-            stack = ("scipy.signal", "scipy.stats", "scipy.interpolate",
-                     "scipy.optimize", "scipy.ndimage")
-            before = [m for m in stack if m in sys.modules]
+            cfg = LatticeConfig(cutoff_radius=1.5, abundance=0.05, seed=1)
+            spins = sample_bath(generate_lattice_sites(cfg), cfg)
+            echo_coherence_trace(spins, FieldVector(0.0, 0.0, 20.0),
+                                 EchoSchedule.for_field(20.0, 0.05))
             trace = analytic_trace(EchoSchedule.regular(2.0, 0.5 / 48.0), 0.5, 1.0)
             peaks = [[p.time, p.height] for p in find_revival_peaks(trace)]
-            print(json.dumps([before, peaks, "scipy.signal" in sys.modules]))
+            trace.save_csv(sys.argv[1])
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = nvmag.cli.main(["extract", "--trace", sys.argv[1]])
+            print(json.dumps([len(spins.pair_couplings), peaks, code,
+                              sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
         """)
         src = str(Path(nvmag.__file__).resolve().parent.parent)
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
         ))
-        out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
-                             capture_output=True, text=True).stdout
-        before, peaks, loaded = json.loads(out)
-        assert before == []
-        # the peaks found while scipy.signal was still imported with nvmag
+        out = subprocess.run([sys.executable, "-c", script, str(tmp_path / "t.csv")],
+                             env=env, check=True, capture_output=True, text=True).stdout
+        n_pairs, peaks, code, scipy_modules = json.loads(out)
+        assert n_pairs > 0 and code == 0
+        # the peaks scipy.signal.find_peaks found here before the numpy search
         assert peaks == [[0.0, 1.0], [0.48737972184854406, 0.610377342940362],
                          [0.9873797218485441, 0.3702125724872621],
                          [1.487379721848544, 0.22454527582461017]]
-        assert loaded
+        assert scipy_modules == []
+
+
+class TestLocalPeaks:
+    """The numpy peak search against scipy.signal.find_peaks; scipy is needed only here."""
+
+    @staticmethod
+    def assert_matches_scipy(values, floors):
+        from scipy.signal import find_peaks
+
+        for floor in floors:
+            expected, _ = find_peaks(values, prominence=floor, height=floor)
+            assert _local_peaks(values, floor).tolist() == expected.tolist(), (values, floor)
+
+    @pytest.mark.parametrize("field_g", [1.0, 3.0, 10.0, 30.0, 100.0])
+    def test_simulated_traces_and_their_plateaus(self, small_sites, field_g):
+        # a dilute bath keeps its revivals over the whole 1.05 ms window
+        spins = sample_bath(small_sites, LatticeConfig(seed=4, abundance=0.011))
+        trace = echo_coherence_trace(spins, FieldVector(0.3, 0.0, field_g),
+                                     EchoSchedule.for_field(field_g, 1.05))
+        floors = (0.001, 0.005, PROMINENCE_DEFAULT, 0.05, 0.2)
+        self.assert_matches_scipy(trace.values, floors)
+        rounded = np.round(trace.values, 3)
+        assert np.any(rounded[1:] == rounded[:-1])
+        self.assert_matches_scipy(rounded, floors)
+
+    def test_random_small_integer_arrays(self):
+        rng = np.random.default_rng(20)
+        arrays = [np.zeros(n) for n in range(4)] + [np.full(6, 2.0),
+                  np.array([2.0, 2.0, 1.0, 3.0, 0.0]), np.array([0.0, 3.0, 1.0, 2.0, 2.0]),
+                  np.array([1.0, 2.0, 2.0, 1.0, 2.0, 2.0, 2.0, 0.0])]
+        for _ in range(2000):
+            n = int(rng.integers(0, 30))
+            arrays.append(rng.integers(0, int(rng.integers(1, 6)), size=n).astype(float))
+        for values in arrays:
+            self.assert_matches_scipy(values, (0.5, 1.0, 2.0, 3.0))
 
 
 # ------------------------------------------------------------- comb search
