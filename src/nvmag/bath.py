@@ -15,7 +15,9 @@ spin.  Positions are in nm, couplings in kHz.
 
 The package's strict JSON reader and writer and its CSV writer live here
 too: every JSON file nvmag reads or writes, and every CSV file it writes,
-goes through them.
+goes through them.  So do the rules every module checks its numeric arguments
+with (``finite_number``, ``positive``, ``integer``, ``finite_vector``,
+``finite_array``): a non-number, a bool, NaN or an infinity is a ConfigError.
 """
 
 from __future__ import annotations
@@ -82,26 +84,51 @@ def csv_text(header: list[str], rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+_FLOATS = (float, np.floating)
+_NUMBERS = (int, np.integer) + _FLOATS
+
+
 def finite_number(value, what: str):
-    """``value`` itself if it is an int or a finite float; bools are refused."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    """``value`` itself if it is a finite int, float, or numpy int or float; bools are refused."""
+    if isinstance(value, bool) or not isinstance(value, _NUMBERS):
         raise ConfigError(f"{what} must be a number, got {value!r}")
-    if isinstance(value, float) and not math.isfinite(value):
+    if isinstance(value, _FLOATS) and not math.isfinite(value):
         raise ConfigError(f"{what} must be finite, got {value!r}")
     return value
 
 
-def _integer(value, what: str) -> int:
+def positive(value, what: str, error: type[Exception] = ConfigError):
+    """``value`` itself if it is a finite number above zero; zero or below raises ``error``."""
+    if not finite_number(value, what) > 0:
+        raise error(f"{what} must be positive, got {value}")
+    return value
+
+
+def integer(value, what: str) -> int:
+    """``value`` as an int if it is an int or a numpy integer; bools are refused."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ConfigError(f"{what} must be an integer, got {value!r}")
     return int(value)
 
 
 def finite_vector(value, what: str) -> tuple[float, float, float]:
-    """Three finite numbers, as floats: a list or tuple of length three."""
+    """Three finite numbers, as floats: a list, tuple or 1-D array of length three."""
+    if isinstance(value, np.ndarray) and value.ndim == 1:
+        value = value.tolist()
     if not isinstance(value, (list, tuple)) or len(value) != 3:
-        raise ConfigError(f"{what} must hold three numbers, got {value!r}")
-    return tuple(float(finite_number(x, what)) for x in value)
+        raise ConfigError(f"{what} must hold three numbers (three components), got {value!r}")
+    return tuple([float(finite_number(x, what)) for x in value])
+
+
+def finite_array(value, what: str) -> np.ndarray:
+    """``value`` as a float array of its own shape: finite ints or floats, never bools."""
+    array = np.asarray(value)
+    if array.dtype.kind not in "iuf":
+        raise ConfigError(f"{what} must hold numbers, got {value!r}")
+    array = array.astype(float, copy=False)
+    if not np.isfinite(array).all():
+        raise ConfigError(f"{what} must be finite")
+    return array
 
 
 def _rotation_111_to_z() -> np.ndarray:
@@ -138,21 +165,17 @@ class LatticeConfig:
     pair_cutoff: float = 1.0
 
     def __post_init__(self) -> None:
-        for name in ("lattice_constant", "cutoff_radius", "exclusion_radius", "pair_cutoff"):
+        for name in ("cutoff_radius", "exclusion_radius", "abundance"):
             finite_number(getattr(self, name), name)
-        _integer(self.seed, "seed")
-        if self.lattice_constant <= 0:
-            raise ConfigError("lattice_constant must be positive")
+        positive(self.lattice_constant, "lattice_constant")
+        positive(self.pair_cutoff, "pair_cutoff")
+        integer(self.seed, "seed")
         if self.exclusion_radius < 0:
             raise ConfigError("exclusion_radius must be >= 0")
         if self.cutoff_radius <= self.exclusion_radius * ANGSTROM_TO_NM:
-            raise ConfigError(
-                "cutoff_radius (nm) must exceed exclusion_radius (Angstrom)"
-            )
+            raise ConfigError("cutoff_radius (nm) must exceed exclusion_radius (Angstrom)")
         if not 0.0 <= self.abundance <= 1.0:
             raise ConfigError("abundance must lie in [0, 1]")
-        if self.pair_cutoff <= 0:
-            raise ConfigError("pair_cutoff must be positive")
 
     @property
     def lattice_constant_nm(self) -> float:
@@ -198,6 +221,7 @@ class BathRealization:
             raise ConfigError(
                 f"gamma_n is the 13C ratio {GAMMA_N_13C_KHZ_PER_G} kHz/G, got {self.gamma_n!r}"
             )
+        integer(self.seed, "seed")
 
     def __len__(self) -> int:
         return len(self.spins)
@@ -248,7 +272,7 @@ class BathRealization:
                 for s in data["spins"]
             ]
             pairs = {
-                (_integer(i, "pair index"), _integer(j, "pair index")):
+                (integer(i, "pair index"), integer(j, "pair index")):
                     float(finite_number(b, "pair coupling"))
                 for i, j, b in data["pair_couplings_khz"]
             }
@@ -257,7 +281,7 @@ class BathRealization:
                 spins=spins,
                 pair_couplings=pairs,
                 gamma_n=float(finite_number(data["gamma_n_khz_per_g"], "gamma_n")),
-                seed=_integer(data["seed"], "seed"),
+                seed=integer(data["seed"], "seed"),
                 config=config,
             )
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -386,7 +410,7 @@ def sample_bath(sites: np.ndarray, config: LatticeConfig) -> BathRealization:
     abundance, driven by ``numpy.random.default_rng(config.seed)``; identical
     (sites, config) inputs therefore reproduce the realization bit for bit.
     """
-    sites = np.asarray(sites, dtype=float).reshape(-1, 3)
+    sites = finite_array(sites, "lattice sites").reshape(-1, 3)
     rng = np.random.default_rng(config.seed)
     occupied = rng.random(len(sites)) < config.abundance
     positions = sites[occupied]

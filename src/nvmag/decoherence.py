@@ -38,7 +38,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .bath import BathRealization, NuclearSpin, csv_text, json_text, load_strict_json
+from .bath import (
+    BathRealization, NuclearSpin, csv_text, finite_array, finite_number, finite_vector, integer,
+    json_text, load_strict_json, positive,
+)
 from .constants import GAMMA_N_13C_KHZ_PER_G
 from .errors import (
     ConfigError,
@@ -124,19 +127,15 @@ class FieldVector:
     bz: float
 
     def __post_init__(self) -> None:
-        if not all(np.isfinite([self.bx, self.by, self.bz])):
-            raise ConfigError("field components must be finite")
+        finite_vector((self.bx, self.by, self.bz), "field components")
 
     @classmethod
     def from_sequence(cls, seq) -> "FieldVector":
-        arr = np.asarray(seq, dtype=float).reshape(-1)
-        if arr.size != 3:
-            raise ConfigError("a field needs exactly three components")
-        return cls(*arr)
+        return cls(*finite_vector(seq, "field"))
 
     @classmethod
     def along_z(cls, magnitude: float) -> "FieldVector":
-        return cls(0.0, 0.0, float(magnitude))
+        return cls(0.0, 0.0, float(finite_number(magnitude, "field magnitude")))
 
     def as_array(self) -> np.ndarray:
         return np.array([self.bx, self.by, self.bz], dtype=float)
@@ -153,17 +152,17 @@ def larmor_period(field_magnitude_g: float) -> float:
 
 def required_time_step(field_magnitude_g: float) -> float:
     """Largest grid step (ms) resolving the Larmor period at this field."""
-    if field_magnitude_g == 0.0:
+    if finite_number(field_magnitude_g, "field magnitude") == 0.0:
         return np.inf
     return larmor_period(field_magnitude_g) / POINTS_PER_LARMOR_PERIOD_MIN
 
 
-def _check_time_grid(grid: np.ndarray) -> None:
-    """Raise ConfigError unless the echo times are finite and strictly increasing."""
-    if not np.all(np.isfinite(grid)):
-        raise ConfigError("echo times must be finite")
+def _time_grid(times) -> np.ndarray:
+    """Echo times as a flat float array; ConfigError unless finite and strictly increasing."""
+    grid = finite_array(times, "echo times").reshape(-1)
     if grid.size > 1 and not np.all(np.diff(grid) > 0):
         raise ConfigError("echo times must be strictly increasing")
+    return grid
 
 
 @dataclass(frozen=True)
@@ -173,20 +172,17 @@ class EchoSchedule:
     t_grid: np.ndarray
 
     def __post_init__(self) -> None:
-        grid = np.asarray(self.t_grid, dtype=float).reshape(-1)
+        grid = _time_grid(self.t_grid)
         if grid.size == 0:
             raise ConfigError("empty echo schedule")
         if grid[0] < 0:
             raise ConfigError("echo times must be non-negative")
-        _check_time_grid(grid)
         object.__setattr__(self, "t_grid", grid)
 
     @classmethod
     def regular(cls, t_max_ms: float, step_ms: float) -> "EchoSchedule":
-        if not (np.isfinite(t_max_ms) and np.isfinite(step_ms)):
-            raise ConfigError("t_max and step must be finite")
-        if t_max_ms <= 0 or step_ms <= 0:
-            raise ConfigError("t_max and step must be positive")
+        positive(t_max_ms, "t_max")
+        positive(step_ms, "step")
         n = int(np.ceil(t_max_ms / step_ms))
         return cls(np.linspace(0.0, n * step_ms, n + 1))
 
@@ -198,9 +194,9 @@ class EchoSchedule:
         points_per_period: int = POINTS_PER_LARMOR_PERIOD_DEFAULT,
     ) -> "EchoSchedule":
         """Regular grid resolving the revival period at the given field."""
-        if field_magnitude_g == 0.0:
+        if finite_number(field_magnitude_g, "field magnitude") == 0.0:
             raise ConfigError("zero field has no Larmor period; use regular()")
-        if points_per_period < POINTS_PER_LARMOR_PERIOD_MIN:
+        if integer(points_per_period, "points_per_period") < POINTS_PER_LARMOR_PERIOD_MIN:
             raise ConfigError(
                 f"points_per_period must be >= {POINTS_PER_LARMOR_PERIOD_MIN}"
             )
@@ -208,10 +204,8 @@ class EchoSchedule:
 
     def validate_resolution(self, field_magnitude_g: float) -> None:
         """Raise if the grid undersamples the expected revival period."""
-        if self.t_grid.size < 2 or field_magnitude_g == 0.0:
-            return
-        step = float(np.max(np.diff(self.t_grid)))
         required = required_time_step(field_magnitude_g)
+        step = float(np.max(np.diff(self.t_grid), initial=0.0))
         if step > required * (1.0 + 1e-9):
             raise GridTooCoarseError(
                 f"grid step {step:.6g} ms undersamples the revival period at "
@@ -229,13 +223,10 @@ class CoherenceTrace:
     metadata: dict = dc_field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        self.t_grid = np.asarray(self.t_grid, dtype=float).reshape(-1)
-        self.values = np.asarray(self.values, dtype=float).reshape(-1)
+        self.t_grid = _time_grid(self.t_grid)
+        self.values = finite_array(self.values, "coherence values").reshape(-1)
         if self.t_grid.shape != self.values.shape:
             raise ShapeError("time grid and values differ in length")
-        _check_time_grid(self.t_grid)
-        if not np.all(np.isfinite(self.values)):
-            raise ConfigError("coherence values must be finite")
         if self.t_grid.size and self.t_grid[0] == 0.0:
             if abs(self.values[0] - 1.0) > 1e-9:
                 raise PhysicsError(
@@ -288,7 +279,7 @@ def effective_field(field: FieldVector, hyperfine_khz) -> np.ndarray:
     result is (N, 3).  The m = 0 branch sees the applied field itself,
     ``field.as_array()``.
     """
-    return field.as_array() - np.asarray(hyperfine_khz, dtype=float) / GAMMA_N_13C_KHZ_PER_G
+    return field.as_array() - finite_array(hyperfine_khz, "hyperfine_khz") / GAMMA_N_13C_KHZ_PER_G
 
 
 def single_spin_echo_factor(h0_g, h1_g, t_ms):
@@ -304,9 +295,9 @@ def single_spin_echo_factor(h0_g, h1_g, t_ms):
     (:func:`_single_factors_on_grid`) at branch duration t/2.  Accepts
     scalar or array ``t_ms``.
     """
-    h0 = np.asarray(h0_g, dtype=float)
-    h1 = np.asarray(h1_g, dtype=float).reshape(1, 3)
-    t = np.asarray(t_ms, dtype=float)
+    h0 = np.array(finite_vector(h0_g, "h0_g"))
+    h1 = np.array([finite_vector(h1_g, "h1_g")])
+    t = finite_array(t_ms, "t_ms")
     out = _single_factors_on_grid(h0, h1, 0.5 * t.reshape(-1))[0]
     return float(out[0]) if t.ndim == 0 else out.reshape(t.shape)
 
@@ -327,8 +318,9 @@ def pair_echo_factor(
     branch duration t/2.  Accepts scalar or array ``t_ms``.
     """
     h1 = [effective_field(field, s.hyperfine)[None, :] for s in (spin_i, spin_j)]
-    spectra = _pair_spectra(*h1, np.array([float(b_ij_khz)]), field.as_array())
-    t = np.asarray(t_ms, dtype=float)
+    b_ij = float(finite_number(b_ij_khz, "b_ij_khz"))
+    spectra = _pair_spectra(*h1, np.array([b_ij]), field.as_array())
+    t = finite_array(t_ms, "t_ms")
     out = _pair_kernel_factors(spectra, 0.5 * t.reshape(-1))[0]
     return float(out[0]) if t.ndim == 0 else out.reshape(t.shape)
 
@@ -713,11 +705,10 @@ def analytic_coherence(t_revival_ms: float, t2_ms: float, t_ms):
     L(t) = (1 + cos(2 pi t / T_revival)) / 2 * exp(-t / T2): unit-height
     revivals at multiples of the revival time under an exponential envelope.
     """
-    if t_revival_ms <= 0:
-        raise DomainError("revival time must be positive")
-    if t2_ms <= 0:
-        raise DomainError("decay time must be positive")
-    t = np.asarray(t_ms, dtype=float)
+    positive(t_revival_ms, "revival time", DomainError)
+    if t2_ms != np.inf:  # an infinite decay time is the undamped model
+        positive(t2_ms, "decay time", DomainError)
+    t = finite_array(t_ms, "t_ms")
     out = 0.5 * (1.0 + np.cos(2.0 * np.pi * t / t_revival_ms)) * np.exp(-t / t2_ms)
     return out if t.ndim else float(out)
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .bath import finite_number
+from .bath import finite_number, finite_vector, positive
 from .constants import ALPHA_MS_G, GAMMA_E_GHZ_PER_G, ZERO_FIELD_SPLITTING_GHZ
 from .errors import ConfigError, DomainError
 
@@ -45,8 +45,7 @@ class Calibration:
     source: str = "paper"
 
     def __post_init__(self) -> None:
-        if self.alpha <= 0:
-            raise ConfigError("calibration constant must be positive")
+        positive(self.alpha, "calibration constant")
         if self.source not in ("paper", "refit"):
             raise ConfigError('calibration source must be "paper" or "refit"')
 
@@ -60,10 +59,9 @@ class AxisMeasurement:
     bias: float = 0.0  # bias field applied along the same axis, Gauss
 
     def __post_init__(self) -> None:
-        if abs(np.linalg.norm(self.axis) - 1.0) > _UNIT_TOL:
+        if abs(np.linalg.norm(finite_vector(self.axis, "axis")) - 1.0) > _UNIT_TOL:
             raise ConfigError("measurement axis must be a unit vector")
-        if finite_number(self.T_R, "T_R") <= 0:
-            raise ConfigError("revival time must be positive")
+        positive(self.T_R, "T_R")
         finite_number(self.bias, "bias")
 
 
@@ -91,14 +89,12 @@ class FieldEstimate:
 
 def invert_TR_to_B(t_revival_ms: float, calibration: Calibration = Calibration()) -> float:
     """Field magnitude (Gauss) from a revival spacing: B = alpha / T_R."""
-    if t_revival_ms <= 0:
-        raise DomainError("revival time must be positive to invert")
-    return calibration.alpha / t_revival_ms
+    return calibration.alpha / positive(t_revival_ms, "revival time", DomainError)
 
 
 def subtract_bias(measured_g: float, bias_g: float) -> float:
     """Remove a known collinear bias from a projected-field measurement."""
-    return measured_g - bias_g
+    return finite_number(measured_g, "measured field") - finite_number(bias_g, "bias")
 
 
 def measurements_to_components(
@@ -132,9 +128,7 @@ def reconstruct_field(components_g) -> FieldEstimate:
     components) candidates (8 in general position; the antiparallel pair
     among them can never be separated spectroscopically).
     """
-    comps = np.asarray(components_g, dtype=float).reshape(-1)
-    if comps.size != 3:
-        raise ConfigError("a field estimate needs exactly three components")
+    comps = np.array(finite_vector(components_g, "field components"))
     magnitude = float(np.linalg.norm(comps))
     if magnitude == 0.0:
         raise DomainError("zero field: direction is undefined")
@@ -161,9 +155,7 @@ def zeeman_levels(field_g) -> np.ndarray:
     spectrum closes to (0, D - gamma_e Bz, D + gamma_e Bz); transverse
     components mix the levels and the closed form no longer applies.
     """
-    b = np.asarray(field_g, dtype=float).reshape(-1)
-    if b.size != 3:
-        raise ConfigError("field must have three components")
+    b = finite_vector(field_g, "field")
     ham = ZERO_FIELD_SPLITTING_GHZ * (SPIN1_SZ @ SPIN1_SZ) - GAMMA_E_GHZ_PER_G * (
         b[0] * SPIN1_SX + b[1] * SPIN1_SY + b[2] * SPIN1_SZ
     )
@@ -226,12 +218,11 @@ def make_simulated_probe(true_field_g):
     field: the probe sees the true field's parallel projection along z and
     its transverse remainder along x.
     """
-    true = np.asarray(true_field_g, dtype=float).reshape(3)
+    true = np.array(finite_vector(true_field_g, "true field"))
 
     def probe(axis) -> OdmrSpectrum:
-        a = np.asarray(axis, dtype=float).reshape(3)
-        norm = np.linalg.norm(a)
-        if abs(norm - 1.0) > 1e-6:
+        a = np.array(finite_vector(axis, "probe axis"))
+        if abs(np.linalg.norm(a) - 1.0) > 1e-6:
             raise ConfigError("probe axis must be a unit vector")
         b_par = float(true @ a)
         b_perp = float(np.linalg.norm(true - b_par * a))
@@ -264,7 +255,8 @@ def resolve_alignment(
     at best a candidate *pair* survives; a tie across genuinely distinct
     directions (or no gated candidate at all) is reported unresolved.
     """
-    cands = [np.asarray(c, dtype=float).reshape(3) for c in candidates]
+    positive(tolerance_ghz, "tolerance_ghz")
+    cands = [np.array(finite_vector(c, "candidate")) for c in candidates]
     if not cands:
         raise ConfigError("no candidates to resolve")
     spectra: list[OdmrSpectrum] = []

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bath import finite_array, finite_number, integer, positive
 from .constants import (
     READOUT_CONTRAST_DEFAULT,
     G_TO_UT,
@@ -33,17 +34,26 @@ _INSENSITIVE_SIN = 1e-12
 TAU_POINTS_DEFAULT = 400
 
 
+def _fits_in_total(tau_s, t_total_s) -> None:
+    """An evolution of ``tau_s`` seconds must fit in the total measurement time."""
+    if tau_s > finite_number(t_total_s, "total measurement time"):
+        raise DomainError(
+            f"evolution time {tau_s} s exceeds the total measurement time {t_total_s} s"
+        )
+
+
 @dataclass(frozen=True)
 class ReadoutModel:
-    """Readout constants: contrast factor and center count."""
+    """Readout constants: contrast factor and center count.  Every function
+    here checks a contrast or a center count by building one of these."""
 
     C: float = READOUT_CONTRAST_DEFAULT
     n_centers: int = 1
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.C <= 1.0:
-            raise ConfigError(f"contrast C must be in (0, 1], got {self.C}")
-        if self.n_centers < 1 or int(self.n_centers) != self.n_centers:
+        if not 0.0 < finite_number(self.C, "contrast") <= 1.0:
+            raise ConfigError(f"contrast must be in (0, 1], got {self.C}")
+        if integer(self.n_centers, "n_centers") < 1:
             raise ConfigError("n_centers must be a positive integer")
 
 
@@ -139,11 +149,9 @@ def signal_response(tau, field_g: float, t2: float, cal: Calibration):
     The leading sign matters: it is fixed by differencing the signal
     itself, and the response crosses zero at every revival node.
     """
-    if field_g <= 0:
-        raise DomainError(f"field must be positive to set a revival spacing, got {field_g}")
-    if t2 <= 0:
-        raise DomainError(f"decay time must be positive, got {t2}")
-    tau_arr = np.asarray(tau, dtype=float)
+    positive(field_g, "field", DomainError)
+    positive(t2, "decay time", DomainError)
+    tau_arr = finite_array(tau, "evolution times")
     alpha = cal.alpha
     out = (
         -(np.pi * tau_arr / (2.0 * alpha))
@@ -160,14 +168,8 @@ def shot_noise(t_total_s: float, tau_s: float, contrast: float = READOUT_CONTRAS
     noise of the averaged dimensionless signal falls as the square root
     of that count, divided by the readout contrast.
     """
-    if not 0.0 < contrast <= 1.0:
-        raise ConfigError(f"contrast must be in (0, 1], got {contrast}")
-    if tau_s <= 0:
-        raise DomainError(f"evolution time must be positive, got {tau_s}")
-    if tau_s > t_total_s:
-        raise DomainError(
-            f"evolution time {tau_s} s exceeds the total measurement time {t_total_s} s"
-        )
+    ReadoutModel(C=contrast)
+    _fits_in_total(positive(tau_s, "evolution time", DomainError), t_total_s)
     return math.sqrt(tau_s / t_total_s) / contrast
 
 
@@ -186,10 +188,7 @@ def min_detectable_field(
     field; that is reported as an insensitive result with an infinite limit
     rather than raised, since scanning tau across nodes is routine.
     """
-    if tau_ms * 1e-3 > t_total_s:
-        raise DomainError(
-            f"evolution time {tau_ms * 1e-3} s exceeds the total measurement time {t_total_s} s"
-        )
+    _fits_in_total(finite_number(tau_ms, "evolution time") * 1e-3, t_total_s)
     eta = sensitivity_eta(tau_ms, field_g, t2, contrast, cal)
     return DetectionLimit(eta / math.sqrt(t_total_s), insensitive=math.isinf(eta))
 
@@ -207,13 +206,10 @@ def sensitivity_eta(
     independent of the total averaging time.  Response nodes give inf.
     Accepts a scalar or an array of evolution times.
     """
-    if not 0.0 < contrast <= 1.0:
-        raise ConfigError(f"contrast must be in (0, 1], got {contrast}")
-    if field_g <= 0:
-        raise DomainError(f"field must be positive, got {field_g}")
-    if t2 <= 0:
-        raise DomainError(f"decay time must be positive, got {t2}")
-    tau_arr = np.asarray(tau_ms, dtype=float)
+    ReadoutModel(C=contrast)
+    positive(field_g, "field", DomainError)
+    positive(t2, "decay time", DomainError)
+    tau_arr = finite_array(tau_ms, "evolution times")
     if np.any(tau_arr <= 0):
         raise DomainError("evolution times must be positive")
     sin_term = np.abs(np.sin(2.0 * np.pi * tau_arr * field_g / cal.alpha))
@@ -244,12 +240,8 @@ def optimal_sensitivity(
     this envelope.  An ensemble of n independent centers improves the
     result by sqrt(n).
     """
-    if not 0.0 < contrast <= 1.0:
-        raise ConfigError(f"contrast must be in (0, 1], got {contrast}")
-    if t2 <= 0:
-        raise DomainError(f"decay time must be positive, got {t2}")
-    if n_centers < 1:
-        raise ConfigError("n_centers must be a positive integer")
+    ReadoutModel(contrast, n_centers)
+    positive(t2, "decay time", DomainError)
     eta_min = (
         2.0 * cal.alpha / (math.pi * contrast)
         * math.sqrt(2.0 * math.e / t2)
@@ -278,7 +270,7 @@ def build_report(
     k = 0 antinode coincides with tau_opt, so the grid minimum touches
     the analytic envelope.
     """
-    if tau_points < 2:
+    if integer(tau_points, "tau_points") < 2:
         raise ConfigError("tau grid needs at least two points")
     best = optimal_sensitivity(t2, readout.C, cal, readout.n_centers)
     b = best.matched_B_G if field_g is None else field_g

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .bath import finite_number, integer, positive
 from .decoherence import CoherenceTrace
 from .errors import (
     ConfigError,
@@ -92,8 +93,10 @@ class PowerLawFit:
     n_points: int = 0
 
     def __post_init__(self) -> None:
-        if self.coefficient <= 0:
-            raise DomainError("power-law coefficient must be positive")
+        positive(self.coefficient, "power-law coefficient", DomainError)
+        finite_number(self.exponent, "power-law exponent")
+        finite_number(self.residual, "power-law residual")
+        integer(self.n_points, "n_points")
 
     def __call__(self, x):
         return self.coefficient * np.asarray(x, dtype=float) ** self.exponent
@@ -161,8 +164,7 @@ def find_revival_peaks(
     parabola through its neighbours.  If the grid starts at zero that point
     is always included as the zeroth peak.
     """
-    if prominence <= 0:
-        raise ConfigError("prominence must be positive")
+    positive(prominence, "prominence")
     grid, values = trace.t_grid, trace.values
 
     peaks: list[RevivalPeak] = []
@@ -349,8 +351,7 @@ def extract_TR(peaks: list[RevivalPeak], grid_step_ms: float) -> tuple[float, fl
     index.  ``grid_step_ms`` must be positive and finite, and the peak
     times finite and strictly increasing.
     """
-    if not (math.isfinite(grid_step_ms) and grid_step_ms > 0):
-        raise ConfigError(f"grid step must be positive and finite, got {grid_step_ms}")
+    positive(grid_step_ms, "grid step")
     if len(peaks) < 2:
         raise NoRevivalError(
             "fewer than two coherence peaks: revival spacing is undefined"
@@ -407,7 +408,9 @@ def extract_TR(peaks: list[RevivalPeak], grid_step_ms: float) -> tuple[float, fl
 
     if best_score > 0:
         # two passes: the regressed slope re-anchors the comb, recovering
-        # teeth a slightly-off candidate would let drift out of tolerance
+        # teeth a slightly-off candidate would let drift out of tolerance.
+        # The snapped peaks hold one peak per tooth, in tooth order, so their
+        # times and indices both strictly increase: the slope is positive
         period = best_period
         result = None
         for _ in range(2):
@@ -417,10 +420,8 @@ def extract_TR(peaks: list[RevivalPeak], grid_step_ms: float) -> tuple[float, fl
             s_times = np.array([p.time for p in snapped])
             s_indices = np.round(s_times / period)
             result = _index_regression(s_times, s_indices, grid_step_ms)
-            if not (math.isfinite(result[0]) and result[0] > 0):
-                break
             period = result[0]
-        if result is not None and math.isfinite(result[0]) and result[0] > 0:
+        if result is not None:
             return result
 
     # degenerate comb: fall back to median-gap index assignment
@@ -508,16 +509,14 @@ def extract_timescales(
 
     # two peaks need an interior point, so a trace with two peaks has a step
     t_r = t_r_err = math.nan
+    envelope_peaks = peaks
     if len(peaks) < 2:
         flags.append(FLAG_NO_REVIVAL)
     else:
         grid_step = float(np.median(np.diff(trace.t_grid)))
         t_r, t_r_err = extract_TR(peaks, grid_step_ms=grid_step)
-
-    # the envelope lives on the revival comb: once the spacing is known,
-    # inter-revival ringing maxima must not masquerade as envelope samples
-    envelope_peaks = peaks
-    if math.isfinite(t_r) and t_r > 0:
+        # the envelope lives on the revival comb: once the spacing is known,
+        # inter-revival ringing maxima must not masquerade as envelope samples
         envelope_peaks = snap_to_comb(peaks, t_r)
 
     t2 = t2_err = math.nan

@@ -113,6 +113,20 @@ class TestEchoSchedule:
             1.0 / (GAMMA * 10.0) / 40.0, rel=1e-12
         )
 
+    def test_zero_field_needs_no_step(self):
+        assert required_time_step(0.0) == np.inf
+
+    def test_non_finite_field_rejected(self):
+        # NaN returned a NaN step, and a NaN field passed the resolution check
+        with pytest.raises(ConfigError, match="field magnitude"):
+            required_time_step(np.nan)
+        with pytest.raises(ConfigError, match="field magnitude"):
+            EchoSchedule.regular(1.0, 0.25).validate_resolution(np.nan)
+
+    def test_fractional_points_per_period_rejected(self):
+        with pytest.raises(ConfigError, match="points_per_period"):
+            EchoSchedule.for_field(10.0, 0.2, points_per_period=48.5)
+
     def test_non_monotonic_grid_rejected(self):
         with pytest.raises(ConfigError):
             EchoSchedule(np.array([0.0, 0.2, 0.1]))
@@ -691,6 +705,10 @@ class TestAnalyticModel:
             analytic_coherence(-1.0, 1.0, 0.1)
         with pytest.raises(DomainError):
             analytic_coherence(1.0, 0.0, 0.1)
+
+    def test_non_finite_revival_time_rejected(self):
+        with pytest.raises(ConfigError, match="revival time"):
+            analytic_coherence(np.nan, 0.5, 0.1)
 
     def test_trace_wrapper_carries_model_metadata(self):
         sched = EchoSchedule.regular(2.0, 0.01)

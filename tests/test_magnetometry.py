@@ -50,6 +50,18 @@ class TestInversion:
         with pytest.raises(ConfigError):
             Calibration(source="guess")
 
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf])
+    def test_calibration_must_be_finite(self, alpha):
+        # an infinite alpha inverted every spacing to an infinite field, and a
+        # NaN one every measurement to NaN components
+        with pytest.raises(ConfigError, match="calibration constant"):
+            Calibration(alpha=alpha)
+
+    @pytest.mark.parametrize("t_revival", [math.nan, math.inf, True])
+    def test_revival_time_that_is_not_a_finite_number_rejected(self, t_revival):
+        with pytest.raises(ConfigError, match="revival time"):
+            invert_TR_to_B(t_revival)
+
     def test_subtract_bias(self):
         assert subtract_bias(5.1, 5.0) == pytest.approx(0.1, abs=1e-12)
 
@@ -105,6 +117,11 @@ class TestMeasurementsToComponents:
         with pytest.raises(ConfigError, match="T_R"):
             AxisMeasurement(axis=(1, 0, 0), T_R=T_R)
 
+    @pytest.mark.parametrize("axis", [(math.nan, 0.0, 1.0), (0.0, True, 0.0)])
+    def test_axis_must_hold_finite_numbers(self, axis):
+        with pytest.raises(ConfigError, match="axis"):
+            AxisMeasurement(axis=axis, T_R=1.0)
+
     @pytest.mark.parametrize("bias", [math.inf, -math.inf, math.nan, True])
     def test_bias_must_be_a_finite_number(self, bias):
         with pytest.raises(ConfigError, match="bias"):
@@ -140,6 +157,12 @@ class TestReconstructField:
     def test_wrong_size_rejected(self):
         with pytest.raises(ConfigError):
             reconstruct_field((1.0, 2.0))
+
+    def test_non_finite_component_rejected(self):
+        # NaN slipped past the zero-field check and the candidate dedupe
+        # (nan != nan): NaN magnitude, eight NaN candidates
+        with pytest.raises(ConfigError, match="finite"):
+            reconstruct_field([math.nan, 1.0, 1.0])
 
     def test_json_keys(self):
         est = reconstruct_field((0.0, 0.0, 2.0))
@@ -183,6 +206,13 @@ class TestZeemanLevels:
     def test_wrong_size_rejected(self):
         with pytest.raises(ConfigError):
             zeeman_levels((1.0, 2.0))
+
+    def test_non_finite_field_rejected(self):
+        # these ended in a LinAlgError from the eigensolver
+        with pytest.raises(ConfigError, match="finite"):
+            zeeman_levels([math.nan, 0.0, 0.0])
+        with pytest.raises(ConfigError, match="finite"):
+            odmr_transitions((math.inf, 0.0, 0.0))
 
 
 # ------------------------------------------------------------- ODMR spectra
@@ -286,6 +316,25 @@ class TestResolveAlignment:
         probe = make_simulated_probe(self.true_field())
         with pytest.raises(DomainError):
             resolve_alignment([(0.0, 0.0, 0.0)], probe)
+
+    @pytest.mark.parametrize("candidate", [(math.nan, 0.0, 1.0), (1.0, 2.0)])
+    def test_candidate_must_hold_three_finite_numbers(self, candidate):
+        # a LinAlgError from the eigensolver, or numpy's "cannot reshape"
+        probe = make_simulated_probe(self.true_field())
+        with pytest.raises(ConfigError, match="candidate"):
+            resolve_alignment([candidate], probe)
+
+    def test_true_field_must_hold_three_numbers(self):
+        with pytest.raises(ConfigError, match="three numbers"):
+            make_simulated_probe((1.0, 2.0))
+
+    def test_single_candidate_resolves_without_a_twin(self):
+        # no antiparallel twin among the candidates: one winner and no note
+        probe = make_simulated_probe((0.0, 0.0, 0.5))
+        res = resolve_alignment([(0.0, 0.0, 0.5)], probe)
+        assert res.resolved
+        assert res.selected == ((0.0, 0.0, 0.5),)
+        assert res.note == ""
 
 
 # ------------------------------------------------------- end-to-end vector

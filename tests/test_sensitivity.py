@@ -36,6 +36,10 @@ class TestReadoutModel:
         with pytest.raises(ConfigError):
             ReadoutModel(n_centers=1.5)
 
+    def test_bool_center_count_rejected(self):
+        with pytest.raises(ConfigError, match="n_centers"):
+            ReadoutModel(n_centers=True)
+
     def test_defaults(self):
         ro = ReadoutModel()
         assert ro.C == 0.3
@@ -81,6 +85,10 @@ class TestSignalResponse:
         with pytest.raises(DomainError):
             signal_response(0.1, 1.0, -0.5, cal)
 
+    def test_non_finite_field_rejected(self):
+        with pytest.raises(ConfigError, match="field"):
+            signal_response(0.1, math.nan, 0.5, Calibration())
+
     def test_vectorized(self):
         cal = Calibration()
         taus = np.array([0.1, 0.2, 0.3])
@@ -108,6 +116,11 @@ class TestShotNoise:
             shot_noise(1.0, 0.0, 0.3)
         with pytest.raises(DomainError):
             shot_noise(1e-4, 1.0, 0.3)
+
+    def test_non_finite_total_time_rejected(self):
+        # NaN passed the "evolution time exceeds the total" check: noise NaN
+        with pytest.raises(ConfigError, match="total measurement time"):
+            shot_noise(math.nan, 1e-4)
 
 
 # --------------------------------------------------------------- limits
@@ -176,6 +189,11 @@ class TestSensitivityEta:
         with pytest.raises(ConfigError):
             sensitivity_eta(0.1, 1.0, 0.5, contrast=2.0)
 
+    def test_infinite_decay_time_rejected(self):
+        # gave a finite eta (0.32 G/rtHz) for a coherence that never decays
+        with pytest.raises(ConfigError, match="decay time"):
+            sensitivity_eta(0.1, 1.0, math.inf)
+
 
 # --------------------------------------------------------------- optimum
 class TestOptimalSensitivity:
@@ -217,6 +235,19 @@ class TestOptimalSensitivity:
             optimal_sensitivity(0.5, contrast=0.0)
         with pytest.raises(ConfigError):
             optimal_sensitivity(0.5, n_centers=0)
+
+    @pytest.mark.parametrize("t2", [math.nan, math.inf])
+    def test_non_finite_decay_time_rejected(self, t2):
+        # NaN gave eta_min = NaN, an infinite T2 eta_min = 0.0
+        with pytest.raises(ConfigError, match="decay time"):
+            optimal_sensitivity(t2)
+
+    def test_center_count_refused_as_the_readout_model_refuses_it(self):
+        # a fractional count used to divide the optimum by sqrt(2.5)
+        with pytest.raises(ConfigError, match="n_centers"):
+            ReadoutModel(n_centers=2.5)
+        with pytest.raises(ConfigError, match="n_centers"):
+            optimal_sensitivity(0.5, n_centers=2.5)
 
 
 # --------------------------------------------------------------- report
@@ -264,6 +295,15 @@ class TestBuildReport:
                 C=0.3,
                 alpha_ms_G=0.9366,
             )
+
+    def test_non_finite_decay_time_rejected(self):
+        with pytest.raises(ConfigError, match="decay time"):
+            build_report(math.nan)
+
+    def test_non_finite_field_rejected(self):
+        # the grid came back all NaN, written as null in the report JSON
+        with pytest.raises(ConfigError, match="field"):
+            build_report(0.5, field_g=math.nan)
 
     def test_tiny_grid_rejected(self):
         with pytest.raises(ConfigError):

@@ -429,6 +429,15 @@ class TestExtractTimescales:
         ts = extract_timescales(CoherenceTrace(np.array([0.0]), np.array([1.0])))
         assert FLAG_NO_REVIVAL in ts.flags
 
+    @pytest.mark.parametrize("prominence", [math.nan, math.inf, True])
+    def test_prominence_that_is_not_a_finite_number_rejected(self, prominence):
+        # a NaN or infinite floor finds no peak at all, so a trace with perfect
+        # revivals came back flagged no-revival and insufficient-envelope
+        trace = analytic_trace(EchoSchedule.regular(1.0, 0.002), 0.1, 0.5)
+        assert extract_timescales(trace).T_R == pytest.approx(0.09994, rel=1e-4)
+        with pytest.raises(ConfigError, match="prominence"):
+            extract_timescales(trace, prominence=prominence)
+
     def test_json_round_trip_keys(self):
         ts = TimescaleSet(T_w=0.1, T_R=0.5, T2=1.0)
         d = ts.to_json_dict()
@@ -472,3 +481,10 @@ class TestFitPowerLaw:
     def test_nonpositive_coefficient_rejected(self):
         with pytest.raises(DomainError):
             PowerLawFit(coefficient=0.0, exponent=1.0, residual=0.0)
+
+    @pytest.mark.parametrize("field,value", [("coefficient", math.nan), ("exponent", math.inf),
+                                             ("residual", math.nan), ("n_points", True)])
+    def test_non_finite_or_bool_field_rejected(self, field, value):
+        kwargs = {"coefficient": 2.0, "exponent": -1.0, "residual": 0.0, "n_points": 3}
+        with pytest.raises(ConfigError):
+            PowerLawFit(**{**kwargs, field: value})
