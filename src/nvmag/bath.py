@@ -17,7 +17,8 @@ The package's strict JSON reader and writer and its CSV writer live here
 too: every JSON file nvmag reads or writes, and every CSV file it writes,
 goes through them.  So do the rules every module checks its numeric arguments
 with (``finite_number``, ``positive``, ``integer``, ``finite_vector``,
-``finite_array``): a non-number, a bool, NaN or an infinity is a ConfigError.
+``finite_array``, ``increasing_array``): a non-number, a bool, NaN, an
+infinity or an int too large for a float is a ConfigError.
 """
 
 from __future__ import annotations
@@ -86,13 +87,14 @@ def csv_text(header: list[str], rows) -> str:
 
 _FLOATS = (float, np.floating)
 _NUMBERS = (int, np.integer) + _FLOATS
+_FLOAT_MAX = float(np.finfo(float).max)
 
 
 def finite_number(value, what: str):
-    """``value`` itself if it is a finite int, float, or numpy int or float; bools are refused."""
+    """``value`` itself if it is an int, float, or numpy int or float in float range; not a bool."""
     if isinstance(value, bool) or not isinstance(value, _NUMBERS):
         raise ConfigError(f"{what} must be a number, got {value!r}")
-    if isinstance(value, _FLOATS) and not math.isfinite(value):
+    if not -_FLOAT_MAX <= value <= _FLOAT_MAX:
         raise ConfigError(f"{what} must be finite, got {value!r}")
     return value
 
@@ -120,14 +122,26 @@ def finite_vector(value, what: str) -> tuple[float, float, float]:
     return tuple([float(finite_number(x, what)) for x in value])
 
 
-def finite_array(value, what: str) -> np.ndarray:
-    """``value`` as a float array of its own shape: finite ints or floats, never bools."""
+def _float_array(value, what: str) -> np.ndarray:
     array = np.asarray(value)
     if array.dtype.kind not in "iuf":
         raise ConfigError(f"{what} must hold numbers, got {value!r}")
-    array = array.astype(float, copy=False)
+    return array.astype(float, copy=False)
+
+
+def finite_array(value, what: str) -> np.ndarray:
+    """``value`` as a float array of its own shape: finite ints or floats, never bools."""
+    array = _float_array(value, what)
     if not np.isfinite(array).all():
         raise ConfigError(f"{what} must be finite")
+    return array
+
+
+def increasing_array(value, what: str) -> np.ndarray:
+    """``value`` as a flat float array like ``finite_array``'s, each entry above the last."""
+    array = _float_array(value, what).reshape(-1)
+    if not (np.isfinite(array).all() and np.all(np.diff(array) > 0)):
+        raise ConfigError(f"{what} must be finite and strictly increase")
     return array
 
 

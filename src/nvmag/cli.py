@@ -49,6 +49,7 @@ from .bath import (
     BathRealization,
     LatticeConfig,
     csv_text,
+    finite_array,
     finite_number,
     finite_vector,
     generate_lattice_sites,
@@ -186,9 +187,7 @@ def _parse_float_list(text: str, what: str) -> list[float]:
         raise ConfigError(f"could not parse {what} from {text!r}") from exc
     if not values:
         raise ConfigError(f"{what} is empty")
-    if not all(math.isfinite(v) for v in values):
-        raise ConfigError(f"{what} must be finite, got {text!r}")
-    return values
+    return finite_array(values, what).tolist()
 
 
 def _parse_field(text: str) -> FieldVector:
@@ -211,15 +210,6 @@ def _load_records(path, what: str, read) -> list:
         return [read(record) for record in records]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"malformed {what} {path}: {exc}") from exc
-
-
-def _measurement(record: dict) -> AxisMeasurement:
-    """One --measurements record: "axis", "T_R_ms" and an optional "bias_G"."""
-    return AxisMeasurement(
-        axis=finite_vector(record["axis"], "axis"),
-        T_R=float(finite_number(record["T_R_ms"], "T_R_ms")),
-        bias=float(finite_number(record.get("bias_G", 0.0), "bias_G")),
-    )
 
 
 def _t_max_auto(field_magnitude_g: float, abundance: float) -> float:
@@ -497,7 +487,10 @@ def cmd_invert(run: Run) -> dict:
 
 def cmd_reconstruct(run: Run) -> dict:
     ns, cal = run.ns, run.settings.calibration()
-    measurements = _load_records(ns.measurements, "measurement file", _measurement)
+    measurements = _load_records(
+        ns.measurements, "measurement file",
+        lambda m: AxisMeasurement(m["axis"], m["T_R_ms"], m.get("bias_G", 0.0)),
+    )
     components = measurements_to_components(measurements, cal)
     estimate = reconstruct_field(components)
     payload = estimate.to_json_dict()

@@ -39,8 +39,8 @@ from pathlib import Path
 import numpy as np
 
 from .bath import (
-    BathRealization, NuclearSpin, csv_text, finite_array, finite_number, finite_vector, integer,
-    json_text, load_strict_json, positive,
+    BathRealization, NuclearSpin, csv_text, finite_array, finite_number, finite_vector,
+    increasing_array, integer, json_text, load_strict_json, positive,
 )
 from .constants import GAMMA_N_13C_KHZ_PER_G
 from .errors import (
@@ -79,8 +79,8 @@ PAIR_RATIO_FLOOR = 1e-4
 
 _LOG_FLOOR = 1e-300
 
-# Spins per row block in which a trace fills its (N, T) single-spin tables
-# in place, so that no full-size temporary is ever live next to them.
+# Spins per row block in which a trace fills its (N, T) single-spin table
+# in place, so that no full-size temporary is ever live next to it.
 SINGLE_ROWS_PER_BLOCK = 32
 
 # Pairs per batch, the unit of a trace's pool work: one pair-spectra call
@@ -157,14 +157,6 @@ def required_time_step(field_magnitude_g: float) -> float:
     return larmor_period(field_magnitude_g) / POINTS_PER_LARMOR_PERIOD_MIN
 
 
-def _time_grid(times) -> np.ndarray:
-    """Echo times as a flat float array; ConfigError unless finite and strictly increasing."""
-    grid = finite_array(times, "echo times").reshape(-1)
-    if grid.size > 1 and not np.all(np.diff(grid) > 0):
-        raise ConfigError("echo times must be strictly increasing")
-    return grid
-
-
 @dataclass(frozen=True)
 class EchoSchedule:
     """Echo time grid: each entry is the per-interval time tau in ms."""
@@ -172,7 +164,7 @@ class EchoSchedule:
     t_grid: np.ndarray
 
     def __post_init__(self) -> None:
-        grid = _time_grid(self.t_grid)
+        grid = increasing_array(self.t_grid, "echo times")
         if grid.size == 0:
             raise ConfigError("empty echo schedule")
         if grid[0] < 0:
@@ -223,7 +215,7 @@ class CoherenceTrace:
     metadata: dict = dc_field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        self.t_grid = _time_grid(self.t_grid)
+        self.t_grid = increasing_array(self.t_grid, "echo times")
         self.values = finite_array(self.values, "coherence values").reshape(-1)
         if self.t_grid.shape != self.values.shape:
             raise ShapeError("time grid and values differ in length")
@@ -346,27 +338,32 @@ def _single_factors_on_grid(h0: np.ndarray, h1: np.ndarray, tau_grid: np.ndarray
     return 1.0 - 2.0 * k[:, None] * s0sq[None, :] * s1sq
 
 
-def _single_tables(h0: np.ndarray, h1: np.ndarray, tau: np.ndarray) -> tuple:
-    """The trace's (N, T) single-spin factors, their clamped log magnitudes,
-    and per grid point the count of negative factors.
+def _clamped_log(x: np.ndarray) -> np.ndarray:
+    """log(max(|x|, :data:`_LOG_FLOOR`)): the log magnitudes a trace sums."""
+    return np.log(np.maximum(np.abs(x), _LOG_FLOOR))
 
-    Both tables are allocated once and filled :data:`SINGLE_ROWS_PER_BLOCK`
+
+def _single_tables(h0: np.ndarray, h1: np.ndarray, tau: np.ndarray) -> tuple:
+    """The trace's (N, T) single-spin factors and, per grid point, the sum of
+    their clamped logs (:func:`_clamped_log`) and the count of negative factors.
+
+    The table is allocated once and filled :data:`SINGLE_ROWS_PER_BLOCK`
     spins at a time, with the same per-element operations as
     :func:`_single_factors_on_grid` over the whole grid, so only block-sized
-    temporaries are ever live next to them.
+    temporaries are ever live next to it.  The log sum adds one row at a
+    time in spin order from zeros, as summing a full log table down its
+    first axis does, so it has that sum's bits.
     """
     singles = np.empty((h1.shape[0], tau.size))
-    log_singles = np.empty_like(singles)
+    log_total = np.zeros(tau.size)
     neg_count = np.zeros(tau.size, dtype=int)
     for lo in range(0, h1.shape[0], SINGLE_ROWS_PER_BLOCK):
-        rows = slice(lo, lo + SINGLE_ROWS_PER_BLOCK)
-        block, log_block = singles[rows], log_singles[rows]
-        block[...] = _single_factors_on_grid(h0, h1[rows], tau)
-        np.abs(block, out=log_block)
-        np.maximum(log_block, _LOG_FLOOR, out=log_block)
-        np.log(log_block, out=log_block)
+        block = singles[lo : lo + SINGLE_ROWS_PER_BLOCK]
+        block[...] = _single_factors_on_grid(h0, h1[lo : lo + SINGLE_ROWS_PER_BLOCK], tau)
+        for row in _clamped_log(block):
+            log_total += row
         neg_count += np.sum(block < 0.0, axis=0)
-    return singles, log_singles, neg_count
+    return singles, log_total, neg_count
 
 
 def _batched_pair_hamiltonians(
@@ -588,12 +585,12 @@ def echo_coherence_trace(
     partial log magnitude and sign-parity sums over its pairs into the
     batch's, in chunk order.  The calling thread adds the batch partials in
     batch order.  The batch size does not depend on the worker count, so
-    the trace is bit-identical at every thread count.  Memory is two (N, T)
-    tables, the single-spin factors and their log magnitudes, built in place
-    (:func:`_single_tables`), plus, per worker, one workspace of
-    :data:`_WORKSPACE_ROWS` doubles per pair-point of a chunk (3.25 MiB up
-    to 16,384 grid points), its batch's spectra (57 doubles per pair) and
-    one chunk's few (n, T) fold temporaries.
+    the trace is bit-identical at every thread count.  Memory is one (N, T)
+    table, the single-spin factors, built in place (:func:`_single_tables`),
+    plus, per worker, one workspace of :data:`_WORKSPACE_ROWS` doubles per
+    pair-point of a chunk (3.25 MiB up to 16,384 grid points), its batch's
+    spectra (57 doubles per pair) and one chunk's few (n, T) fold
+    temporaries, among them the clamped logs of the chunk's singles.
 
     ``metadata["diagnostics"]`` counts how hard the model was pushed:
 
@@ -616,8 +613,7 @@ def echo_coherence_trace(
         nyquist = 0.5 / float(np.max(np.diff(tau)))
         rates = GAMMA_N_13C_KHZ_PER_G * np.linalg.norm(h1, axis=1)
         undersampled = int(np.count_nonzero(rates > nyquist))
-    singles, log_singles, neg_parity = _single_tables(field_arr, h1, tau)
-    log_total = np.sum(log_singles, axis=0)
+    singles, log_total, neg_parity = _single_tables(field_arr, h1, tau)
     workspaces = threading.local()
 
     def fold(batch):
@@ -632,18 +628,14 @@ def echo_coherence_trace(
         neg_part = np.zeros(tau.size, dtype=int)
         n_dropped = 0
         for chunk in _kernel_chunks(bb.size, tau.size):
-            ci, cj = bi[chunk], bj[chunk]
             factors = _pair_kernel_factors(
                 tuple(part[chunk] for part in spectra), tau, workspace
             )
-            denom = singles[ci] * singles[cj]
+            left, right = singles[bi[chunk]], singles[bj[chunk]]
+            denom = left * right
             keep = np.abs(denom) > PAIR_RATIO_FLOOR
             n_dropped += keep.size - int(np.count_nonzero(keep))
-            log_ratio = (
-                np.log(np.maximum(np.abs(factors), _LOG_FLOOR))
-                - log_singles[ci]
-                - log_singles[cj]
-            )
+            log_ratio = _clamped_log(factors) - _clamped_log(left) - _clamped_log(right)
             ratio_neg = (factors < 0.0) ^ (denom < 0.0)
             log_part += np.sum(np.where(keep, log_ratio, 0.0), axis=0)
             neg_part += np.sum(keep & ratio_neg, axis=0)

@@ -59,7 +59,8 @@ class AxisMeasurement:
     bias: float = 0.0  # bias field applied along the same axis, Gauss
 
     def __post_init__(self) -> None:
-        if abs(np.linalg.norm(finite_vector(self.axis, "axis")) - 1.0) > _UNIT_TOL:
+        object.__setattr__(self, "axis", finite_vector(self.axis, "axis"))
+        if abs(np.linalg.norm(self.axis) - 1.0) > _UNIT_TOL:
             raise ConfigError("measurement axis must be a unit vector")
         positive(self.T_R, "T_R")
         finite_number(self.bias, "bias")

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bath import finite_number, integer, positive
+from .bath import finite_array, finite_number, increasing_array, integer, positive
 from .decoherence import CoherenceTrace
 from .errors import (
     ConfigError,
@@ -348,18 +348,16 @@ def extract_TR(peaks: list[RevivalPeak], grid_step_ms: float) -> tuple[float, fl
     snapped to integer revival indices against the winning period —
     dropping ringing maxima that sit off the comb and tolerating missed
     revivals — and the spacing is the least-squares slope of time against
-    index.  ``grid_step_ms`` must be positive and finite, and the peak
-    times finite and strictly increasing.
+    index.  ``grid_step_ms`` must be positive and finite, the peak times
+    finite and strictly increasing, and the peak heights finite.
     """
     positive(grid_step_ms, "grid step")
     if len(peaks) < 2:
         raise NoRevivalError(
             "fewer than two coherence peaks: revival spacing is undefined"
         )
-    times = np.array([p.time for p in peaks], dtype=float)
-    heights = np.array([p.height for p in peaks], dtype=float)
-    if not (np.all(np.isfinite(times)) and np.all(np.diff(times) > 0)):
-        raise ConfigError("peak times must be finite and strictly increase")
+    times = increasing_array([p.time for p in peaks], "peak times")
+    heights = finite_array([p.height for p in peaks], "peak heights")
     if len(peaks) == 2:
         return float(times[1] - times[0]), float(grid_step_ms)
 
@@ -433,25 +431,26 @@ def extract_TR(peaks: list[RevivalPeak], grid_step_ms: float) -> tuple[float, fl
 def extract_T2(peaks: list[RevivalPeak]) -> tuple[float, float]:
     """Envelope decay time (ms): where the peak-height envelope reaches 1/e.
 
-    Needs at least three positive-height peaks.  The envelope is read
-    directly off the peak train: the first pair of successive peaks that
-    brackets the 1/e level fixes the crossing by log-linear interpolation,
-    with half the bracket spacing as the uncertainty.  This stays faithful
-    for envelopes that are not single exponentials, where a global line
-    fit would be biased by however much of the tail the trace happens to
-    include.  When every peak is still above 1/e, the decay time comes
-    from a log-linear fit of height against time instead (the two agree
-    exactly on an exponential envelope); a non-decaying train (fitted
-    slope >= 0 within numerical noise) reports (inf, inf) so callers can
-    flag it rather than crash.
+    Needs at least three positive-height peaks, and every height finite.
+    The envelope is read directly off the peak train: the first pair of
+    successive peaks that brackets the 1/e level fixes the crossing by
+    log-linear interpolation, with half the bracket spacing as the
+    uncertainty.  This stays faithful for envelopes that are not single
+    exponentials, where a global line fit would be biased by however much
+    of the tail the trace happens to include.  When every peak is still
+    above 1/e, the decay time comes from a log-linear fit of height against
+    time instead (the two agree exactly on an exponential envelope); a
+    non-decaying train (fitted slope >= 0 within numerical noise) reports
+    (inf, inf) so callers can flag it rather than crash.
     """
-    usable = [(p.time, p.height) for p in peaks if p.height > 0]
-    if len(usable) < 3:
+    heights = finite_array([p.height for p in peaks], "peak heights")
+    usable = heights > 0
+    if np.count_nonzero(usable) < 3:
         raise InsufficientEnvelopeError(
             "need at least three positive peaks to fit a decay envelope"
         )
-    t = np.array([u[0] for u in usable])
-    log_h = np.log([u[1] for u in usable])
+    t = np.array([p.time for p in peaks])[usable]
+    log_h = np.log(heights[usable])
 
     below = np.nonzero(log_h < -1.0)[0]
     if below.size and below[0] > 0:

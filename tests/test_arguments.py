@@ -1,9 +1,10 @@
 """Every public callable refuses NaN, infinities and bools in each numeric argument.
 
 Each entry of CHECKED is one valid call.  Each number in its arguments, one
-at a time, is replaced by NaN, +inf, -inf and True, and the call must raise
-a ConfigError or a PhysicsError.  A numeric array argument is replaced as a
-whole by the same values, and tried with its first entry NaN, +inf or -inf.
+at a time, is replaced by NaN, +inf, -inf and True, and a float also by an
+int too large for a float; the call must raise a ConfigError or a
+PhysicsError.  A numeric array argument is replaced as a whole by the same
+values, and tried with its first entry NaN, +inf or -inf.
 A public name of ``nvmag`` in neither CHECKED nor EXEMPT fails the test.
 """
 
@@ -118,11 +119,13 @@ _OBJECTS_ONLY = "takes no number, only nvmag objects that checked theirs when bu
 _RECORD = "an output record a checked function builds"
 _BATH_LOOP = ("runs once per spin or pair inside sample_bath, which checks its sites;"
               " a saved bath is read through finite_vector")
+_PEAKS = ("takes RevivalPeak records, which check nothing; it refuses a non-finite"
+          " height itself (test_timescales)")
 EXEMPT = {
     "generate_lattice_sites": _OBJECTS_ONLY,
     "echo_coherence_trace": _OBJECTS_ONLY,
     "ensemble_average": _OBJECTS_ONLY,
-    "extract_T2": _OBJECTS_ONLY,
+    "extract_T2": _PEAKS,
     "extract_Tw": _OBJECTS_ONLY,
     "measurements_to_components": _OBJECTS_ONLY,
     "AlignmentResolution": _RECORD,
@@ -130,7 +133,8 @@ EXEMPT = {
     "FieldEstimate": _RECORD,
     "OdmrSpectrum": _RECORD,
     "OptimalPoint": _RECORD,
-    "RevivalPeak": _RECORD + "; extract_TR checks the peak times it is given",
+    "RevivalPeak": _RECORD + ("; extract_TR checks the times and heights of the peaks"
+                              " it is given, and extract_T2 their heights"),
     "SensitivityReport": _RECORD + "; eta is infinite at response nodes",
     "TimescaleSet": _RECORD + "; a value that could not be extracted is NaN",
     "NuclearSpin": _BATH_LOOP,
@@ -160,6 +164,8 @@ def _replaced(value, path, new):
 
 def _bad_values(value):
     yield from (math.nan, math.inf, -math.inf, True)
+    if isinstance(value, float):
+        yield 10**400
     if isinstance(value, np.ndarray):
         for bad in (math.nan, math.inf, -math.inf):
             first_bad = value.copy()

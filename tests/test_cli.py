@@ -780,6 +780,13 @@ class TestInvertCommand:
     def test_unknown_alpha_source_exits_2(self):
         assert run("invert", "--tr", "0.2", "--alpha-source", "banana") == 2
 
+    def test_config_int_past_float_range_exits_2(self, tmp_path, capsys):
+        # a 401-digit integer used to end in an OverflowError traceback
+        path = tmp_path / "config.json"
+        path.write_text('{"alpha": 1' + "0" * 400 + "}")
+        assert run("invert", "--tr", "1", "--config", path) == 2
+        assert "alpha must be finite" in capsys.readouterr().err
+
 
 class TestReconstructCommand:
     @staticmethod

@@ -487,7 +487,7 @@ class TestEchoCoherenceTrace:
 
     def test_peak_allocation_is_bounded_on_a_long_grid(self, monkeypatch):
         # 349 pairs on 2828 points on two worker threads: the peak is the
-        # (N, T) single-spin tables plus, per worker, a 3.25 MiB workspace,
+        # (N, T) single-spin table plus, per worker, a 3.25 MiB workspace,
         # a batch's spectra and one chunk's fold temporaries; 16 complex
         # amplitudes per pair-point for a few hundred pairs (over 100 MB)
         # would exceed it
@@ -507,33 +507,35 @@ class TestEchoCoherenceTrace:
 
     def test_single_tables_fill_in_blocks_as_one_full_table(self, full_sites, monkeypatch):
         # 514 spins, some factors negative: blocks of 7 rows leave a ragged
-        # last block, and neither the tables nor the trace may notice
+        # last block, and neither the table, its log sum nor the trace may
+        # notice.  The log sum must have the bits of a full log table's sum.
         bath = sample_bath(full_sites, LatticeConfig(abundance=0.011, seed=1, pair_cutoff=0.3))
         assert len(bath) == 514
         field = FieldVector.along_z(100.0)
         sched = EchoSchedule.for_field(100.0, t_max_ms=0.55)
-        default = echo_coherence_trace(bath, field, sched)
-        monkeypatch.setattr(decoherence, "SINGLE_ROWS_PER_BLOCK", 7)
-        blocked = echo_coherence_trace(bath, field, sched)
-        assert blocked.values.tobytes() == default.values.tobytes()
-        assert blocked.metadata == default.metadata
-
         h1 = effective_field(field, bath.hyperfine)
-        singles, log_singles, neg_count = _single_tables(field.as_array(), h1, sched.t_grid)
         full = _single_factors_on_grid(field.as_array(), h1, sched.t_grid)
-        assert singles.tobytes() == full.tobytes()
-        assert log_singles.tobytes() == np.log(np.maximum(np.abs(full), _LOG_FLOOR)).tobytes()
-        assert np.array_equal(neg_count, np.sum(full < 0.0, axis=0))
-        assert np.any(neg_count % 2 == 1)
+        full_log_sum = np.sum(np.log(np.maximum(np.abs(full), _LOG_FLOOR)), axis=0)
+        default = echo_coherence_trace(bath, field, sched)
+        for rows_per_block in (7, 32):
+            monkeypatch.setattr(decoherence, "SINGLE_ROWS_PER_BLOCK", rows_per_block)
+            blocked = echo_coherence_trace(bath, field, sched)
+            assert blocked.values.tobytes() == default.values.tobytes()
+            assert blocked.metadata == default.metadata
 
-    def test_peak_allocation_is_two_single_tables_plus_the_workers(
-        self, full_sites, monkeypatch
-    ):
-        # 1405 spins but 549 pairs on 2828 points: the (N, T) tables
-        # (30.3 MiB each) dominate.  The peak is both tables plus, per worker,
+            singles, log_total, neg_count = _single_tables(field.as_array(), h1, sched.t_grid)
+            assert singles.tobytes() == full.tobytes()
+            assert log_total.tobytes() == full_log_sum.tobytes()
+            assert np.array_equal(neg_count, np.sum(full < 0.0, axis=0))
+            assert np.any(neg_count % 2 == 1)
+
+    def test_peak_allocation_is_one_single_table_plus_workers(self, full_sites, monkeypatch):
+        # 1405 spins but 549 pairs on 2828 points: the (N, T) table
+        # (30.3 MiB) dominates.  The peak is that table plus, per worker,
         # its workspace and a batch's spectra build, plus 4 MiB slack for
-        # the pool, the batches and the per-point sums.  A third full-size
-        # table live at once (a temporary of the table build) exceeds it.
+        # the pool, the batches and the per-point sums: 44.0 MiB.  A second
+        # full-size table live at once (a table of the singles' logs, or a
+        # temporary of the table build) exceeds it.
         monkeypatch.setenv("NVMAG_THREADS", "2")
         bath = sample_bath(full_sites, LatticeConfig(abundance=0.03, seed=1, pair_cutoff=0.3))
         assert (len(bath), len(bath.pair_couplings)) == (1405, 549)
@@ -542,7 +544,7 @@ class TestEchoCoherenceTrace:
         table = len(bath) * len(sched.t_grid) * 8
         workspace = _WORKSPACE_ROWS * PAIR_POINTS_PER_CHUNK * 8
         spectra_build = 1.6 * 2**20
-        bound = 2 * table + 2 * (workspace + spectra_build) + 4 * 2**20
+        bound = table + 2 * (workspace + spectra_build) + 4 * 2**20
         tracemalloc.start()
         try:
             echo_coherence_trace(bath, FieldVector.along_z(100.0), sched)

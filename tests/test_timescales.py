@@ -220,6 +220,13 @@ class TestExtractTR:
         with pytest.raises(ConfigError, match="finite and strictly increase"):
             extract_TR(peaks, grid_step_ms=0.01)
 
+    @pytest.mark.parametrize("height", [math.nan, math.inf, -math.inf])
+    def test_peak_heights_must_be_finite(self, height):
+        # a NaN or infinite height used to give T_R = 0.1 ms without a word
+        peaks = mk_peaks([0.0, 0.1, 0.2, 0.3], [1.0, height, 0.5, 0.3])
+        with pytest.raises(ConfigError, match="peak heights must be finite"):
+            extract_TR(peaks, grid_step_ms=0.01)
+
     @pytest.mark.parametrize("step", [math.nan, -0.001, math.inf, 0.0])
     def test_bad_grid_step_rejected(self, step):
         # a NaN floor used to empty the candidate menu and fall back to the
@@ -355,6 +362,14 @@ class TestExtractT2:
     def test_too_few_peaks_raises(self):
         with pytest.raises(InsufficientEnvelopeError):
             extract_T2(mk_peaks([0.0, 0.5], [1.0, 0.5]))
+
+    @pytest.mark.parametrize("height", [math.nan, math.inf, -math.inf])
+    def test_peak_heights_must_be_finite(self, height):
+        # a NaN height used to drop out (nan > 0 is False); with it, or with
+        # an infinite one, T2 came out 0.2601 ms without a word
+        peaks = mk_peaks([0.0, 0.1, 0.2, 0.3], [1.0, height, 0.5, 0.3])
+        with pytest.raises(ConfigError, match="peak heights must be finite"):
+            extract_T2(peaks)
 
     def test_nonpositive_heights_do_not_count(self):
         peaks = mk_peaks([0.0, 0.5, 1.0], [1.0, 0.0, -0.2])
