@@ -5,7 +5,10 @@ occupancy, and attaches the secular couplings the echo engine needs: the
 electron-nuclear hyperfine vector of every nucleus (point-dipole form) and
 the intra-bath dipolar coupling of every retained nuclear pair.  The pairs
 within the pair cutoff come from a blocked numpy search (``_pairs_within``),
-so sampling a bath needs numpy alone.
+so sampling a bath needs numpy alone.  A bath is held as arrays: (N, 3)
+positions and hyperfine vectors, and one pair table sorted by (i, j) that
+the echo engine slices into its batches.  The lattice is built one slab of
+cells at a time.
 
 Geometry convention: the defect vacancy sits at the origin, the substituting
 nitrogen occupies the adjacent lattice site, and all coordinates are returned
@@ -26,7 +29,8 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -208,58 +212,124 @@ class NuclearSpin:
     hyperfine: tuple[float, float, float]
 
 
-@dataclass
-class BathRealization:
-    """A sampled bath: spins, pair couplings, and everything to rebuild it.
+class PairCouplings(Mapping):
+    """Read-only view of a bath's pair table as a mapping (i, j) -> b_ij, in kHz.
 
-    pair_couplings maps index pairs (i, j) with i < j to the secular dipolar
-    coupling b_ij in kHz; only pairs within the configured pair cutoff are
-    stored, all other couplings are treated as zero.  ``gamma_n`` records
-    the 13C ratio the couplings were computed with; it is fixed at
-    GAMMA_N_13C_KHZ_PER_G, and any other value is refused.
+    Iterates in the table's order, sorted by (i, j); a lookup is a binary
+    search of the index arrays, and an absent pair is a KeyError.
     """
 
-    spins: list[NuclearSpin]
-    pair_couplings: dict[tuple[int, int], float]
-    gamma_n: float = GAMMA_N_13C_KHZ_PER_G
-    seed: int = 0
-    config: LatticeConfig | None = None
-    _positions: np.ndarray = field(init=False, repr=False, default=None)
-    _hyperfine: np.ndarray = field(init=False, repr=False, default=None)
-
-    def __post_init__(self) -> None:
-        for i, j in self.pair_couplings:
-            if not 0 <= i < j < len(self.spins):
-                raise ConfigError(f"pair index ({i}, {j}) out of range")
-        if self.gamma_n != GAMMA_N_13C_KHZ_PER_G:
-            raise ConfigError(
-                f"gamma_n is the 13C ratio {GAMMA_N_13C_KHZ_PER_G} kHz/G, got {self.gamma_n!r}"
-            )
-        integer(self.seed, "seed")
+    def __init__(self, pair_i: np.ndarray, pair_j: np.ndarray, pair_b: np.ndarray):
+        self._i, self._j, self._b = pair_i, pair_j, pair_b
 
     def __len__(self) -> int:
-        return len(self.spins)
+        return self._b.size
+
+    def __iter__(self):
+        return zip(self._i.tolist(), self._j.tolist())
+
+    def __getitem__(self, key) -> float:
+        if isinstance(key, tuple) and len(key) == 2 and all(
+            isinstance(k, (int, np.integer)) for k in key
+        ):
+            i, j = key
+            lo, hi = np.searchsorted(self._i, [i, i + 1])
+            k = lo + int(np.searchsorted(self._j[lo:hi], j))
+            if k < hi and self._j[k] == j:
+                return float(self._b[k])
+        raise KeyError(key)
+
+
+def _pair_table(rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(i, j, b_ij) rows as int64 index arrays i and j and a float64 coupling array.
+
+    Each index must be an integer and each coupling a finite number.
+    """
+    rows = [
+        (integer(i, "pair index"), integer(j, "pair index"),
+         float(finite_number(b, "pair coupling")))
+        for i, j, b in rows
+    ]
+    index = np.array([row[:2] for row in rows], dtype=np.int64).reshape(-1, 2)
+    return index[:, 0], index[:, 1], np.array([row[2] for row in rows])
+
+
+class BathRealization:
+    """A sampled bath: spin arrays, a pair table, and everything to rebuild it.
+
+    ``positions`` (N, 3) holds the spin positions in nm and ``hyperfine``
+    (N, 3) their hyperfine vectors in kHz.  The pair table holds the
+    secular dipolar coupling b_ij (kHz) of every pair within the configured
+    pair cutoff, sorted by (i, j) with 0 <= i < j < N: int64 index arrays
+    ``pair_i`` and ``pair_j`` and the float64 couplings ``pair_b``.  All
+    other couplings are treated as zero.  The arrays are read-only.
+    ``pair_couplings`` views the table as a mapping (i, j) -> b_ij, and
+    ``spins`` lists the spins as :class:`NuclearSpin` records, built on each
+    access.  ``gamma_n`` records the 13C ratio the couplings were computed
+    with; it is fixed at GAMMA_N_13C_KHZ_PER_G, and any other value is
+    refused.
+
+    The constructor takes ``spins`` as NuclearSpin records and
+    ``pair_couplings`` as a mapping (i, j) -> b_ij, in any key order.
+    """
+
+    def __init__(
+        self,
+        spins,
+        pair_couplings,
+        gamma_n: float = GAMMA_N_13C_KHZ_PER_G,
+        seed: int = 0,
+        config: LatticeConfig | None = None,
+    ) -> None:
+        n = len(spins)
+        self._store(
+            np.array([s.position for s in spins], dtype=float).reshape(n, 3),
+            np.array([s.hyperfine for s in spins], dtype=float).reshape(n, 3),
+            *_pair_table((i, j, b) for (i, j), b in pair_couplings.items()),
+            gamma_n,
+            seed,
+            config,
+        )
+
+    @classmethod
+    def _from_arrays(cls, positions, hyperfine, pair_i, pair_j, pair_b, gamma_n, seed, config):
+        bath = cls.__new__(cls)
+        bath._store(positions, hyperfine, pair_i, pair_j, pair_b, gamma_n, seed, config)
+        return bath
+
+    def _store(self, positions, hyperfine, pair_i, pair_j, pair_b, gamma_n, seed, config) -> None:
+        """Check the pair indices, gamma_n and seed; keep the pair table sorted by (i, j)."""
+        bad = (pair_i < 0) | (pair_i >= pair_j) | (pair_j >= len(positions))
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise ConfigError(f"pair index ({pair_i[k]}, {pair_j[k]}) out of range")
+        order = np.lexsort((pair_j, pair_i))
+        pair_i, pair_j, pair_b = pair_i[order], pair_j[order], pair_b[order]
+        twice = (pair_i[1:] == pair_i[:-1]) & (pair_j[1:] == pair_j[:-1])
+        if twice.any():
+            k = int(np.argmax(twice))
+            raise ConfigError(f"pair ({pair_i[k]}, {pair_j[k]}) listed twice")
+        if gamma_n != GAMMA_N_13C_KHZ_PER_G:
+            raise ConfigError(
+                f"gamma_n is the 13C ratio {GAMMA_N_13C_KHZ_PER_G} kHz/G, got {gamma_n!r}"
+            )
+        integer(seed, "seed")
+        for array in (positions, hyperfine, pair_i, pair_j, pair_b):
+            array.flags.writeable = False
+        self.positions, self.hyperfine = positions, hyperfine
+        self.pair_i, self.pair_j, self.pair_b = pair_i, pair_j, pair_b
+        self.pair_couplings = PairCouplings(pair_i, pair_j, pair_b)
+        self.gamma_n, self.seed, self.config = gamma_n, seed, config
+
+    def __len__(self) -> int:
+        return len(self.positions)
 
     @property
-    def positions(self) -> np.ndarray:
-        """(N, 3) positions in nm."""
-        if self._positions is None:
-            self._positions = np.array(
-                [s.position for s in self.spins], dtype=float
-            ).reshape(len(self.spins), 3)
-        return self._positions
-
-    @property
-    def hyperfine(self) -> np.ndarray:
-        """(N, 3) hyperfine vectors in kHz."""
-        if self._hyperfine is None:
-            self._hyperfine = np.array(
-                [s.hyperfine for s in self.spins], dtype=float
-            ).reshape(len(self.spins), 3)
-        return self._hyperfine
-
-    def sorted_pairs(self) -> list[tuple[int, int]]:
-        return sorted(self.pair_couplings)
+    def spins(self) -> list[NuclearSpin]:
+        return [
+            NuclearSpin(tuple(p), tuple(a))
+            for p, a in zip(self.positions.tolist(), self.hyperfine.tolist())
+        ]
 
     def to_json_dict(self) -> dict:
         return {
@@ -267,36 +337,32 @@ class BathRealization:
             "gamma_n_khz_per_g": self.gamma_n,
             "config": dataclasses.asdict(self.config) if self.config else None,
             "spins": [
-                {"position_nm": list(s.position), "hyperfine_khz": list(s.hyperfine)}
-                for s in self.spins
+                {"position_nm": p, "hyperfine_khz": a}
+                for p, a in zip(self.positions.tolist(), self.hyperfine.tolist())
             ],
             "pair_couplings_khz": [
-                [i, j, self.pair_couplings[(i, j)]] for i, j in self.sorted_pairs()
+                list(row)
+                for row in zip(self.pair_i.tolist(), self.pair_j.tolist(), self.pair_b.tolist())
             ],
         }
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "BathRealization":
         """Rebuild a saved bath; every position, hyperfine vector and coupling
-        must be finite, and every index and seed an integer."""
+        must be finite, every index and seed an integer, and no pair listed twice."""
         try:
-            spins = [
-                NuclearSpin(finite_vector(s["position_nm"], "position_nm"),
-                            finite_vector(s["hyperfine_khz"], "hyperfine_khz"))
-                for s in data["spins"]
-            ]
-            pairs = {
-                (integer(i, "pair index"), integer(j, "pair index")):
-                    float(finite_number(b, "pair coupling"))
-                for i, j, b in data["pair_couplings_khz"]
-            }
+            spins = data["spins"]
+            pairs = _pair_table(data["pair_couplings_khz"])
             config = LatticeConfig(**data["config"]) if data.get("config") else None
-            return cls(
-                spins=spins,
-                pair_couplings=pairs,
-                gamma_n=float(finite_number(data["gamma_n_khz_per_g"], "gamma_n")),
-                seed=integer(data["seed"], "seed"),
-                config=config,
+            return cls._from_arrays(
+                np.array([finite_vector(s["position_nm"], "position_nm") for s in spins])
+                .reshape(-1, 3),
+                np.array([finite_vector(s["hyperfine_khz"], "hyperfine_khz") for s in spins])
+                .reshape(-1, 3),
+                *pairs,
+                float(finite_number(data["gamma_n_khz_per_g"], "gamma_n")),
+                integer(data["seed"], "seed"),
+                config,
             )
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"malformed bath record: {exc}") from exc
@@ -309,7 +375,12 @@ class BathRealization:
 
     @classmethod
     def load(cls, path) -> "BathRealization":
-        return cls.from_json_dict(load_strict_json(path, f"bath file {path}"))
+        """Read a bath file; a malformed record is a ConfigError that names the file."""
+        data = load_strict_json(path, f"bath file {path}")
+        try:
+            return cls.from_json_dict(data)
+        except ConfigError as exc:
+            raise ConfigError(f"bath file {path}: {exc}") from exc
 
 
 def generate_lattice_sites(config: LatticeConfig) -> np.ndarray:
@@ -319,26 +390,30 @@ def generate_lattice_sites(config: LatticeConfig) -> np.ndarray:
     cells out to the cutoff, removes the vacancy and nitrogen sites, applies
     the radial exclusion/cutoff window, and rotates so +z is the defect axis.
     Sites are returned sorted lexicographically by rounded coordinates.
+    The cells are enumerated one slab (one value of the first cell index)
+    at a time, keeping only each slab's in-window sites, so no temporary
+    spans the whole cube of cells.
     """
     a = config.lattice_constant_nm
     span = int(np.ceil(config.cutoff_radius / a)) + 1
     cells = np.arange(-span, span + 1)
-    ci, cj, ck = np.meshgrid(cells, cells, cells, indexing="ij")
-    corners = np.stack([ci, cj, ck], axis=-1).reshape(-1, 3).astype(float)
-
+    cj, ck = np.meshgrid(cells, cells, indexing="ij")
     fractional = (_FCC_OFFSETS[:, None, :] + _DIAMOND_BASIS[None, :, :]).reshape(-1, 3)
-    sites = (corners[:, None, :] + fractional[None, :, :]).reshape(-1, 3) * a
-
-    radii = np.linalg.norm(sites, axis=1)
     # Vacancy at the origin, nitrogen on the adjacent basis site along [111].
     nitrogen = np.full(3, a / 4.0)
-    is_defect = (radii < 1e-9) | (np.linalg.norm(sites - nitrogen, axis=1) < 1e-9)
-    keep = (
-        ~is_defect
-        & (radii > config.exclusion_radius_nm)
-        & (radii <= config.cutoff_radius)
-    )
-    sites = sites[keep] @ _R_111_TO_Z.T
+    kept = []
+    for ci in cells:
+        corners = np.stack([np.full_like(cj, ci), cj, ck], axis=-1).reshape(-1, 3).astype(float)
+        sites = (corners[:, None, :] + fractional[None, :, :]).reshape(-1, 3) * a
+        radii = np.linalg.norm(sites, axis=1)
+        is_defect = (radii < 1e-9) | (np.linalg.norm(sites - nitrogen, axis=1) < 1e-9)
+        keep = (
+            ~is_defect
+            & (radii > config.exclusion_radius_nm)
+            & (radii <= config.cutoff_radius)
+        )
+        kept.append(sites[keep])
+    sites = np.concatenate(kept) @ _R_111_TO_Z.T
 
     order = np.lexsort(np.round(sites, 9).T[::-1])
     return sites[order]
@@ -379,8 +454,8 @@ def nuclear_dipolar_coupling(position_i_nm: np.ndarray, position_j_nm: np.ndarra
 _PAIR_BLOCK = 64
 
 
-def _pairs_within(positions: np.ndarray, cutoff: float) -> list[tuple[int, int]]:
-    """Every index pair (i, j), i < j, with |r_i - r_j| <= cutoff, in sorted order.
+def _pairs_within(positions: np.ndarray, cutoff: float) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays (i, j) of every pair i < j with |r_i - r_j| <= cutoff, sorted by (i, j).
 
     The rule is dx*dx + dy*dy + dz*dz <= cutoff*cutoff, summed in that order,
     so a pair exactly at the cutoff is kept.  The spins are sorted along z and
@@ -388,7 +463,7 @@ def _pairs_within(positions: np.ndarray, cutoff: float) -> list[tuple[int, int]]
     """
     n = len(positions)
     if n < 2:
-        return []
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     order = np.argsort(positions[:, 2], kind="stable")
     pos = positions[order]
     z = pos[:, 2]
@@ -414,7 +489,7 @@ def _pairs_within(positions: np.ndarray, cutoff: float) -> list[tuple[int, int]]
     i, j = np.concatenate(firsts), np.concatenate(seconds)
     lo, hi = np.minimum(i, j), np.maximum(i, j)
     rank = np.argsort(lo * n + hi)
-    return list(zip(lo[rank].tolist(), hi[rank].tolist()))
+    return lo[rank].astype(np.int64, copy=False), hi[rank].astype(np.int64, copy=False)
 
 
 def sample_bath(sites: np.ndarray, config: LatticeConfig) -> BathRealization:
@@ -423,24 +498,26 @@ def sample_bath(sites: np.ndarray, config: LatticeConfig) -> BathRealization:
     Occupancy is an independent Bernoulli draw per site at the configured
     abundance, driven by ``numpy.random.default_rng(config.seed)``; identical
     (sites, config) inputs therefore reproduce the realization bit for bit.
+    Each hyperfine vector and each coupling comes from its own
+    :func:`hyperfine_vector` or :func:`nuclear_dipolar_coupling` call, written
+    straight into the bath's arrays.
     """
     sites = finite_array(sites, "lattice sites").reshape(-1, 3)
     rng = np.random.default_rng(config.seed)
     occupied = rng.random(len(sites)) < config.abundance
     positions = sites[occupied]
 
-    spins = [
-        NuclearSpin(tuple(pos), tuple(hyperfine_vector(pos))) for pos in positions
-    ]
+    hyperfine = np.empty_like(positions)
+    for k, pos in enumerate(positions):
+        hyperfine[k] = hyperfine_vector(pos)
 
-    pair_couplings = {
-        (i, j): nuclear_dipolar_coupling(positions[i], positions[j])
-        for i, j in _pairs_within(positions, config.pair_cutoff)
-    }
+    pair_i, pair_j = _pairs_within(positions, config.pair_cutoff)
+    pair_b = np.fromiter(
+        (nuclear_dipolar_coupling(positions[i], positions[j])
+         for i, j in zip(pair_i.tolist(), pair_j.tolist())),
+        dtype=float, count=pair_i.size,
+    )
 
-    return BathRealization(
-        spins=spins,
-        pair_couplings=pair_couplings,
-        seed=config.seed,
-        config=config,
+    return BathRealization._from_arrays(
+        positions, hyperfine, pair_i, pair_j, pair_b, GAMMA_N_13C_KHZ_PER_G, config.seed, config
     )

@@ -525,17 +525,14 @@ def _pair_kernel_factors(
 
 
 def _pair_batches(bath: BathRealization) -> list:
-    """The bath's pairs in sorted order, split into the pool's batches.
+    """The bath's pair table, sorted by (i, j), split into the pool's batches.
 
     Each batch holds :data:`PAIRS_PER_BATCH` pairs (the last one the rest)
-    as (idx_i, idx_j, couplings) arrays.
+    as (idx_i, idx_j, couplings) slices of the bath's own arrays.
     """
-    pairs = bath.sorted_pairs()
-    idx_i = np.fromiter((p[0] for p in pairs), dtype=int, count=len(pairs))
-    idx_j = np.fromiter((p[1] for p in pairs), dtype=int, count=len(pairs))
-    b = np.fromiter((bath.pair_couplings[p] for p in pairs), dtype=float, count=len(pairs))
-    batches = (slice(lo, lo + PAIRS_PER_BATCH) for lo in range(0, len(pairs), PAIRS_PER_BATCH))
-    return [(idx_i[s], idx_j[s], b[s]) for s in batches]
+    starts = range(0, len(bath.pair_b), PAIRS_PER_BATCH)
+    batches = (slice(lo, lo + PAIRS_PER_BATCH) for lo in starts)
+    return [(bath.pair_i[s], bath.pair_j[s], bath.pair_b[s]) for s in batches]
 
 
 def _kernel_chunks(n_pairs: int, n_t: int) -> list[slice]:
@@ -576,9 +573,10 @@ def echo_coherence_trace(
     pair multiplicity).  Exact for baths of at most two spins; a bath
     without spins sums over no rows, so its trace is exactly 1.
 
-    Pairs are processed in batches of :data:`PAIRS_PER_BATCH`
-    (:func:`_pair_batches`) on a pool of ``NVMAG_THREADS`` worker threads
-    (default: one per core, never more than there are batches).  A worker
+    Pairs are processed in batches of :data:`PAIRS_PER_BATCH`, slices of
+    the bath's pair table in its (i, j) order (:func:`_pair_batches`), on a
+    pool of ``NVMAG_THREADS`` worker threads (default: one per core, never
+    more than there are batches).  A worker
     runs :func:`_pair_spectra` once for its whole batch, then the pair
     kernel chunk by chunk (:func:`_kernel_chunks`, about
     :data:`PAIR_POINTS_PER_CHUNK` pair-points each), and adds each chunk's

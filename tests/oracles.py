@@ -10,7 +10,9 @@ be, where the package now scores all candidate periods in array passes, and
 the pair kernel as it was with the 32-row product for the entries of M
 and libm ``cos``/``sin`` of every phase, where the package now contracts a
 7x7 form in the cosines of phase differences and takes every cos/sin pair
-from one tangent of the half phase.
+from one tangent of the half phase.  The lattice is kept as the one-shot
+construction over the whole cube of cells, where the package builds it one
+slab of cells at a time.
 """
 from __future__ import annotations
 
@@ -19,6 +21,7 @@ import math
 import numpy as np
 from scipy.linalg import expm
 
+from nvmag.bath import _DIAMOND_BASIS, _FCC_OFFSETS, _R_111_TO_Z
 from nvmag.decoherence import _batched_pair_hamiltonians, _cos_sin_from_half
 from nvmag.errors import NoRevivalError
 from nvmag.timescales import (
@@ -419,3 +422,28 @@ def pair_kernel_factors_half_angle(spectra, tau: np.ndarray) -> np.ndarray:
     """The M-product kernel with each cos/sin pair from the tangent of the
     half phase pi e tau (:func:`nvmag.decoherence._cos_sin_from_half`)."""
     return _m_product_kernel(spectra, tau, _half_angle_cos_sin)
+
+
+def lattice_sites_one_shot(config) -> np.ndarray:
+    """``generate_lattice_sites`` as it was: every cell of the cube in one array."""
+    a = config.lattice_constant_nm
+    span = int(np.ceil(config.cutoff_radius / a)) + 1
+    cells = np.arange(-span, span + 1)
+    ci, cj, ck = np.meshgrid(cells, cells, cells, indexing="ij")
+    corners = np.stack([ci, cj, ck], axis=-1).reshape(-1, 3).astype(float)
+
+    fractional = (_FCC_OFFSETS[:, None, :] + _DIAMOND_BASIS[None, :, :]).reshape(-1, 3)
+    sites = (corners[:, None, :] + fractional[None, :, :]).reshape(-1, 3) * a
+
+    radii = np.linalg.norm(sites, axis=1)
+    nitrogen = np.full(3, a / 4.0)
+    is_defect = (radii < 1e-9) | (np.linalg.norm(sites - nitrogen, axis=1) < 1e-9)
+    keep = (
+        ~is_defect
+        & (radii > config.exclusion_radius_nm)
+        & (radii <= config.cutoff_radius)
+    )
+    sites = sites[keep] @ _R_111_TO_Z.T
+
+    order = np.lexsort(np.round(sites, 9).T[::-1])
+    return sites[order]

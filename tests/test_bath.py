@@ -1,5 +1,7 @@
 import json
 import math
+import tracemalloc
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
@@ -23,7 +25,9 @@ from nvmag.constants import (
 )
 from nvmag.errors import ConfigError, DomainError
 
-from oracles import si_dipole_prefactor_khz_nm3
+from oracles import lattice_sites_one_shot, si_dipole_prefactor_khz_nm3
+
+MIB = 2**20
 
 
 # ---------------------------------------------------------------- geometry
@@ -59,6 +63,27 @@ class TestLatticeGeometry:
         vol = 4.0 / 3.0 * np.pi * 1.5**3
         expected = 8.0 / a_nm**3 * vol
         assert len(small_sites) == pytest.approx(expected, rel=0.05)
+
+    @pytest.mark.parametrize("config", [
+        LatticeConfig(), LatticeConfig(cutoff_radius=1.5),
+        LatticeConfig(cutoff_radius=2.7, lattice_constant=3.6),
+    ], ids=["4nm", "1.5nm", "2.7nm-3.6A"])
+    def test_slab_build_equals_the_one_shot_build(self, config):
+        sites, expected = generate_lattice_sites(config), lattice_sites_one_shot(config)
+        assert sites.shape == expected.shape
+        assert sites.tobytes() == expected.tobytes()
+
+    def test_lattice_build_peak_allocation(self):
+        # the one-shot build over the whole cube of cells peaks at 15.5 MiB
+        # to return 1.1 MiB of sites; slab by slab it peaks at 4.4 MiB
+        generate_lattice_sites(LatticeConfig())
+        tracemalloc.start()
+        try:
+            generate_lattice_sites(LatticeConfig())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * MIB
 
     @pytest.mark.parametrize(
         "name,value",
@@ -211,6 +236,52 @@ class TestSampling:
             )
 
 
+class TestStorage:
+    SPINS = [NuclearSpin((0.2 + 0.3 * k, 0.0, 0.1), (1.0, -2.0, 0.5 * k)) for k in range(4)]
+    PAIRS = {(2, 3): 0.5, (0, 2): -1.25, (1, 3): 2.0, (0, 1): 0.75}
+
+    def test_a_bath_is_a_few_arrays(self):
+        bath = BathRealization(self.SPINS, self.PAIRS, seed=4)
+        assert bath.positions.shape == bath.hyperfine.shape == (4, 3)
+        assert bath.pair_i.tolist() == [0, 0, 1, 2] and bath.pair_j.tolist() == [1, 2, 3, 3]
+        assert bath.pair_b.tolist() == [0.75, -1.25, 2.0, 0.5]
+        assert bath.pair_i.dtype == bath.pair_j.dtype == np.int64
+        assert bath.spins == self.SPINS
+        for array in (bath.positions, bath.hyperfine, bath.pair_i, bath.pair_j, bath.pair_b):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+
+    def test_pair_couplings_view_reads_like_its_dict(self):
+        view = BathRealization(self.SPINS, self.PAIRS).pair_couplings
+        assert isinstance(view, Mapping) and len(view) == 4
+        assert list(view) == sorted(self.PAIRS)
+        assert list(view.items()) == sorted(self.PAIRS.items())
+        assert view[0, 2] == -1.25 and view[np.int64(1), np.int64(3)] == 2.0
+        for absent in [(0, 3), (1, 2), (3, 2), (2, 2), (4, 5), (-1, 0), (0,), "01", 1]:
+            assert absent not in view
+            with pytest.raises(KeyError):
+                view[absent]
+        assert view == self.PAIRS and dict(view) == self.PAIRS
+        assert view != {**self.PAIRS, (0, 3): 1.0}
+        assert view != {**self.PAIRS, (0, 1): 0.5}
+
+    def test_sampled_bath_holds_under_one_mib(self, full_sites):
+        # trace-dense bath 0: 1,402 spins and 12,865 pairs.  A dict entry and
+        # a tuple key per pair and a NuclearSpin per spin held 2.7 MiB; the
+        # arrays hold 0.36 MiB
+        cfg = LatticeConfig(abundance=0.03, seed=0)
+        sample_bath(full_sites, cfg)
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            bath = sample_bath(full_sites, cfg)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (len(bath), len(bath.pair_couplings)) == (1402, 12865)
+        assert held - before <= 1 * MIB
+
+
 class TestPairSearch:
     """The numpy pair search against scipy's k-d tree; scipy is needed only here."""
 
@@ -219,6 +290,13 @@ class TestPairSearch:
         from scipy.spatial import cKDTree
 
         return sorted(cKDTree(positions).query_pairs(cutoff))
+
+    @staticmethod
+    def found(positions, cutoff):
+        """_pairs_within's two int64 index arrays, as a list of (i, j)."""
+        i, j = _pairs_within(positions, cutoff)
+        assert i.dtype == j.dtype == np.int64 and i.shape == j.shape
+        return list(zip(i.tolist(), j.tolist()))
 
     @pytest.mark.parametrize("abundance, pair_cutoff, seed", [
         (0.003, 1.0, 0), (0.011, 1.0, 1), (0.03, 1.0, 2), (0.1, 1.0, 3),
@@ -230,7 +308,7 @@ class TestPairSearch:
         positions = full_sites[rng.random(len(full_sites)) < abundance]
         expected = self.kd_pairs(positions, pair_cutoff)
         assert len(expected) > 0
-        assert _pairs_within(positions, pair_cutoff) == expected
+        assert self.found(positions, pair_cutoff) == expected
 
     def test_sample_bath_keeps_the_pairs_found(self, full_sites):
         cfg = LatticeConfig(seed=1, abundance=0.011, pair_cutoff=0.5)
@@ -240,16 +318,16 @@ class TestPairSearch:
     @pytest.mark.parametrize("n", [0, 1, 2])
     def test_few_spins(self, n):
         positions = np.array([[0.1, 0.2, 0.3], [0.4, -0.2, 0.9]])[:n]
-        assert _pairs_within(positions, 1.0) == self.kd_pairs(positions, 1.0)
-        assert _pairs_within(positions, 1.0) == ([(0, 1)] if n == 2 else [])
-        assert _pairs_within(positions, 0.5) == []
+        assert self.found(positions, 1.0) == self.kd_pairs(positions, 1.0)
+        assert self.found(positions, 1.0) == ([(0, 1)] if n == 2 else [])
+        assert self.found(positions, 0.5) == []
 
     def test_pair_exactly_at_the_cutoff_is_kept(self):
         beyond = np.nextafter(1.0, 2.0)
         positions = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 1.0],
                               [0.0, beyond, 0.0], [-1.0, 0.0, 0.0]])
         expected = [(0, 1), (0, 4), (1, 2)]
-        assert _pairs_within(positions, 1.0) == expected
+        assert self.found(positions, 1.0) == expected
         assert self.kd_pairs(positions, 1.0) == expected
 
 
@@ -294,13 +372,14 @@ class TestPersistence:
             lambda d: d["pair_couplings_khz"][0].__setitem__(2, math.inf),
             lambda d: d["pair_couplings_khz"][0].__setitem__(2, "1.0"),
             lambda d: d["pair_couplings_khz"][0].__setitem__(0, 0.9),
+            lambda d: d["pair_couplings_khz"].append(list(d["pair_couplings_khz"][-1])),
             lambda d: d.__setitem__("seed", 2.7),
             lambda d: d["config"].__setitem__("pair_cutoff", math.nan),
             lambda d: d["config"].__setitem__("seed", 1.5),
         ],
         ids=["nan-position", "infinite-hyperfine", "two-component-hyperfine",
              "string-position", "infinite-coupling", "string-coupling", "fractional-index",
-             "fractional-seed", "nan-pair-cutoff", "fractional-config-seed"],
+             "pair-listed-twice", "fractional-seed", "nan-pair-cutoff", "fractional-config-seed"],
     )
     def test_non_finite_or_misshapen_record_rejected(self, small_sites, edit):
         record = sample_bath(small_sites, LatticeConfig(seed=9, abundance=0.1)).to_json_dict()
@@ -319,6 +398,15 @@ class TestPersistence:
         record["gamma_n_khz_per_g"] = 2.0
         with pytest.raises(ConfigError, match="gamma_n"):
             BathRealization.from_json_dict(record)
+
+    @pytest.mark.parametrize("coupling", [math.nan, math.inf, "7.5", True])
+    def test_pair_coupling_must_be_a_finite_number(self, coupling):
+        # a NaN coupling ended in numpy's LinAlgError inside the trace, and a
+        # string was read as a number
+        spins = [NuclearSpin((0.5, 0.0, 0.0), (1.0, 0.0, 0.0)),
+                 NuclearSpin((0.0, 0.5, 0.0), (2.0, 0.0, 1.0))]
+        with pytest.raises(ConfigError, match="pair coupling"):
+            BathRealization(spins, {(0, 1): coupling})
 
     def test_pair_index_validation(self):
         spin = NuclearSpin((0.5, 0.0, 0.0), (1.0, 0.0, 0.0))

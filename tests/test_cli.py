@@ -422,11 +422,13 @@ class TestSimulateCommand:
              "position_nm must hold three numbers"),
             (lambda d: d["pair_couplings_khz"][0].__setitem__(0, 0.9),
              "pair index must be an integer"),
+            (lambda d: d["pair_couplings_khz"].insert(1, list(d["pair_couplings_khz"][0])),
+             "listed twice"),
             (lambda d: d["config"].__setitem__("pair_cutoff", math.nan), "NaN"),
             (lambda d: d.__setitem__("gamma_n_khz_per_g", 2.0), "gamma_n"),
         ],
         ids=["nan-hyperfine", "infinite-coupling", "two-component-hyperfine",
-             "string-position", "fractional-pair-index", "nan-pair-cutoff",
+             "string-position", "fractional-pair-index", "pair-listed-twice", "nan-pair-cutoff",
              "foreign-gamma-n"],
     )
     def test_malformed_bath_file_exits_2_before_any_work(
@@ -447,7 +449,8 @@ class TestSimulateCommand:
         out_dir = tmp_path / "out"
         rc = run("simulate", "--bath", bad, "--field", "10", "--out-dir", out_dir)
         assert rc == 2
-        assert named in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert named in err and str(bad) in err
         assert calls == []
         assert not out_dir.exists()
 

@@ -237,7 +237,7 @@ class TestPairKernelChunks:
         assert len(sizes) >= 4
         assert set(sizes[:-1]) == {PAIRS_PER_BATCH} and 0 < sizes[-1] <= PAIRS_PER_BATCH
         idx = [(int(i), int(j)) for bi, bj, _ in batches for i, j in zip(bi, bj)]
-        assert idx == bath.sorted_pairs()
+        assert idx == list(bath.pair_couplings)
         b = np.concatenate([b for _, _, b in batches])
         assert b.tolist() == [bath.pair_couplings[p] for p in idx]
 
@@ -484,6 +484,32 @@ class TestEchoCoherenceTrace:
         assert np.array_equal(threaded.values, serial.values)
         assert threaded.metadata["diagnostics"] == serial.metadata["diagnostics"]
         assert serial.metadata["diagnostics"]["pair_points_dropped"] > 0
+
+    # Relabelling the spins is a symmetry of the model: only the order of the
+    # trace's sums, and the left/right order of some pairs, moves.  Each bound
+    # is ten times the case's 1-ulp spread: the largest move of the trace over
+    # four draws of every hyperfine component stepped by 0 or +-1 ulp, which
+    # read 7.3e-14, 4.7e-14 and 6.6e-12 over 0.3 ms.
+    @pytest.mark.parametrize("field_g, bound", [
+        ((0.0, 0.0, 10.0), 8e-13), ((3.0, 4.0, 2.0), 5e-13), ((30.0, 0.0, 95.0), 7e-11),
+    ], ids=["10G-axial", "3-4-2G", "30-0-95G"])
+    def test_relabelled_spins_give_the_same_trace(self, full_sites, field_g, bound):
+        bath = sample_bath(full_sites, LatticeConfig(abundance=0.011, seed=2))
+        label = np.random.default_rng(0).permutation(len(bath))  # spin k becomes label[k]
+        spins = bath.spins
+        relabelled_pairs = {
+            (min(label[i], label[j]), max(label[i], label[j])): b
+            for (i, j), b in bath.pair_couplings.items()
+        }
+        assert list(relabelled_pairs) != sorted(relabelled_pairs)
+        relabelled = BathRealization(
+            [spins[k] for k in np.argsort(label)], relabelled_pairs, seed=2, config=bath.config
+        )
+        field = FieldVector.from_sequence(field_g)
+        sched = EchoSchedule.for_field(field.magnitude, t_max_ms=0.3)
+        want = echo_coherence_trace(bath, field, sched).values
+        got = echo_coherence_trace(relabelled, field, sched).values
+        assert np.max(np.abs(got - want)) <= bound
 
     def test_peak_allocation_is_bounded_on_a_long_grid(self, monkeypatch):
         # 349 pairs on 2828 points on two worker threads: the peak is the
