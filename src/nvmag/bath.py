@@ -7,8 +7,10 @@ the intra-bath dipolar coupling of every retained nuclear pair.  The pairs
 within the pair cutoff come from a blocked numpy search (``_pairs_within``),
 so sampling a bath needs numpy alone.  A bath is held as arrays: (N, 3)
 positions and hyperfine vectors, and one pair table sorted by (i, j) that
-the echo engine slices into its batches.  The lattice is built one slab of
-cells at a time.
+the echo engine slices into its batches.  The hyperfine vectors and the
+couplings are each taken in one array pass that rounds every entry exactly
+as the one-spin and one-pair functions do.  The lattice is built one slab
+of cells at a time.
 
 Geometry convention: the defect vacancy sits at the origin, the substituting
 nitrogen occupies the adjacent lattice site, and all coordinates are returned
@@ -419,7 +421,40 @@ def generate_lattice_sites(config: LatticeConfig) -> np.ndarray:
     return sites[order]
 
 
-def hyperfine_vector(position_nm: np.ndarray) -> np.ndarray:
+def _row_norms(d: np.ndarray) -> np.ndarray:
+    """|d| of each row of an (M, 3) array, rounded as ``np.linalg.norm`` of that row alone.
+
+    ``norm`` of one vector takes the BLAS dot of the vector with itself;
+    ``np.matmul`` of (M, 1, 3) by (M, 3, 1) takes that same dot row by row,
+    where an axis sum or ``norm(axis=1)`` rounds some rows differently.
+    """
+    return np.sqrt(np.matmul(d[:, None, :], d[:, :, None]).reshape(-1))
+
+
+def _hyperfine_vectors(positions: np.ndarray) -> np.ndarray:
+    """(N, 3) hyperfine vectors (kHz) of nuclei at (N, 3) positions (nm); see hyperfine_vector."""
+    r = _row_norms(positions)
+    # float_power is libm pow entry by entry, as Python's r**3 is; np.power's
+    # SIMD loop rounds some entries differently
+    cube = np.float_power(r, 3)
+    if not cube.all():
+        raise DomainError("hyperfine vector undefined at the electron position")
+    r_hat = positions / r[:, None]
+    scale = HYPERFINE_PREFACTOR_KHZ_NM3 / cube
+    return scale[:, None] * (_Z_HAT - (3.0 * r_hat[:, 2])[:, None] * r_hat)
+
+
+def _dipolar_couplings(d: np.ndarray) -> np.ndarray:
+    """Couplings b (kHz) of pairs at (M, 3) separations d (nm); see nuclear_dipolar_coupling."""
+    r = _row_norms(d)
+    cube = np.float_power(r, 3)
+    if not cube.all():
+        raise DomainError("coincident nuclei have no defined dipolar coupling")
+    cos_t = d[:, 2] / r
+    return (NUCLEAR_DIPOLE_PREFACTOR_KHZ_NM3 / cube) * (1.0 - 3.0 * np.float_power(cos_t, 2))
+
+
+def hyperfine_vector(position_nm) -> np.ndarray:
     """Secular hyperfine vector A (kHz) of a nucleus at ``position_nm``.
 
     Point-dipole form: the z row of the dipolar tensor between the electron
@@ -427,27 +462,19 @@ def hyperfine_vector(position_nm: np.ndarray) -> np.ndarray:
     where theta is the polar angle from the defect axis.  Vanishes at the
     magic angle cos^2(theta) = 1/3 and falls off as 1/r^3.
     """
-    r_vec = np.asarray(position_nm, dtype=float)
-    r = float(np.linalg.norm(r_vec))
-    if r == 0.0:
-        raise DomainError("hyperfine vector undefined at the electron position")
-    r_hat = r_vec / r
-    return (HYPERFINE_PREFACTOR_KHZ_NM3 / r**3) * (_Z_HAT - 3.0 * r_hat[2] * r_hat)
+    return _hyperfine_vectors(np.array([finite_vector(position_nm, "position_nm")]))[0]
 
 
-def nuclear_dipolar_coupling(position_i_nm: np.ndarray, position_j_nm: np.ndarray) -> float:
+def nuclear_dipolar_coupling(position_i_nm, position_j_nm) -> float:
     """Secular dipolar coupling b_ij (kHz) between two bath nuclei.
 
     b_ij = C/r^3 * (1 - 3 cos^2 theta_ij) with theta_ij the angle between
     the internuclear vector and the defect axis; this multiplies the
     Ising + flip-flop pair operator in the pair Hamiltonian.
     """
-    d = np.asarray(position_j_nm, dtype=float) - np.asarray(position_i_nm, dtype=float)
-    r = float(np.linalg.norm(d))
-    if r == 0.0:
-        raise DomainError("coincident nuclei have no defined dipolar coupling")
-    cos_t = d[2] / r
-    return (NUCLEAR_DIPOLE_PREFACTOR_KHZ_NM3 / r**3) * (1.0 - 3.0 * cos_t**2)
+    d = np.subtract([finite_vector(position_j_nm, "position_j_nm")],
+                    [finite_vector(position_i_nm, "position_i_nm")])
+    return float(_dipolar_couplings(d)[0])
 
 
 # spins per block of the pair search: a block's tables hold 64 rows of at most N doubles
@@ -492,31 +519,32 @@ def _pairs_within(positions: np.ndarray, cutoff: float) -> tuple[np.ndarray, np.
     return lo[rank].astype(np.int64, copy=False), hi[rank].astype(np.int64, copy=False)
 
 
+# pairs per block of the coupling pass: a block's transients take about 0.4 MiB
+_COUPLING_BLOCK = 1 << 12
+
+
 def sample_bath(sites: np.ndarray, config: LatticeConfig) -> BathRealization:
     """Sample 13C occupancy over ``sites`` and assemble the couplings.
 
     Occupancy is an independent Bernoulli draw per site at the configured
     abundance, driven by ``numpy.random.default_rng(config.seed)``; identical
     (sites, config) inputs therefore reproduce the realization bit for bit.
-    Each hyperfine vector and each coupling comes from its own
-    :func:`hyperfine_vector` or :func:`nuclear_dipolar_coupling` call, written
-    straight into the bath's arrays.
+    The hyperfine vectors come from one array pass over the spins and the
+    couplings from one over the pairs, in blocks of ``_COUPLING_BLOCK``;
+    each entry is byte for byte what :func:`hyperfine_vector` or
+    :func:`nuclear_dipolar_coupling` gives for that spin or pair.
     """
     sites = finite_array(sites, "lattice sites").reshape(-1, 3)
     rng = np.random.default_rng(config.seed)
     occupied = rng.random(len(sites)) < config.abundance
     positions = sites[occupied]
-
-    hyperfine = np.empty_like(positions)
-    for k, pos in enumerate(positions):
-        hyperfine[k] = hyperfine_vector(pos)
+    hyperfine = _hyperfine_vectors(positions)
 
     pair_i, pair_j = _pairs_within(positions, config.pair_cutoff)
-    pair_b = np.fromiter(
-        (nuclear_dipolar_coupling(positions[i], positions[j])
-         for i, j in zip(pair_i.tolist(), pair_j.tolist())),
-        dtype=float, count=pair_i.size,
-    )
+    pair_b = np.empty(pair_i.size)
+    for a in range(0, pair_i.size, _COUPLING_BLOCK):
+        block = slice(a, a + _COUPLING_BLOCK)
+        pair_b[block] = _dipolar_couplings(positions[pair_j[block]] - positions[pair_i[block]])
 
     return BathRealization._from_arrays(
         positions, hyperfine, pair_i, pair_j, pair_b, GAMMA_N_13C_KHZ_PER_G, config.seed, config

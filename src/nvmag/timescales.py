@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bath import finite_array, finite_number, increasing_array, integer, positive
+from .bath import _float_array, finite_array, finite_number, increasing_array, integer, positive
 from .decoherence import CoherenceTrace
 from .errors import (
     ConfigError,
@@ -535,9 +535,12 @@ def extract_timescales(
 
 
 def fit_power_law(x, y) -> PowerLawFit:
-    """Least-squares power law through (x, y), both strictly positive."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    """Least-squares power law through (x, y), both strictly positive.
+
+    Data that are not ints or floats (a bool, a string, an int past float
+    range) are a ConfigError; NaN, an infinity or a value <= 0 a DomainError.
+    """
+    x, y = _float_array(x, "x"), _float_array(y, "y")
     if x.shape != y.shape or x.ndim != 1:
         raise ConfigError("x and y must be one-dimensional and equally long")
     if x.size < 2:

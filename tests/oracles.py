@@ -12,7 +12,9 @@ and libm ``cos``/``sin`` of every phase, where the package now contracts a
 7x7 form in the cosines of phase differences and takes every cos/sin pair
 from one tangent of the half phase.  The lattice is kept as the one-shot
 construction over the whole cube of cells, where the package builds it one
-slab of cells at a time.
+slab of cells at a time, and the bath couplings as the loop over spins and
+pairs, ``np.linalg.norm`` of each vector and Python-float powers, where the
+package takes them in array passes.
 """
 from __future__ import annotations
 
@@ -21,7 +23,8 @@ import math
 import numpy as np
 from scipy.linalg import expm
 
-from nvmag.bath import _DIAMOND_BASIS, _FCC_OFFSETS, _R_111_TO_Z
+from nvmag.bath import _DIAMOND_BASIS, _FCC_OFFSETS, _R_111_TO_Z, _Z_HAT
+from nvmag.constants import HYPERFINE_PREFACTOR_KHZ_NM3, NUCLEAR_DIPOLE_PREFACTOR_KHZ_NM3
 from nvmag.decoherence import _batched_pair_hamiltonians, _cos_sin_from_half
 from nvmag.errors import NoRevivalError
 from nvmag.timescales import (
@@ -447,3 +450,21 @@ def lattice_sites_one_shot(config) -> np.ndarray:
 
     order = np.lexsort(np.round(sites, 9).T[::-1])
     return sites[order]
+
+
+def bath_couplings_loop(positions, pair_i, pair_j) -> tuple[np.ndarray, np.ndarray]:
+    """Hyperfine vectors and pair couplings as ``sample_bath`` took them, one
+    vector at a time: ``np.linalg.norm`` of each vector, then Python-float
+    ``r**3`` and ``cos_t**2`` (libm pow), in the scalar formulas' order."""
+    hyperfine = np.empty_like(positions)
+    for k, p in enumerate(positions):
+        r = float(np.linalg.norm(p))
+        r_hat = p / r
+        hyperfine[k] = (HYPERFINE_PREFACTOR_KHZ_NM3 / r**3) * (_Z_HAT - 3.0 * r_hat[2] * r_hat)
+    couplings = np.empty(len(pair_i))
+    for k, (i, j) in enumerate(zip(pair_i.tolist(), pair_j.tolist())):
+        d = positions[j] - positions[i]
+        r = float(np.linalg.norm(d))
+        cos_t = float(d[2]) / r
+        couplings[k] = (NUCLEAR_DIPOLE_PREFACTOR_KHZ_NM3 / r**3) * (1.0 - 3.0 * cos_t**2)
+    return hyperfine, couplings

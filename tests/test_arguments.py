@@ -37,9 +37,11 @@ from nvmag import (
     find_revival_peaks,
     fit_power_law,
     fluorescence_signal,
+    hyperfine_vector,
     invert_TR_to_B,
     make_simulated_probe,
     min_detectable_field,
+    nuclear_dipolar_coupling,
     odmr_transitions,
     optimal_sensitivity,
     pair_echo_factor,
@@ -70,6 +72,8 @@ TIMES = np.array([0.1, 0.2])
 CHECKED = [
     ("LatticeConfig", LatticeConfig, (3.567, 4.0, 1.55, 0.011, 0, 1.0)),
     ("BathRealization", BathRealization, ([], {}, GAMMA_N_13C_KHZ_PER_G, 0)),
+    ("hyperfine_vector", hyperfine_vector, ((0.3, -0.4, 0.5),)),
+    ("nuclear_dipolar_coupling", nuclear_dipolar_coupling, ((0.1, 0.2, 0.3), (-0.4, 0.5, 0.1))),
     ("sample_bath", sample_bath, (np.array([[0.3, 0.0, 0.1], [0.0, 0.4, -0.2]]),
                                  LatticeConfig(abundance=1.0))),
     ("FieldVector", FieldVector, (0.0, 0.0, 10.0)),
@@ -117,8 +121,6 @@ UNDAMPED = {("analytic_coherence", (1,)), ("analytic_trace", (2,)), ("fluorescen
 
 _OBJECTS_ONLY = "takes no number, only nvmag objects that checked theirs when built"
 _RECORD = "an output record a checked function builds"
-_BATH_LOOP = ("runs once per spin or pair inside sample_bath, which checks its sites;"
-              " a saved bath is read through finite_vector")
 _PEAKS = ("takes RevivalPeak records, which check nothing; it refuses a non-finite"
           " height itself (test_timescales)")
 EXEMPT = {
@@ -137,9 +139,8 @@ EXEMPT = {
                               " it is given, and extract_T2 their heights"),
     "SensitivityReport": _RECORD + "; eta is infinite at response nodes",
     "TimescaleSet": _RECORD + "; a value that could not be extracted is NaN",
-    "NuclearSpin": _BATH_LOOP,
-    "hyperfine_vector": _BATH_LOOP,
-    "nuclear_dipolar_coupling": _BATH_LOOP,
+    "NuclearSpin": ("a record of two vectors that checks nothing; sample_bath checks its"
+                    " sites, and a saved bath is read through finite_vector"),
 }
 
 

@@ -6,6 +6,7 @@ manifest writing, and the error-to-exit-code mapping together.
 """
 
 import argparse
+import hashlib
 import json
 import math
 import re
@@ -280,6 +281,14 @@ class TestBathCommand:
         first = (tmp_path / "a" / "bath_seed3.json").read_bytes()
         second = (tmp_path / "b" / "bath_seed3.json").read_bytes()
         assert first == second
+
+    def test_readme_demo_bath_is_pinned(self, tmp_path):
+        # sha256 of the file this command wrote at commit 6fc74bf, when every
+        # hyperfine vector and coupling still came from its own scalar call
+        # (numpy 2.4.6, OpenBLAS 0.3.31, x86-64); the array passes keep its bytes
+        assert run("bath", "--seed", 2, "--out-dir", tmp_path) == 0
+        digest = hashlib.sha256((tmp_path / "bath_seed2.json").read_bytes()).hexdigest()
+        assert digest == "454ecce976a9d3b107914649be6456795fdcde075bbda4689e095bb92cf8450f"
 
     def test_bad_abundance_exits_2(self, tmp_path, capsys):
         rc = run("bath", "--abundance", "1.5", "--out-dir", tmp_path)

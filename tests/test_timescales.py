@@ -483,6 +483,13 @@ class TestFitPowerLaw:
         with pytest.raises(DomainError):
             fit_power_law([0.0, 2.0], [1.0, 2.0])
 
+    @pytest.mark.parametrize("x,y", [([1, 10**400], [1.0, 0.5]), ([1.0, 2.0], [True, False]),
+                                     (["1", "2"], [1.0, 0.5])])
+    def test_data_that_are_not_numbers_rejected(self, x, y):
+        # an int past float range escaped as an OverflowError
+        with pytest.raises(ConfigError, match="must hold numbers"):
+            fit_power_law(x, y)
+
     def test_needs_two_points(self):
         with pytest.raises(ConfigError):
             fit_power_law([1.0], [1.0])
