@@ -6,11 +6,11 @@ electron-nuclear hyperfine vector of every nucleus (point-dipole form) and
 the intra-bath dipolar coupling of every retained nuclear pair.  The pairs
 within the pair cutoff come from a blocked numpy search (``_pairs_within``),
 so sampling a bath needs numpy alone.  A bath is held as arrays: (N, 3)
-positions and hyperfine vectors, and one pair table sorted by (i, j) that
-the echo engine slices into its batches.  The hyperfine vectors and the
-couplings are each taken in one array pass that rounds every entry exactly
-as the one-spin and one-pair functions do.  The lattice is built one slab
-of cells at a time.
+positions and hyperfine vectors, and one pair table, sorted by (i, j) where
+it is made, that the echo engine slices into its batches.  The hyperfine
+vectors and the couplings are each taken in one array pass that rounds
+every entry exactly as the one-spin and one-pair functions do.  The
+lattice is built one slab of cells at a time.
 
 Geometry convention: the defect vacancy sits at the origin, the substituting
 nitrogen occupies the adjacent lattice site, and all coordinates are returned
@@ -242,16 +242,21 @@ class PairCouplings(Mapping):
         raise KeyError(key)
 
 
+def _spin_vectors(vectors, what: str) -> np.ndarray:
+    """(N, 3) float array of N vectors, each read through ``finite_vector``."""
+    return np.array([finite_vector(v, what) for v in vectors]).reshape(-1, 3)
+
+
 def _pair_table(rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(i, j, b_ij) rows as int64 index arrays i and j and a float64 coupling array.
+    """(i, j, b_ij) rows, sorted by (i, j), as int64 index arrays i, j and float64 couplings.
 
     Each index must be an integer and each coupling a finite number.
     """
-    rows = [
+    rows = sorted(
         (integer(i, "pair index"), integer(j, "pair index"),
          float(finite_number(b, "pair coupling")))
         for i, j, b in rows
-    ]
+    )
     index = np.array([row[:2] for row in rows], dtype=np.int64).reshape(-1, 2)
     return index[:, 0], index[:, 1], np.array([row[2] for row in rows])
 
@@ -272,7 +277,8 @@ class BathRealization:
     refused.
 
     The constructor takes ``spins`` as NuclearSpin records and
-    ``pair_couplings`` as a mapping (i, j) -> b_ij, in any key order.
+    ``pair_couplings`` as a mapping (i, j) -> b_ij, in any key order, and
+    reads every position and hyperfine vector through ``finite_vector``.
     """
 
     def __init__(
@@ -283,10 +289,9 @@ class BathRealization:
         seed: int = 0,
         config: LatticeConfig | None = None,
     ) -> None:
-        n = len(spins)
         self._store(
-            np.array([s.position for s in spins], dtype=float).reshape(n, 3),
-            np.array([s.hyperfine for s in spins], dtype=float).reshape(n, 3),
+            _spin_vectors([s.position for s in spins], "position_nm"),
+            _spin_vectors([s.hyperfine for s in spins], "hyperfine_khz"),
             *_pair_table((i, j, b) for (i, j), b in pair_couplings.items()),
             gamma_n,
             seed,
@@ -300,14 +305,12 @@ class BathRealization:
         return bath
 
     def _store(self, positions, hyperfine, pair_i, pair_j, pair_b, gamma_n, seed, config) -> None:
-        """Check the pair indices, gamma_n and seed; keep the pair table sorted by (i, j)."""
+        """Check gamma_n, the seed, and the (i, j)-sorted pair table's indices and order."""
         bad = (pair_i < 0) | (pair_i >= pair_j) | (pair_j >= len(positions))
         if bad.any():
             k = int(np.argmax(bad))
             raise ConfigError(f"pair index ({pair_i[k]}, {pair_j[k]}) out of range")
-        order = np.lexsort((pair_j, pair_i))
-        pair_i, pair_j, pair_b = pair_i[order], pair_j[order], pair_b[order]
-        twice = (pair_i[1:] == pair_i[:-1]) & (pair_j[1:] == pair_j[:-1])
+        twice = np.diff(pair_i * len(positions) + pair_j) <= 0
         if twice.any():
             k = int(np.argmax(twice))
             raise ConfigError(f"pair ({pair_i[k]}, {pair_j[k]}) listed twice")
@@ -354,14 +357,11 @@ class BathRealization:
         must be finite, every index and seed an integer, and no pair listed twice."""
         try:
             spins = data["spins"]
-            pairs = _pair_table(data["pair_couplings_khz"])
             config = LatticeConfig(**data["config"]) if data.get("config") else None
             return cls._from_arrays(
-                np.array([finite_vector(s["position_nm"], "position_nm") for s in spins])
-                .reshape(-1, 3),
-                np.array([finite_vector(s["hyperfine_khz"], "hyperfine_khz") for s in spins])
-                .reshape(-1, 3),
-                *pairs,
+                _spin_vectors([s["position_nm"] for s in spins], "position_nm"),
+                _spin_vectors([s["hyperfine_khz"] for s in spins], "hyperfine_khz"),
+                *_pair_table(data["pair_couplings_khz"]),
                 float(finite_number(data["gamma_n_khz_per_g"], "gamma_n")),
                 integer(data["seed"], "seed"),
                 config,

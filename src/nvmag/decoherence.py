@@ -283,14 +283,14 @@ def single_spin_echo_factor(h0_g, h1_g, t_ms):
         L = 1 - 2 |n0 x n1|^2 sin^2(w0 t / 4) sin^2(w1 t / 4),
 
     with w_m = 2 pi gamma_n |h_m| the angular precession rates and n_m the
-    field unit vectors.  Runs the trace engine's single-spin table
-    (:func:`_single_factors_on_grid`) at branch duration t/2.  Accepts
-    scalar or array ``t_ms``.
+    field unit vectors.  Is row 0 of the trace engine's single-spin table
+    (:func:`_single_tables`) at branch duration t/2.  Accepts scalar or
+    array ``t_ms``.
     """
     h0 = np.array(finite_vector(h0_g, "h0_g"))
     h1 = np.array([finite_vector(h1_g, "h1_g")])
     t = finite_array(t_ms, "t_ms")
-    out = _single_factors_on_grid(h0, h1, 0.5 * t.reshape(-1))[0]
+    out = _single_tables(h0, h1, 0.5 * t.reshape(-1))[0][0]
     return float(out[0]) if t.ndim == 0 else out.reshape(t.shape)
 
 
@@ -306,36 +306,15 @@ def pair_echo_factor(
     Exact 4x4 evolution of the pair under the two conditioned Hamiltonians
     (each branch's Zeeman terms plus the shared Ising + flip-flop coupling),
     contracted against the maximally mixed pair state.  Runs the trace
-    engine's pair kernel (:func:`_pair_kernel_factors`) on this one pair at
-    branch duration t/2.  Accepts scalar or array ``t_ms``.
+    engine's pair kernel (:func:`_pair_kernel_factors`) on their one-pair
+    bath at branch duration t/2.  Accepts scalar or array ``t_ms``.
     """
-    h1 = [effective_field(field, s.hyperfine)[None, :] for s in (spin_i, spin_j)]
-    b_ij = float(finite_number(b_ij_khz, "b_ij_khz"))
-    spectra = _pair_spectra(*h1, np.array([b_ij]), field.as_array())
+    pair = BathRealization([spin_i, spin_j], {(0, 1): b_ij_khz})
+    h1 = effective_field(field, pair.hyperfine)
+    spectra = _pair_spectra(h1[:1], h1[1:], pair.pair_b, field.as_array())
     t = finite_array(t_ms, "t_ms")
     out = _pair_kernel_factors(spectra, 0.5 * t.reshape(-1))[0]
     return float(out[0]) if t.ndim == 0 else out.reshape(t.shape)
-
-
-def _single_factors_on_grid(h0: np.ndarray, h1: np.ndarray, tau_grid: np.ndarray) -> np.ndarray:
-    """(N, T) single-spin factors, branch duration = tau (total time 2 tau).
-
-    ``h0`` is the (3,) m = 0 branch field, ``h1`` the (N, 3) m = +1 branch
-    fields of the spins.
-    """
-    n_spins = h1.shape[0]
-    b0 = float(np.linalg.norm(h0))
-    b1 = np.linalg.norm(h1, axis=1)  # (N,)
-
-    n0 = h0 / b0 if b0 > 0 else np.zeros(3)
-    safe_b1 = np.where(b1 > 0, b1, 1.0)
-    n1 = h1 / safe_b1[:, None]
-    k = np.sum(np.cross(np.broadcast_to(n0, (n_spins, 3)), n1) ** 2, axis=1)
-    k = np.where((b1 > 0) & (b0 > 0), k, 0.0)  # non-precessing branch: closed echo
-
-    s0sq = np.sin(np.pi * GAMMA_N_13C_KHZ_PER_G * b0 * tau_grid) ** 2  # (T,)
-    s1sq = np.sin(np.pi * GAMMA_N_13C_KHZ_PER_G * b1[:, None] * tau_grid[None, :]) ** 2
-    return 1.0 - 2.0 * k[:, None] * s0sq[None, :] * s1sq
 
 
 def _clamped_log(x: np.ndarray) -> np.ndarray:
@@ -344,22 +323,33 @@ def _clamped_log(x: np.ndarray) -> np.ndarray:
 
 
 def _single_tables(h0: np.ndarray, h1: np.ndarray, tau: np.ndarray) -> tuple:
-    """The trace's (N, T) single-spin factors and, per grid point, the sum of
-    their clamped logs (:func:`_clamped_log`) and the count of negative factors.
+    """(N, T) single-spin factors at branch duration tau (total time 2 tau)
+    of the spins with m = +1 fields ``h1`` (N, 3) under the m = 0 field
+    ``h0`` (3,), and per grid point the sum of their clamped logs
+    (:func:`_clamped_log`) and the count of negative factors.
 
-    The table is allocated once and filled :data:`SINGLE_ROWS_PER_BLOCK`
-    spins at a time, with the same per-element operations as
-    :func:`_single_factors_on_grid` over the whole grid, so only block-sized
-    temporaries are ever live next to it.  The log sum adds one row at a
-    time in spin order from zeros, as summing a full log table down its
-    first axis does, so it has that sum's bits.
+    |h1|, |n0 x n1|^2 and the m = 0 sin^2 row are taken once; the table is
+    filled :data:`SINGLE_ROWS_PER_BLOCK` spins at a time, so only
+    block-sized temporaries are live next to it.  The log sum adds one row
+    at a time in spin order from zeros, as summing a full log table down
+    its first axis does, so it has that sum's bits.
     """
+    b0 = float(np.linalg.norm(h0))
+    b1 = np.linalg.norm(h1, axis=1)  # (N,)
+    n0 = h0 / b0 if b0 > 0 else np.zeros(3)
+    n1 = h1 / np.where(b1 > 0, b1, 1.0)[:, None]
+    k = np.sum(np.cross(np.broadcast_to(n0, h1.shape), n1) ** 2, axis=1)
+    k = np.where((b1 > 0) & (b0 > 0), k, 0.0)  # non-precessing branch: closed echo
+    s0sq = np.sin(np.pi * GAMMA_N_13C_KHZ_PER_G * b0 * tau) ** 2  # (T,)
+
     singles = np.empty((h1.shape[0], tau.size))
     log_total = np.zeros(tau.size)
     neg_count = np.zeros(tau.size, dtype=int)
     for lo in range(0, h1.shape[0], SINGLE_ROWS_PER_BLOCK):
-        block = singles[lo : lo + SINGLE_ROWS_PER_BLOCK]
-        block[...] = _single_factors_on_grid(h0, h1[lo : lo + SINGLE_ROWS_PER_BLOCK], tau)
+        rows = slice(lo, lo + SINGLE_ROWS_PER_BLOCK)
+        s1sq = np.sin(np.pi * GAMMA_N_13C_KHZ_PER_G * b1[rows, None] * tau[None, :]) ** 2
+        block = singles[rows]
+        block[...] = 1.0 - 2.0 * k[rows, None] * s0sq[None, :] * s1sq
         for row in _clamped_log(block):
             log_total += row
         neg_count += np.sum(block < 0.0, axis=0)

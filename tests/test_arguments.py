@@ -3,7 +3,8 @@
 Each entry of CHECKED is one valid call.  Each number in its arguments, one
 at a time, is replaced by NaN, +inf, -inf and True, and a float also by an
 int too large for a float; the call must raise a ConfigError or a
-PhysicsError.  A numeric array argument is replaced as a whole by the same
+PhysicsError.  The numbers inside NuclearSpin records and the values of a
+mapping count as arguments too.  A numeric array argument is replaced as a whole by the same
 values, and tried with its first entry NaN, +inf or -inf.
 A public name of ``nvmag`` in neither CHECKED nor EXEMPT fails the test.
 """
@@ -71,7 +72,7 @@ TIMES = np.array([0.1, 0.2])
 # (name, callable, positional arguments of one valid call)
 CHECKED = [
     ("LatticeConfig", LatticeConfig, (3.567, 4.0, 1.55, 0.011, 0, 1.0)),
-    ("BathRealization", BathRealization, ([], {}, GAMMA_N_13C_KHZ_PER_G, 0)),
+    ("BathRealization", BathRealization, (list(SPINS), {(0, 1): 0.9}, GAMMA_N_13C_KHZ_PER_G, 0)),
     ("hyperfine_vector", hyperfine_vector, ((0.3, -0.4, 0.5),)),
     ("nuclear_dipolar_coupling", nuclear_dipolar_coupling, ((0.1, 0.2, 0.3), (-0.4, 0.5, 0.1))),
     ("sample_bath", sample_bath, (np.array([[0.3, 0.0, 0.1], [0.0, 0.4, -0.2]]),
@@ -139,17 +140,24 @@ EXEMPT = {
                               " it is given, and extract_T2 their heights"),
     "SensitivityReport": _RECORD + "; eta is infinite at response nodes",
     "TimescaleSet": _RECORD + "; a value that could not be extracted is NaN",
-    "NuclearSpin": ("a record of two vectors that checks nothing; sample_bath checks its"
-                    " sites, and a saved bath is read through finite_vector"),
+    "NuclearSpin": ("a record of two vectors that checks nothing; BathRealization and"
+                    " pair_echo_factor read each vector through finite_vector, and the"
+                    " sweep reaches the numbers of the records passed to them"),
 }
 
 
 def _leaves(value, path=()):
-    """(path, value) of every number and numeric array in nested tuples and lists."""
+    """(path, value) of every number and numeric array in nested tuples, lists,
+    mapping values and NuclearSpin records (as (position, hyperfine))."""
     if isinstance(value, np.ndarray) or (
         isinstance(value, (int, float)) and not isinstance(value, bool)
     ):
         yield path, value
+    elif isinstance(value, NuclearSpin):
+        yield from _leaves((value.position, value.hyperfine), path)
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            yield from _leaves(item, path + (key,))
     elif isinstance(value, (tuple, list)):
         for i, item in enumerate(value):
             yield from _leaves(item, path + (i,))
@@ -158,6 +166,10 @@ def _leaves(value, path=()):
 def _replaced(value, path, new):
     if not path:
         return new
+    if isinstance(value, NuclearSpin):
+        return NuclearSpin(*_replaced((value.position, value.hyperfine), path, new))
+    if isinstance(value, dict):
+        return {**value, path[0]: _replaced(value[path[0]], path[1:], new)}
     items = list(value)
     items[path[0]] = _replaced(items[path[0]], path[1:], new)
     return type(value)(items)

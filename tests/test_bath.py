@@ -377,10 +377,23 @@ class TestPersistence:
         # the file keeps the record's own key order
         assert path.read_text() == json.dumps(bath.to_json_dict(), indent=1) + "\n"
 
+    def test_pair_rows_in_any_order_read_as_the_sorted_table(self, small_sites):
+        bath = sample_bath(small_sites, LatticeConfig(seed=9, abundance=0.1))
+        record = bath.to_json_dict()
+        record["pair_couplings_khz"].reverse()
+        shuffled = BathRealization.from_json_dict(record)
+        for name in ("pair_i", "pair_j", "pair_b"):
+            assert getattr(shuffled, name).tobytes() == getattr(bath, name).tobytes()
+        record["pair_couplings_khz"].append(record["pair_couplings_khz"][0])
+        with pytest.raises(ConfigError, match="listed twice"):
+            BathRealization.from_json_dict(record)
+
     def test_save_refuses_a_value_json_cannot_hold(self, tmp_path):
+        # the constructor reads every vector through finite_vector, so a bath
+        # holding a value strict JSON cannot write is never built to be saved
         spin = NuclearSpin((0.5, 0.0, 0.0), (1.0, 0.0, math.inf))
         path = tmp_path / "bath.json"
-        with pytest.raises(ConfigError, match="JSON cannot represent"):
+        with pytest.raises(ConfigError, match="hyperfine_khz must be finite"):
             BathRealization(spins=[spin], pair_couplings={}).save(path)
         assert not path.exists()
 
@@ -426,6 +439,22 @@ class TestPersistence:
         record["gamma_n_khz_per_g"] = 2.0
         with pytest.raises(ConfigError, match="gamma_n"):
             BathRealization.from_json_dict(record)
+
+    @pytest.mark.parametrize("field", ["position", "hyperfine"])
+    @pytest.mark.parametrize(
+        "bad",
+        [(0.5, 0.0, math.nan), (math.inf, 0.0, 1.0), (0.5, -math.inf, 1.0), (True, 0.0, 1.0),
+         (0.5, "0.5", 1.0), (0.5, 1.0)],
+        ids=["nan", "inf", "-inf", "bool", "string", "two-components"],
+    )
+    def test_constructor_reads_spins_as_the_file_reader_does(self, field, bad):
+        # the constructor once took any array numpy could make of a spin:
+        # a NaN position built a bath whose trace exited 0
+        good = {"position": (0.5, 0.0, 0.0), "hyperfine": (1.0, 0.0, 2.0)}
+        spins = [NuclearSpin(**good), NuclearSpin(**{**good, field: bad})]
+        name = {"position": "position_nm", "hyperfine": "hyperfine_khz"}[field]
+        with pytest.raises(ConfigError, match=name):
+            BathRealization(spins, {(0, 1): 0.5})
 
     @pytest.mark.parametrize("coupling", [math.nan, math.inf, "7.5", True])
     def test_pair_coupling_must_be_a_finite_number(self, coupling):

@@ -290,6 +290,18 @@ class TestBathCommand:
         digest = hashlib.sha256((tmp_path / "bath_seed2.json").read_bytes()).hexdigest()
         assert digest == "454ecce976a9d3b107914649be6456795fdcde075bbda4689e095bb92cf8450f"
 
+    def test_readme_demo_trace_is_pinned(self, tmp_path):
+        # sha256 of the trace this command wrote at commit 22d98e4 (numpy 2.4.6,
+        # OpenBLAS 0.3.31, x86-64), the same at 1 and 2 threads.  A kernel
+        # change that moves bits within the 1e-12 agreement gate updates this
+        # pin and says so in CHANGES.md.
+        assert run("bath", "--seed", 2, "--out-dir", tmp_path) == 0
+        rc = run("simulate", "--field", 10, "--bath", tmp_path / "bath_seed2.json",
+                 "--out-dir", tmp_path)
+        assert rc == 0
+        digest = hashlib.sha256((tmp_path / "trace_B10_seed2.csv").read_bytes()).hexdigest()
+        assert digest == "48b3593f3deac02a6089fe71330621ae5fb285e51f794f1ff2c899fe960f4a9b"
+
     def test_bad_abundance_exits_2(self, tmp_path, capsys):
         rc = run("bath", "--abundance", "1.5", "--out-dir", tmp_path)
         assert rc == 2

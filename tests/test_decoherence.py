@@ -37,7 +37,6 @@ from nvmag.decoherence import (
     _pair_batches,
     _pair_kernel_factors,
     _pair_spectra,
-    _single_factors_on_grid,
     _single_tables,
 )
 from nvmag.errors import (
@@ -198,7 +197,7 @@ class TestSingleSpinFactor:
         h0 = np.array(h0)
         h1 = np.array([[4.0, 2.0, -7.0], [0.0, 0.0, 0.0], [1.5, -0.5, 5.0]])
         tau = np.linspace(0.0, 0.9, 257)
-        table = _single_factors_on_grid(h0, h1, tau)
+        table = _single_tables(h0, h1, tau)[0]
         assert np.array_equal(table[1], np.ones_like(tau))
         for h, row in zip(h1, table):
             assert np.array_equal(single_spin_echo_factor(h0, h, 2.0 * tau), row)
@@ -217,16 +216,24 @@ class TestPairFactor:
         want = exact_echo(pairs, {(0, 1): b_ij}, field.as_array(), t_total, GAMMA)
         assert got == pytest.approx(want, abs=1e-10)
 
+    # A pair with b = 0 is two free spins: its factor is the product of the
+    # two single-spin rows.  Each bound is ten times the case's four-draw
+    # 1-ulp spread (every hyperfine and field component stepped by 0 or
+    # +-1 ulp), 2.0e-14 at 10 G axial and 3.2e-14 at (3, 4, 2) G over
+    # 0-2 ms; the gaps read 1.2e-14 and 1.5e-14.
     def test_uncoupled_pair_factorizes(self):
         spin_i = NuclearSpin((0.4, 0.0, 0.2), (12.0, -3.0, 7.0))
         spin_j = NuclearSpin((0.0, 0.5, -0.1), (-5.0, 8.0, 2.0))
-        field = FieldVector.along_z(7.0)
-        t = 0.8
-        got = pair_echo_factor(spin_i, spin_j, 0.0, field, t)
-        h0 = field.as_array()
-        li = single_spin_echo_factor(h0, effective_field(field, spin_i.hyperfine), t)
-        lj = single_spin_echo_factor(h0, effective_field(field, spin_j.hyperfine), t)
-        assert got == pytest.approx(li * lj, abs=1e-10)
+        t = np.linspace(0.0, 2.0, 401)
+        for field_g, bound in [((0.0, 0.0, 10.0), 2e-13), ((3.0, 4.0, 2.0), 3.2e-13)]:
+            field = FieldVector.from_sequence(field_g)
+            li, lj = (
+                single_spin_echo_factor(field.as_array(), effective_field(field, s.hyperfine), t)
+                for s in (spin_i, spin_j)
+            )
+            assert np.min(np.abs(li * lj)) < 1e-3  # the rows pass near zero
+            got = pair_echo_factor(spin_i, spin_j, 0.0, field, t)
+            assert np.max(np.abs(got - li * lj)) <= bound
 
 
 class TestPairKernelChunks:
@@ -511,6 +518,34 @@ class TestEchoCoherenceTrace:
         got = echo_coherence_trace(relabelled, field, sched).values
         assert np.max(np.abs(got - want)) <= bound
 
+    # Rotating every position, every hyperfine vector and the field by phi
+    # about the NV axis is a symmetry of the model: the pair operator
+    # Iz Iz - flip-flop / 4 commutes with the total I_z, and b_ij depends only
+    # on |r_ij| and its z component, so the pair table is kept.  Each bound
+    # is ten times the case's four-draw 1-ulp spread, with every hyperfine
+    # and field component stepped by 0 or +-1 ulp (the rotation rounds
+    # both), which read 2.2e-13, 8.7e-13 and 9.4e-12 over 0.3 ms; the
+    # rotations by 2 pi / 3 and 0.7 moved the trace by up to 6.2e-14,
+    # 5.3e-13 and 7.8e-12.
+    @pytest.mark.parametrize("field_g, bound", [
+        ((0.0, 0.0, 10.0), 2.2e-12), ((3.0, 4.0, 2.0), 8.7e-12), ((30.0, 0.0, 95.0), 9.4e-11),
+    ], ids=["10G-axial", "3-4-2G", "30-0-95G"])
+    def test_rotation_about_the_nv_axis_gives_the_same_trace(self, full_sites, field_g, bound):
+        bath = sample_bath(full_sites, LatticeConfig(abundance=0.011, seed=2))
+        field = FieldVector.from_sequence(field_g)
+        sched = EchoSchedule.for_field(field.magnitude, t_max_ms=0.3)
+        want = echo_coherence_trace(bath, field, sched).values
+        for phi in (2.0 * np.pi / 3.0, 0.7):
+            c, s = np.cos(phi), np.sin(phi)
+            rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+            vectors = zip((bath.positions @ rot.T).tolist(), (bath.hyperfine @ rot.T).tolist())
+            spins = [NuclearSpin(tuple(p), tuple(a)) for p, a in vectors]
+            rotated = BathRealization(spins, bath.pair_couplings, seed=2, config=bath.config)
+            got = echo_coherence_trace(
+                rotated, FieldVector.from_sequence(rot @ field.as_array()), sched
+            ).values
+            assert np.max(np.abs(got - want)) <= bound
+
     def test_peak_allocation_is_bounded_on_a_long_grid(self, monkeypatch):
         # 349 pairs on 2828 points on two worker threads: the peak is the
         # (N, T) single-spin table plus, per worker, a 3.25 MiB workspace,
@@ -540,14 +575,15 @@ class TestEchoCoherenceTrace:
         field = FieldVector.along_z(100.0)
         sched = EchoSchedule.for_field(100.0, t_max_ms=0.55)
         h1 = effective_field(field, bath.hyperfine)
-        full = _single_factors_on_grid(field.as_array(), h1, sched.t_grid)
+        monkeypatch.setattr(decoherence, "SINGLE_ROWS_PER_BLOCK", len(bath))
+        full = _single_tables(field.as_array(), h1, sched.t_grid)[0]  # one block of N rows
         full_log_sum = np.sum(np.log(np.maximum(np.abs(full), _LOG_FLOOR)), axis=0)
-        default = echo_coherence_trace(bath, field, sched)
+        one_block = echo_coherence_trace(bath, field, sched)
         for rows_per_block in (7, 32):
             monkeypatch.setattr(decoherence, "SINGLE_ROWS_PER_BLOCK", rows_per_block)
             blocked = echo_coherence_trace(bath, field, sched)
-            assert blocked.values.tobytes() == default.values.tobytes()
-            assert blocked.metadata == default.metadata
+            assert blocked.values.tobytes() == one_block.values.tobytes()
+            assert blocked.metadata == one_block.metadata
 
             singles, log_total, neg_count = _single_tables(field.as_array(), h1, sched.t_grid)
             assert singles.tobytes() == full.tobytes()
