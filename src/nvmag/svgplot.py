@@ -7,6 +7,7 @@ the same data yields byte-identical files.  Not a plotting library.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 from .errors import ConfigError
@@ -42,6 +43,14 @@ def _log_ticks(lo: float, hi: float) -> list[float]:
             ticks.append(10.0**d)
         d += 1
     return ticks or [lo]
+
+
+def _axis(lo: float, hi: float, log: bool):
+    """The fraction of the span [lo, hi] at a value, and the axis ticks."""
+    if log:
+        log_lo, log_span = math.log10(lo), math.log10(hi) - math.log10(lo)
+        return (lambda v: (math.log10(v) - log_lo) / log_span), _log_ticks(lo, hi)
+    return (lambda v: (v - lo) / (hi - lo)), _nice_ticks(lo, hi)
 
 
 def _fmt(v: float) -> str:
@@ -91,21 +100,14 @@ def line_plot(
     plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
     plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
 
+    x_frac, x_ticks = _axis(x_lo, x_hi, log_x)
+    y_frac, y_ticks = _axis(y_lo, y_hi, log_y)
+
     def sx(x: float) -> float:
-        f = (
-            (math.log10(x) - math.log10(x_lo)) / (math.log10(x_hi) - math.log10(x_lo))
-            if log_x
-            else (x - x_lo) / (x_hi - x_lo)
-        )
-        return _MARGIN_L + f * plot_w
+        return _MARGIN_L + x_frac(x) * plot_w
 
     def sy(y: float) -> float:
-        f = (
-            (math.log10(y) - math.log10(y_lo)) / (math.log10(y_hi) - math.log10(y_lo))
-            if log_y
-            else (y - y_lo) / (y_hi - y_lo)
-        )
-        return _MARGIN_T + (1.0 - f) * plot_h
+        return _MARGIN_T + (1.0 - y_frac(y)) * plot_h
 
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
@@ -120,8 +122,6 @@ def line_plot(
             f'font-size="13">{title}</text>'
         )
 
-    x_ticks = _log_ticks(x_lo, x_hi) if log_x else _nice_ticks(x_lo, x_hi)
-    y_ticks = _log_ticks(y_lo, y_hi) if log_y else _nice_ticks(y_lo, y_hi)
     for t in x_ticks:
         px = sx(t)
         out.append(
@@ -156,26 +156,17 @@ def line_plot(
 
     for k, (label, series_x, series_y) in enumerate(series):
         color = _PALETTE[k % len(_PALETTE)]
-        segment: list[str] = []
-        segments: list[list[str]] = []
-        pts = []
-        for x, y in zip(series_x, series_y):
-            if usable(x, y):
-                segment.append(f"{sx(x):.2f},{sy(y):.2f}")
-                pts.append((sx(x), sy(y)))
-            elif segment:
-                segments.append(segment)
-                segment = []
-        if segment:
-            segments.append(segment)
-        for seg in segments:
-            if len(seg) > 1:
+        pts = [(sx(x), sy(y)) if usable(x, y) else None for x, y in zip(series_x, series_y)]
+        for plotted, run in itertools.groupby(pts, key=lambda p: p is not None):
+            run = list(run)
+            if plotted and len(run) > 1:
+                points = " ".join(f"{px:.2f},{py:.2f}" for px, py in run)
                 out.append(
-                    f'<polyline points="{" ".join(seg)}" fill="none" '
+                    f'<polyline points="{points}" fill="none" '
                     f'stroke="{color}" stroke-width="1.5"/>'
                 )
         if markers:
-            for px, py in pts:
+            for px, py in filter(None, pts):
                 out.append(f'<circle cx="{px:.2f}" cy="{py:.2f}" r="2.2" fill="{color}"/>')
         ly = _MARGIN_T + 14 + 15 * k
         lx = _MARGIN_L + plot_w - 130

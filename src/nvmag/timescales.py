@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bath import _float_array, finite_array, finite_number, increasing_array, integer, positive
+from .bath import finite_array, finite_number, increasing_array, integer, positive
 from .decoherence import CoherenceTrace
 from .errors import (
     ConfigError,
@@ -220,8 +220,7 @@ def snap_to_comb(peaks: list[RevivalPeak], period_ms: float) -> list[RevivalPeak
     survives.  A t = 0 peak always stays.  The result is the revival-peak
     envelope, freed of inter-revival ringing maxima.
     """
-    if not math.isfinite(period_ms) or period_ms <= 0:
-        raise DomainError("comb period must be positive and finite")
+    positive(period_ms, "comb period", DomainError)
     kept: dict[int, RevivalPeak] = {}
     for peak in peaks:
         ratio = peak.time / period_ms
@@ -259,30 +258,21 @@ def _comb_scores(
 
     Arrays are (candidates x jury peaks).  Each of three passes snaps the
     jury to every candidate's comb, keeps the best peak per claimed tooth
-    and moves the candidate to the weighted regression of those peaks; a
-    candidate leaves the passes when it claims nothing, when its claims
-    carry no weight, or when the regression is not a positive number.
-    Returns the scores and the refined periods, in the order of
-    ``periods``; a candidate with fewer than two claimed teeth, or with no
-    weight on them, scores 0.
+    and moves the candidate to the weighted regression of those peaks.  A
+    candidate whose claims carry no weight, or whose regression is not a
+    positive number, keeps its period, so every later pass makes the same
+    claims for it.  Returns the scores of the last pass's claims and the
+    refined periods, in the order of ``periods``; a candidate with fewer
+    than two claimed teeth, or with no weight on them, scores 0.
     """
-    n_cand, n_jury = len(periods), len(t_sc)
     refined = periods.astype(float)
-    live = np.ones(n_cand, dtype=bool)
-    # each candidate's claims from its last snap, best peak per tooth, in
-    # tooth order; entries past n_claims are padding
-    claim_w = np.zeros((n_cand, n_jury))
-    claim_t = np.zeros((n_cand, n_jury))
-    claim_k = np.zeros((n_cand, n_jury))
-    n_claims = np.zeros(n_cand, dtype=int)
-    jury = np.arange(n_jury)
+    jury = np.arange(len(t_sc))
     later = jury[None, :] > jury[:, None]  # [s, r]: peak r comes after peak s
     for _ in range(3):
         # snap/refine/re-snap: a candidate carrying the jitter of a single
         # peak-pair difference drifts off the comb within a couple dozen
         # teeth, so converge it onto the comb before judging it
-        rows = np.flatnonzero(live)
-        ratio = t_sc / refined[rows, None]
+        ratio = t_sc / refined[:, None]
         teeth = np.round(ratio)
         resid = np.abs(ratio - teeth)
         claim = (teeth >= 1) & (resid <= _SNAP_TOLERANCE)
@@ -295,19 +285,19 @@ def _comb_scores(
             (wc[:, None, :] == wc[:, :, None]) & later
         )
         best = claim & ~np.any(rival & outranks, axis=2)
+        # each candidate's claims, best peak per tooth, in tooth order;
+        # entries past n_claims are padding
         order = np.argsort(np.where(best, teeth, np.inf), axis=1, kind="stable")
-        pick = (np.arange(len(rows))[:, None], order)
-        w_s, k_s, t_s = wc[pick], teeth[pick], t_sc[order]
-        n_s = best.sum(axis=1)
-        denom, num = _row_sums(np.stack([w_s * k_s**2, w_s * k_s * t_s]), n_s)
-
-        claim_w[rows], claim_t[rows], claim_k[rows] = w_s, t_s, k_s
-        n_claims[rows] = n_s
-        # a weightless claim set gets fit 0, which stops its candidate
+        pick = (np.arange(len(refined))[:, None], order)
+        claim_w, claim_k, claim_t = wc[pick], teeth[pick], t_sc[order]
+        n_claims = best.sum(axis=1)
+        denom, num = _row_sums(
+            np.stack([claim_w * claim_k**2, claim_w * claim_k * claim_t]), n_claims
+        )
+        # a weightless claim set gets fit 0, so its candidate keeps its period
         fit = num / np.where(denom > 0, denom, np.inf)
         ok = np.isfinite(fit) & (fit > 0)
-        refined[rows[ok]] = fit[ok]
-        live[rows[~ok]] = False
+        refined[ok] = fit[ok]
 
     total, spread = _row_sums(
         np.stack([claim_w, claim_w * np.abs(claim_t - claim_k * refined[:, None]) ** 2]),
@@ -379,19 +369,12 @@ def extract_TR(peaks: list[RevivalPeak], grid_step_ms: float) -> tuple[float, fl
     sc_keep = times[tall] > 0
     t_sc = times[tall][sc_keep]
     w_sc = capped[tall][sc_keep] ** 2
-    diffs = {float(g) for g in np.unique(gaps)}
-    for a in range(len(t_tall)):
-        for b in range(a + 1, len(t_tall)):
-            diffs.add(float(t_tall[b] - t_tall[a]))
-    cands: list[float] = []
-    for diff in diffs:
-        for m in (1, 2, 3, 4):
-            period = diff / m
-            if period >= floor:
-                cands.append(period)
-    cands.sort(reverse=True)
+    a, b = np.triu_indices(len(t_tall), 1)
+    diffs = np.concatenate([gaps, t_tall[b] - t_tall[a]])
+    # np.unique sorts ascending, so reversed the periods descend
+    cands = np.unique(diffs[:, None] / np.arange(1.0, 5.0))[::-1]
     kept: list[float] = []
-    for period in cands:
+    for period in cands[cands >= floor].tolist():
         if not kept or kept[-1] - period > 0.005 * kept[-1]:
             kept.append(period)
 
@@ -537,18 +520,17 @@ def extract_timescales(
 def fit_power_law(x, y) -> PowerLawFit:
     """Least-squares power law through (x, y), both strictly positive.
 
-    Data that are not ints or floats (a bool, a string, an int past float
-    range) are a ConfigError; NaN, an infinity or a value <= 0 a DomainError.
+    Data that are not finite ints or floats (NaN, an infinity, a bool, a
+    string, an int past float range) are a ConfigError; a value <= 0 is a
+    DomainError.
     """
-    x, y = _float_array(x, "x"), _float_array(y, "y")
+    x, y = finite_array(x, "x"), finite_array(y, "y")
     if x.shape != y.shape or x.ndim != 1:
         raise ConfigError("x and y must be one-dimensional and equally long")
     if x.size < 2:
         raise ConfigError("need at least two points for a power-law fit")
-    if np.any(x <= 0) or np.any(y <= 0) or not (
-        np.all(np.isfinite(x)) and np.all(np.isfinite(y))
-    ):
-        raise DomainError("power-law fits need positive, finite data")
+    if np.any(x <= 0) or np.any(y <= 0):
+        raise DomainError("power-law fits need positive data")
     log_x, log_y = np.log(x), np.log(y)
     exponent, intercept = np.polyfit(log_x, log_y, 1)
     residuals = log_y - (exponent * log_x + intercept)

@@ -2,8 +2,8 @@
 
 Each entry of CHECKED is one valid call.  Each number in its arguments, one
 at a time, is replaced by NaN, +inf, -inf and True, and a float also by an
-int too large for a float; the call must raise a ConfigError or a
-PhysicsError.  The numbers inside NuclearSpin records and the values of a
+int too large for a float; the call must raise a ConfigError: a
+non-number is an input error, never a physics one.  The numbers inside NuclearSpin records and the values of a
 mapping count as arguments too.  A numeric array argument is replaced as a whole by the same
 values, and tried with its first entry NaN, +inf or -inf.
 A public name of ``nvmag`` in neither CHECKED nor EXEMPT fails the test.
@@ -25,7 +25,6 @@ from nvmag import (
     FieldVector,
     LatticeConfig,
     NuclearSpin,
-    PhysicsError,
     PowerLawFit,
     ReadoutModel,
     RevivalPeak,
@@ -198,7 +197,7 @@ def test_each_numeric_argument_refuses_nan_infinities_and_bools(name, call, args
                 continue
             try:
                 call(*bad_args)
-            except (ConfigError, PhysicsError):
+            except ConfigError:
                 continue
             accepted.append(f"argument {path} = {bad!r}")
     assert not accepted, f"{name} accepted " + ", ".join(accepted)

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 import nvmag
-from nvmag.bath import LatticeConfig, sample_bath
+from nvmag.bath import LatticeConfig, generate_lattice_sites, sample_bath
+from nvmag.constants import GAMMA_N_13C_KHZ_PER_G
 from nvmag.decoherence import (
     CoherenceTrace,
     EchoSchedule,
@@ -236,8 +237,22 @@ class TestExtractTR:
             extract_TR(peaks, grid_step_ms=step)
 
 
+# At 2 G and 0.3% abundance, over a 6.2-period window on the 4 nm lattice,
+# extract_TR reads twice the revival period on these baths, without a flag
+# (ROADMAP item 6); T vs 2T is the closest call the comb search makes there
+DOUBLED_BATHS = (19, 91, 102, 128, 131, 136, 156, 176)
+
+
+def _dilute_2g_trace(sites, seed):
+    """Criterion 1's 2 G trace: a 0.3% bath over 6.2 revival periods."""
+    bath = sample_bath(sites, LatticeConfig(seed=seed, abundance=0.003))
+    schedule = EchoSchedule.for_field(2.0, t_max_ms=6.2 / (GAMMA_N_13C_KHZ_PER_G * 2.0))
+    return echo_coherence_trace(bath, FieldVector.along_z(2.0), schedule)
+
+
 def _peak_train_corpus():
-    """Seeded synthetic peak trains reaching every branch of the comb search."""
+    """Seeded synthetic peak trains reaching every branch of the comb search,
+    and the peak trains of the doubled 2 G baths."""
     rng = np.random.default_rng(1708)
     trains = []
 
@@ -284,6 +299,12 @@ def _peak_train_corpus():
                                t_revival_ms=t_revival, t2_ms=t2)
         add("analytic trace", [p.time for p in find_revival_peaks(trace)],
             [p.height for p in find_revival_peaks(trace)], t_revival / 48.0)
+    sites = generate_lattice_sites(LatticeConfig())
+    for seed in DOUBLED_BATHS:
+        trace = _dilute_2g_trace(sites, seed)
+        peaks = find_revival_peaks(trace)
+        add(f"2 G bath {seed}", [p.time for p in peaks], [p.height for p in peaks],
+            float(np.median(np.diff(trace.t_grid))))
     return trains
 
 
@@ -319,6 +340,16 @@ class TestCombSearchMatchesLoop:
             assert sums[j].tobytes() == np.array(want).tobytes()
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2] + [
+    pytest.param(seed, marks=pytest.mark.xfail(
+        strict=True, reason="ROADMAP item 6: T_R reads twice the revival period"))
+    for seed in DOUBLED_BATHS
+])
+def test_dilute_2g_bath_reads_the_revival_period(full_sites, seed):
+    t_r = extract_timescales(_dilute_2g_trace(full_sites, seed)).T_R
+    assert abs(t_r * GAMMA_N_13C_KHZ_PER_G * 2.0 - 1.0) <= 0.05
+
+
 class TestSnapToComb:
     def test_keeps_tallest_per_tooth_and_drops_offcomb(self):
         peaks = mk_peaks(
@@ -334,9 +365,11 @@ class TestSnapToComb:
         assert snapped[0].time == 0.0
 
     def test_invalid_period_rejected(self):
+        # a period <= 0 is a DomainError; a non-number, like every other
+        # argument's, is a ConfigError
         with pytest.raises(DomainError):
             snap_to_comb(mk_peaks([0.0], [1.0]), 0.0)
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigError):
             snap_to_comb(mk_peaks([0.0], [1.0]), math.nan)
 
 
@@ -489,6 +522,14 @@ class TestFitPowerLaw:
         # an int past float range escaped as an OverflowError
         with pytest.raises(ConfigError, match="must hold numbers"):
             fit_power_law(x, y)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_data_rejected(self, bad):
+        # NaN and infinities were a DomainError, unlike every other argument's
+        with pytest.raises(ConfigError, match="must be finite"):
+            fit_power_law([1.0, 2.0], [1.0, bad])
+        with pytest.raises(ConfigError, match="must be finite"):
+            fit_power_law([bad, 2.0], [1.0, 0.5])
 
     def test_needs_two_points(self):
         with pytest.raises(ConfigError):
