@@ -31,7 +31,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-from collections.abc import Mapping
+from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -230,6 +230,9 @@ class PairCouplings(Mapping):
     def __iter__(self):
         return zip(self._i.tolist(), self._j.tolist())
 
+    def items(self):
+        return _PairItems(self)
+
     def __getitem__(self, key) -> float:
         if isinstance(key, tuple) and len(key) == 2 and all(
             isinstance(k, (int, np.integer)) for k in key
@@ -240,6 +243,15 @@ class PairCouplings(Mapping):
             if k < hi and self._j[k] == j:
                 return float(self._b[k])
         raise KeyError(key)
+
+
+class _PairItems(ItemsView):
+    """The pair table's ((i, j), b_ij) items, iterated off the arrays in one pass
+    rather than by a binary search per key."""
+
+    def __iter__(self):
+        table = self._mapping
+        return zip(zip(table._i.tolist(), table._j.tolist()), table._b.tolist())
 
 
 def _spin_vectors(vectors, what: str) -> np.ndarray:

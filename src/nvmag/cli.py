@@ -1,6 +1,7 @@
 """Command-line front end: reproducible runs over the simulation pipeline.
 
-Every subcommand runs through one :class:`Run`.  A command that writes
+Every subcommand runs through one :class:`Run`, which looks up its
+settings, keeps its manifest and prints its result.  A command that writes
 files (bath, simulate, sweep, reconstruct, odmr --candidates, sensitivity)
 writes them under --out-dir, created only then, together with a JSON run
 manifest (configuration echo, seeds, package version, output paths,
@@ -39,7 +40,7 @@ import argparse
 import math
 import sys
 import time
-from dataclasses import asdict, dataclass, field as dc_field, fields, replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -96,90 +97,6 @@ _CONFIG_KEYS = _LATTICE_KEYS | {
 }
 
 
-@dataclass
-class RunManifest:
-    """What a command did: enough to rerun it and find what it wrote."""
-
-    command: str
-    version: str
-    config: dict
-    seeds: list = dc_field(default_factory=list)
-    outputs: list = dc_field(default_factory=list)
-    timings_s: dict = dc_field(default_factory=dict)
-
-    def add_output(self, path: Path) -> Path:
-        self.outputs.append(str(path))
-        return path
-
-    def write(self, out_dir: Path) -> Path:
-        missing = [p for p in self.outputs if not Path(p).exists()]
-        if missing:
-            raise PhysicsError(f"manifest lists outputs that were never written: {missing}")
-        path = out_dir / f"{self.command}_manifest.json"
-        path.write_text(json_text(asdict(self)) + "\n")
-        return path
-
-
-class Settings:
-    """Layered lookup: command-line flag, then config file, then default."""
-
-    def __init__(self, ns: argparse.Namespace):
-        self.ns = ns
-        self.file_config: dict = {}
-        if getattr(ns, "config", None):
-            path = Path(ns.config)
-            if not path.exists():
-                raise ConfigError(f"config file not found: {path}")
-            self.file_config = load_strict_json(path, "config file")
-            unknown = set(self.file_config) - _CONFIG_KEYS
-            if unknown:
-                raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-
-    def get(self, name: str, default):
-        flag = getattr(self.ns, name, None)
-        if flag is not None:
-            return flag
-        if name in self.file_config:
-            return self.file_config[name]
-        return default
-
-    def number(self, name: str, default: float | None) -> float | None:
-        """A finite real setting; None only when unset with a None default."""
-        if default is None and self.get(name, None) is None:
-            return None
-        return float(finite_number(self.get(name, default), name))
-
-    def integer(self, name: str, default: int) -> int:
-        """An integral setting; a float must be a whole number."""
-        value = finite_number(self.get(name, default), name)
-        if isinstance(value, float) and not value.is_integer():
-            raise ConfigError(f"{name} must be an integer, got {value!r}")
-        return int(value)
-
-    def lattice_config(self) -> LatticeConfig:
-        """Every lattice setting, each defaulting to LatticeConfig's own."""
-        default = LatticeConfig()
-        values = {f.name: self.number(f.name, getattr(default, f.name))
-                  for f in fields(default) if f.name != "seed"}
-        return LatticeConfig(**values, seed=self.integer("seed", default.seed))
-
-    def calibration(self) -> Calibration:
-        default = Calibration()
-        return Calibration(
-            alpha=self.number("alpha", default.alpha),
-            source=str(self.get("alpha_source", default.source)),
-        )
-
-    def echo_config(self) -> dict:
-        """Echo of every effective setting, for the manifest."""
-        out = {}
-        for key in sorted(_CONFIG_KEYS):
-            val = self.get(key, None)
-            if val is not None:
-                out[key] = val
-        return out
-
-
 def _parse_float_list(text: str, what: str) -> list[float]:
     try:
         values = [float(tok) for tok in text.split(",") if tok.strip()]
@@ -227,26 +144,80 @@ def _t_max_auto(field_magnitude_g: float, abundance: float) -> float:
 
 
 class Run:
-    """One command invocation: everything a command does besides its own work.
+    """One command invocation: its settings, its manifest and its printout.
 
-    It resolves the settings, creates the out-dir when the first output is
-    written, registers every output in the manifest, writes the manifest
-    (with the total time) only when a file was written, and then prints the
-    command's result: a ``str`` as is, a ``dict`` as strict JSON or, with
-    ``--format csv``, as a one-row table of its scalars.
+    A setting is looked up in layers: the command-line flag, then the
+    --config file, then the default the command reads it with; the config
+    file's keys are checked when the run starts.  The manifest is
+    ``config`` (the echo of every setting that is set), ``seeds``,
+    ``outputs`` and ``timings_s``, which the command fills in.  The out-dir
+    is created when the first output is registered.  ``finish`` writes
+    ``<command>_manifest.json`` (with the total time) only when a file was
+    written, refusing a manifest that lists a file never written, and then
+    prints the command's result: a ``str`` as is, a ``dict`` as strict JSON
+    or, with ``--format csv``, as a one-row table of its scalars.
     """
 
     def __init__(self, ns: argparse.Namespace):
         self.t0 = time.perf_counter()
         self.ns = ns
-        self.settings = Settings(ns)
-        self.manifest = RunManifest(ns.command, __version__, self.settings.echo_config())
+        self.file_config: dict = {}
+        if getattr(ns, "config", None):
+            path = Path(ns.config)
+            if not path.exists():
+                raise ConfigError(f"config file not found: {path}")
+            self.file_config = load_strict_json(path, "config file")
+            unknown = set(self.file_config) - _CONFIG_KEYS
+            if unknown:
+                raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        self.config = {key: value for key in _CONFIG_KEYS
+                       if (value := self.get(key, None)) is not None}
+        self.seeds: list = []
+        self.outputs: list[str] = []
+        self.timings_s: dict = {}
+
+    def get(self, name: str, default):
+        flag = getattr(self.ns, name, None)
+        if flag is not None:
+            return flag
+        if name in self.file_config:
+            return self.file_config[name]
+        return default
+
+    def number(self, name: str, default: float | None) -> float | None:
+        """A finite real setting; None only when unset with a None default."""
+        if default is None and self.get(name, None) is None:
+            return None
+        return float(finite_number(self.get(name, default), name))
+
+    def integer(self, name: str, default: int) -> int:
+        """An integral setting; a float must be a whole number."""
+        value = finite_number(self.get(name, default), name)
+        if isinstance(value, float) and not value.is_integer():
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
+        return int(value)
+
+    def lattice_config(self) -> LatticeConfig:
+        """Every lattice setting, each defaulting to LatticeConfig's own."""
+        default = LatticeConfig()
+        values = {f.name: self.number(f.name, getattr(default, f.name))
+                  for f in fields(default) if f.name != "seed"}
+        return LatticeConfig(**values, seed=self.integer("seed", default.seed))
+
+    def calibration(self) -> Calibration:
+        default = Calibration()
+        return Calibration(
+            alpha=self.number("alpha", default.alpha),
+            source=str(self.get("alpha_source", default.source)),
+        )
 
     def output(self, name: str) -> Path:
         """Register output ``name`` in the manifest; the out-dir is created here."""
         out_dir = Path(self.ns.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        return self.manifest.add_output(out_dir / name)
+        path = out_dir / name
+        self.outputs.append(str(path))
+        return path
 
     def write_text(self, name: str, text: str) -> Path:
         path = self.output(name)
@@ -260,35 +231,39 @@ class Run:
         return self.write_text(name, csv_text(header, rows))
 
     def finish(self, result: str | dict) -> int:
-        if self.manifest.outputs:
-            self.manifest.timings_s["total"] = time.perf_counter() - self.t0
-            self.manifest.write(Path(self.ns.out_dir))
+        if self.outputs:
+            self.timings_s["total"] = time.perf_counter() - self.t0
+            missing = [p for p in self.outputs if not Path(p).exists()]
+            if missing:
+                raise PhysicsError(f"manifest lists outputs that were never written: {missing}")
+            manifest = {"command": self.ns.command, "version": __version__,
+                        "config": self.config, "seeds": self.seeds,
+                        "outputs": self.outputs, "timings_s": self.timings_s}
+            path = Path(self.ns.out_dir) / f"{self.ns.command}_manifest.json"
+            path.write_text(json_text(manifest) + "\n")
         if isinstance(result, str):
             print(result)
         elif self.ns.format == "csv":
             flat = {k: v for k, v in result.items() if not isinstance(v, (dict, list))}
-            print(",".join(flat))
-            print(",".join(str(v) for v in flat.values()))
+            print(csv_text(list(flat), [flat.values()]), end="")
         else:
             print(json_text(result))
         return 0
 
 
-def _schedule(
-    settings: Settings, b_mag: float, abundance: float, step: float | None = None
-) -> EchoSchedule:
+def _schedule(run: Run, b_mag: float, abundance: float, step: float | None = None) -> EchoSchedule:
     """The echo grid: a regular ``step``, else points per revival period.
 
     Only simulate takes ``step``; a sweep refuses a zero field before this.
     """
-    t_max = settings.number("t_max", None)
+    t_max = run.number("t_max", None)
     if b_mag == 0.0 and (t_max is None or step is None):
         raise ConfigError("zero field has no revival period; pass --t-max and --step")
     if t_max is None:
         t_max = _t_max_auto(b_mag, abundance)
     if step is not None:
         return EchoSchedule.regular(t_max, step)
-    per_period = settings.integer("points_per_period", POINTS_PER_LARMOR_PERIOD_DEFAULT)
+    per_period = run.integer("points_per_period", POINTS_PER_LARMOR_PERIOD_DEFAULT)
     return EchoSchedule.for_field(b_mag, t_max, points_per_period=per_period)
 
 
@@ -307,9 +282,9 @@ def _resolve(candidates, true_field: str):
 
 
 def cmd_bath(run: Run) -> str:
-    cfg = run.settings.lattice_config()
+    cfg = run.lattice_config()
     bath = sample_bath(generate_lattice_sites(cfg), cfg)
-    run.manifest.seeds = [cfg.seed]
+    run.seeds = [cfg.seed]
     path = run.output(f"bath_seed{cfg.seed}.json")
     bath.save(path)
     return (
@@ -319,9 +294,9 @@ def cmd_bath(run: Run) -> str:
 
 
 def cmd_simulate(run: Run) -> str:
-    ns, settings = run.ns, run.settings
+    ns = run.ns
     field = _parse_field(ns.field)
-    step = settings.number("step", None)
+    step = run.number("step", None)
     if step is not None and ns.points_per_period is not None:
         raise ConfigError("--step fixes the grid; drop --points-per-period")
     if ns.bath:
@@ -330,19 +305,20 @@ def cmd_simulate(run: Run) -> str:
         bath = BathRealization.load(ns.bath)
         cfg = bath.config
         # the trace runs on the saved bath's lattice, not the config file's
-        echo = run.manifest.config
+        echo = run.config
         echo.update({key: getattr(cfg, key, None) for key in echo.keys() & _LATTICE_KEYS})
     else:
-        cfg, bath = settings.lattice_config(), None
+        cfg, bath = run.lattice_config(), None
     abundance = cfg.abundance if cfg else NATURAL_ABUNDANCE_13C
-    schedule = _schedule(settings, field.magnitude, abundance, step)
+    schedule = _schedule(run, field.magnitude, abundance, step)
     if bath is None:
         bath = sample_bath(generate_lattice_sites(cfg), cfg)
     trace = echo_coherence_trace(bath, field, schedule)
-    run.manifest.seeds = [bath.seed]
+    run.seeds = [bath.seed]
     tag = f"B{field.magnitude:g}_seed{bath.seed}"
     csv_path = run.output(f"trace_{tag}.csv")
-    run.manifest.add_output(trace.save_csv(csv_path))
+    # the sidecar path save_csv returns already holds the out-dir
+    run.outputs.append(str(trace.save_csv(csv_path)))
     if ns.plot:
         svg = line_plot(
             [("coherence", trace.t_grid.tolist(), trace.values.tolist())],
@@ -356,9 +332,9 @@ def cmd_simulate(run: Run) -> str:
 
 
 def cmd_sweep(run: Run) -> str:
-    ns, settings = run.ns, run.settings
-    prominence = settings.number("prominence", PROMINENCE_DEFAULT)
-    realizations = settings.integer("realizations", 10)
+    ns = run.ns
+    prominence = run.number("prominence", PROMINENCE_DEFAULT)
+    realizations = run.integer("realizations", 10)
     if realizations < 1:
         raise ConfigError("realizations must be >= 1")
 
@@ -378,20 +354,22 @@ def cmd_sweep(run: Run) -> str:
         raise ConfigError("sweep needs --fields or --abundances")
     if len(keys) < 3:
         raise ConfigError(f"a sweep needs at least three points, got {len(keys)}")
+    if len(set(keys)) < len(keys):
+        raise ConfigError(f"sweep {mode}s must be distinct, got {keys}")
     if mode == "field" and any(k <= 0 for k in keys):
         raise ConfigError("sweep fields must be positive")
     if mode == "abundance" and any(not 0 < k <= 1 for k in keys):
         raise ConfigError("sweep abundances must be in (0, 1]")
 
-    fixed_field = settings.number("field_magnitude", 10.0)
+    fixed_field = run.number("field_magnitude", 10.0)
     if mode == "abundance" and fixed_field == 0.0:
         raise ConfigError("field_magnitude must be nonzero: zero field has no revival period")
     # lattice sites depend only on geometry, which the sweep never varies
-    site_cfg = settings.lattice_config()
+    site_cfg = run.lattice_config()
     seeds = [site_cfg.seed + r for r in range(realizations)]
     points = [(k, site_cfg.abundance) if mode == "field" else (fixed_field, k) for k in keys]
     # every grid is built, and so every setting it reads checked, before any work
-    schedules = [_schedule(settings, b_mag, abundance) for b_mag, abundance in points]
+    schedules = [_schedule(run, b_mag, abundance) for b_mag, abundance in points]
     sites = generate_lattice_sites(site_cfg)
 
     # a bath depends only on (abundance, seed); with realizations outermost a
@@ -405,8 +383,8 @@ def cmd_sweep(run: Run) -> str:
             if bath is None or bath.config.abundance != abundance:
                 bath = sample_bath(sites, replace(site_cfg, abundance=abundance, seed=seed))
             traces[key, seed] = echo_coherence_trace(bath, FieldVector.along_z(b_mag), schedule)
-    run.manifest.timings_s["simulate"] = time.perf_counter() - t_sim
-    run.manifest.seeds = seeds
+    run.timings_s["simulate"] = time.perf_counter() - t_sim
+    run.seeds = seeds
 
     def finite_mean(values):
         vals = [v for v in values if v is not None and math.isfinite(v)]
@@ -472,21 +450,19 @@ def cmd_sweep(run: Run) -> str:
 
 def cmd_extract(run: Run) -> dict:
     trace = CoherenceTrace.load_csv(run.ns.trace)
-    ts = extract_timescales(
-        trace, prominence=run.settings.number("prominence", PROMINENCE_DEFAULT)
-    )
+    ts = extract_timescales(trace, prominence=run.number("prominence", PROMINENCE_DEFAULT))
     return {**ts.to_json_dict(), "trace": str(run.ns.trace)}
 
 
 def cmd_invert(run: Run) -> dict:
-    cal = run.settings.calibration()
-    t_revival = run.settings.number("tr", None)
+    cal = run.calibration()
+    t_revival = run.number("tr", None)
     b = invert_TR_to_B(t_revival, cal)
     return {"T_R_ms": t_revival, "B_G": b, "alpha_ms_G": cal.alpha, "alpha_source": cal.source}
 
 
 def cmd_reconstruct(run: Run) -> dict:
-    ns, cal = run.ns, run.settings.calibration()
+    ns, cal = run.ns, run.calibration()
     measurements = _load_records(
         ns.measurements, "measurement file",
         lambda m: AxisMeasurement(m["axis"], m["T_R_ms"], m.get("bias_G", 0.0)),
@@ -524,18 +500,17 @@ def cmd_odmr(run: Run) -> dict:
 
 
 def cmd_sensitivity(run: Run) -> str:
-    ns, settings = run.ns, run.settings
     default = ReadoutModel()
     readout = ReadoutModel(
-        C=settings.number("contrast", default.C),
-        n_centers=settings.integer("n_centers", default.n_centers),
+        C=run.number("contrast", default.C),
+        n_centers=run.integer("n_centers", default.n_centers),
     )
     report = build_report(
-        t2=settings.number("t2", 0.5),
+        t2=run.number("t2", 0.5),
         readout=readout,
-        cal=settings.calibration(),
-        field_g=None if ns.field is None else _parse_field(ns.field).magnitude,
-        tau_points=settings.integer("tau_points", TAU_POINTS_DEFAULT),
+        cal=run.calibration(),
+        field_g=None if run.ns.field is None else _parse_field(run.ns.field).magnitude,
+        tau_points=run.integer("tau_points", TAU_POINTS_DEFAULT),
     )
     eta_uT = report.eta_uT_sqHz
     run.write_csv(
@@ -544,7 +519,7 @@ def cmd_sensitivity(run: Run) -> str:
         zip(report.tau_grid_ms, report.eta_G_sqHz, eta_uT),
     )
     run.write_json("sensitivity_report.json", report.to_json_dict())
-    if ns.plot:
+    if run.ns.plot:
         finite = np.isfinite(report.eta_G_sqHz)
         svg = line_plot(
             [("eta (uT/sqrt(Hz))", report.tau_grid_ms[finite].tolist(), eta_uT[finite].tolist())],

@@ -89,10 +89,11 @@ def line_plot(
 
     x_lo, x_hi = min(xs), max(xs)
     y_lo, y_hi = min(ys), max(ys)
+    # a flat log axis is widened by a factor: a pad of 0.5 could reach zero
     if x_hi == x_lo:
-        x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
+        x_lo, x_hi = (x_lo / 2, x_hi * 2) if log_x else (x_lo - 0.5, x_hi + 0.5)
     if y_hi == y_lo:
-        y_lo, y_hi = y_lo - 0.5, y_hi + 0.5
+        y_lo, y_hi = (y_lo / 2, y_hi * 2) if log_y else (y_lo - 0.5, y_hi + 0.5)
     if not log_y:
         pad = 0.06 * (y_hi - y_lo)
         y_lo, y_hi = y_lo - pad, y_hi + pad

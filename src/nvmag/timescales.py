@@ -521,14 +521,16 @@ def fit_power_law(x, y) -> PowerLawFit:
     """Least-squares power law through (x, y), both strictly positive.
 
     Data that are not finite ints or floats (NaN, an infinity, a bool, a
-    string, an int past float range) are a ConfigError; a value <= 0 is a
-    DomainError.
+    string, an int past float range), or x without two distinct values, are
+    a ConfigError; a value <= 0 is a DomainError.
     """
     x, y = finite_array(x, "x"), finite_array(y, "y")
     if x.shape != y.shape or x.ndim != 1:
         raise ConfigError("x and y must be one-dimensional and equally long")
     if x.size < 2:
         raise ConfigError("need at least two points for a power-law fit")
+    if np.all(x == x[0]):
+        raise ConfigError("a power-law fit needs two distinct x values")
     if np.any(x <= 0) or np.any(y <= 0):
         raise DomainError("power-law fits need positive data")
     log_x, log_y = np.log(x), np.log(y)

@@ -18,10 +18,11 @@ import numpy as np
 import pytest
 
 import nvmag.cli
-from nvmag.cli import RunManifest, _parse_field, _t_max_auto, build_parser, main
+from nvmag.bath import csv_text
+from nvmag.cli import _parse_field, _t_max_auto, build_parser, main
 from nvmag.constants import ALPHA_MS_G, GAMMA_N_13C_KHZ_PER_G
 from nvmag.decoherence import CoherenceTrace, EchoSchedule, _pool_size, analytic_trace
-from nvmag.errors import ConfigError, PhysicsError
+from nvmag.errors import ConfigError
 from nvmag.magnetometry import reconstruct_field
 
 
@@ -700,6 +701,25 @@ class TestSweepCommand:
         assert "must be finite" in capsys.readouterr().err
         assert calls == []
 
+    @pytest.mark.parametrize("mode,points", [("--fields", "10,10,10"),
+                                             ("--abundances", "0.005,0.011,0.005")])
+    def test_repeated_point_exits_2_before_any_work(
+        self, tmp_path, monkeypatch, capsys, mode, points
+    ):
+        # a repeated point was simulated again, and the fit through it
+        # printed an exponent with exit 0
+        calls = []
+        monkeypatch.setattr(
+            nvmag.cli, "echo_coherence_trace", lambda *args, **kw: calls.append(args)
+        )
+        out_dir = tmp_path / "out"
+        rc = run("sweep", "--config", write_config(tmp_path), mode, points,
+                 "--realizations", 1, "--t-max", "0.1", "--out-dir", out_dir)
+        assert rc == 2
+        assert f"sweep {mode[2:]} must be distinct" in capsys.readouterr().err
+        assert calls == []
+        assert not out_dir.exists()
+
     def test_bad_thread_env_exits_2(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("NVMAG_THREADS", "notanint")
         cfg = write_config(tmp_path)
@@ -770,6 +790,23 @@ class TestExtractCommand:
         assert "no-revival" in payload["flags"]
         assert "no-crossing" in payload["flags"]
         assert payload["T_R_ms"] is None and payload["T2_ms"] is None
+
+    def test_format_csv_prints_the_json_scalars(self, tmp_path, capsys):
+        # the one-row table holds every scalar of the JSON payload, each cell
+        # as csv_text writes it: a float as its repr, None as "None"
+        path = tmp_path / "flat.csv"
+        rows = "\n".join(f"{0.01 * k!r},1.0" for k in range(40))
+        path.write_text("t_ms,L\n" + rows + "\n")
+        assert run("extract", "--trace", path) == 0
+        payload = strict_json(capsys.readouterr().out)
+        assert "no-revival" in payload["flags"]
+        assert run("extract", "--trace", path, "--format", "csv") == 0
+        out = capsys.readouterr().out
+        header = out.split("\n", 1)[0].split(",")
+        scalars = {k: v for k, v in payload.items() if not isinstance(v, (dict, list))}
+        assert sorted(header) == sorted(scalars)
+        assert None in scalars.values()
+        assert out == csv_text(header, [[scalars[k] for k in header]])
 
 
 class TestInvertCommand:
@@ -1095,28 +1132,18 @@ class TestRunManifest:
         out_dir = tmp_path / "out"
         assert run(command, *args, "--out-dir", out_dir) == 0
         manifest = strict_json((out_dir / f"{command}_manifest.json").read_text())
+        assert set(manifest) == {"command", "version", "config", "seeds", "outputs", "timings_s"}
         assert manifest["command"] == command
         assert manifest["timings_s"]["total"] > 0
         assert manifest["outputs"]
         assert all(Path(p).exists() for p in manifest["outputs"])
 
-    def test_missing_output_raises(self, tmp_path):
-        manifest = RunManifest("demo", "0.0", {})
-        manifest.add_output(tmp_path / "never_written.txt")
-        with pytest.raises(PhysicsError):
-            manifest.write(tmp_path)
-        assert not (tmp_path / "demo_manifest.json").exists()
-
-    def test_written_outputs_pass(self, tmp_path):
-        manifest = RunManifest("demo", "0.0", {"k": 1}, seeds=[7])
-        target = manifest.add_output(tmp_path / "data.txt")
-        target.write_text("ok\n")
-        path = manifest.write(tmp_path)
-        payload = json.loads(path.read_text())
-        assert payload["command"] == "demo"
-        assert payload["config"] == {"k": 1}
-        assert payload["seeds"] == [7]
-        assert payload["outputs"] == [str(target)]
+    def test_missing_output_raises(self, tmp_path, monkeypatch, capsys):
+        # bath registers its file, but the stubbed save never writes it
+        monkeypatch.setattr(nvmag.cli.BathRealization, "save", lambda self, path: None)
+        assert run("bath", "--config", write_config(tmp_path), "--out-dir", tmp_path) == 3
+        assert "never written" in capsys.readouterr().err
+        assert not (tmp_path / "bath_manifest.json").exists()
 
 
 # a JSON number token, not the digits inside a key such as "T2_ms"

@@ -97,3 +97,8 @@ class TestLinePlot:
         svg = line_plot([("a", [0, 1, 2], [5.0, 5.0, 5.0])])
         parse(svg)
         assert count_tags(svg, "polyline") == 1
+        # on a log axis a pad of 0.5 took the range below zero, and log10
+        # raised a bare ValueError
+        svg = line_plot([("a", [1.0, 2.0], [0.3, 0.3])], log_y=True)
+        parse(svg)
+        assert count_tags(svg, "polyline") == 1

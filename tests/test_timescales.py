@@ -534,6 +534,10 @@ class TestFitPowerLaw:
     def test_needs_two_points(self):
         with pytest.raises(ConfigError):
             fit_power_law([1.0], [1.0])
+        # three points at one x are one point: polyfit returned an exponent
+        # of -0.515 with only a RankWarning
+        with pytest.raises(ConfigError, match="two distinct x values"):
+            fit_power_law([10.0, 10.0, 10.0], [0.0933] * 3)
 
     @pytest.mark.parametrize("x,y", [([1.0, 2.0, 3.0], [1.0, 2.0]),
                                      ([[1.0, 2.0]], [[1.0, 2.0]])])
