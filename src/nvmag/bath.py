@@ -7,7 +7,9 @@ the intra-bath dipolar coupling of every retained nuclear pair.  The pairs
 within the pair cutoff come from a blocked numpy search (``_pairs_within``),
 so sampling a bath needs numpy alone.  A bath is held as arrays: (N, 3)
 positions and hyperfine vectors, and one pair table, sorted by (i, j) where
-it is made, that the echo engine slices into its batches.  The hyperfine
+it is made, that the echo engine slices into its batches.  A bath's
+``pair_couplings`` is a plain dict (i, j) -> b_ij built from that table on
+each access, so a pair count reads ``len(bath.pair_b)``.  The hyperfine
 vectors and the couplings are each taken in one array pass that rounds
 every entry exactly as the one-spin and one-pair functions do.  The
 lattice is built one slab of cells at a time.
@@ -31,7 +33,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -189,7 +190,8 @@ class LatticeConfig:
             finite_number(getattr(self, name), name)
         positive(self.lattice_constant, "lattice_constant")
         positive(self.pair_cutoff, "pair_cutoff")
-        integer(self.seed, "seed")
+        if integer(self.seed, "seed") < 0:
+            raise ConfigError("seed must be >= 0")
         if self.exclusion_radius < 0:
             raise ConfigError("exclusion_radius must be >= 0")
         if self.cutoff_radius <= self.exclusion_radius * ANGSTROM_TO_NM:
@@ -212,46 +214,6 @@ class NuclearSpin:
 
     position: tuple[float, float, float]
     hyperfine: tuple[float, float, float]
-
-
-class PairCouplings(Mapping):
-    """Read-only view of a bath's pair table as a mapping (i, j) -> b_ij, in kHz.
-
-    Iterates in the table's order, sorted by (i, j); a lookup is a binary
-    search of the index arrays, and an absent pair is a KeyError.
-    """
-
-    def __init__(self, pair_i: np.ndarray, pair_j: np.ndarray, pair_b: np.ndarray):
-        self._i, self._j, self._b = pair_i, pair_j, pair_b
-
-    def __len__(self) -> int:
-        return self._b.size
-
-    def __iter__(self):
-        return zip(self._i.tolist(), self._j.tolist())
-
-    def items(self):
-        return _PairItems(self)
-
-    def __getitem__(self, key) -> float:
-        if isinstance(key, tuple) and len(key) == 2 and all(
-            isinstance(k, (int, np.integer)) for k in key
-        ):
-            i, j = key
-            lo, hi = np.searchsorted(self._i, [i, i + 1])
-            k = lo + int(np.searchsorted(self._j[lo:hi], j))
-            if k < hi and self._j[k] == j:
-                return float(self._b[k])
-        raise KeyError(key)
-
-
-class _PairItems(ItemsView):
-    """The pair table's ((i, j), b_ij) items, iterated off the arrays in one pass
-    rather than by a binary search per key."""
-
-    def __iter__(self):
-        table = self._mapping
-        return zip(zip(table._i.tolist(), table._j.tolist()), table._b.tolist())
 
 
 def _spin_vectors(vectors, what: str) -> np.ndarray:
@@ -282,11 +244,12 @@ class BathRealization:
     pair cutoff, sorted by (i, j) with 0 <= i < j < N: int64 index arrays
     ``pair_i`` and ``pair_j`` and the float64 couplings ``pair_b``.  All
     other couplings are treated as zero.  The arrays are read-only.
-    ``pair_couplings`` views the table as a mapping (i, j) -> b_ij, and
-    ``spins`` lists the spins as :class:`NuclearSpin` records, built on each
-    access.  ``gamma_n`` records the 13C ratio the couplings were computed
-    with; it is fixed at GAMMA_N_13C_KHZ_PER_G, and any other value is
-    refused.
+    ``pair_couplings`` gives the table as a plain dict (i, j) -> b_ij in
+    (i, j) order, and ``spins`` lists the spins as :class:`NuclearSpin`
+    records; each is built anew on every access, so a pair count reads
+    ``len(bath.pair_b)``.  ``gamma_n`` records the 13C ratio the couplings
+    were computed with; it is fixed at GAMMA_N_13C_KHZ_PER_G, and any other
+    value is refused.
 
     The constructor takes ``spins`` as NuclearSpin records and
     ``pair_couplings`` as a mapping (i, j) -> b_ij, in any key order, and
@@ -335,7 +298,6 @@ class BathRealization:
             array.flags.writeable = False
         self.positions, self.hyperfine = positions, hyperfine
         self.pair_i, self.pair_j, self.pair_b = pair_i, pair_j, pair_b
-        self.pair_couplings = PairCouplings(pair_i, pair_j, pair_b)
         self.gamma_n, self.seed, self.config = gamma_n, seed, config
 
     def __len__(self) -> int:
@@ -347,6 +309,10 @@ class BathRealization:
             NuclearSpin(tuple(p), tuple(a))
             for p, a in zip(self.positions.tolist(), self.hyperfine.tolist())
         ]
+
+    @property
+    def pair_couplings(self) -> dict[tuple[int, int], float]:
+        return dict(zip(zip(self.pair_i.tolist(), self.pair_j.tolist()), self.pair_b.tolist()))
 
     def to_json_dict(self) -> dict:
         return {

@@ -31,7 +31,7 @@ finite JSON number, not a string or a bool, and every axis or candidate
 must hold three; a malformed record exits 2 naming the file.
 NVMAG_THREADS caps the threads that compute the pair factors of every
 trace (default: one per core).  Exit codes: 0 success, 2 configuration
-error, 3 physics-constraint error.
+error or a request too large for memory, 3 physics-constraint error.
 """
 
 from __future__ import annotations
@@ -288,7 +288,7 @@ def cmd_bath(run: Run) -> str:
     path = run.output(f"bath_seed{cfg.seed}.json")
     bath.save(path)
     return (
-        f"bath: {len(bath)} spins, {len(bath.pair_couplings)} coupled pairs "
+        f"bath: {len(bath)} spins, {len(bath.pair_b)} coupled pairs "
         f"(seed {cfg.seed}, abundance {cfg.abundance}) -> {path}"
     )
 
@@ -622,7 +622,7 @@ def main(argv=None) -> int:
     try:
         run = Run(ns)
         return run.finish(ns.func(run))
-    except (ConfigError, OSError) as exc:
+    except (ConfigError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except PhysicsError as exc:

@@ -644,7 +644,7 @@ def echo_coherence_trace(
         "seeds": [bath.seed],
         "abundance": bath.config.abundance if bath.config else None,
         "n_spins": len(bath),
-        "n_pairs": len(bath.pair_couplings),
+        "n_pairs": len(bath.pair_b),
         "diagnostics": {
             "pair_points_dropped": dropped,
             "undersampled_spins": undersampled,

@@ -34,7 +34,7 @@ class InsufficientEnvelopeError(PhysicsError):
 
 
 class CrossingNotFoundError(PhysicsError):
-    """The first coherence peak never crosses the 1/e threshold."""
+    """No 1/e crossing of the first coherence peak is resolved on the grid."""
 
 
 class ShapeError(ConfigError):

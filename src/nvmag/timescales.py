@@ -456,7 +456,9 @@ def extract_Tw(trace: CoherenceTrace) -> tuple[float, float]:
     The search is confined to the first collapse: it stops where the trace
     has rebounded by more than ``_RISE_TOLERANCE`` above its running minimum
     (the onset of the first revival).  No crossing inside that window is a
-    :class:`CrossingNotFoundError`.
+    :class:`CrossingNotFoundError`, and so is a first sample after τ = 0
+    that is already below 1/e: the grid stepped past the collapse, and a
+    line across that step is no width.
     """
     grid, values = trace.t_grid, trace.values
     if grid.size < 2:
@@ -466,9 +468,9 @@ def extract_Tw(trace: CoherenceTrace) -> tuple[float, float]:
     stop = int(rebounded[0]) if rebounded.size else grid.size
     segment = values[:stop]
     below = np.nonzero(segment < ONE_OVER_E)[0]
-    if below.size == 0 or below[0] == 0:
+    if below.size == 0 or below[0] <= 1:
         raise CrossingNotFoundError(
-            "first coherence peak never crosses 1/e before reviving"
+            "no 1/e crossing resolved after the first grid step and before the first revival"
         )
     i = int(below[0])
     frac = (values[i - 1] - ONE_OVER_E) / (values[i - 1] - values[i])

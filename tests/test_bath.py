@@ -108,6 +108,8 @@ class TestLatticeGeometry:
     def test_fractional_seed_rejected(self):
         with pytest.raises(ConfigError, match="seed"):
             LatticeConfig(seed=1.5)
+        with pytest.raises(ConfigError, match="seed must be >= 0"):
+            LatticeConfig(seed=-1)
         assert LatticeConfig(seed=np.int64(3)).seed == 3
 
     def test_cutoff_must_exceed_exclusion(self):
@@ -292,6 +294,18 @@ class TestStorage:
         assert view == self.PAIRS and dict(view) == self.PAIRS
         assert view != {**self.PAIRS, (0, 3): 1.0}
         assert view != {**self.PAIRS, (0, 1): 0.5}
+
+    def test_pair_couplings_is_a_new_dict_on_each_access(self):
+        bath = BathRealization(self.SPINS, self.PAIRS)
+        first, second = bath.pair_couplings, bath.pair_couplings
+        assert type(first) is dict and first == second and first is not second
+        assert list(first.values()) == bath.pair_b.tolist()
+        first[0, 1] = 9.0
+        del first[2, 3]
+        first[1, 2] = 1.0
+        assert bath.pair_couplings == second
+        assert bath.pair_i.tolist() == [0, 0, 1, 2] and bath.pair_j.tolist() == [1, 2, 3, 3]
+        assert bath.pair_b.tolist() == [0.75, -1.25, 2.0, 0.5]
 
     def test_sampled_bath_holds_under_one_mib(self, full_sites):
         # trace-dense bath 0: 1,402 spins and 12,865 pairs.  A dict entry and

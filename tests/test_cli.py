@@ -259,6 +259,22 @@ class TestConfigFile:
         assert named in capsys.readouterr().err
         assert not out_dir.exists()
 
+    # numpy's default_rng refuses a negative seed with a traceback and exit 1
+    @pytest.mark.parametrize(
+        "command",
+        [("bath",), ("simulate", "--field", "10"),
+         ("sweep", "--fields", "5,10,20", "--realizations", "1")],
+        ids=lambda v: v[0],
+    )
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_negative_seed_exits_2_before_any_work(self, tmp_path, capsys, command, source):
+        cfg = write_config(tmp_path, **({"seed": -3} if source == "config" else {}))
+        seed = ("--seed", "-3") if source == "flag" else ()
+        out_dir = tmp_path / "out"
+        assert run(*command, "--config", cfg, *seed, "--out-dir", out_dir) == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert not out_dir.exists()
+
 
 class TestBathCommand:
     def test_writes_bath_and_manifest(self, tmp_path, capsys):
@@ -365,6 +381,28 @@ class TestSimulateCommand:
         )
         assert rc == 0
         assert (tmp_path / "trace_B0_seed0.csv").exists()
+
+    def test_weak_field_grid_past_the_collapse_flags_no_crossing(self, tmp_path, capsys):
+        # at 0.01 G the automatic step is period/48 = 1.946 ms, past the whole
+        # 1.05 ms window: the trace is τ = 0 and one point long after the collapse
+        assert run("simulate", "--field", "0.01", "--out-dir", tmp_path) == 0
+        path = tmp_path / "trace_B0.01_seed0.csv"
+        assert len(path.read_text().splitlines()) == 3
+        capsys.readouterr()
+        assert run("extract", "--trace", path) == 0
+        payload = strict_json(capsys.readouterr().out)
+        assert payload["T_w_ms"] is None and payload["T_w_err_ms"] is None
+        assert "no-crossing" in payload["flags"]
+
+    def test_grid_too_large_for_memory_exits_2(self, tmp_path, capsys):
+        # 1e15 grid points: the allocation is refused at once
+        out_dir = tmp_path / "out"
+        rc = run("simulate", "--field", "10", "--t-max", "1e9", "--step", "1e-6",
+                 "--out-dir", out_dir)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out_dir.exists()
 
     def test_two_component_field_exits_2(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -607,6 +645,17 @@ class TestSweepCommand:
         )
         assert nulls == [("10.0", "T2"), ("5.0", "T2"), ("5.0", "T_R")]
         assert all(summary["points"][p][f"{n}_n"] == 0 for p, n in nulls)
+
+    def test_fields_whose_grid_steps_past_the_collapse_fit_no_width(self, tmp_path, capsys):
+        # each trace is τ = 0 and one point about 1e12 ms later; a line between
+        # them gave widths near 1.2e10 ms and a T_w fit with exponent -1
+        cfg = write_config(tmp_path)
+        assert run("sweep", "--config", cfg, "--fields", "1e-12,2e-12,3e-12",
+                   "--realizations", 1, "--out-dir", tmp_path) == 0
+        assert "T_w_vs_B" not in capsys.readouterr().out
+        summary = strict_json((tmp_path / "sweep_field_summary.json").read_text())
+        assert summary["fits"] == {}
+        assert all(entry["T_w_n"] == 0 for entry in summary["points"].values())
 
     def test_field_magnitude_from_config_file(self, tmp_path):
         cfg = write_config(tmp_path, field_magnitude=20.0)

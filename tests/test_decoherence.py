@@ -244,9 +244,10 @@ class TestPairKernelChunks:
         assert len(sizes) >= 4
         assert set(sizes[:-1]) == {PAIRS_PER_BATCH} and 0 < sizes[-1] <= PAIRS_PER_BATCH
         idx = [(int(i), int(j)) for bi, bj, _ in batches for i, j in zip(bi, bj)]
-        assert idx == list(bath.pair_couplings)
+        couplings = bath.pair_couplings
+        assert idx == list(couplings)
         b = np.concatenate([b for _, _, b in batches])
-        assert b.tolist() == [bath.pair_couplings[p] for p in idx]
+        assert b.tolist() == [couplings[p] for p in idx]
 
     def test_chunked_factors_match_full_hilbert_oracle(self):
         # 15 pairs, one batch, whose kernel runs in chunks of 4, 4, 4 and 3

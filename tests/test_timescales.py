@@ -441,6 +441,22 @@ class TestExtractTw:
         with pytest.raises(CrossingNotFoundError):
             extract_Tw(tr)
 
+    @pytest.mark.parametrize("n_points", [2, 11])
+    def test_crossing_inside_the_first_step_is_unresolved(self, n_points):
+        # the trace `nvmag simulate --field 0.01` writes: τ = 0 and one step of
+        # period/48 = 1.946 ms, by which the coherence has long collapsed.  A
+        # line between them is no width, only the step's half
+        grid = np.linspace(0.0, 1.946 * (n_points - 1), n_points)
+        tr = CoherenceTrace(grid, np.exp(-grid / 0.01))
+        with pytest.raises(CrossingNotFoundError):
+            extract_Tw(tr)
+
+    def test_crossing_inside_the_second_step_is_resolved(self):
+        grid = np.array([0.0, 0.5, 1.0, 1.5])
+        tr = CoherenceTrace(grid, np.exp(-grid / 0.8))
+        t_w, t_w_err = extract_Tw(tr)
+        assert 0.5 < t_w < 1.0 and t_w_err == 0.25
+
 
 # ------------------------------------------------------------- full extraction
 class TestExtractTimescales:
