@@ -249,7 +249,8 @@ class BathRealization:
     records; each is built anew on every access, so a pair count reads
     ``len(bath.pair_b)``.  ``gamma_n`` records the 13C ratio the couplings
     were computed with; it is fixed at GAMMA_N_13C_KHZ_PER_G, and any other
-    value is refused.
+    value is refused.  ``seed`` is a non-negative integer, and the config's
+    own seed when a config is given.
 
     The constructor takes ``spins`` as NuclearSpin records and
     ``pair_couplings`` as a mapping (i, j) -> b_ij, in any key order, and
@@ -293,7 +294,10 @@ class BathRealization:
             raise ConfigError(
                 f"gamma_n is the 13C ratio {GAMMA_N_13C_KHZ_PER_G} kHz/G, got {gamma_n!r}"
             )
-        integer(seed, "seed")
+        if integer(seed, "seed") < 0:
+            raise ConfigError("seed must be >= 0")
+        if config is not None and seed != config.seed:
+            raise ConfigError(f"seed {seed} disagrees with its config seed {config.seed}")
         for array in (positions, hyperfine, pair_i, pair_j, pair_b):
             array.flags.writeable = False
         self.positions, self.hyperfine = positions, hyperfine

@@ -25,6 +25,16 @@ divided by its constituents' singles.  The product is accumulated in log
 magnitude with separate sign parity, and a pair's correction ratio is
 dropped wherever its denominator passes through zero (see
 :data:`PAIR_RATIO_FLOOR`).
+
+A trace runs its pairs in (coupling, i, j) order.  The m = 0 branch sees
+the bare field, so its pair Hamiltonian depends on the coupling alone, and
+a lattice repeats its couplings: the m = 0 eigensolve and phase features
+are computed once per run of equal couplings.  Each grid point's log sum
+adds the pairs in that order, one after another, so a trace's value at a
+time depends on that time, the bath and the field alone, and not on the
+rest of the grid, the kernel's chunk size or the thread count.  (A grid of
+one point is the exception: numpy sums and multiplies a single column along
+other paths.)
 """
 
 from __future__ import annotations
@@ -376,6 +386,14 @@ def _batched_pair_hamiltonians(
     return ham
 
 
+def _runs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Runs of equal consecutive rows of the 2-D ``rows``: the index of each
+    run's first row, and each row's run number."""
+    start = np.ones(len(rows), dtype=bool)
+    start[1:] = np.any(rows[1:] != rows[:-1], axis=1)
+    return np.flatnonzero(start), np.cumsum(start) - 1
+
+
 def _pair_spectra(
     h1_left: np.ndarray,
     h1_right: np.ndarray,
@@ -389,11 +407,15 @@ def _pair_spectra(
     bare field.  Returns the (n, 4) level energies ``e0`` and ``e1`` of the
     two branch Hamiltonians and ``gram`` (n, 7, 7), the real matrix G of
     the form L = f1^T G f0 over the seven level-pair classes of each branch
-    (see :func:`_pair_kernel_factors`).
+    (see :func:`_pair_kernel_factors`).  The m = 0 Hamiltonian depends on
+    the coupling alone, so it is built and solved once per run of equal
+    couplings and its results repeated per pair; ``eigh`` works matrix by
+    matrix, so every pair's spectra have the bits they have alone.
     """
-    n = b.size
-    h0 = np.broadcast_to(field_arr, (n, 3))
-    e0, v0 = np.linalg.eigh(_batched_pair_hamiltonians(h0, h0, b))
+    first, run = _runs(b[:, None])
+    h0 = np.broadcast_to(field_arr, (first.size, 3))
+    e0, v0 = np.linalg.eigh(_batched_pair_hamiltonians(h0, h0, b[first]))
+    e0, v0 = e0[run], v0[run]
     e1, v1 = np.linalg.eigh(_batched_pair_hamiltonians(h1_left, h1_right, b))
     overlap = np.matmul(v0.conj().transpose(0, 2, 1), v1)  # O = V0^+ V1
     # P[d, u] = O_da conj(O_da') over level pairs u = (a, a') of branch 1
@@ -485,6 +507,13 @@ def _pair_kernel_factors(
     with rounding.  ``spectra`` is the output of :func:`_pair_spectra`, or
     the same slice of pairs of each of its arrays.
 
+    The m = 0 features depend on a pair's ``e0`` row alone, and pairs in
+    coupling order (:func:`_pair_batches`) repeat it in runs.  So the half
+    phases, cos/sin pairs and feature cosines of that branch are computed
+    once per run of equal rows, in the rows of G f0, which are not yet in
+    use, and then taken into every pair's feature rows.  Each pair-point
+    keeps the bits it has alone.
+
     Every intermediate, and the result, is a view of ``workspace``, a flat
     float64 buffer of at least :data:`_WORKSPACE_ROWS` doubles per
     pair-point, laid out as (rows, pairs, points) so that every row group
@@ -500,9 +529,15 @@ def _pair_kernel_factors(
     half, cos, sin = rows[:4], rows[4:8], rows[8:12]
     features, g_f0 = rows[12:19], rows[19:26]
     features[0] = 1.0
-    np.multiply((np.pi * e0).T[:, :, None], tau, out=half)
-    _cos_sin_from_half(half, cos, sin)
-    _level_cosines(cos, sin, features[1:], half)
+    # m = 0 features once per run of equal e0 rows, kept in G f0's rows until spread
+    first, run = _runs(e0)
+    d = first.size
+    f0 = features[1:] if d == n else g_f0.reshape(-1)[: 6 * d * n_t].reshape(6, d, n_t)
+    np.multiply((np.pi * e0[first]).T[:, :, None], tau, out=half[:, :d])
+    _cos_sin_from_half(half[:, :d], cos[:, :d], sin[:, :d])
+    _level_cosines(cos[:, :d], sin[:, :d], f0, half[:, :d])
+    if d < n:
+        np.take(f0, run, axis=1, out=features[1:], mode="clip")  # "raise" buffers out
     np.matmul(gram, features.transpose(1, 0, 2), out=g_f0.transpose(1, 0, 2))
     np.multiply((np.pi * e1).T[:, :, None], tau, out=half)
     _cos_sin_from_half(half, cos, sin)
@@ -515,14 +550,19 @@ def _pair_kernel_factors(
 
 
 def _pair_batches(bath: BathRealization) -> list:
-    """The bath's pair table, sorted by (i, j), split into the pool's batches.
+    """The bath's pair table in (coupling, i, j) order, split into the pool's batches.
 
-    Each batch holds :data:`PAIRS_PER_BATCH` pairs (the last one the rest)
-    as (idx_i, idx_j, couplings) slices of the bath's own arrays.
+    A stable sort of the (i, j)-sorted table by coupling puts pairs with
+    equal couplings, which a lattice repeats, next to each other, so that
+    the m = 0 branch is solved once per run of them (:func:`_pair_spectra`,
+    :func:`_pair_kernel_factors`).  Each batch holds
+    :data:`PAIRS_PER_BATCH` pairs (the last one the rest) as (idx_i, idx_j,
+    couplings) arrays.
     """
-    starts = range(0, len(bath.pair_b), PAIRS_PER_BATCH)
-    batches = (slice(lo, lo + PAIRS_PER_BATCH) for lo in starts)
-    return [(bath.pair_i[s], bath.pair_j[s], bath.pair_b[s]) for s in batches]
+    order = np.argsort(bath.pair_b, kind="stable")
+    table = bath.pair_i[order], bath.pair_j[order], bath.pair_b[order]
+    starts = range(0, order.size, PAIRS_PER_BATCH)
+    return [tuple(part[lo : lo + PAIRS_PER_BATCH] for part in table) for lo in starts]
 
 
 def _kernel_chunks(n_pairs: int, n_t: int) -> list[slice]:
@@ -563,22 +603,25 @@ def echo_coherence_trace(
     pair multiplicity).  Exact for baths of at most two spins; a bath
     without spins sums over no rows, so its trace is exactly 1.
 
-    Pairs are processed in batches of :data:`PAIRS_PER_BATCH`, slices of
-    the bath's pair table in its (i, j) order (:func:`_pair_batches`), on a
-    pool of ``NVMAG_THREADS`` worker threads (default: one per core, never
-    more than there are batches).  A worker
-    runs :func:`_pair_spectra` once for its whole batch, then the pair
-    kernel chunk by chunk (:func:`_kernel_chunks`, about
-    :data:`PAIR_POINTS_PER_CHUNK` pair-points each), and adds each chunk's
-    partial log magnitude and sign-parity sums over its pairs into the
-    batch's, in chunk order.  The calling thread adds the batch partials in
-    batch order.  The batch size does not depend on the worker count, so
-    the trace is bit-identical at every thread count.  Memory is one (N, T)
+    Pairs are processed in batches of :data:`PAIRS_PER_BATCH` pairs of the
+    bath's pair table in (coupling, i, j) order (:func:`_pair_batches`), on
+    a pool of ``NVMAG_THREADS`` worker threads (default: one per core, never
+    more than there are batches).  A worker runs :func:`_pair_spectra` once
+    for its whole batch, then the pair kernel chunk by chunk
+    (:func:`_kernel_chunks`, about :data:`PAIR_POINTS_PER_CHUNK` pair-points
+    each).  Per pair-point it takes one log, of max(|L_ij|, floor) /
+    |L_i L_j|, where the correction is kept, and adds the chunk's rows one
+    after another onto the batch's running sum, so each point's sum runs
+    over the batch's pairs in order wherever the chunks split it.  The
+    calling thread adds the batch partials in batch order.  The batch size
+    depends neither on the worker count nor on the grid, so on any grid of
+    two or more points the trace at each time is bit-identical at every
+    thread count and chunk size, and on any sub-grid.  Memory is one (N, T)
     table, the single-spin factors, built in place (:func:`_single_tables`),
     plus, per worker, one workspace of :data:`_WORKSPACE_ROWS` doubles per
     pair-point of a chunk (3.25 MiB up to 16,384 grid points), its batch's
     spectra (57 doubles per pair) and one chunk's few (n, T) fold
-    temporaries, among them the clamped logs of the chunk's singles.
+    temporaries: |L_i L_j|, the log ratios and two masks.
 
     ``metadata["diagnostics"]`` counts how hard the model was pushed:
 
@@ -619,14 +662,18 @@ def echo_coherence_trace(
             factors = _pair_kernel_factors(
                 tuple(part[chunk] for part in spectra), tau, workspace
             )
-            left, right = singles[bi[chunk]], singles[bj[chunk]]
-            denom = left * right
-            keep = np.abs(denom) > PAIR_RATIO_FLOOR
-            n_dropped += keep.size - int(np.count_nonzero(keep))
-            log_ratio = _clamped_log(factors) - _clamped_log(left) - _clamped_log(right)
+            denom = singles[bi[chunk]] * singles[bj[chunk]]
             ratio_neg = (factors < 0.0) ^ (denom < 0.0)
-            log_part += np.sum(np.where(keep, log_ratio, 0.0), axis=0)
+            abs_denom = np.abs(denom, out=denom)
+            keep = abs_denom > PAIR_RATIO_FLOOR
+            n_dropped += keep.size - int(np.count_nonzero(keep))
             neg_part += np.sum(keep & ratio_neg, axis=0)
+            abs_factors = np.maximum(np.abs(factors, out=factors), _LOG_FLOOR, out=factors)
+            log_ratio = np.zeros_like(denom)
+            np.divide(abs_factors, abs_denom, out=log_ratio, where=keep)
+            np.log(log_ratio, out=log_ratio, where=keep)
+            log_ratio[0] += log_part  # then the sum adds the rows in pair order
+            log_part = np.sum(log_ratio, axis=0)
         return log_part, neg_part, n_dropped
 
     with ThreadPoolExecutor(max_workers=n_workers) as pool:

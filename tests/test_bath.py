@@ -431,10 +431,13 @@ class TestPersistence:
             lambda d: d.__setitem__("seed", 2.7),
             lambda d: d["config"].__setitem__("pair_cutoff", math.nan),
             lambda d: d["config"].__setitem__("seed", 1.5),
+            lambda d: d.update(seed=-1, config=None),
+            lambda d: d.__setitem__("seed", 10),
         ],
         ids=["nan-position", "infinite-hyperfine", "two-component-hyperfine",
              "string-position", "infinite-coupling", "string-coupling", "fractional-index",
-             "pair-listed-twice", "fractional-seed", "nan-pair-cutoff", "fractional-config-seed"],
+             "pair-listed-twice", "fractional-seed", "nan-pair-cutoff", "fractional-config-seed",
+             "negative-seed", "seed-other-than-config-seed"],
     )
     def test_non_finite_or_misshapen_record_rejected(self, small_sites, edit):
         record = sample_bath(small_sites, LatticeConfig(seed=9, abundance=0.1)).to_json_dict()

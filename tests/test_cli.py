@@ -308,16 +308,16 @@ class TestBathCommand:
         assert digest == "454ecce976a9d3b107914649be6456795fdcde075bbda4689e095bb92cf8450f"
 
     def test_readme_demo_trace_is_pinned(self, tmp_path):
-        # sha256 of the trace this command wrote at commit 22d98e4 (numpy 2.4.6,
-        # OpenBLAS 0.3.31, x86-64), the same at 1 and 2 threads.  A kernel
-        # change that moves bits within the 1e-12 agreement gate updates this
-        # pin and says so in CHANGES.md.
+        # sha256 of the trace this command writes since a trace runs its pairs
+        # in coupling order (numpy 2.4.6, OpenBLAS 0.3.31, x86-64), the same at
+        # 1, 2 and 4 threads.  A kernel change that moves bits within the 1e-12
+        # agreement gate updates this pin and says so in CHANGES.md.
         assert run("bath", "--seed", 2, "--out-dir", tmp_path) == 0
         rc = run("simulate", "--field", 10, "--bath", tmp_path / "bath_seed2.json",
                  "--out-dir", tmp_path)
         assert rc == 0
         digest = hashlib.sha256((tmp_path / "trace_B10_seed2.csv").read_bytes()).hexdigest()
-        assert digest == "48b3593f3deac02a6089fe71330621ae5fb285e51f794f1ff2c899fe960f4a9b"
+        assert digest == "0ae04ecc7a73c0ab84fcfedc09385c0a5368936cbc58a6a7bd4a507f27ad7c26"
 
     def test_bad_abundance_exits_2(self, tmp_path, capsys):
         rc = run("bath", "--abundance", "1.5", "--out-dir", tmp_path)
@@ -486,10 +486,12 @@ class TestSimulateCommand:
              "listed twice"),
             (lambda d: d["config"].__setitem__("pair_cutoff", math.nan), "NaN"),
             (lambda d: d.__setitem__("gamma_n_khz_per_g", 2.0), "gamma_n"),
+            (lambda d: d.update(seed=-1, config=None), "seed must be >= 0"),
+            (lambda d: d.__setitem__("seed", 3), "disagrees with its config seed 2"),
         ],
         ids=["nan-hyperfine", "infinite-coupling", "two-component-hyperfine",
              "string-position", "fractional-pair-index", "pair-listed-twice", "nan-pair-cutoff",
-             "foreign-gamma-n"],
+             "foreign-gamma-n", "negative-seed", "seed-other-than-config-seed"],
     )
     def test_malformed_bath_file_exits_2_before_any_work(
         self, tmp_path, monkeypatch, capsys, edit, named

@@ -238,16 +238,61 @@ class TestPairFactor:
 
 class TestPairKernelChunks:
     def test_batches_cover_the_sorted_pairs_in_order(self, small_sites):
+        # the pairs in (coupling, i, j) order, so that equal couplings,
+        # which a lattice repeats, sit next to each other
         bath = sample_bath(small_sites, LatticeConfig(seed=2, abundance=0.1))
         batches = _pair_batches(bath)
         sizes = [len(b) for _, _, b in batches]
         assert len(sizes) >= 4
         assert set(sizes[:-1]) == {PAIRS_PER_BATCH} and 0 < sizes[-1] <= PAIRS_PER_BATCH
-        idx = [(int(i), int(j)) for bi, bj, _ in batches for i, j in zip(bi, bj)]
-        couplings = bath.pair_couplings
-        assert idx == list(couplings)
-        b = np.concatenate([b for _, _, b in batches])
-        assert b.tolist() == [couplings[p] for p in idx]
+        rows = [(b, int(i), int(j)) for bi, bj, bb in batches for i, j, b in zip(bi, bj, bb)]
+        assert rows == sorted((b, i, j) for (i, j), b in bath.pair_couplings.items())
+        assert len({b for b, _, _ in rows}) < len(rows) / 2
+
+    # The m = 0 branch sees the bare field, so its eigensolve and its phase
+    # features depend on the coupling alone, and are computed once per run
+    # of equal couplings.  Each pair must still get the bits it gets alone,
+    # also under a transverse field, where no branch is block-diagonal.
+    ALONG_Z_AND_TRANSVERSE = pytest.mark.parametrize(
+        "field_g", [(0.0, 0.0, 10.0), (30.0, 0.0, 95.0)], ids=["axial", "transverse"]
+    )
+
+    @staticmethod
+    def _batch_with_repeated_couplings(small_sites, field):
+        bath = sample_bath(small_sites, LatticeConfig(seed=2, abundance=0.1))
+        h1 = effective_field(field, bath.hyperfine)
+        bi, bj, bb = _pair_batches(bath)[0]
+        assert np.unique(bb).size < bb.size / 4
+        return h1[bi], h1[bj], bb
+
+    @ALONG_Z_AND_TRANSVERSE
+    def test_spectra_per_coupling_equal_spectra_pair_by_pair(self, small_sites, field_g):
+        field = FieldVector.from_sequence(field_g)
+        h1_left, h1_right, bb = self._batch_with_repeated_couplings(small_sites, field)
+        batch = _pair_spectra(h1_left, h1_right, bb, field.as_array())
+        for k in range(bb.size):
+            alone = _pair_spectra(h1_left[k : k + 1], h1_right[k : k + 1], bb[k : k + 1],
+                                  field.as_array())
+            for part, part_alone in zip(batch, alone):
+                assert part[k : k + 1].tobytes() == part_alone.tobytes()
+
+    @ALONG_Z_AND_TRANSVERSE
+    def test_kernel_on_runs_of_equal_m0_levels_equals_each_pair_alone(
+        self, small_sites, field_g
+    ):
+        field = FieldVector.from_sequence(field_g)
+        spectra = _pair_spectra(
+            *self._batch_with_repeated_couplings(small_sites, field), field.as_array()
+        )
+        tau = EchoSchedule.for_field(field.magnitude, t_max_ms=0.3).t_grid
+        chunk = _kernel_chunks(PAIRS_PER_BATCH, tau.size)[0]
+        e0 = spectra[0][chunk]
+        assert np.unique(e0, axis=0).shape[0] < e0.shape[0] / 2
+        workspace = np.full(_WORKSPACE_ROWS * PAIR_POINTS_PER_CHUNK, np.nan)
+        factors = _pair_kernel_factors(tuple(part[chunk] for part in spectra), tau, workspace)
+        for k in range(e0.shape[0]):
+            alone = _pair_kernel_factors(tuple(part[k : k + 1] for part in spectra), tau)
+            assert factors[k].tobytes() == alone[0].tobytes()
 
     def test_chunked_factors_match_full_hilbert_oracle(self):
         # 15 pairs, one batch, whose kernel runs in chunks of 4, 4, 4 and 3
@@ -351,6 +396,16 @@ class TestHalfAngleTrig:
 
 
 # ------------------------------------------------------------ full engine
+# The fold must raise no numpy divide or invalid warning where it keeps a
+# pair-point out.  numpy's error state is per thread and does not reach the
+# pool's workers, so those warnings are made errors through the warnings
+# filter, which does; the over-unity warning stays a warning.
+FOLD_WARNINGS_AS_ERRORS = pytest.mark.filterwarnings(
+    "error:divide by zero encountered:RuntimeWarning",
+    "error:invalid value encountered:RuntimeWarning",
+)
+
+
 class TestEchoCoherenceTrace:
     def test_empty_bath_is_unity(self):
         bath = BathRealization(spins=[], pair_couplings={})
@@ -388,6 +443,7 @@ class TestEchoCoherenceTrace:
         gap = np.max(np.abs(trace.values - exact))
         assert 1e-7 < gap < 1e-3
 
+    @FOLD_WARNINGS_AS_ERRORS
     def test_counts_dropped_pair_points(self):
         # the same shared-vertex bath: the count is every (pair, point)
         # whose denominator |L_i L_j| falls to the floor or below; the
@@ -472,6 +528,7 @@ class TestEchoCoherenceTrace:
         trace = echo_coherence_trace(bath, FieldVector.along_z(50.0), sched)
         assert trace.values[0] == pytest.approx(1.0, abs=1e-12)
 
+    @FOLD_WARNINGS_AS_ERRORS
     def test_thread_count_does_not_change_the_trace(self, small_sites, monkeypatch):
         # several batches on more threads than cores, switching threads as
         # often as the interpreter allows: partial sums must still be added
@@ -492,6 +549,35 @@ class TestEchoCoherenceTrace:
         assert np.array_equal(threaded.values, serial.values)
         assert threaded.metadata["diagnostics"] == serial.metadata["diagnostics"]
         assert serial.metadata["diagnostics"]["pair_points_dropped"] > 0
+
+    # Each point's pair sum adds the pairs' log ratios in pair order, row by
+    # row, so a point's value depends on its own time alone: not on the
+    # other points of the grid, nor on how many pairs a kernel chunk holds
+    # (PAIR_POINTS_PER_CHUNK // T, 57 pairs on the full grid, 84 on the
+    # sub-grid).
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_sub_grid_trace_equals_the_full_trace_bit_for_bit(
+        self, small_sites, monkeypatch, threads
+    ):
+        monkeypatch.setenv("NVMAG_THREADS", threads)
+        bath = sample_bath(small_sites, LatticeConfig(seed=2, abundance=0.1))
+        field = FieldVector.along_z(10.0)
+        grid = EchoSchedule.for_field(10.0, t_max_ms=0.55).t_grid
+        assert grid.size == 284
+        full = echo_coherence_trace(bath, field, EchoSchedule(grid))
+        sub = echo_coherence_trace(bath, field, EchoSchedule(grid[5:200]))
+        assert sub.values.tobytes() == full.values[5:200].tobytes()
+
+    def test_chunk_size_does_not_change_the_trace(self, small_sites, monkeypatch):
+        bath = sample_bath(small_sites, LatticeConfig(seed=2, abundance=0.1))
+        field = FieldVector.along_z(10.0)
+        sched = EchoSchedule.for_field(10.0, t_max_ms=0.55)
+        want = echo_coherence_trace(bath, field, sched)
+        for pair_points in (4096, 32768):
+            monkeypatch.setattr(decoherence, "PAIR_POINTS_PER_CHUNK", pair_points)
+            got = echo_coherence_trace(bath, field, sched)
+            assert got.values.tobytes() == want.values.tobytes()
+            assert got.metadata == want.metadata
 
     # Relabelling the spins is a symmetry of the model: only the order of the
     # trace's sums, and the left/right order of some pairs, moves.  Each bound
