@@ -29,12 +29,11 @@ dropped wherever its denominator passes through zero (see
 A trace runs its pairs in (coupling, i, j) order.  The m = 0 branch sees
 the bare field, so its pair Hamiltonian depends on the coupling alone, and
 a lattice repeats its couplings: the m = 0 eigensolve and phase features
-are computed once per run of equal couplings.  Each grid point's log sum
-adds the pairs in that order, one after another, so a trace's value at a
-time depends on that time, the bath and the field alone, and not on the
-rest of the grid, the kernel's chunk size or the thread count.  (A grid of
-one point is the exception: numpy sums and multiplies a single column along
-other paths.)
+are computed once per distinct coupling of a batch of pairs.  Each grid
+point's log sum adds the pairs in that order, one after another, so a
+trace's value at a time depends on that time, the bath and the field
+alone, and not on the rest of the grid, the kernel's chunk size or the
+thread count.
 """
 
 from __future__ import annotations
@@ -99,8 +98,9 @@ SINGLE_ROWS_PER_BLOCK = 32
 # count, or the order of the trace's sums, and so its rounding, would.
 PAIRS_PER_BATCH = 256
 
-# Pair-points (pairs x grid points) per chunk of the pair kernel within a
-# batch; the pair count per chunk follows from the grid length.
+# Pair-points (pairs x grid points) per pair-kernel call: a batch's pairs
+# over one tile of the grid (_time_tiles).  At least 3 * PAIRS_PER_BATCH,
+# so that every tile holds two points or more.
 PAIR_POINTS_PER_CHUNK = 16384
 
 # Doubles per pair-point in the pair kernel's workspace, laid out level-major
@@ -108,7 +108,7 @@ PAIR_POINTS_PER_CHUNK = 16384
 # tangents, then feature temporaries), 8 of the per-level cosines and sines,
 # 7 of one branch's cosine features (the first all ones), 7 of G f0.
 # Each pool worker allocates one workspace per trace and reuses it for
-# every chunk of every batch it folds: buffers allocated afresh are
+# every tile of every batch it folds: buffers allocated afresh are
 # mapped and page-faulted anew, the more so from several threads' malloc
 # arenas at once.
 _WORKSPACE_ROWS = 26
@@ -261,9 +261,16 @@ class CoherenceTrace:
 
     @classmethod
     def load_csv(cls, csv_path) -> "CoherenceTrace":
+        """Read what :meth:`save_csv` writes: the ``t_ms,L`` header line, then
+        one row per grid point, plus the sidecar if there is one."""
         csv_path = Path(csv_path)
+        header, *rows = csv_path.read_text(errors="replace").splitlines() or [""]
+        if header != "t_ms,L":
+            raise ConfigError(f"{csv_path} does not start with the header line t_ms,L")
+        if not any(row.strip() for row in rows):
+            raise ConfigError(f"{csv_path} holds no rows")
         try:
-            data = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2)
+            data = np.loadtxt(rows, delimiter=",", ndmin=2, comments=None)
         except ValueError as exc:
             raise ConfigError(f"{csv_path} is not a numeric trace file: {exc}") from exc
         if data.shape[1] != 2:
@@ -386,44 +393,37 @@ def _batched_pair_hamiltonians(
     return ham
 
 
-def _runs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Runs of equal consecutive rows of the 2-D ``rows``: the index of each
-    run's first row, and each row's run number."""
-    start = np.ones(len(rows), dtype=bool)
-    start[1:] = np.any(rows[1:] != rows[:-1], axis=1)
-    return np.flatnonzero(start), np.cumsum(start) - 1
-
-
 def _pair_spectra(
     h1_left: np.ndarray,
     h1_right: np.ndarray,
     b: np.ndarray,
     field_arr: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Time-independent part of the pair kernel for n pairs.
 
     ``h1_left``/``h1_right`` are the (n, 3) m = +1 branch fields of each
     pair's two spins, ``b`` their (n,) couplings; the m = 0 branch sees the
-    bare field.  Returns the (n, 4) level energies ``e0`` and ``e1`` of the
-    two branch Hamiltonians and ``gram`` (n, 7, 7), the real matrix G of
-    the form L = f1^T G f0 over the seven level-pair classes of each branch
+    bare field.  Returns ``e0`` (d, 4), the level energies of the m = 0
+    Hamiltonian for each of the d distinct couplings, ``index`` (n,), each
+    pair's row of ``e0``, ``e1`` (n, 4), the level energies of each pair's
+    m = +1 Hamiltonian, and ``gram`` (n, 7, 7), the real matrix G of the
+    form L = f1^T G f0 over the seven level-pair classes of each branch
     (see :func:`_pair_kernel_factors`).  The m = 0 Hamiltonian depends on
-    the coupling alone, so it is built and solved once per run of equal
-    couplings and its results repeated per pair; ``eigh`` works matrix by
-    matrix, so every pair's spectra have the bits they have alone.
+    the coupling alone, so it is built and solved once per distinct
+    coupling; ``eigh`` works matrix by matrix, so every pair's spectra have
+    the bits they have alone.
     """
-    first, run = _runs(b[:, None])
+    _, first, index = np.unique(b, return_index=True, return_inverse=True)
     h0 = np.broadcast_to(field_arr, (first.size, 3))
     e0, v0 = np.linalg.eigh(_batched_pair_hamiltonians(h0, h0, b[first]))
-    e0, v0 = e0[run], v0[run]
     e1, v1 = np.linalg.eigh(_batched_pair_hamiltonians(h1_left, h1_right, b))
-    overlap = np.matmul(v0.conj().transpose(0, 2, 1), v1)  # O = V0^+ V1
+    overlap = np.matmul(v0[index].conj().transpose(0, 2, 1), v1)  # O = V0^+ V1
     # P[d, u] = O_da conj(O_da') over level pairs u = (a, a') of branch 1
     p = overlap[:, :, _LEVEL_LO] * overlap[:, :, _LEVEL_HI].conj()
     # Re(K_dba conj K_dba') = Re(P[d, u] conj P[b, u]), (b, d) the pairs q
     re_kk = (p[:, _LEVEL_LO] * p[:, _LEVEL_HI].conj()).real  # (n, q, u)
     gram = np.matmul(np.matmul(re_kk, _CLASS_WEIGHTS).transpose(0, 2, 1), _CLASS_WEIGHTS)
-    return e0, e1, gram
+    return e0, index, e1, gram
 
 
 def _cos_sin_from_half(half: np.ndarray, cos_out: np.ndarray, sin_out: np.ndarray) -> None:
@@ -504,15 +504,14 @@ def _pair_kernel_factors(
     vectorised, while its ``cos`` and ``sin`` are scalar libm calls, each
     several times slower per element.  The half phase pi e_m tau is
     exactly half of 2 pi e_m tau, since scaling by a power of two commutes
-    with rounding.  ``spectra`` is the output of :func:`_pair_spectra`, or
-    the same slice of pairs of each of its arrays.
+    with rounding.  ``spectra`` is the output of :func:`_pair_spectra`.
 
-    The m = 0 features depend on a pair's ``e0`` row alone, and pairs in
-    coupling order (:func:`_pair_batches`) repeat it in runs.  So the half
-    phases, cos/sin pairs and feature cosines of that branch are computed
-    once per run of equal rows, in the rows of G f0, which are not yet in
-    use, and then taken into every pair's feature rows.  Each pair-point
-    keeps the bits it has alone.
+    The m = 0 features depend on the coupling alone, so the half phases,
+    cos/sin pairs and feature cosines of that branch are computed once per
+    row of ``e0``, one per distinct coupling, in the rows of G f0, which
+    are not yet in use, and then taken into every pair's feature rows.
+    Each pair-point keeps the bits it has alone, on any ``tau`` of two or
+    more points: numpy multiplies a single column along another path.
 
     Every intermediate, and the result, is a view of ``workspace``, a flat
     float64 buffer of at least :data:`_WORKSPACE_ROWS` doubles per
@@ -520,8 +519,8 @@ def _pair_kernel_factors(
     is one contiguous slice; the result stays valid until the workspace is
     reused.  Without one, a fresh buffer is allocated.
     """
-    e0, e1, gram = spectra
-    n, n_t = e1.shape[0], tau.size
+    e0, index, e1, gram = spectra
+    n, d, n_t = e1.shape[0], e0.shape[0], tau.size
     size = n * n_t
     if workspace is None:
         workspace = np.empty(_WORKSPACE_ROWS * size)
@@ -529,15 +528,12 @@ def _pair_kernel_factors(
     half, cos, sin = rows[:4], rows[4:8], rows[8:12]
     features, g_f0 = rows[12:19], rows[19:26]
     features[0] = 1.0
-    # m = 0 features once per run of equal e0 rows, kept in G f0's rows until spread
-    first, run = _runs(e0)
-    d = first.size
-    f0 = features[1:] if d == n else g_f0.reshape(-1)[: 6 * d * n_t].reshape(6, d, n_t)
-    np.multiply((np.pi * e0[first]).T[:, :, None], tau, out=half[:, :d])
+    # m = 0 features once per distinct coupling, kept in G f0's rows until taken
+    f0 = g_f0.reshape(-1)[: 6 * d * n_t].reshape(6, d, n_t)
+    np.multiply((np.pi * e0).T[:, :, None], tau, out=half[:, :d])
     _cos_sin_from_half(half[:, :d], cos[:, :d], sin[:, :d])
     _level_cosines(cos[:, :d], sin[:, :d], f0, half[:, :d])
-    if d < n:
-        np.take(f0, run, axis=1, out=features[1:], mode="clip")  # "raise" buffers out
+    np.take(f0, index, axis=1, out=features[1:], mode="clip")  # "raise" buffers out
     np.matmul(gram, features.transpose(1, 0, 2), out=g_f0.transpose(1, 0, 2))
     np.multiply((np.pi * e1).T[:, :, None], tau, out=half)
     _cos_sin_from_half(half, cos, sin)
@@ -553,11 +549,11 @@ def _pair_batches(bath: BathRealization) -> list:
     """The bath's pair table in (coupling, i, j) order, split into the pool's batches.
 
     A stable sort of the (i, j)-sorted table by coupling puts pairs with
-    equal couplings, which a lattice repeats, next to each other, so that
-    the m = 0 branch is solved once per run of them (:func:`_pair_spectra`,
-    :func:`_pair_kernel_factors`).  Each batch holds
-    :data:`PAIRS_PER_BATCH` pairs (the last one the rest) as (idx_i, idx_j,
-    couplings) arrays.
+    equal couplings, which a lattice repeats, into the same batch, where
+    the m = 0 branch is solved once per distinct coupling
+    (:func:`_pair_spectra`, :func:`_pair_kernel_factors`).  Each batch
+    holds :data:`PAIRS_PER_BATCH` pairs (the last one the rest) as (idx_i,
+    idx_j, couplings) arrays.
     """
     order = np.argsort(bath.pair_b, kind="stable")
     table = bath.pair_i[order], bath.pair_j[order], bath.pair_b[order]
@@ -565,14 +561,18 @@ def _pair_batches(bath: BathRealization) -> list:
     return [tuple(part[lo : lo + PAIRS_PER_BATCH] for part in table) for lo in starts]
 
 
-def _kernel_chunks(n_pairs: int, n_t: int) -> list[slice]:
-    """Slices of a batch's ``n_pairs`` pairs, one per pair-kernel call.
+def _time_tiles(n_pairs: int, n_t: int) -> list[slice]:
+    """Slices of an ``n_t``-point grid, one per pair-kernel call on ``n_pairs`` pairs.
 
-    Each holds :data:`PAIR_POINTS_PER_CHUNK` // ``n_t`` pairs (at least
-    one), so that one call's workspace stays within the chunk budget.
+    Each holds :data:`PAIR_POINTS_PER_CHUNK` // ``n_pairs`` points, the
+    chunk budget, less one where the last tile, which takes the remainder,
+    would otherwise hold a single point.
     """
-    step = max(1, PAIR_POINTS_PER_CHUNK // n_t)
-    return [slice(lo, lo + step) for lo in range(0, n_pairs, step)]
+    width = PAIR_POINTS_PER_CHUNK // n_pairs
+    if n_t % width == 1:
+        width -= 1
+    starts = list(range(0, n_t - 1, width))
+    return [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [n_t])]
 
 
 def _pool_size(n_tasks: int) -> int:
@@ -607,21 +607,22 @@ def echo_coherence_trace(
     bath's pair table in (coupling, i, j) order (:func:`_pair_batches`), on
     a pool of ``NVMAG_THREADS`` worker threads (default: one per core, never
     more than there are batches).  A worker runs :func:`_pair_spectra` once
-    for its whole batch, then the pair kernel chunk by chunk
-    (:func:`_kernel_chunks`, about :data:`PAIR_POINTS_PER_CHUNK` pair-points
-    each).  Per pair-point it takes one log, of max(|L_ij|, floor) /
-    |L_i L_j|, where the correction is kept, and adds the chunk's rows one
-    after another onto the batch's running sum, so each point's sum runs
-    over the batch's pairs in order wherever the chunks split it.  The
-    calling thread adds the batch partials in batch order.  The batch size
-    depends neither on the worker count nor on the grid, so on any grid of
-    two or more points the trace at each time is bit-identical at every
-    thread count and chunk size, and on any sub-grid.  Memory is one (N, T)
-    table, the single-spin factors, built in place (:func:`_single_tables`),
-    plus, per worker, one workspace of :data:`_WORKSPACE_ROWS` doubles per
-    pair-point of a chunk (3.25 MiB up to 16,384 grid points), its batch's
-    spectra (57 doubles per pair) and one chunk's few (n, T) fold
-    temporaries: |L_i L_j|, the log ratios and two masks.
+    for its whole batch, then the pair kernel on the whole batch tile by
+    tile of the grid (:func:`_time_tiles`, at most
+    :data:`PAIR_POINTS_PER_CHUNK` pair-points each).  Per pair-point it
+    takes one log, of max(|L_ij|, floor) / |L_i L_j|, where the correction
+    is kept, and each tile's column sums add the batch's pairs one after
+    another.  The calling thread adds the batch partials in batch order.  A
+    grid of one point runs on two copies of its point, so that no tile
+    holds a single point.  The batch size depends neither on the worker
+    count nor on the grid, so the trace at each time is bit-identical at
+    every thread count and chunk size, and on any sub-grid.  Memory is one
+    (N, T) table, the single-spin factors, built in place
+    (:func:`_single_tables`), plus, per worker, one workspace of
+    :data:`_WORKSPACE_ROWS` doubles per pair-point of a kernel call (3.25
+    MiB per worker on any grid), its batch's spectra (at most 57 doubles
+    per pair) and one tile's few fold temporaries: |L_i L_j|, the log
+    ratios and two masks.
 
     ``metadata["diagnostics"]`` counts how hard the model was pushed:
 
@@ -634,14 +635,16 @@ def echo_coherence_trace(
     """
     field_arr = field.as_array()
     schedule.validate_resolution(field.magnitude)
-    tau = schedule.t_grid
+    grid = schedule.t_grid
+    copies = 2 if grid.size == 1 else 1  # so that no tile holds a single point
+    tau = np.repeat(grid, copies)
     batches = _pair_batches(bath)
     n_workers = _pool_size(len(batches))
 
     h1 = effective_field(field, bath.hyperfine)  # (N, 3)
     undersampled = dropped = 0
-    if tau.size > 1:
-        nyquist = 0.5 / float(np.max(np.diff(tau)))
+    if grid.size > 1:
+        nyquist = 0.5 / float(np.max(np.diff(grid)))
         rates = GAMMA_N_13C_KHZ_PER_G * np.linalg.norm(h1, axis=1)
         undersampled = int(np.count_nonzero(rates > nyquist))
     singles, log_total, neg_parity = _single_tables(field_arr, h1, tau)
@@ -651,29 +654,24 @@ def echo_coherence_trace(
         bi, bj, bb = batch
         workspace = getattr(workspaces, "buffer", None)
         if workspace is None:
-            workspace = workspaces.buffer = np.empty(
-                _WORKSPACE_ROWS * max(PAIR_POINTS_PER_CHUNK, tau.size)
-            )
+            workspace = workspaces.buffer = np.empty(_WORKSPACE_ROWS * PAIR_POINTS_PER_CHUNK)
         spectra = _pair_spectra(h1[bi], h1[bj], bb, field_arr)
-        log_part = np.zeros_like(tau)
-        neg_part = np.zeros(tau.size, dtype=int)
+        log_part = np.empty_like(tau)
+        neg_part = np.empty(tau.size, dtype=int)
         n_dropped = 0
-        for chunk in _kernel_chunks(bb.size, tau.size):
-            factors = _pair_kernel_factors(
-                tuple(part[chunk] for part in spectra), tau, workspace
-            )
-            denom = singles[bi[chunk]] * singles[bj[chunk]]
+        for tile in _time_tiles(bb.size, tau.size):
+            factors = _pair_kernel_factors(spectra, tau[tile], workspace)
+            denom = singles[bi, tile] * singles[bj, tile]
             ratio_neg = (factors < 0.0) ^ (denom < 0.0)
             abs_denom = np.abs(denom, out=denom)
             keep = abs_denom > PAIR_RATIO_FLOOR
             n_dropped += keep.size - int(np.count_nonzero(keep))
-            neg_part += np.sum(keep & ratio_neg, axis=0)
+            neg_part[tile] = np.sum(keep & ratio_neg, axis=0)
             abs_factors = np.maximum(np.abs(factors, out=factors), _LOG_FLOOR, out=factors)
             log_ratio = np.zeros_like(denom)
             np.divide(abs_factors, abs_denom, out=log_ratio, where=keep)
             np.log(log_ratio, out=log_ratio, where=keep)
-            log_ratio[0] += log_part  # then the sum adds the rows in pair order
-            log_part = np.sum(log_ratio, axis=0)
+            log_part[tile] = np.sum(log_ratio, axis=0)  # the rows in pair order
         return log_part, neg_part, n_dropped
 
     with ThreadPoolExecutor(max_workers=n_workers) as pool:
@@ -682,7 +680,7 @@ def echo_coherence_trace(
             neg_parity += neg_part
             dropped += n_dropped
 
-    values = np.where(neg_parity % 2 == 1, -1.0, 1.0) * np.exp(log_total)
+    values = (np.where(neg_parity % 2 == 1, -1.0, 1.0) * np.exp(log_total))[::copies]
 
     metadata = {
         "model": "pair-truncated echo",
@@ -693,11 +691,11 @@ def echo_coherence_trace(
         "n_spins": len(bath),
         "n_pairs": len(bath.pair_b),
         "diagnostics": {
-            "pair_points_dropped": dropped,
+            "pair_points_dropped": dropped // copies,
             "undersampled_spins": undersampled,
         },
     }
-    return CoherenceTrace(t_grid=tau.copy(), values=values, metadata=metadata)
+    return CoherenceTrace(t_grid=grid.copy(), values=values, metadata=metadata)
 
 
 def ensemble_average(traces: list[CoherenceTrace]) -> CoherenceTrace:

@@ -818,6 +818,22 @@ class TestExtractCommand:
         assert run("extract", "--trace", path) == 2
         assert "trace file" in capsys.readouterr().err
 
+    def test_trace_without_its_header_exits_2(self, tmp_path, capsys):
+        # read as if it had one, the file would lose its tau = 0 row and
+        # still give a revival time
+        path = self.make_trace(tmp_path)
+        path.write_text(path.read_text().split("\n", 1)[1])
+        assert run("extract", "--trace", path) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert str(path) in captured.err and "t_ms,L" in captured.err
+
+    def test_header_only_trace_exits_2_in_one_line(self, tmp_path, capsys):
+        path = tmp_path / "empty.csv"
+        path.write_text("t_ms,L\n")
+        assert run("extract", "--trace", path) == 2
+        assert capsys.readouterr().err == f"error: {path} holds no rows\n"
+
     def test_nan_row_exits_2(self, tmp_path, capsys):
         path = self.make_trace(tmp_path)
         lines = path.read_text().splitlines()

@@ -33,11 +33,11 @@ from nvmag.decoherence import (
     _LOG_FLOOR,
     _WORKSPACE_ROWS,
     _cos_sin_from_half,
-    _kernel_chunks,
     _pair_batches,
     _pair_kernel_factors,
     _pair_spectra,
     _single_tables,
+    _time_tiles,
 )
 from nvmag.errors import (
     ConfigError,
@@ -250,9 +250,10 @@ class TestPairKernelChunks:
         assert len({b for b, _, _ in rows}) < len(rows) / 2
 
     # The m = 0 branch sees the bare field, so its eigensolve and its phase
-    # features depend on the coupling alone, and are computed once per run
-    # of equal couplings.  Each pair must still get the bits it gets alone,
-    # also under a transverse field, where no branch is block-diagonal.
+    # features depend on the coupling alone, and are computed once per
+    # distinct coupling of a batch.  Each pair must still get the bits it
+    # gets alone, also under a transverse field, where no branch is
+    # block-diagonal.
     ALONG_Z_AND_TRANSVERSE = pytest.mark.parametrize(
         "field_g", [(0.0, 0.0, 10.0), (30.0, 0.0, 95.0)], ids=["axial", "transverse"]
     )
@@ -262,19 +263,23 @@ class TestPairKernelChunks:
         bath = sample_bath(small_sites, LatticeConfig(seed=2, abundance=0.1))
         h1 = effective_field(field, bath.hyperfine)
         bi, bj, bb = _pair_batches(bath)[0]
-        assert np.unique(bb).size < bb.size / 4
+        assert bb.size == PAIRS_PER_BATCH and np.unique(bb).size < bb.size / 4
         return h1[bi], h1[bj], bb
 
     @ALONG_Z_AND_TRANSVERSE
     def test_spectra_per_coupling_equal_spectra_pair_by_pair(self, small_sites, field_g):
         field = FieldVector.from_sequence(field_g)
         h1_left, h1_right, bb = self._batch_with_repeated_couplings(small_sites, field)
-        batch = _pair_spectra(h1_left, h1_right, bb, field.as_array())
+        e0, index, e1, gram = _pair_spectra(h1_left, h1_right, bb, field.as_array())
+        assert e0.shape[0] == np.unique(bb).size
         for k in range(bb.size):
-            alone = _pair_spectra(h1_left[k : k + 1], h1_right[k : k + 1], bb[k : k + 1],
-                                  field.as_array())
-            for part, part_alone in zip(batch, alone):
-                assert part[k : k + 1].tobytes() == part_alone.tobytes()
+            e0_k, index_k, e1_k, gram_k = _pair_spectra(
+                h1_left[k : k + 1], h1_right[k : k + 1], bb[k : k + 1], field.as_array()
+            )
+            assert index_k.tolist() == [0]
+            assert e0[index[k]].tobytes() == e0_k[0].tobytes()
+            assert e1[k].tobytes() == e1_k[0].tobytes()
+            assert gram[k].tobytes() == gram_k[0].tobytes()
 
     @ALONG_Z_AND_TRANSVERSE
     def test_kernel_on_runs_of_equal_m0_levels_equals_each_pair_alone(
@@ -284,49 +289,49 @@ class TestPairKernelChunks:
         spectra = _pair_spectra(
             *self._batch_with_repeated_couplings(small_sites, field), field.as_array()
         )
+        e0, index, e1, gram = spectra
         tau = EchoSchedule.for_field(field.magnitude, t_max_ms=0.3).t_grid
-        chunk = _kernel_chunks(PAIRS_PER_BATCH, tau.size)[0]
-        e0 = spectra[0][chunk]
-        assert np.unique(e0, axis=0).shape[0] < e0.shape[0] / 2
+        tile = _time_tiles(index.size, tau.size)[0]
+        assert 2 <= tau[tile].size < tau.size
         workspace = np.full(_WORKSPACE_ROWS * PAIR_POINTS_PER_CHUNK, np.nan)
-        factors = _pair_kernel_factors(tuple(part[chunk] for part in spectra), tau, workspace)
-        for k in range(e0.shape[0]):
-            alone = _pair_kernel_factors(tuple(part[k : k + 1] for part in spectra), tau)
-            assert factors[k].tobytes() == alone[0].tobytes()
+        factors = _pair_kernel_factors(spectra, tau[tile], workspace)
+        for k in range(index.size):
+            alone = (e0[index[k : k + 1]], np.zeros(1, dtype=int), e1[k : k + 1], gram[k : k + 1])
+            assert factors[k].tobytes() == _pair_kernel_factors(alone, tau[tile])[0].tobytes()
 
     def test_chunked_factors_match_full_hilbert_oracle(self):
-        # 15 pairs, one batch, whose kernel runs in chunks of 4, 4, 4 and 3
-        # pairs, under a transverse field so that no branch Hamiltonian is
-        # block-diagonal
+        # 15 pairs, one batch, whose kernel runs on tiles of 1092, 1092, 1092
+        # and 820 points, under a transverse field so that no branch
+        # Hamiltonian is block-diagonal
         bath = make_tiny_bath(6, seed=7, spread_nm=1.2)
         field = FieldVector.from_sequence((4.0, -3.0, 8.0))
         tau = np.linspace(0.0, 1.0, PAIR_POINTS_PER_CHUNK // 4)
         [(bi, bj, bb)] = _pair_batches(bath)
-        chunks = _kernel_chunks(bb.size, tau.size)
-        assert [bb[c].size for c in chunks] == [4, 4, 4, 3]
+        tiles = _time_tiles(bb.size, tau.size)
+        assert [tau[tile].size for tile in tiles] == [1092, 1092, 1092, 820]
 
         # one spectra call for the batch, one workspace reused for every
-        # chunk, as a trace's pool worker does
+        # tile, as a trace's pool worker does
         workspace = np.full(_WORKSPACE_ROWS * PAIR_POINTS_PER_CHUNK, np.nan)
         h1 = np.array([effective_field(field, s.hyperfine) for s in bath.spins])
         spins = [(np.asarray(s.position), np.asarray(s.hyperfine)) for s in bath.spins]
         spectra = _pair_spectra(h1[bi], h1[bj], bb, field.as_array())
         err = 0.0
-        for chunk in chunks:
-            factors = _pair_kernel_factors(
-                tuple(part[chunk] for part in spectra), tau, workspace
-            )
+        for tile in tiles:
+            factors = _pair_kernel_factors(spectra, tau[tile], workspace)
             assert np.shares_memory(factors, workspace)
-            for i, j, row in zip(bi[chunk], bj[chunk], factors):
+            for i, j, row in zip(bi, bj, factors):
                 coupling = {(0, 1): bath.pair_couplings[(i, j)]}
-                for k in range(0, tau.size, 97):
-                    want = exact_echo(
-                        [spins[i], spins[j]], coupling, field.as_array(), 2.0 * tau[k], GAMMA
-                    )
-                    err = max(err, abs(row[k] - want))
+                for k in range(tile.start, tile.stop):
+                    if k % 97 == 0:
+                        want = exact_echo(
+                            [spins[i], spins[j]], coupling, field.as_array(), 2.0 * tau[k],
+                            GAMMA,
+                        )
+                        err = max(err, abs(row[k - tile.start] - want))
         assert err < 1e-10
 
-    # the benchmark's three trace fields, on every 20th kernel chunk of a
+    # the benchmark's three trace fields, on every 20th kernel tile of a
     # full bath's batches
     BENCHMARK_FIELDS = pytest.mark.parametrize(
         "abundance,field,t_max,n_points",
@@ -336,24 +341,28 @@ class TestPairKernelChunks:
 
     @staticmethod
     def _error_against(oracle, full_sites, abundance, field, t_max, n_points) -> float:
-        """Largest |kernel - oracle| over every 20th chunk; the kernel runs on
+        """Largest |kernel - oracle| over every 20th tile; the kernel runs on
         its batch's spectra, the oracle on the M-product spectra of the
-        chunk's own eigendecompositions."""
+        batch's own eigendecompositions."""
         bath = sample_bath(full_sites, LatticeConfig(abundance=abundance, seed=0))
         field = FieldVector.from_sequence(field)
         tau = EchoSchedule.for_field(field.magnitude, t_max).t_grid
         assert tau.size == n_points
         h1 = effective_field(field, bath.hyperfine)
-        err, n_chunks = 0.0, 0
+        err, n_tiles = 0.0, 0
         for bi, bj, bb in _pair_batches(bath):
             spectra = _pair_spectra(h1[bi], h1[bj], bb, field.as_array())
-            for chunk in _kernel_chunks(bb.size, tau.size):
-                if n_chunks % 20 == 0:
-                    got = _pair_kernel_factors(tuple(part[chunk] for part in spectra), tau)
-                    args = (h1[bi[chunk]], h1[bj[chunk]], bb[chunk], field.as_array())
-                    want = oracle(pair_spectra_m_kernel(*args), tau)
+            oracle_spectra = None
+            for tile in _time_tiles(bb.size, tau.size):
+                if n_tiles % 20 == 0:
+                    if oracle_spectra is None:
+                        oracle_spectra = pair_spectra_m_kernel(
+                            h1[bi], h1[bj], bb, field.as_array()
+                        )
+                    got = _pair_kernel_factors(spectra, tau[tile])
+                    want = oracle(oracle_spectra, tau[tile])
                     err = max(err, np.max(np.abs(got - want)))
-                n_chunks += 1
+                n_tiles += 1
         return err
 
     @BENCHMARK_FIELDS
@@ -458,12 +467,15 @@ class TestEchoCoherenceTrace:
             single_spin_echo_factor(h0, effective_field(field, s.hyperfine), 2.0 * sched.t_grid)
             for s in bath.spins
         ]
-        want = sum(
-            int(np.sum(np.abs(singles[i] * singles[j]) <= PAIR_RATIO_FLOOR))
-            for i, j in bath.pair_couplings
+        per_point = sum(
+            np.abs(singles[i] * singles[j]) <= PAIR_RATIO_FLOOR for i, j in bath.pair_couplings
         )
-        assert want > 0
-        assert trace.metadata["diagnostics"]["pair_points_dropped"] == want
+        assert np.sum(per_point) > 0
+        assert trace.metadata["diagnostics"]["pair_points_dropped"] == np.sum(per_point)
+        # a one-point grid runs on two copies of its point and counts it once
+        k = int(np.argmax(per_point))
+        one_point = echo_coherence_trace(bath, field, EchoSchedule(sched.t_grid[k : k + 1]))
+        assert one_point.metadata["diagnostics"]["pair_points_dropped"] == per_point[k] > 0
 
     def test_counts_undersampled_spins(self, full_sites):
         # at 1 G the grid resolves the bare Larmor period, but the m = +1
@@ -552,9 +564,9 @@ class TestEchoCoherenceTrace:
 
     # Each point's pair sum adds the pairs' log ratios in pair order, row by
     # row, so a point's value depends on its own time alone: not on the
-    # other points of the grid, nor on how many pairs a kernel chunk holds
-    # (PAIR_POINTS_PER_CHUNK // T, 57 pairs on the full grid, 84 on the
-    # sub-grid).
+    # other points of the grid, nor on how the grid is cut into tiles
+    # (PAIR_POINTS_PER_CHUNK // 256, 64 points per tile on the full grid and
+    # on [5:200], two copies of the one point on [7:8] and [100:101]).
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_sub_grid_trace_equals_the_full_trace_bit_for_bit(
         self, small_sites, monkeypatch, threads
@@ -565,19 +577,51 @@ class TestEchoCoherenceTrace:
         grid = EchoSchedule.for_field(10.0, t_max_ms=0.55).t_grid
         assert grid.size == 284
         full = echo_coherence_trace(bath, field, EchoSchedule(grid))
-        sub = echo_coherence_trace(bath, field, EchoSchedule(grid[5:200]))
-        assert sub.values.tobytes() == full.values[5:200].tobytes()
+        for lo, hi in ((5, 200), (7, 8), (100, 101)):
+            sub = echo_coherence_trace(bath, field, EchoSchedule(grid[lo:hi]))
+            assert sub.values.tobytes() == full.values[lo:hi].tobytes(), (lo, hi)
 
     def test_chunk_size_does_not_change_the_trace(self, small_sites, monkeypatch):
         bath = sample_bath(small_sites, LatticeConfig(seed=2, abundance=0.1))
         field = FieldVector.along_z(10.0)
         sched = EchoSchedule.for_field(10.0, t_max_ms=0.55)
         want = echo_coherence_trace(bath, field, sched)
-        for pair_points in (4096, 32768):
+        # 3 * PAIRS_PER_BATCH, the smallest constant the tiles allow, gives
+        # a full batch tiles of three points and a last one of two; at
+        # 283 * PAIRS_PER_BATCH, tiles of 283 points would leave the 284th
+        # alone, so they hold 282 and the last tile two
+        for pair_points in (3 * PAIRS_PER_BATCH, 4096, 32768, 283 * PAIRS_PER_BATCH):
             monkeypatch.setattr(decoherence, "PAIR_POINTS_PER_CHUNK", pair_points)
+            widths = [tile.stop - tile.start for tile in _time_tiles(PAIRS_PER_BATCH, 284)]
+            assert min(widths) >= 2 and max(widths) * PAIRS_PER_BATCH <= pair_points
             got = echo_coherence_trace(bath, field, sched)
             assert got.values.tobytes() == want.values.tobytes()
             assert got.metadata == want.metadata
+
+    @pytest.mark.parametrize("n_points", [1, 2, 284, 20001])
+    def test_workspace_is_the_chunk_budget_on_every_grid(self, monkeypatch, n_points):
+        # every kernel call gets a worker's one workspace of _WORKSPACE_ROWS
+        # doubles per pair-point of the chunk budget, and its whole batch on
+        # a tile of two or more points that fits that budget, also on a
+        # grid longer than PAIR_POINTS_PER_CHUNK
+        calls = []
+        kernel = decoherence._pair_kernel_factors
+
+        def spy(spectra, tau, workspace):
+            calls.append((spectra[1].size, tau.size, workspace.size))
+            return kernel(spectra, tau, workspace)
+
+        monkeypatch.setattr(decoherence, "_pair_kernel_factors", spy)
+        bath = make_tiny_bath(6, seed=7, spread_nm=1.2)
+        schedule = EchoSchedule(np.arange(n_points) * 1e-4)
+        echo_coherence_trace(bath, FieldVector.along_z(1.0), schedule)
+        n_pairs = len(bath.pair_couplings)
+        assert {(n, size) for n, _, size in calls} == {
+            (n_pairs, _WORKSPACE_ROWS * PAIR_POINTS_PER_CHUNK)
+        }
+        widths = [width for _, width, _ in calls]
+        assert sum(widths) == max(n_points, 2)
+        assert min(widths) >= 2 and max(widths) * n_pairs <= PAIR_POINTS_PER_CHUNK
 
     # Relabelling the spins is a symmetry of the model: only the order of the
     # trace's sums, and the left/right order of some pairs, moves.  Each bound
@@ -636,7 +680,7 @@ class TestEchoCoherenceTrace:
     def test_peak_allocation_is_bounded_on_a_long_grid(self, monkeypatch):
         # 349 pairs on 2828 points on two worker threads: the peak is the
         # (N, T) single-spin table plus, per worker, a 3.25 MiB workspace,
-        # a batch's spectra and one chunk's fold temporaries; 16 complex
+        # a batch's spectra and one tile's fold temporaries; 16 complex
         # amplitudes per pair-point for a few hundred pairs (over 100 MB)
         # would exceed it
         monkeypatch.setenv("NVMAG_THREADS", "2")
@@ -808,6 +852,22 @@ class TestCoherenceTrace:
         path = tmp_path / "bad.csv"
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(ConfigError):
+            CoherenceTrace.load_csv(path)
+
+    def test_load_refuses_a_file_without_its_header(self, tmp_path):
+        # skipping the first line whatever it holds would drop the tau = 0 row
+        path = tmp_path / "headless.csv"
+        analytic_trace(EchoSchedule.regular(1.0, 0.01), 0.2, 1.0).save_csv(path)
+        path.write_text(path.read_text().split("\n", 1)[1])
+        with pytest.raises(ConfigError, match="headless.csv.*t_ms,L"):
+            CoherenceTrace.load_csv(path)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("text", ["t_ms,L\n", "t_ms,L\n\n  \n"])
+    def test_load_refuses_a_file_with_no_rows(self, tmp_path, text):
+        path = tmp_path / "empty.csv"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match="empty.csv holds no rows"):
             CoherenceTrace.load_csv(path)
 
 

@@ -243,11 +243,20 @@ class TestExtractTR:
 DOUBLED_BATHS = (19, 91, 102, 128, 131, 136, 156, 176)
 
 
-def _dilute_2g_trace(sites, seed):
-    """Criterion 1's 2 G trace: a 0.3% bath over 6.2 revival periods."""
+# At 50 and 100 G, under the same protocol, extract_TR reads 0.17-0.43 of
+# the revival period on these baths, also without a flag (ROADMAP item 6):
+# invert would report 2-6 times the field
+SHORT_BATHS = {50.0: (17, 18, 19, 33), 100.0: (19, 37)}
+
+
+def _dilute_trace(sites, seed, field_g=2.0):
+    """Criterion 1's 2 G trace: a 0.3% bath over 6.2 revival periods, the
+    CLI's automatic window, here at ``field_g``."""
     bath = sample_bath(sites, LatticeConfig(seed=seed, abundance=0.003))
-    schedule = EchoSchedule.for_field(2.0, t_max_ms=6.2 / (GAMMA_N_13C_KHZ_PER_G * 2.0))
-    return echo_coherence_trace(bath, FieldVector.along_z(2.0), schedule)
+    schedule = EchoSchedule.for_field(
+        field_g, t_max_ms=6.2 / (GAMMA_N_13C_KHZ_PER_G * field_g)
+    )
+    return echo_coherence_trace(bath, FieldVector.along_z(field_g), schedule)
 
 
 def _peak_train_corpus():
@@ -301,7 +310,7 @@ def _peak_train_corpus():
             [p.height for p in find_revival_peaks(trace)], t_revival / 48.0)
     sites = generate_lattice_sites(LatticeConfig())
     for seed in DOUBLED_BATHS:
-        trace = _dilute_2g_trace(sites, seed)
+        trace = _dilute_trace(sites, seed)
         peaks = find_revival_peaks(trace)
         add(f"2 G bath {seed}", [p.time for p in peaks], [p.height for p in peaks],
             float(np.median(np.diff(trace.t_grid))))
@@ -346,8 +355,20 @@ class TestCombSearchMatchesLoop:
     for seed in DOUBLED_BATHS
 ])
 def test_dilute_2g_bath_reads_the_revival_period(full_sites, seed):
-    t_r = extract_timescales(_dilute_2g_trace(full_sites, seed)).T_R
+    t_r = extract_timescales(_dilute_trace(full_sites, seed)).T_R
     assert abs(t_r * GAMMA_N_13C_KHZ_PER_G * 2.0 - 1.0) <= 0.05
+
+
+@pytest.mark.parametrize("field_g,seed", [(50.0, 0), (100.0, 0)] + [
+    pytest.param(field_g, seed, marks=pytest.mark.xfail(
+        strict=True, reason="ROADMAP item 6: T_R reads a fraction of the revival period"))
+    for field_g, seeds in SHORT_BATHS.items() for seed in seeds
+])
+def test_dilute_bath_at_high_field_reads_the_revival_period(full_sites, field_g, seed):
+    trace = _dilute_trace(full_sites, seed, field_g)
+    assert trace.t_grid.size == 299
+    t_r = extract_timescales(trace).T_R
+    assert abs(t_r * GAMMA_N_13C_KHZ_PER_G * field_g - 1.0) <= 0.05
 
 
 class TestSnapToComb:
