@@ -88,19 +88,16 @@ PAIR_RATIO_FLOOR = 1e-4
 
 _LOG_FLOOR = 1e-300
 
-# Spins per row block in which a trace fills its (N, T) single-spin table
-# in place, so that no full-size temporary is ever live next to it.
-SINGLE_ROWS_PER_BLOCK = 32
-
-# Pairs per batch, the unit of a trace's pool work: one pair-spectra call
-# each.  A spectra call has a fixed cost of about 0.1 ms, which small
-# batches pay over and over.  The batch size must not depend on the worker
-# count, or the order of the trace's sums, and so its rounding, would.
+# Pairs per batch: one pair-spectra call each.  A spectra call has a fixed
+# cost of about 0.1 ms, which small batches pay over and over.  The batch
+# size must not depend on the worker count, or the order of the trace's
+# sums, and so its rounding, would.
 PAIRS_PER_BATCH = 256
 
 # Pair-points (pairs x grid points) per pair-kernel call: a batch's pairs
-# over one tile of the grid (_time_tiles).  At least 3 * PAIRS_PER_BATCH,
-# so that every tile holds two points or more.
+# over one time tile of PAIR_POINTS_PER_CHUNK // PAIRS_PER_BATCH points
+# (_time_tiles).  At least 3 * PAIRS_PER_BATCH, so that every tile holds
+# two points or more.
 PAIR_POINTS_PER_CHUNK = 16384
 
 # Doubles per pair-point in the pair kernel's workspace, laid out level-major
@@ -108,7 +105,7 @@ PAIR_POINTS_PER_CHUNK = 16384
 # tangents, then feature temporaries), 8 of the per-level cosines and sines,
 # 7 of one branch's cosine features (the first all ones), 7 of G f0.
 # Each pool worker allocates one workspace per trace and reuses it for
-# every tile of every batch it folds: buffers allocated afresh are
+# every batch of every tile it folds: buffers allocated afresh are
 # mapped and page-faulted anew, the more so from several threads' malloc
 # arenas at once.
 _WORKSPACE_ROWS = 26
@@ -300,9 +297,9 @@ def single_spin_echo_factor(h0_g, h1_g, t_ms):
         L = 1 - 2 |n0 x n1|^2 sin^2(w0 t / 4) sin^2(w1 t / 4),
 
     with w_m = 2 pi gamma_n |h_m| the angular precession rates and n_m the
-    field unit vectors.  Is row 0 of the trace engine's single-spin table
-    (:func:`_single_tables`) at branch duration t/2.  Accepts scalar or
-    array ``t_ms``.
+    field unit vectors.  Is the trace engine's single-spin table
+    (:func:`_single_tables`) of this one spin at branch duration t/2.
+    Accepts scalar or array ``t_ms``.
     """
     h0 = np.array(finite_vector(h0_g, "h0_g"))
     h1 = np.array([finite_vector(h1_g, "h1_g")])
@@ -324,32 +321,29 @@ def pair_echo_factor(
     (each branch's Zeeman terms plus the shared Ising + flip-flop coupling),
     contracted against the maximally mixed pair state.  Runs the trace
     engine's pair kernel (:func:`_pair_kernel_factors`) on their one-pair
-    bath at branch duration t/2.  Accepts scalar or array ``t_ms``.
+    bath at branch duration t/2.  Accepts scalar or array ``t_ms``.  A
+    single time runs on two copies of itself, as a one-point trace grid
+    does, so that it has the bits it has inside any longer array.
     """
     pair = BathRealization([spin_i, spin_j], {(0, 1): b_ij_khz})
     h1 = effective_field(field, pair.hyperfine)
     spectra = _pair_spectra(h1[:1], h1[1:], pair.pair_b, field.as_array())
     t = finite_array(t_ms, "t_ms")
-    out = _pair_kernel_factors(spectra, 0.5 * t.reshape(-1))[0]
+    copies = 2 if t.size == 1 else 1  # numpy multiplies a single column along another path
+    out = _pair_kernel_factors(spectra, np.repeat(0.5 * t.reshape(-1), copies))[0][::copies]
     return float(out[0]) if t.ndim == 0 else out.reshape(t.shape)
-
-
-def _clamped_log(x: np.ndarray) -> np.ndarray:
-    """log(max(|x|, :data:`_LOG_FLOOR`)): the log magnitudes a trace sums."""
-    return np.log(np.maximum(np.abs(x), _LOG_FLOOR))
 
 
 def _single_tables(h0: np.ndarray, h1: np.ndarray, tau: np.ndarray) -> tuple:
     """(N, T) single-spin factors at branch duration tau (total time 2 tau)
     of the spins with m = +1 fields ``h1`` (N, 3) under the m = 0 field
-    ``h0`` (3,), and per grid point the sum of their clamped logs
-    (:func:`_clamped_log`) and the count of negative factors.
+    ``h0`` (3,), and per grid point the sum of their log magnitudes,
+    log(max(|L|, :data:`_LOG_FLOOR`)), and the count of negative factors.
 
-    |h1|, |n0 x n1|^2 and the m = 0 sin^2 row are taken once; the table is
-    filled :data:`SINGLE_ROWS_PER_BLOCK` spins at a time, so only
-    block-sized temporaries are live next to it.  The log sum adds one row
-    at a time in spin order from zeros, as summing a full log table down
-    its first axis does, so it has that sum's bits.
+    A trace calls it on one time tile (:func:`_time_tiles`) at a time; the
+    table and its logs are built in place in two (N, T) buffers.  On two or
+    more points numpy sums the logs row after row in spin order, so each
+    point's sum has the same bits on any tile.
     """
     b0 = float(np.linalg.norm(h0))
     b1 = np.linalg.norm(h1, axis=1)  # (N,)
@@ -359,18 +353,12 @@ def _single_tables(h0: np.ndarray, h1: np.ndarray, tau: np.ndarray) -> tuple:
     k = np.where((b1 > 0) & (b0 > 0), k, 0.0)  # non-precessing branch: closed echo
     s0sq = np.sin(np.pi * GAMMA_N_13C_KHZ_PER_G * b0 * tau) ** 2  # (T,)
 
-    singles = np.empty((h1.shape[0], tau.size))
-    log_total = np.zeros(tau.size)
-    neg_count = np.zeros(tau.size, dtype=int)
-    for lo in range(0, h1.shape[0], SINGLE_ROWS_PER_BLOCK):
-        rows = slice(lo, lo + SINGLE_ROWS_PER_BLOCK)
-        s1sq = np.sin(np.pi * GAMMA_N_13C_KHZ_PER_G * b1[rows, None] * tau[None, :]) ** 2
-        block = singles[rows]
-        block[...] = 1.0 - 2.0 * k[rows, None] * s0sq[None, :] * s1sq
-        for row in _clamped_log(block):
-            log_total += row
-        neg_count += np.sum(block < 0.0, axis=0)
-    return singles, log_total, neg_count
+    s1sq = np.multiply((np.pi * GAMMA_N_13C_KHZ_PER_G * b1)[:, None], tau)
+    np.square(np.sin(s1sq, out=s1sq), out=s1sq)
+    singles = np.multiply((2.0 * k)[:, None], s0sq)
+    np.subtract(1.0, np.multiply(singles, s1sq, out=singles), out=singles)  # 1 - 2 k s0^2 s1^2
+    logs = np.log(np.maximum(np.abs(singles, out=s1sq), _LOG_FLOOR, out=s1sq), out=s1sq)
+    return singles, np.sum(logs, axis=0), np.count_nonzero(singles < 0.0, axis=0)
 
 
 def _batched_pair_hamiltonians(
@@ -561,14 +549,15 @@ def _pair_batches(bath: BathRealization) -> list:
     return [tuple(part[lo : lo + PAIRS_PER_BATCH] for part in table) for lo in starts]
 
 
-def _time_tiles(n_pairs: int, n_t: int) -> list[slice]:
-    """Slices of an ``n_t``-point grid, one per pair-kernel call on ``n_pairs`` pairs.
+def _time_tiles(n_t: int) -> list[slice]:
+    """Slices of an ``n_t``-point grid, the trace's units of pool work.
 
-    Each holds :data:`PAIR_POINTS_PER_CHUNK` // ``n_pairs`` points, the
-    chunk budget, less one where the last tile, which takes the remainder,
-    would otherwise hold a single point.
+    Each holds :data:`PAIR_POINTS_PER_CHUNK` // :data:`PAIRS_PER_BATCH`
+    points, so that a full batch's kernel call fits the chunk budget, less
+    one where the last tile, which takes the remainder, would otherwise
+    hold a single point.
     """
-    width = PAIR_POINTS_PER_CHUNK // n_pairs
+    width = PAIR_POINTS_PER_CHUNK // PAIRS_PER_BATCH
     if n_t % width == 1:
         width -= 1
     starts = list(range(0, n_t - 1, width))
@@ -576,7 +565,7 @@ def _time_tiles(n_pairs: int, n_t: int) -> list[slice]:
 
 
 def _pool_size(n_tasks: int) -> int:
-    """Worker threads for ``n_tasks`` batches: NVMAG_THREADS, else the core count."""
+    """Worker threads for ``n_tasks`` tasks: NVMAG_THREADS, else the core count."""
     env = os.environ.get("NVMAG_THREADS", "").strip()
     if env:
         try:
@@ -606,23 +595,22 @@ def echo_coherence_trace(
     Pairs are processed in batches of :data:`PAIRS_PER_BATCH` pairs of the
     bath's pair table in (coupling, i, j) order (:func:`_pair_batches`), on
     a pool of ``NVMAG_THREADS`` worker threads (default: one per core, never
-    more than there are batches).  A worker runs :func:`_pair_spectra` once
-    for its whole batch, then the pair kernel on the whole batch tile by
-    tile of the grid (:func:`_time_tiles`, at most
-    :data:`PAIR_POINTS_PER_CHUNK` pair-points each).  Per pair-point it
-    takes one log, of max(|L_ij|, floor) / |L_i L_j|, where the correction
-    is kept, and each tile's column sums add the batch's pairs one after
-    another.  The calling thread adds the batch partials in batch order.  A
-    grid of one point runs on two copies of its point, so that no tile
-    holds a single point.  The batch size depends neither on the worker
-    count nor on the grid, so the trace at each time is bit-identical at
-    every thread count and chunk size, and on any sub-grid.  Memory is one
-    (N, T) table, the single-spin factors, built in place
-    (:func:`_single_tables`), plus, per worker, one workspace of
-    :data:`_WORKSPACE_ROWS` doubles per pair-point of a kernel call (3.25
-    MiB per worker on any grid), its batch's spectra (at most 57 doubles
-    per pair) and one tile's few fold temporaries: |L_i L_j|, the log
-    ratios and two masks.
+    more than there are tasks).  The pool runs :func:`_pair_spectra` once
+    per batch, and the trace holds the spectra; then it folds one time
+    tile at a time (:func:`_time_tiles`, 64 points).  A tile's fold builds
+    its single-spin factors and their log sum (:func:`_single_tables`),
+    then runs the pair kernel on each batch in batch order.  Per
+    pair-point it takes one log, of max(|L_ij|, floor) / |L_i L_j|, where
+    the correction is kept, and adds each batch's column sums, the pairs
+    one after another, to the tile's sums.  A grid of one point runs on two
+    copies of its point, so that no tile holds a single point.  Neither
+    batches nor tiles depend on the worker count, and a point's sums do
+    not depend on the tiling, so the trace at each time is bit-identical at
+    every thread count and chunk size, and on any sub-grid.  Memory does
+    not grow with the grid: the held spectra (at most 57 doubles per pair)
+    plus, per worker, one workspace of :data:`_WORKSPACE_ROWS` doubles per
+    pair-point of a kernel call (3.25 MiB), one N x 64 tile of single-spin
+    factors with its logs, and one batch's few fold temporaries.
 
     ``metadata["diagnostics"]`` counts how hard the model was pushed:
 
@@ -639,46 +627,47 @@ def echo_coherence_trace(
     copies = 2 if grid.size == 1 else 1  # so that no tile holds a single point
     tau = np.repeat(grid, copies)
     batches = _pair_batches(bath)
-    n_workers = _pool_size(len(batches))
+    tiles = _time_tiles(tau.size)
+    n_workers = _pool_size(max(len(batches), len(tiles)))
 
     h1 = effective_field(field, bath.hyperfine)  # (N, 3)
-    undersampled = dropped = 0
+    undersampled = 0
     if grid.size > 1:
         nyquist = 0.5 / float(np.max(np.diff(grid)))
         rates = GAMMA_N_13C_KHZ_PER_G * np.linalg.norm(h1, axis=1)
         undersampled = int(np.count_nonzero(rates > nyquist))
-    singles, log_total, neg_parity = _single_tables(field_arr, h1, tau)
     workspaces = threading.local()
 
-    def fold(batch):
+    def solve(batch):
         bi, bj, bb = batch
+        return _pair_spectra(h1[bi], h1[bj], bb, field_arr)
+
+    def fold(tile):
         workspace = getattr(workspaces, "buffer", None)
         if workspace is None:
             workspace = workspaces.buffer = np.empty(_WORKSPACE_ROWS * PAIR_POINTS_PER_CHUNK)
-        spectra = _pair_spectra(h1[bi], h1[bj], bb, field_arr)
-        log_part = np.empty_like(tau)
-        neg_part = np.empty(tau.size, dtype=int)
+        points = tau[tile]
+        singles, log_sum, neg_count = _single_tables(field_arr, h1, points)
         n_dropped = 0
-        for tile in _time_tiles(bb.size, tau.size):
-            factors = _pair_kernel_factors(spectra, tau[tile], workspace)
-            denom = singles[bi, tile] * singles[bj, tile]
+        for (bi, bj, _), batch_spectra in zip(batches, spectra):
+            factors = _pair_kernel_factors(batch_spectra, points, workspace)
+            denom = singles[bi] * singles[bj]
             ratio_neg = (factors < 0.0) ^ (denom < 0.0)
             abs_denom = np.abs(denom, out=denom)
             keep = abs_denom > PAIR_RATIO_FLOOR
             n_dropped += keep.size - int(np.count_nonzero(keep))
-            neg_part[tile] = np.sum(keep & ratio_neg, axis=0)
+            neg_count += np.sum(keep & ratio_neg, axis=0)
             abs_factors = np.maximum(np.abs(factors, out=factors), _LOG_FLOOR, out=factors)
             log_ratio = np.zeros_like(denom)
             np.divide(abs_factors, abs_denom, out=log_ratio, where=keep)
             np.log(log_ratio, out=log_ratio, where=keep)
-            log_part[tile] = np.sum(log_ratio, axis=0)  # the rows in pair order
-        return log_part, neg_part, n_dropped
+            log_sum += np.sum(log_ratio, axis=0)  # the rows in pair order
+        return log_sum, neg_count, n_dropped
 
     with ThreadPoolExecutor(max_workers=n_workers) as pool:
-        for log_part, neg_part, n_dropped in pool.map(fold, batches):
-            log_total += log_part
-            neg_parity += neg_part
-            dropped += n_dropped
+        spectra = list(pool.map(solve, batches))
+        log_sums, neg_counts, n_dropped = zip(*pool.map(fold, tiles))
+    log_total, neg_parity = np.concatenate(log_sums), np.concatenate(neg_counts)
 
     values = (np.where(neg_parity % 2 == 1, -1.0, 1.0) * np.exp(log_total))[::copies]
 
@@ -691,7 +680,7 @@ def echo_coherence_trace(
         "n_spins": len(bath),
         "n_pairs": len(bath.pair_b),
         "diagnostics": {
-            "pair_points_dropped": dropped // copies,
+            "pair_points_dropped": sum(n_dropped) // copies,
             "undersampled_spins": undersampled,
         },
     }

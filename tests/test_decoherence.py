@@ -236,6 +236,29 @@ class TestPairFactor:
             assert np.max(np.abs(got - li * lj)) <= bound
 
 
+class TestScalarTime:
+    # A factor at one time must have the bits of the same time inside an
+    # array: the pair kernel runs a single time on two copies of its point,
+    # as a one-point trace grid does, since numpy multiplies a single column
+    # along another path.  The single-spin table is elementwise.
+    def test_scalar_equals_its_point_of_an_array_call(self):
+        rng = np.random.default_rng(3)
+        for _ in range(60):
+            spin_i, spin_j = (
+                NuclearSpin(tuple(rng.normal(0.0, 0.5, 3)), tuple(rng.normal(0.0, 20.0, 3)))
+                for _ in range(2)
+            )
+            b_ij = float(rng.normal(0.0, 2.0))
+            field = FieldVector.from_sequence(rng.normal(0.0, 30.0, 3))
+            h0, h1 = field.as_array(), effective_field(field, spin_i.hyperfine)
+            t = rng.uniform(0.0, 2.0, 7)
+            pairs = pair_echo_factor(spin_i, spin_j, b_ij, field, t)
+            singles = single_spin_echo_factor(h0, h1, t)
+            for k in range(t.size):
+                assert pair_echo_factor(spin_i, spin_j, b_ij, field, t[k]) == pairs[k]
+                assert single_spin_echo_factor(h0, h1, t[k]) == singles[k]
+
+
 class TestPairKernelChunks:
     def test_batches_cover_the_sorted_pairs_in_order(self, small_sites):
         # the pairs in (coupling, i, j) order, so that equal couplings,
@@ -291,7 +314,7 @@ class TestPairKernelChunks:
         )
         e0, index, e1, gram = spectra
         tau = EchoSchedule.for_field(field.magnitude, t_max_ms=0.3).t_grid
-        tile = _time_tiles(index.size, tau.size)[0]
+        tile = _time_tiles(tau.size)[0]
         assert 2 <= tau[tile].size < tau.size
         workspace = np.full(_WORKSPACE_ROWS * PAIR_POINTS_PER_CHUNK, np.nan)
         factors = _pair_kernel_factors(spectra, tau[tile], workspace)
@@ -300,15 +323,15 @@ class TestPairKernelChunks:
             assert factors[k].tobytes() == _pair_kernel_factors(alone, tau[tile])[0].tobytes()
 
     def test_chunked_factors_match_full_hilbert_oracle(self):
-        # 15 pairs, one batch, whose kernel runs on tiles of 1092, 1092, 1092
-        # and 820 points, under a transverse field so that no branch
-        # Hamiltonian is block-diagonal
+        # 15 pairs, one batch, whose kernel runs on 64 tiles of 64 points,
+        # under a transverse field so that no branch Hamiltonian is
+        # block-diagonal
         bath = make_tiny_bath(6, seed=7, spread_nm=1.2)
         field = FieldVector.from_sequence((4.0, -3.0, 8.0))
         tau = np.linspace(0.0, 1.0, PAIR_POINTS_PER_CHUNK // 4)
         [(bi, bj, bb)] = _pair_batches(bath)
-        tiles = _time_tiles(bb.size, tau.size)
-        assert [tau[tile].size for tile in tiles] == [1092, 1092, 1092, 820]
+        tiles = _time_tiles(tau.size)
+        assert [tau[tile].size for tile in tiles] == [64] * 64
 
         # one spectra call for the batch, one workspace reused for every
         # tile, as a trace's pool worker does
@@ -353,7 +376,7 @@ class TestPairKernelChunks:
         for bi, bj, bb in _pair_batches(bath):
             spectra = _pair_spectra(h1[bi], h1[bj], bb, field.as_array())
             oracle_spectra = None
-            for tile in _time_tiles(bb.size, tau.size):
+            for tile in _time_tiles(tau.size):
                 if n_tiles % 20 == 0:
                     if oracle_spectra is None:
                         oracle_spectra = pair_spectra_m_kernel(
@@ -542,25 +565,32 @@ class TestEchoCoherenceTrace:
 
     @FOLD_WARNINGS_AS_ERRORS
     def test_thread_count_does_not_change_the_trace(self, small_sites, monkeypatch):
-        # several batches on more threads than cores, switching threads as
-        # often as the interpreter allows: partial sums must still be added
-        # in batch order, and no worker may write into another's workspace
-        bath = sample_bath(small_sites, LatticeConfig(seed=2, abundance=0.1))
-        assert len(_pair_batches(bath)) >= 4
-        field = FieldVector.along_z(50.0)
-        sched = EchoSchedule.for_field(50.0, t_max_ms=0.1)
-        monkeypatch.setenv("NVMAG_THREADS", "1")
-        serial = echo_coherence_trace(bath, field, sched)
-        monkeypatch.setenv("NVMAG_THREADS", "4")
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threaded = echo_coherence_trace(bath, field, sched)
-        finally:
-            sys.setswitchinterval(interval)
-        assert np.array_equal(threaded.values, serial.values)
-        assert threaded.metadata["diagnostics"] == serial.metadata["diagnostics"]
-        assert serial.metadata["diagnostics"]["pair_points_dropped"] > 0
+        # several batches, and one batch on eight tiles or more, on more
+        # threads than cores, switching threads as often as the interpreter
+        # allows: each tile must still add its batches in batch order, and
+        # no worker may write into another's workspace
+        several = sample_bath(small_sites, LatticeConfig(seed=2, abundance=0.1))
+        assert len(_pair_batches(several)) >= 4
+        one_batch = make_tiny_bath(6, seed=7, spread_nm=1.2)
+        assert len(_pair_batches(one_batch)) == 1
+        long_grid = EchoSchedule(np.linspace(0.0, 1.0, 600))
+        assert len(_time_tiles(long_grid.t_grid.size)) >= 8
+        for bath, field, sched in [
+            (several, FieldVector.along_z(50.0), EchoSchedule.for_field(50.0, t_max_ms=0.1)),
+            (one_batch, FieldVector.from_sequence((4.0, -3.0, 8.0)), long_grid),
+        ]:
+            monkeypatch.setenv("NVMAG_THREADS", "1")
+            serial = echo_coherence_trace(bath, field, sched)
+            monkeypatch.setenv("NVMAG_THREADS", "4")
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                threaded = echo_coherence_trace(bath, field, sched)
+            finally:
+                sys.setswitchinterval(interval)
+            assert threaded.values.tobytes() == serial.values.tobytes()
+            assert threaded.metadata["diagnostics"] == serial.metadata["diagnostics"]
+            assert serial.metadata["diagnostics"]["pair_points_dropped"] > 0
 
     # Each point's pair sum adds the pairs' log ratios in pair order, row by
     # row, so a point's value depends on its own time alone: not on the
@@ -592,7 +622,7 @@ class TestEchoCoherenceTrace:
         # alone, so they hold 282 and the last tile two
         for pair_points in (3 * PAIRS_PER_BATCH, 4096, 32768, 283 * PAIRS_PER_BATCH):
             monkeypatch.setattr(decoherence, "PAIR_POINTS_PER_CHUNK", pair_points)
-            widths = [tile.stop - tile.start for tile in _time_tiles(PAIRS_PER_BATCH, 284)]
+            widths = [tile.stop - tile.start for tile in _time_tiles(284)]
             assert min(widths) >= 2 and max(widths) * PAIRS_PER_BATCH <= pair_points
             got = echo_coherence_trace(bath, field, sched)
             assert got.values.tobytes() == want.values.tobytes()
@@ -679,10 +709,10 @@ class TestEchoCoherenceTrace:
 
     def test_peak_allocation_is_bounded_on_a_long_grid(self, monkeypatch):
         # 349 pairs on 2828 points on two worker threads: the peak is the
-        # (N, T) single-spin table plus, per worker, a 3.25 MiB workspace,
-        # a batch's spectra and one tile's fold temporaries; 16 complex
-        # amplitudes per pair-point for a few hundred pairs (over 100 MB)
-        # would exceed it
+        # held spectra plus, per worker, a 3.25 MiB workspace, an N x 64
+        # tile of single-spin factors and one batch's fold temporaries;
+        # 16 complex amplitudes per pair-point for a few hundred pairs
+        # (over 100 MB) would exceed it
         monkeypatch.setenv("NVMAG_THREADS", "2")
         cfg = LatticeConfig(cutoff_radius=2.5, abundance=0.011, seed=1)
         bath = sample_bath(generate_lattice_sites(cfg), cfg)
@@ -697,54 +727,55 @@ class TestEchoCoherenceTrace:
             tracemalloc.stop()
         assert peak < 24e6
 
-    def test_single_tables_fill_in_blocks_as_one_full_table(self, full_sites, monkeypatch):
-        # 514 spins, some factors negative: blocks of 7 rows leave a ragged
-        # last block, and neither the table, its log sum nor the trace may
-        # notice.  The log sum must have the bits of a full log table's sum.
+    def test_single_tables_on_tiles_equal_one_whole_grid_table(self, full_sites):
+        # 514 spins, some factors negative, on tiles of 2, 7, 64 and 101
+        # points in turn: each tile's table, log sum and negative count are
+        # the same columns of one call on the whole grid, bit for bit, and
+        # the log sum has the bits of adding the log rows in spin order
         bath = sample_bath(full_sites, LatticeConfig(abundance=0.011, seed=1, pair_cutoff=0.3))
         assert len(bath) == 514
         field = FieldVector.along_z(100.0)
-        sched = EchoSchedule.for_field(100.0, t_max_ms=0.55)
+        tau = EchoSchedule.for_field(100.0, t_max_ms=0.55).t_grid
         h1 = effective_field(field, bath.hyperfine)
-        monkeypatch.setattr(decoherence, "SINGLE_ROWS_PER_BLOCK", len(bath))
-        full = _single_tables(field.as_array(), h1, sched.t_grid)[0]  # one block of N rows
-        full_log_sum = np.sum(np.log(np.maximum(np.abs(full), _LOG_FLOOR)), axis=0)
-        one_block = echo_coherence_trace(bath, field, sched)
-        for rows_per_block in (7, 32):
-            monkeypatch.setattr(decoherence, "SINGLE_ROWS_PER_BLOCK", rows_per_block)
-            blocked = echo_coherence_trace(bath, field, sched)
-            assert blocked.values.tobytes() == one_block.values.tobytes()
-            assert blocked.metadata == one_block.metadata
+        full, full_log_sum, full_neg = _single_tables(field.as_array(), h1, tau)
+        row_by_row = np.zeros_like(tau)
+        for row in full:
+            row_by_row += np.log(np.maximum(np.abs(row), _LOG_FLOOR))
+        assert full_log_sum.tobytes() == row_by_row.tobytes()
+        assert np.array_equal(full_neg, np.sum(full < 0.0, axis=0))
+        assert np.any(full_neg % 2 == 1)
 
-            singles, log_total, neg_count = _single_tables(field.as_array(), h1, sched.t_grid)
-            assert singles.tobytes() == full.tobytes()
-            assert log_total.tobytes() == full_log_sum.tobytes()
-            assert np.array_equal(neg_count, np.sum(full < 0.0, axis=0))
-            assert np.any(neg_count % 2 == 1)
+        bounds = np.cumsum([0] + [2, 7, 64, 101] * 30)
+        bounds = np.append(bounds[bounds < tau.size - 1], tau.size)
+        assert bounds[-1] - bounds[-2] >= 2
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            singles, log_sum, neg_count = _single_tables(field.as_array(), h1, tau[lo:hi])
+            assert singles.tobytes() == full[:, lo:hi].tobytes()
+            assert log_sum.tobytes() == full_log_sum[lo:hi].tobytes()
+            assert np.array_equal(neg_count, full_neg[lo:hi])
 
-    def test_peak_allocation_is_one_single_table_plus_workers(self, full_sites, monkeypatch):
-        # 1405 spins but 549 pairs on 2828 points: the (N, T) table
-        # (30.3 MiB) dominates.  The peak is that table plus, per worker,
-        # its workspace and a batch's spectra build, plus 4 MiB slack for
-        # the pool, the batches and the per-point sums: 44.0 MiB.  A second
-        # full-size table live at once (a table of the singles' logs, or a
-        # temporary of the table build) exceeds it.
+    def test_peak_allocation_is_flat_in_the_grid_length(self, full_sites, monkeypatch):
+        # 1.1%, 100 G on 5397 and on 15417 points, two worker threads: the
+        # peak is the held spectra plus, per worker, its workspace, an
+        # N x 64 tile of single-spin factors and one batch's fold
+        # temporaries, on any grid.  Only the per-point sums and the grid
+        # grow, by a few doubles a point.  An (N, T) table of the singles
+        # for the whole trace (76.3 against 30.2 MiB) exceeds the margin.
         monkeypatch.setenv("NVMAG_THREADS", "2")
-        bath = sample_bath(full_sites, LatticeConfig(abundance=0.03, seed=1, pair_cutoff=0.3))
-        assert (len(bath), len(bath.pair_couplings)) == (1405, 549)
-        sched = EchoSchedule.for_field(100.0, t_max_ms=0.55)
-        assert len(sched.t_grid) == 2828
-        table = len(bath) * len(sched.t_grid) * 8
-        workspace = _WORKSPACE_ROWS * PAIR_POINTS_PER_CHUNK * 8
-        spectra_build = 1.6 * 2**20
-        bound = table + 2 * (workspace + spectra_build) + 4 * 2**20
-        tracemalloc.start()
-        try:
-            echo_coherence_trace(bath, FieldVector.along_z(100.0), sched)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < bound
+        bath = sample_bath(full_sites, LatticeConfig(abundance=0.011, seed=0))
+        field = FieldVector.along_z(100.0)
+        peaks = []
+        for t_max, n_points in ((1.05, 5397), (3.0, 15417)):
+            sched = EchoSchedule.for_field(100.0, t_max_ms=t_max)
+            assert len(sched.t_grid) == n_points
+            tracemalloc.start()
+            try:
+                echo_coherence_trace(bath, field, sched)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            peaks.append(peak)
+        assert peaks[1] <= 1.1 * peaks[0] + 2**20
 
     def test_grid_resolution_enforced(self, small_sites):
         bath = sample_bath(small_sites, LatticeConfig(seed=2, abundance=0.1))
