@@ -32,14 +32,13 @@ a lattice repeats its couplings: the m = 0 eigensolve and phase features
 are computed once per distinct coupling of a batch of pairs.  Each grid
 point's log sum adds the pairs in that order, one after another, so a
 trace's value at a time depends on that time, the bath and the field
-alone, and not on the rest of the grid, the kernel's chunk size or the
-thread count.
+alone, and not on the rest of the grid, the tile width or the thread
+count.
 """
 
 from __future__ import annotations
 
 import os
-import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
@@ -94,20 +93,19 @@ _LOG_FLOOR = 1e-300
 # sums, and so its rounding, would.
 PAIRS_PER_BATCH = 256
 
-# Pair-points (pairs x grid points) per pair-kernel call: a batch's pairs
-# over one time tile of PAIR_POINTS_PER_CHUNK // PAIRS_PER_BATCH points
-# (_time_tiles).  At least 3 * PAIRS_PER_BATCH, so that every tile holds
-# two points or more.
-PAIR_POINTS_PER_CHUNK = 16384
+# Grid points per time tile, a trace's unit of pool work: each pair-kernel
+# call runs one batch over one tile.  A point's value does not depend on
+# the width.
+POINTS_PER_TILE = 64
 
 # Doubles per pair-point in the pair kernel's workspace, laid out level-major
 # as (rows, pairs, points): 4 rows of half phase arguments (then their
 # tangents, then feature temporaries), 8 of the per-level cosines and sines,
 # 7 of one branch's cosine features (the first all ones), 7 of G f0.
-# Each pool worker allocates one workspace per trace and reuses it for
-# every batch of every tile it folds: buffers allocated afresh are
-# mapped and page-faulted anew, the more so from several threads' malloc
-# arenas at once.
+# A tile's fold allocates one workspace (3.25 MiB for a full batch on a
+# full tile) and reuses it for every batch: buffers allocated per kernel
+# call are mapped and page-faulted anew, the more so from several
+# threads' malloc arenas at once.
 _WORKSPACE_ROWS = 26
 
 # The level pairs (a, a') with a <= a' that the pair kernel's form needs:
@@ -231,7 +229,7 @@ class CoherenceTrace:
                 raise PhysicsError(
                     f"coherence at tau = 0 must be 1, got {self.values[0]!r}"
                 )
-        if self.values.size and np.max(np.abs(self.values)) > 1.0 + 1e-9:
+        if self.exceeds_unity:
             warnings.warn(
                 "coherence magnitudes exceed 1; pair truncation is likely "
                 "outside its validity range",
@@ -241,6 +239,12 @@ class CoherenceTrace:
 
     def __len__(self) -> int:
         return len(self.t_grid)
+
+    @property
+    def exceeds_unity(self) -> bool:
+        """Whether some |L| exceeds 1 by more than rounding: pair truncation
+        outside its validity range."""
+        return bool(self.values.size) and float(np.max(np.abs(self.values))) > 1.0 + 1e-9
 
     def save_csv(self, csv_path) -> Path:
         """Write (t_ms, L) rows plus a JSON metadata sidecar; returns sidecar path.
@@ -340,10 +344,10 @@ def _single_tables(h0: np.ndarray, h1: np.ndarray, tau: np.ndarray) -> tuple:
     ``h0`` (3,), and per grid point the sum of their log magnitudes,
     log(max(|L|, :data:`_LOG_FLOOR`)), and the count of negative factors.
 
-    A trace calls it on one time tile (:func:`_time_tiles`) at a time; the
-    table and its logs are built in place in two (N, T) buffers.  On two or
-    more points numpy sums the logs row after row in spin order, so each
-    point's sum has the same bits on any tile.
+    A trace calls it on one time tile (:data:`POINTS_PER_TILE` points) at a
+    time; the table and its logs are built in place in two (N, T) buffers.
+    On two or more points numpy sums the logs row after row in spin order,
+    so each point's sum has the same bits on any tile of two or more.
     """
     b0 = float(np.linalg.norm(h0))
     b1 = np.linalg.norm(h1, axis=1)  # (N,)
@@ -505,7 +509,8 @@ def _pair_kernel_factors(
     float64 buffer of at least :data:`_WORKSPACE_ROWS` doubles per
     pair-point, laid out as (rows, pairs, points) so that every row group
     is one contiguous slice; the result stays valid until the workspace is
-    reused.  Without one, a fresh buffer is allocated.
+    reused.  A trace's fold passes one per tile, for every batch in turn.
+    Without one, a fresh buffer is allocated.
     """
     e0, index, e1, gram = spectra
     n, d, n_t = e1.shape[0], e0.shape[0], tau.size
@@ -549,21 +554,6 @@ def _pair_batches(bath: BathRealization) -> list:
     return [tuple(part[lo : lo + PAIRS_PER_BATCH] for part in table) for lo in starts]
 
 
-def _time_tiles(n_t: int) -> list[slice]:
-    """Slices of an ``n_t``-point grid, the trace's units of pool work.
-
-    Each holds :data:`PAIR_POINTS_PER_CHUNK` // :data:`PAIRS_PER_BATCH`
-    points, so that a full batch's kernel call fits the chunk budget, less
-    one where the last tile, which takes the remainder, would otherwise
-    hold a single point.
-    """
-    width = PAIR_POINTS_PER_CHUNK // PAIRS_PER_BATCH
-    if n_t % width == 1:
-        width -= 1
-    starts = list(range(0, n_t - 1, width))
-    return [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [n_t])]
-
-
 def _pool_size(n_tasks: int) -> int:
     """Worker threads for ``n_tasks`` tasks: NVMAG_THREADS, else the core count."""
     env = os.environ.get("NVMAG_THREADS", "").strip()
@@ -596,21 +586,23 @@ def echo_coherence_trace(
     bath's pair table in (coupling, i, j) order (:func:`_pair_batches`), on
     a pool of ``NVMAG_THREADS`` worker threads (default: one per core, never
     more than there are tasks).  The pool runs :func:`_pair_spectra` once
-    per batch, and the trace holds the spectra; then it folds one time
-    tile at a time (:func:`_time_tiles`, 64 points).  A tile's fold builds
-    its single-spin factors and their log sum (:func:`_single_tables`),
-    then runs the pair kernel on each batch in batch order.  Per
-    pair-point it takes one log, of max(|L_ij|, floor) / |L_i L_j|, where
-    the correction is kept, and adds each batch's column sums, the pairs
-    one after another, to the tile's sums.  A grid of one point runs on two
-    copies of its point, so that no tile holds a single point.  Neither
-    batches nor tiles depend on the worker count, and a point's sums do
-    not depend on the tiling, so the trace at each time is bit-identical at
-    every thread count and chunk size, and on any sub-grid.  Memory does
-    not grow with the grid: the held spectra (at most 57 doubles per pair)
-    plus, per worker, one workspace of :data:`_WORKSPACE_ROWS` doubles per
-    pair-point of a kernel call (3.25 MiB), one N x 64 tile of single-spin
-    factors with its logs, and one batch's few fold temporaries.
+    per batch, and the trace holds the spectra; then it folds the grid's
+    tiles, consecutive slices of :data:`POINTS_PER_TILE` points (the last
+    one the rest), one task each.  A tile's fold builds its single-spin
+    factors and their log sum (:func:`_single_tables`), then runs the pair
+    kernel on each batch in batch order.  Per pair-point it takes one log,
+    of max(|L_ij|, floor) / |L_i L_j|, where the correction is kept, and
+    adds each batch's column sums, the pairs one after another, to the
+    tile's sums.  A tile of one point is folded on two copies of its point,
+    since numpy takes another path on a single column, and keeps the
+    first.  Neither batches nor tiles depend on the worker count, and a
+    point's sums do not depend on the tiling, so the trace at each time is
+    bit-identical at every thread count and tile width, and on any
+    sub-grid.  Memory does not grow with the grid: the held spectra (at
+    most 57 doubles per pair) plus, per running tile, one workspace of
+    :data:`_WORKSPACE_ROWS` doubles per pair-point of a kernel call
+    (3.25 MiB), one N x 64 table of single-spin factors with its logs, and
+    one batch's few fold temporaries.
 
     ``metadata["diagnostics"]`` counts how hard the model was pushed:
 
@@ -624,10 +616,8 @@ def echo_coherence_trace(
     field_arr = field.as_array()
     schedule.validate_resolution(field.magnitude)
     grid = schedule.t_grid
-    copies = 2 if grid.size == 1 else 1  # so that no tile holds a single point
-    tau = np.repeat(grid, copies)
     batches = _pair_batches(bath)
-    tiles = _time_tiles(tau.size)
+    tiles = [slice(lo, lo + POINTS_PER_TILE) for lo in range(0, grid.size, POINTS_PER_TILE)]
     n_workers = _pool_size(max(len(batches), len(tiles)))
 
     h1 = effective_field(field, bath.hyperfine)  # (N, 3)
@@ -636,17 +626,16 @@ def echo_coherence_trace(
         nyquist = 0.5 / float(np.max(np.diff(grid)))
         rates = GAMMA_N_13C_KHZ_PER_G * np.linalg.norm(h1, axis=1)
         undersampled = int(np.count_nonzero(rates > nyquist))
-    workspaces = threading.local()
 
     def solve(batch):
         bi, bj, bb = batch
         return _pair_spectra(h1[bi], h1[bj], bb, field_arr)
 
     def fold(tile):
-        workspace = getattr(workspaces, "buffer", None)
-        if workspace is None:
-            workspace = workspaces.buffer = np.empty(_WORKSPACE_ROWS * PAIR_POINTS_PER_CHUNK)
-        points = tau[tile]
+        points = grid[tile]
+        copies = 2 if points.size == 1 else 1  # numpy takes another path on one column
+        points = np.repeat(points, copies)
+        workspace = np.empty(_WORKSPACE_ROWS * PAIRS_PER_BATCH * points.size)
         singles, log_sum, neg_count = _single_tables(field_arr, h1, points)
         n_dropped = 0
         for (bi, bj, _), batch_spectra in zip(batches, spectra):
@@ -662,14 +651,14 @@ def echo_coherence_trace(
             np.divide(abs_factors, abs_denom, out=log_ratio, where=keep)
             np.log(log_ratio, out=log_ratio, where=keep)
             log_sum += np.sum(log_ratio, axis=0)  # the rows in pair order
-        return log_sum, neg_count, n_dropped
+        return log_sum[::copies], neg_count[::copies], n_dropped // copies
 
     with ThreadPoolExecutor(max_workers=n_workers) as pool:
         spectra = list(pool.map(solve, batches))
         log_sums, neg_counts, n_dropped = zip(*pool.map(fold, tiles))
     log_total, neg_parity = np.concatenate(log_sums), np.concatenate(neg_counts)
 
-    values = (np.where(neg_parity % 2 == 1, -1.0, 1.0) * np.exp(log_total))[::copies]
+    values = np.where(neg_parity % 2 == 1, -1.0, 1.0) * np.exp(log_total)
 
     metadata = {
         "model": "pair-truncated echo",
@@ -680,7 +669,7 @@ def echo_coherence_trace(
         "n_spins": len(bath),
         "n_pairs": len(bath.pair_b),
         "diagnostics": {
-            "pair_points_dropped": sum(n_dropped) // copies,
+            "pair_points_dropped": sum(n_dropped),
             "undersampled_spins": undersampled,
         },
     }

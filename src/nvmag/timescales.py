@@ -38,6 +38,7 @@ FLAG_NO_REVIVAL = "no-revival"
 FLAG_INSUFFICIENT_ENVELOPE = "insufficient-envelope"
 FLAG_UNDAMPED = "undamped"
 FLAG_NO_CROSSING = "no-crossing"
+FLAG_OVER_UNITY = "over-unity"
 
 
 @dataclass(frozen=True)
@@ -481,8 +482,12 @@ def extract_Tw(trace: CoherenceTrace) -> tuple[float, float]:
 def extract_timescales(
     trace: CoherenceTrace, prominence: float = PROMINENCE_DEFAULT
 ) -> TimescaleSet:
-    """All three timescales from one trace, failures downgraded to flags."""
-    flags: list[str] = []
+    """All three timescales from one trace, failures downgraded to flags.
+
+    A trace with some |L| above 1 (:attr:`CoherenceTrace.exceeds_unity`)
+    is flagged ``over-unity``, its timescales extracted as they are.
+    """
+    flags = [FLAG_OVER_UNITY] if trace.exceeds_unity else []
     peaks = find_revival_peaks(trace, prominence=prominence)
 
     t_w = t_w_err = math.nan

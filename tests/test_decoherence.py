@@ -16,9 +16,9 @@ from nvmag.bath import (
 )
 from nvmag.constants import GAMMA_N_13C_KHZ_PER_G
 from nvmag.decoherence import (
-    PAIR_POINTS_PER_CHUNK,
     PAIR_RATIO_FLOOR,
     PAIRS_PER_BATCH,
+    POINTS_PER_TILE,
     CoherenceTrace,
     EchoSchedule,
     FieldVector,
@@ -37,7 +37,6 @@ from nvmag.decoherence import (
     _pair_kernel_factors,
     _pair_spectra,
     _single_tables,
-    _time_tiles,
 )
 from nvmag.errors import (
     ConfigError,
@@ -314,9 +313,9 @@ class TestPairKernelChunks:
         )
         e0, index, e1, gram = spectra
         tau = EchoSchedule.for_field(field.magnitude, t_max_ms=0.3).t_grid
-        tile = _time_tiles(tau.size)[0]
+        tile = slice(0, POINTS_PER_TILE)
         assert 2 <= tau[tile].size < tau.size
-        workspace = np.full(_WORKSPACE_ROWS * PAIR_POINTS_PER_CHUNK, np.nan)
+        workspace = np.full(_WORKSPACE_ROWS * PAIRS_PER_BATCH * POINTS_PER_TILE, np.nan)
         factors = _pair_kernel_factors(spectra, tau[tile], workspace)
         for k in range(index.size):
             alone = (e0[index[k : k + 1]], np.zeros(1, dtype=int), e1[k : k + 1], gram[k : k + 1])
@@ -328,14 +327,14 @@ class TestPairKernelChunks:
         # block-diagonal
         bath = make_tiny_bath(6, seed=7, spread_nm=1.2)
         field = FieldVector.from_sequence((4.0, -3.0, 8.0))
-        tau = np.linspace(0.0, 1.0, PAIR_POINTS_PER_CHUNK // 4)
+        tau = np.linspace(0.0, 1.0, 64 * POINTS_PER_TILE)
         [(bi, bj, bb)] = _pair_batches(bath)
-        tiles = _time_tiles(tau.size)
+        tiles = [slice(lo, lo + POINTS_PER_TILE) for lo in range(0, tau.size, POINTS_PER_TILE)]
         assert [tau[tile].size for tile in tiles] == [64] * 64
 
         # one spectra call for the batch, one workspace reused for every
-        # tile, as a trace's pool worker does
-        workspace = np.full(_WORKSPACE_ROWS * PAIR_POINTS_PER_CHUNK, np.nan)
+        # tile, as a trace's fold reuses one for every batch
+        workspace = np.full(_WORKSPACE_ROWS * PAIRS_PER_BATCH * POINTS_PER_TILE, np.nan)
         h1 = np.array([effective_field(field, s.hyperfine) for s in bath.spins])
         spins = [(np.asarray(s.position), np.asarray(s.hyperfine)) for s in bath.spins]
         spectra = _pair_spectra(h1[bi], h1[bj], bb, field.as_array())
@@ -376,7 +375,8 @@ class TestPairKernelChunks:
         for bi, bj, bb in _pair_batches(bath):
             spectra = _pair_spectra(h1[bi], h1[bj], bb, field.as_array())
             oracle_spectra = None
-            for tile in _time_tiles(tau.size):
+            for lo in range(0, tau.size, POINTS_PER_TILE):
+                tile = slice(lo, lo + POINTS_PER_TILE)
                 if n_tiles % 20 == 0:
                     if oracle_spectra is None:
                         oracle_spectra = pair_spectra_m_kernel(
@@ -574,7 +574,7 @@ class TestEchoCoherenceTrace:
         one_batch = make_tiny_bath(6, seed=7, spread_nm=1.2)
         assert len(_pair_batches(one_batch)) == 1
         long_grid = EchoSchedule(np.linspace(0.0, 1.0, 600))
-        assert len(_time_tiles(long_grid.t_grid.size)) >= 8
+        assert long_grid.t_grid.size > 7 * POINTS_PER_TILE
         for bath, field, sched in [
             (several, FieldVector.along_z(50.0), EchoSchedule.for_field(50.0, t_max_ms=0.1)),
             (one_batch, FieldVector.from_sequence((4.0, -3.0, 8.0)), long_grid),
@@ -595,8 +595,9 @@ class TestEchoCoherenceTrace:
     # Each point's pair sum adds the pairs' log ratios in pair order, row by
     # row, so a point's value depends on its own time alone: not on the
     # other points of the grid, nor on how the grid is cut into tiles
-    # (PAIR_POINTS_PER_CHUNK // 256, 64 points per tile on the full grid and
-    # on [5:200], two copies of the one point on [7:8] and [100:101]).
+    # (64 points per tile on the full grid and on [5:200]; [7:8] and
+    # [100:101], and the last tiles of [0:65] and [100:229], hold one point,
+    # which the fold runs on two copies of itself).
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_sub_grid_trace_equals_the_full_trace_bit_for_bit(
         self, small_sites, monkeypatch, threads
@@ -607,38 +608,36 @@ class TestEchoCoherenceTrace:
         grid = EchoSchedule.for_field(10.0, t_max_ms=0.55).t_grid
         assert grid.size == 284
         full = echo_coherence_trace(bath, field, EchoSchedule(grid))
-        for lo, hi in ((5, 200), (7, 8), (100, 101)):
+        for lo, hi in ((5, 200), (7, 8), (100, 101), (0, 65), (100, 229)):
             sub = echo_coherence_trace(bath, field, EchoSchedule(grid[lo:hi]))
             assert sub.values.tobytes() == full.values[lo:hi].tobytes(), (lo, hi)
 
-    def test_chunk_size_does_not_change_the_trace(self, small_sites, monkeypatch):
+    def test_tile_width_does_not_change_the_trace(self, small_sites, monkeypatch):
         bath = sample_bath(small_sites, LatticeConfig(seed=2, abundance=0.1))
         field = FieldVector.along_z(10.0)
         sched = EchoSchedule.for_field(10.0, t_max_ms=0.55)
+        assert sched.t_grid.size == 284
         want = echo_coherence_trace(bath, field, sched)
-        # 3 * PAIRS_PER_BATCH, the smallest constant the tiles allow, gives
-        # a full batch tiles of three points and a last one of two; at
-        # 283 * PAIRS_PER_BATCH, tiles of 283 points would leave the 284th
-        # alone, so they hold 282 and the last tile two
-        for pair_points in (3 * PAIRS_PER_BATCH, 4096, 32768, 283 * PAIRS_PER_BATCH):
-            monkeypatch.setattr(decoherence, "PAIR_POINTS_PER_CHUNK", pair_points)
-            widths = [tile.stop - tile.start for tile in _time_tiles(284)]
-            assert min(widths) >= 2 and max(widths) * PAIRS_PER_BATCH <= pair_points
+        # at width 1 every point is folded on two copies of itself; at 283
+        # the last tile holds the 284th point alone; at 284 and 1,000 one
+        # tile holds the whole grid
+        for width in (1, 2, 3, 16, 283, 284, 1000):
+            monkeypatch.setattr(decoherence, "POINTS_PER_TILE", width)
             got = echo_coherence_trace(bath, field, sched)
-            assert got.values.tobytes() == want.values.tobytes()
+            assert got.values.tobytes() == want.values.tobytes(), width
             assert got.metadata == want.metadata
 
-    @pytest.mark.parametrize("n_points", [1, 2, 284, 20001])
+    @pytest.mark.parametrize("n_points", [1, 2, 65, 284, 20001])
     def test_workspace_is_the_chunk_budget_on_every_grid(self, monkeypatch, n_points):
-        # every kernel call gets a worker's one workspace of _WORKSPACE_ROWS
-        # doubles per pair-point of the chunk budget, and its whole batch on
-        # a tile of two or more points that fits that budget, also on a
-        # grid longer than PAIR_POINTS_PER_CHUNK
+        # every kernel call gets its tile's one workspace of _WORKSPACE_ROWS
+        # doubles per pair-point of a full batch on that tile, and its whole
+        # batch on two to POINTS_PER_TILE points; the tiles cover the grid,
+        # a one-point tile (on 1 and 65 points) as two copies of its point
         calls = []
         kernel = decoherence._pair_kernel_factors
 
         def spy(spectra, tau, workspace):
-            calls.append((spectra[1].size, tau.size, workspace.size))
+            calls.append((spectra[1].size, tau.copy(), workspace.size))
             return kernel(spectra, tau, workspace)
 
         monkeypatch.setattr(decoherence, "_pair_kernel_factors", spy)
@@ -646,12 +645,13 @@ class TestEchoCoherenceTrace:
         schedule = EchoSchedule(np.arange(n_points) * 1e-4)
         echo_coherence_trace(bath, FieldVector.along_z(1.0), schedule)
         n_pairs = len(bath.pair_couplings)
-        assert {(n, size) for n, _, size in calls} == {
-            (n_pairs, _WORKSPACE_ROWS * PAIR_POINTS_PER_CHUNK)
-        }
-        widths = [width for _, width, _ in calls]
-        assert sum(widths) == max(n_points, 2)
-        assert min(widths) >= 2 and max(widths) * n_pairs <= PAIR_POINTS_PER_CHUNK
+        assert {n for n, _, _ in calls} == {n_pairs}
+        for _, tau, size in calls:
+            assert 2 <= tau.size <= POINTS_PER_TILE
+            assert size == _WORKSPACE_ROWS * PAIRS_PER_BATCH * tau.size
+        points = np.concatenate([tau for _, tau, _ in calls])
+        assert points.size == n_points + (n_points % POINTS_PER_TILE == 1)
+        assert np.array_equal(np.unique(points), schedule.t_grid)
 
     # Relabelling the spins is a symmetry of the model: only the order of the
     # trace's sums, and the left/right order of some pairs, moves.  Each bound

@@ -11,6 +11,7 @@ import pytest
 
 import nvmag
 from nvmag.bath import LatticeConfig, generate_lattice_sites, sample_bath
+from nvmag.cli import main
 from nvmag.constants import GAMMA_N_13C_KHZ_PER_G
 from nvmag.decoherence import (
     CoherenceTrace,
@@ -28,6 +29,7 @@ from nvmag.errors import (
 )
 from nvmag.timescales import (
     FLAG_NO_REVIVAL,
+    FLAG_OVER_UNITY,
     PROMINENCE_DEFAULT,
     PowerLawFit,
     RevivalPeak,
@@ -513,6 +515,28 @@ class TestExtractTimescales:
         # needs one: the trace must be flagged without reaching it
         ts = extract_timescales(CoherenceTrace(np.array([0.0]), np.array([1.0])))
         assert FLAG_NO_REVIVAL in ts.flags
+
+    # Pair truncation pushes some traces above 1: at 1.1%, 100 G and 0.55 ms
+    # the largest |L| of seeds 2, 12 and 19 reads 8.68, 5.15 and 1.54, and
+    # seed 2's T2 read 0.12 ms with no flag.  Seed 0 stays below 1.  The
+    # flag reads the values alone, so a saved trace carries it too, and the
+    # timescales are extracted as they are.
+    @pytest.mark.filterwarnings("ignore:coherence magnitudes exceed 1:RuntimeWarning")
+    @pytest.mark.parametrize("seed,over_unity", [(0, False), (2, True), (12, True), (19, True)])
+    def test_over_unity_trace_is_flagged(self, full_sites, tmp_path, capsys, seed, over_unity):
+        bath = sample_bath(full_sites, LatticeConfig(abundance=0.011, seed=seed))
+        schedule = EchoSchedule.for_field(100.0, t_max_ms=0.55)
+        trace = echo_coherence_trace(bath, FieldVector.along_z(100.0), schedule)
+        assert (np.max(np.abs(trace.values)) > 1.0) == over_unity
+        ts = extract_timescales(trace)
+        assert (FLAG_OVER_UNITY in ts.flags) == over_unity
+        assert math.isfinite(ts.T_R) and math.isfinite(ts.T2)
+        path = tmp_path / "trace.csv"
+        trace.save_csv(path)
+        assert main(["extract", "--trace", str(path)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["flags"] == list(ts.flags)
+        assert (payload["T_R_ms"], payload["T2_ms"]) == (ts.T_R, ts.T2)
 
     @pytest.mark.parametrize("prominence", [math.nan, math.inf, True])
     def test_prominence_that_is_not_a_finite_number_rejected(self, prominence):
