@@ -147,7 +147,7 @@ def finite_array(value, what: str) -> np.ndarray:
 def increasing_array(value, what: str) -> np.ndarray:
     """``value`` as a flat float array like ``finite_array``'s, each entry above the last."""
     array = _float_array(value, what).reshape(-1)
-    if not (np.isfinite(array).all() and np.all(np.diff(array) > 0)):
+    if not (np.isfinite(array).all() and (array[1:] > array[:-1]).all()):
         raise ConfigError(f"{what} must be finite and strictly increase")
     return array
 

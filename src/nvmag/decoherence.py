@@ -278,6 +278,8 @@ class CoherenceTrace:
             raise ConfigError(f"{csv_path} is not a two-column trace file")
         sidecar = csv_path.with_suffix(".json")
         metadata = load_strict_json(sidecar, "trace sidecar") if sidecar.exists() else {}
+        if not isinstance(metadata, dict):
+            raise ConfigError(f"{sidecar} must hold a JSON object")
         return cls(t_grid=data[:, 0], values=data[:, 1], metadata=metadata)
 
 

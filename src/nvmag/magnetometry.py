@@ -223,11 +223,11 @@ def make_simulated_probe(true_field_g):
 
     def probe(axis) -> OdmrSpectrum:
         a = np.array(finite_vector(axis, "probe axis"))
-        if abs(np.linalg.norm(a) - 1.0) > 1e-6:
+        if abs(math.sqrt(a @ a) - 1.0) > 1e-6:
             raise ConfigError("probe axis must be a unit vector")
         b_par = float(true @ a)
-        b_perp = float(np.linalg.norm(true - b_par * a))
-        return odmr_transitions((b_perp, 0.0, b_par))
+        perp = true - b_par * a
+        return odmr_transitions((math.sqrt(perp @ perp), 0.0, b_par))
 
     return probe
 
@@ -263,7 +263,7 @@ def resolve_alignment(
     spectra: list[OdmrSpectrum] = []
     gated: list[int] = []
     for i, cand in enumerate(cands):
-        mag = float(np.linalg.norm(cand))
+        mag = math.sqrt(cand @ cand)
         if mag == 0.0:
             raise DomainError("zero-magnitude candidate has no orientation")
         spectrum = probe(cand / mag)

@@ -173,14 +173,14 @@ def find_revival_peaks(
         peaks.append(RevivalPeak(0.0, float(values[0])))
 
     # _local_peaks reports only samples with a neighbour on each side
-    for i in _local_peaks(values, prominence):
-        y0, y1, y2 = values[i - 1], values[i], values[i + 1]
+    for i in _local_peaks(values, prominence).tolist():
+        y0, y1, y2 = values[i - 1:i + 2].tolist()
+        t0, t1, t2 = grid[i - 1:i + 2].tolist()
         curvature = y0 - 2.0 * y1 + y2
         shift = 0.0 if curvature == 0 else 0.5 * (y0 - y2) / curvature
-        shift = float(np.clip(shift, -0.5, 0.5))
-        t_pk = grid[i] + shift * (grid[i + 1] - grid[i] if shift >= 0 else grid[i] - grid[i - 1])
-        h_pk = y1 - 0.25 * (y0 - y2) * shift
-        peaks.append(RevivalPeak(float(t_pk), float(h_pk)))
+        shift = min(max(shift, -0.5), 0.5)
+        t_pk = t1 + shift * (t2 - t1 if shift >= 0 else t1 - t0)
+        peaks.append(RevivalPeak(t_pk, y1 - 0.25 * (y0 - y2) * shift))
     return peaks
 
 
@@ -195,21 +195,20 @@ _TIEBREAK_FRACTION = 0.92
 def _index_regression(
     times: np.ndarray, indices: np.ndarray, grid_step_ms: float
 ) -> tuple[float, float]:
-    """Least-squares slope of peak time against revival index."""
-    if len(np.unique(indices)) == 2:
-        order = np.argsort(indices)
-        lo, hi = order[0], order[-1]
+    """Least-squares slope of peak time against revival index: Σxy / Σx² over
+    the centred indices x and times y, its error from that line's residuals."""
+    if len(set(indices.tolist())) == 2:
+        lo, hi = np.argsort(indices)[[0, -1]]
         spacing = (times[hi] - times[lo]) / (indices[hi] - indices[lo])
         return float(spacing), float(grid_step_ms)
-    design = np.vstack([indices, np.ones_like(indices)]).T
-    coeffs, *_ = np.linalg.lstsq(design, times, rcond=None)
-    slope = float(coeffs[0])
-    fitted = design @ coeffs
     # extract_TR always passes two or more distinct indices, so past the two-index
     # case above there are three or more, and dof and var_idx are positive
-    dof = len(times) - 2
-    var_idx = float(np.sum((indices - indices.mean()) ** 2))
-    return slope, math.sqrt(float(np.sum((times - fitted) ** 2)) / dof / var_idx)
+    x = indices - indices.sum() / len(indices)
+    y = times - times.sum() / len(times)
+    var_idx = float((x * x).sum())
+    slope = float((x * y).sum()) / var_idx
+    resid = y - slope * x
+    return slope, math.sqrt(float((resid * resid).sum()) / (len(times) - 2) / var_idx)
 
 
 def snap_to_comb(peaks: list[RevivalPeak], period_ms: float) -> list[RevivalPeak]:
@@ -236,13 +235,14 @@ def snap_to_comb(peaks: list[RevivalPeak], period_ms: float) -> list[RevivalPeak
 def _row_sums(x: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Sum of each row's first ``counts[row]`` entries along the last axis.
 
-    Rows of one length are summed together, over exactly that many
-    entries: ``np.sum`` adds eight or more terms in interleaved partial
-    sums, so a row padded to a common width would round differently from
-    the same row summed alone.
+    Each row rounds as ``np.sum`` of its own entries.  That adds fewer than
+    eight terms in turn, so zeros past a row's count leave its sum over seven
+    entries alone; it adds eight or more in interleaved partial sums, so rows
+    of one such length are summed together over exactly that many entries.
     """
-    out = np.zeros(x.shape[:-1])
-    for n in np.unique(counts):
+    width = min(x.shape[-1], 7)
+    out = np.where(np.arange(width) < counts[:, None], x[..., :width], 0.0).sum(axis=-1)
+    for n in {n for n in counts.tolist() if n > 7}:
         rows = counts == n
         out[..., rows] = x[..., rows, :n].sum(axis=-1)
     return out
@@ -267,6 +267,7 @@ def _comb_scores(
     than two claimed teeth, or with no weight on them, scores 0.
     """
     refined = periods.astype(float)
+    rows = np.arange(len(refined))[:, None]
     jury = np.arange(len(t_sc))
     later = jury[None, :] > jury[:, None]  # [s, r]: peak r comes after peak s
     for _ in range(3):
@@ -274,34 +275,30 @@ def _comb_scores(
         # peak-pair difference drifts off the comb within a couple dozen
         # teeth, so converge it onto the comb before judging it
         ratio = t_sc / refined[:, None]
-        teeth = np.round(ratio)
+        teeth = np.rint(ratio)
         resid = np.abs(ratio - teeth)
         claim = (teeth >= 1) & (resid <= _SNAP_TOLERANCE)
         wc = w_sc * (1.0 - (resid / _SNAP_TOLERANCE) ** 2)
         # only the single best peak per comb tooth counts, so dense ringing
         # cannot out-vote the revival train by sheer number: a claim loses
         # to a claim on its tooth with more weight, or as much and later
+        w_s, w_r = wc[:, :, None], wc[:, None, :]
+        outranks = np.where(later, w_r >= w_s, w_r > w_s)
         rival = claim[:, None, :] & (teeth[:, :, None] == teeth[:, None, :])
-        outranks = (wc[:, None, :] > wc[:, :, None]) | (
-            (wc[:, None, :] == wc[:, :, None]) & later
-        )
-        best = claim & ~np.any(rival & outranks, axis=2)
+        best = claim & ~(rival & outranks).any(axis=2)
         # each candidate's claims, best peak per tooth, in tooth order;
         # entries past n_claims are padding
-        order = np.argsort(np.where(best, teeth, np.inf), axis=1, kind="stable")
-        pick = (np.arange(len(refined))[:, None], order)
-        claim_w, claim_k, claim_t = wc[pick], teeth[pick], t_sc[order]
+        order = np.where(best, teeth, np.inf).argsort(axis=1, kind="stable")
         n_claims = best.sum(axis=1)
         denom, num = _row_sums(
-            np.stack([claim_w * claim_k**2, claim_w * claim_k * claim_t]), n_claims
+            np.array([wc * teeth**2, wc * teeth * t_sc])[:, rows, order], n_claims
         )
         # a weightless claim set gets fit 0, so its candidate keeps its period
         fit = num / np.where(denom > 0, denom, np.inf)
-        ok = np.isfinite(fit) & (fit > 0)
-        refined[ok] = fit[ok]
+        refined = np.where(np.isfinite(fit) & (fit > 0), fit, refined)
 
     total, spread = _row_sums(
-        np.stack([claim_w, claim_w * np.abs(claim_t - claim_k * refined[:, None]) ** 2]),
+        np.array([wc, wc * np.abs(t_sc - teeth * refined[:, None]) ** 2])[:, rows, order],
         n_claims,
     )
     # one claimed tooth pins no spacing: a lone artifact peak would
@@ -355,31 +352,31 @@ def extract_TR(peaks: list[RevivalPeak], grid_step_ms: float) -> tuple[float, fl
     # physical coherence cannot exceed 1: heights beyond that are pair
     # truncation artifacts and must not carry extra voting power
     capped = np.clip(heights, 0.0, 1.0)
-    gaps = np.diff(times)
+    gaps = times[1:] - times[:-1]
     floor = 3.0 * grid_step_ms
 
     # candidate periods: differences between tall peaks, not just adjacent
     # gaps — ringing maxima between revivals would otherwise chop every
     # true-period gap into fragments and the real spacing would never be
     # on the menu
-    tall = np.argsort(capped, kind="stable")[::-1][:_MAX_TALL_PEAKS]
-    t_tall = np.sort(times[tall])
+    tall = capped.argsort(kind="stable")[::-1][:_MAX_TALL_PEAKS]
+    t_tall = times[tall]
     # candidates are judged against the tall maxima alone: revival apexes
     # always rank among them, while dense ringing — which lands close to
     # the teeth of any sufficiently fine comb — stays off the jury
-    sc_keep = times[tall] > 0
-    t_sc = times[tall][sc_keep]
-    w_sc = capped[tall][sc_keep] ** 2
-    a, b = np.triu_indices(len(t_tall), 1)
-    diffs = np.concatenate([gaps, t_tall[b] - t_tall[a]])
-    # np.unique sorts ascending, so reversed the periods descend
-    cands = np.unique(diffs[:, None] / np.arange(1.0, 5.0))[::-1]
+    sc_keep = t_tall > 0
+    t_sc, w_sc = t_tall[sc_keep], capped[tall][sc_keep] ** 2
+    # positive differences: each later tall peak's time less an earlier one's.
+    # Reversed, the sorted periods descend, and the 0.5% rule drops repeats
+    pairs = t_tall[:, None] - t_tall
+    diffs = np.concatenate([gaps, pairs[pairs > 0]])
+    cands = np.sort(diffs[:, None] / np.arange(1.0, 5.0), axis=None)[::-1]
     kept: list[float] = []
     for period in cands[cands >= floor].tolist():
         if not kept or kept[-1] - period > 0.005 * kept[-1]:
             kept.append(period)
 
-    best_period, best_score = float(np.median(gaps)), -1.0
+    best_score = -1.0
     if kept:
         t_last = float(t_sc.max()) if len(t_sc) else float(times.max())
         scores, refined = _comb_scores(np.array(kept), t_sc, w_sc, t_last, grid_step_ms)
@@ -400,15 +397,14 @@ def extract_TR(peaks: list[RevivalPeak], grid_step_ms: float) -> tuple[float, fl
             if len(snapped) < 2:
                 break
             s_times = np.array([p.time for p in snapped])
-            s_indices = np.round(s_times / period)
+            s_indices = np.rint(s_times / period)
             result = _index_regression(s_times, s_indices, grid_step_ms)
             period = result[0]
         if result is not None:
             return result
 
     # degenerate comb: fall back to median-gap index assignment
-    median_gap = float(np.median(gaps))
-    indices = np.round((times - times[0]) / median_gap)
+    indices = np.rint((times - times[0]) / np.median(gaps))
     return _index_regression(times, indices, grid_step_ms)
 
 
@@ -502,7 +498,9 @@ def extract_timescales(
     if len(peaks) < 2:
         flags.append(FLAG_NO_REVIVAL)
     else:
-        grid_step = float(np.median(np.diff(trace.t_grid)))
+        # the median step: the middle one, or the mean of the middle two
+        steps = np.sort(np.diff(trace.t_grid))
+        grid_step = float(steps[(steps.size - 1) // 2] + steps[steps.size // 2]) / 2
         t_r, t_r_err = extract_TR(peaks, grid_step_ms=grid_step)
         # the envelope lives on the revival comb: once the spacing is known,
         # inter-revival ringing maxima must not masquerade as envelope samples

@@ -848,6 +848,15 @@ class TestExtractCommand:
         assert run("extract", "--trace", path) == 2
         assert "trace sidecar holds NaN" in capsys.readouterr().err
 
+    def test_sidecar_that_is_not_an_object_exits_2(self, tmp_path, capsys):
+        path = self.make_trace(tmp_path)
+        sidecar = path.with_suffix(".json")
+        sidecar.write_text("[1, 2]\n")
+        assert run("extract", "--trace", path) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert str(sidecar) in captured.err and "JSON object" in captured.err
+
     def test_flat_trace_downgrades_to_flags(self, tmp_path, capsys):
         path = tmp_path / "flat.csv"
         rows = "\n".join(f"{0.01 * k!r},1.0" for k in range(40))

@@ -901,6 +901,15 @@ class TestCoherenceTrace:
         with pytest.raises(ConfigError, match="empty.csv holds no rows"):
             CoherenceTrace.load_csv(path)
 
+    @pytest.mark.parametrize("sidecar", ["[1, 2]", '"x"', "null", "3"])
+    def test_load_refuses_a_sidecar_that_is_not_an_object(self, tmp_path, sidecar):
+        # save_csv only ever writes an object; anything else is not its metadata
+        path = tmp_path / "trace.csv"
+        analytic_trace(EchoSchedule.regular(1.0, 0.01), 0.2, 1.0).save_csv(path)
+        path.with_suffix(".json").write_text(sidecar + "\n")
+        with pytest.raises(ConfigError, match="trace.json must hold a JSON object"):
+            CoherenceTrace.load_csv(path)
+
 
 class TestEnsembleAverage:
     def test_pointwise_mean_and_seed_merge(self):

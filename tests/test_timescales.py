@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +36,7 @@ from nvmag.timescales import (
     RevivalPeak,
     TimescaleSet,
     _comb_scores,
+    _index_regression,
     _local_peaks,
     _row_sums,
     extract_T2,
@@ -371,6 +373,55 @@ def test_dilute_bath_at_high_field_reads_the_revival_period(full_sites, field_g,
     assert trace.t_grid.size == 299
     t_r = extract_timescales(trace).T_R
     assert abs(t_r * GAMMA_N_13C_KHZ_PER_G * field_g - 1.0) <= 0.05
+
+
+def _exact_fit(times, indices):
+    """Least-squares slope of times against indices, and its squared error
+    (residual variance over the index spread), in exact rational arithmetic."""
+    x, y = [Fraction(v) for v in indices.tolist()], [Fraction(v) for v in times.tolist()]
+    mx, my = sum(x) / len(x), sum(y) / len(y)
+    sxx = sum((a - mx) ** 2 for a in x)
+    slope = sum((a - mx) * (b - my) for a, b in zip(x, y)) / sxx
+    ssr = sum((b - my - slope * (a - mx)) ** 2 for a, b in zip(x, y))
+    return slope, ssr / (len(x) - 2) / sxx if len(x) > 2 else None
+
+
+class TestIndexRegression:
+    # On these trains the closed form's slope was at most 3.3e-16 off the
+    # exact one (np.linalg.lstsq's: 8.9e-16) and its error at most 6.5e-14 off
+    # (lstsq's: 1.4e-13).  The bounds give three times that headroom.
+    SLOPE_REL_TOL = 1e-15
+    ERR_REL_TOL = 2e-13
+
+    @staticmethod
+    def trains():
+        """Jittered combs of 3 to 12 teeth, some teeth missing, peak zero at t = 0."""
+        rng = np.random.default_rng(29)
+        for n in range(3, 13):
+            for period in (0.0933, 0.187, 0.467, 1.25):
+                for _ in range(3):
+                    teeth = np.sort(rng.choice(n + 3, size=n, replace=False)).astype(float)
+                    times = teeth * period + rng.normal(0.0, 0.02 * period, n)
+                    times[teeth == 0] = 0.0
+                    yield times, teeth
+        # extract_TR's median-gap fallback puts two close peaks on one index
+        times = np.array([0.0, 0.41, 0.47, 0.93, 1.38, 1.86])
+        indices = np.rint(times / np.median(np.diff(times)))
+        assert indices.tolist() == [0.0, 1.0, 1.0, 2.0, 3.0, 4.0]
+        yield times, indices
+
+    def test_closed_form_matches_exact_least_squares(self):
+        for times, indices in self.trains():
+            slope, err = _index_regression(times, indices, 0.01)
+            want_slope, want_var = _exact_fit(times, indices)
+            assert abs(slope / float(want_slope) - 1.0) <= self.SLOPE_REL_TOL, (times, indices)
+            assert abs(err / math.sqrt(want_var) - 1.0) <= self.ERR_REL_TOL, (times, indices)
+
+    def test_two_indices_give_the_spacing_and_the_grid_step(self):
+        times, indices = np.array([0.187, 0.7481]), np.array([1.0, 4.0])
+        slope, err = _index_regression(times, indices, 0.004)
+        assert abs(slope / float(_exact_fit(times, indices)[0]) - 1.0) <= self.SLOPE_REL_TOL
+        assert err == 0.004
 
 
 class TestSnapToComb:
