@@ -57,10 +57,16 @@ _DIAMOND_BASIS = np.array([(0.0, 0.0, 0.0), (0.25, 0.25, 0.25)])
 _Z_HAT = np.array([0.0, 0.0, 1.0])
 
 
-def load_strict_json(path, what: str):
-    """Strict JSON input: NaN, Infinity and numbers beyond float range are refused."""
+def load_strict_json(path, what: str, shape: type, read=None):
+    """``read`` of the JSON in ``path``, or the JSON itself: every JSON input's reader.
+
+    A missing file, bytes that are not UTF-8, invalid JSON, nesting past the
+    parser's depth, an integer past Python's digit limit, NaN, Infinity, a
+    float beyond float range, a top level that is not ``shape`` (dict or list)
+    and a KeyError, TypeError, ValueError or OverflowError of ``read`` are each
+    a ConfigError naming the file."""
     def refuse(literal: str):
-        raise ConfigError(f"{what} holds {literal}; every number must be finite")
+        raise ConfigError(f"{what} holds {literal}; every number in {path} must be finite")
 
     def finite(literal: str) -> float:
         value = float(literal)
@@ -68,11 +74,24 @@ def load_strict_json(path, what: str):
             refuse(literal)
         return value
 
-    with open(path) as fh:
-        try:
-            return json.load(fh, parse_constant=refuse, parse_float=finite)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{what} is not valid JSON: {exc}") from exc
+    try:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh, parse_constant=refuse, parse_float=finite)
+    except ConfigError:  # refuse()'s own, a ValueError too
+        raise
+    except FileNotFoundError:
+        raise ConfigError(f"{what} {path} not found") from None
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from None
+    except (ValueError, RecursionError) as exc:  # not UTF-8, nested too deep, too long an int
+        raise ConfigError(f"{what} {path} cannot be read: {exc}") from None
+    if not isinstance(data, shape):
+        kind = "object" if shape is dict else "list"
+        raise ConfigError(f"{what} {path} must hold a JSON {kind}")
+    try:
+        return data if read is None else read(data)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"malformed {what} {path}: {exc}") from exc
 
 
 def json_text(payload, sort_keys: bool = True) -> str:
@@ -360,11 +379,7 @@ class BathRealization:
     @classmethod
     def load(cls, path) -> "BathRealization":
         """Read a bath file; a malformed record is a ConfigError that names the file."""
-        data = load_strict_json(path, f"bath file {path}")
-        try:
-            return cls.from_json_dict(data)
-        except ConfigError as exc:
-            raise ConfigError(f"bath file {path}: {exc}") from exc
+        return load_strict_json(path, "bath file", dict, cls.from_json_dict)
 
 
 def generate_lattice_sites(config: LatticeConfig) -> np.ndarray:

@@ -25,10 +25,9 @@ The physical constants (13C and electron gyromagnetic ratios, zero-field
 splitting) are fixed and are not settings.
 
 Explicit command-line flags override config values, which override the
-built-in defaults.  The --measurements and --candidates files are JSON
-lists read with the bath file's strict readers: every number must be a
-finite JSON number, not a string or a bool, and every axis or candidate
-must hold three; a malformed record exits 2 naming the file.
+built-in defaults.  Every JSON input (--config, --bath, --measurements,
+--candidates, a trace's sidecar) is read by ``bath.load_strict_json``: a
+file it refuses, or a malformed record in it, exits 2 naming the file.
 NVMAG_THREADS caps the threads that compute the pair factors of every
 trace (default: one per core).  Exit codes: 0 success, 2 configuration
 error or a request too large for memory, 3 physics-constraint error.
@@ -117,18 +116,6 @@ def _parse_field(text: str) -> FieldVector:
     raise ConfigError("field must be one magnitude or three components")
 
 
-def _load_records(path, what: str, read) -> list:
-    """``read`` over each record of the JSON list in ``path``; a malformed record
-    is refused as in ``BathRealization.from_json_dict``, naming the file."""
-    records = load_strict_json(path, what)
-    if not isinstance(records, list):
-        raise ConfigError(f"{what} {path} must hold a JSON list")
-    try:
-        return [read(record) for record in records]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"malformed {what} {path}: {exc}") from exc
-
-
 def _t_max_auto(field_magnitude_g: float, abundance: float) -> float:
     """Simulation window: several revivals, but not past the dead envelope.
 
@@ -163,12 +150,8 @@ class Run:
         self.ns = ns
         self.file_config: dict = {}
         if getattr(ns, "config", None):
-            path = Path(ns.config)
-            if not path.exists():
-                raise ConfigError(f"config file not found: {path}")
-            self.file_config = load_strict_json(path, "config file")
-            unknown = set(self.file_config) - _CONFIG_KEYS
-            if unknown:
+            self.file_config = load_strict_json(ns.config, "config file", dict)
+            if unknown := set(self.file_config) - _CONFIG_KEYS:
                 raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         self.config = {key: value for key in _CONFIG_KEYS
                        if (value := self.get(key, None)) is not None}
@@ -463,10 +446,9 @@ def cmd_invert(run: Run) -> dict:
 
 def cmd_reconstruct(run: Run) -> dict:
     ns, cal = run.ns, run.calibration()
-    measurements = _load_records(
-        ns.measurements, "measurement file",
-        lambda m: AxisMeasurement(m["axis"], m["T_R_ms"], m.get("bias_G", 0.0)),
-    )
+    measurements = load_strict_json(ns.measurements, "measurement file", list, lambda records: [
+        AxisMeasurement(m["axis"], m["T_R_ms"], m.get("bias_G", 0.0)) for m in records
+    ])
     components = measurements_to_components(measurements, cal)
     estimate = reconstruct_field(components)
     payload = estimate.to_json_dict()
@@ -484,9 +466,9 @@ def cmd_odmr(run: Run) -> dict:
         "levels_GHz": zeeman_levels(field).tolist(), **odmr_transitions(field).to_json_dict()
     }
     if ns.candidates:
-        cand_list = _load_records(
-            ns.candidates, "candidates file", lambda c: finite_vector(c, "candidate")
-        )
+        cand_list = load_strict_json(ns.candidates, "candidates file", list, lambda records: [
+            finite_vector(c, "candidate") for c in records
+        ])
         if not ns.true_field:
             raise ConfigError("--candidates needs --true-field for the probe")
         resolution, payload["alignment"] = _resolve(cand_list, ns.true_field)

@@ -234,7 +234,7 @@ class CoherenceTrace:
                 "coherence magnitudes exceed 1; pair truncation is likely "
                 "outside its validity range",
                 RuntimeWarning,
-                stacklevel=2,
+                stacklevel=3,  # past the generated __init__, at the code building the trace
             )
 
     def __len__(self) -> int:
@@ -277,9 +277,7 @@ class CoherenceTrace:
         if data.shape[1] != 2:
             raise ConfigError(f"{csv_path} is not a two-column trace file")
         sidecar = csv_path.with_suffix(".json")
-        metadata = load_strict_json(sidecar, "trace sidecar") if sidecar.exists() else {}
-        if not isinstance(metadata, dict):
-            raise ConfigError(f"{sidecar} must hold a JSON object")
+        metadata = load_strict_json(sidecar, "trace sidecar", dict) if sidecar.exists() else {}
         return cls(t_grid=data[:, 0], values=data[:, 1], metadata=metadata)
 
 
@@ -681,7 +679,9 @@ def echo_coherence_trace(
 def ensemble_average(traces: list[CoherenceTrace]) -> CoherenceTrace:
     """Pointwise mean of traces sharing an identical time grid.
 
-    The members' diagnostic counts are summed, when every member has them.
+    The members' seed lists are joined, and a ``seeds`` that is not a list is
+    refused.  Their diagnostic counts are summed when every member holds an
+    object of int counts under the same keys, and dropped otherwise.
     """
     if not traces:
         raise ConfigError("cannot average an empty trace collection")
@@ -690,14 +690,17 @@ def ensemble_average(traces: list[CoherenceTrace]) -> CoherenceTrace:
         if not np.array_equal(tr.t_grid, grid):
             raise ShapeError("ensemble members sample different time grids")
     values = np.mean(np.stack([tr.values for tr in traces]), axis=0)
-    seeds: list = []
-    for tr in traces:
-        seeds.extend(tr.metadata.get("seeds", []))
     metadata = dict(traces[0].metadata)
-    metadata["seeds"] = seeds
+    metadata["seeds"] = []
+    for tr in traces:
+        if not isinstance(seeds := tr.metadata.get("seeds", []), list):
+            raise ConfigError(f"seeds must be a list, got {seeds!r}")
+        metadata["seeds"] += seeds
     counts = [tr.metadata.get("diagnostics") for tr in traces]
-    if all(counts):
-        metadata["diagnostics"] = {key: sum(c[key] for c in counts) for key in counts[0]}
+    keys = counts[0].keys() if isinstance(counts[0], dict) else ()
+    if keys and all(isinstance(c, dict) and c.keys() == keys
+                    and all(type(v) is int for v in c.values()) for c in counts):
+        metadata["diagnostics"] = {key: sum(c[key] for c in counts) for key in keys}
     else:
         metadata.pop("diagnostics", None)
     metadata["ensemble_size"] = len(traces)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,6 +29,7 @@ _SQ2 = math.sqrt(2.0)
 SPIN1_SX = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex) / _SQ2
 SPIN1_SY = np.array([[0, -1j, 0], [1j, 0, -1j], [0, 1j, 0]], dtype=complex) / _SQ2
 SPIN1_SZ = np.diag([1.0, 0.0, -1.0]).astype(complex)
+_ZERO_FIELD_HAM = ZERO_FIELD_SPLITTING_GHZ * (SPIN1_SZ @ SPIN1_SZ)  # D Sz^2
 
 _UNIT_TOL = 1e-9
 
@@ -157,10 +158,8 @@ def zeeman_levels(field_g) -> np.ndarray:
     components mix the levels and the closed form no longer applies.
     """
     b = finite_vector(field_g, "field")
-    ham = ZERO_FIELD_SPLITTING_GHZ * (SPIN1_SZ @ SPIN1_SZ) - GAMMA_E_GHZ_PER_G * (
-        b[0] * SPIN1_SX + b[1] * SPIN1_SY + b[2] * SPIN1_SZ
-    )
-    return np.linalg.eigvalsh(ham)
+    zeeman = b[0] * SPIN1_SX + b[1] * SPIN1_SY + b[2] * SPIN1_SZ
+    return np.linalg.eigvalsh(_ZERO_FIELD_HAM - GAMMA_E_GHZ_PER_G * zeeman)
 
 
 @dataclass(frozen=True)

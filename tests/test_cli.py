@@ -1129,6 +1129,67 @@ class TestOdmrCommand:
         assert "not valid JSON" in capsys.readouterr().err
 
 
+# each JSON input: its top-level shape and the command line that reads it
+# from ``path``; the trace sidecar is read next to trace.csv
+_JSON_INPUTS = {
+    "config": (dict, lambda path, out: ("bath", "--config", path, "--out-dir", out)),
+    "bath": (dict, lambda path, out: ("simulate", "--bath", path, "--field", "10",
+                                      "--out-dir", out)),
+    "measurements": (list, lambda path, out: ("reconstruct", "--measurements", path,
+                                              "--out-dir", out)),
+    "candidates": (list, lambda path, out: ("odmr", "--field", "1", "--candidates", path,
+                                            "--true-field", "1", "--out-dir", out)),
+    "sidecar": (dict, lambda path, out: ("extract", "--trace", path.with_suffix(".csv"))),
+}
+
+# each case: the file's bytes for an object input and for a list input
+_UNREADABLE_JSON = {
+    "wrong-type": (b"[1, 2]", b'{"seed": 0}'),
+    "not-utf8": (b'{"seed": "\xff"}', b'["\xff"]'),
+    "nested": (b"[" * 100_000, b"[" * 100_000),
+    "long-integer": (b'{"seed": 1' + b"0" * 4999 + b"}", b"[1" + b"0" * 4999 + b"]"),
+    "missing": (None, None),
+}
+
+
+class TestJsonInputs:
+    """Every JSON input goes through one reader, which refuses what it cannot read
+    as a configuration error naming the file, before any work or output."""
+
+    @pytest.mark.parametrize("case", list(_UNREADABLE_JSON))
+    @pytest.mark.parametrize("name", list(_JSON_INPUTS))
+    def test_unreadable_file_exits_2_naming_it(self, tmp_path, capsys, name, case):
+        shape, command = _JSON_INPUTS[name]
+        content = _UNREADABLE_JSON[case][shape is list]
+        path = tmp_path / "input.json"
+        if name == "sidecar":
+            analytic_trace(EchoSchedule.regular(3.0, 0.005), 0.5, 1.0).save_csv(
+                path.with_suffix(".csv"))
+        if content is not None:
+            path.write_bytes(content)
+        elif name == "sidecar":
+            # a trace may go without its sidecar; the file missing is the trace
+            path = path.with_suffix(".csv")
+            path.unlink()
+        before = sorted(tmp_path.rglob("*"))
+        assert run(*command(tmp_path / "input.json", tmp_path / "out")) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and str(path) in captured.err
+        assert "Traceback" not in captured.err
+        assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("text", ["null", "3", '"seed"'])
+    def test_config_that_is_not_an_object_exits_2(self, tmp_path, capsys, text):
+        # a string once read as its characters: unknown config keys ['d', 'e', 's']
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        assert run("bath", "--config", cfg, "--out-dir", tmp_path / "out") == 2
+        assert capsys.readouterr().err == (
+            f"error: config file {cfg} must hold a JSON object\n")
+        assert not (tmp_path / "out").exists()
+
+
 class TestSensitivityCommand:
     def test_report_files(self, tmp_path, capsys):
         assert run("sensitivity", "--t2", "0.5", "--out-dir", tmp_path) == 0

@@ -844,6 +844,12 @@ class TestCoherenceTrace:
                 values=np.array([1.0, 2.7, 0.1]),
             )
 
+    def test_overunity_warning_points_at_the_code_that_built_the_trace(self):
+        # not at the dataclass's generated __init__, which prints as <string>
+        with pytest.warns(RuntimeWarning, match="pair truncation") as record:
+            CoherenceTrace(t_grid=np.array([0.0, 0.1]), values=np.array([1.0, 2.7]))
+        assert [w.filename for w in record] == [__file__]
+
     def test_csv_round_trip(self, tmp_path):
         trace = CoherenceTrace(
             t_grid=np.linspace(0.0, 1.0, 11),
@@ -929,6 +935,38 @@ class TestEnsembleAverage:
         # an average over a member without counts has none
         ens = ensemble_average([t1, CoherenceTrace(grid, np.ones(5))])
         assert "diagnostics" not in ens.metadata
+
+    @pytest.mark.parametrize(
+        "first,second",
+        [
+            ({"pair_points_dropped": 7}, {"undersampled_spins": 1}),
+            ({"pair_points_dropped": 7}, {"pair_points_dropped": 5, "undersampled_spins": 1}),
+            ({"pair_points_dropped": 7}, "7"),
+            ("7", {"pair_points_dropped": 7}),
+            ([7], [5]),
+            ({"pair_points_dropped": 7}, {"pair_points_dropped": 5.0}),
+            ({"pair_points_dropped": 7}, {"pair_points_dropped": "5"}),
+            ({"pair_points_dropped": True}, {"pair_points_dropped": 5}),
+            ({"pair_points_dropped": None}, {"pair_points_dropped": 5}),
+        ],
+        ids=["other-keys", "extra-key", "string", "string-first", "lists", "float", "digits",
+             "bool", "null"],
+    )
+    def test_counts_that_do_not_match_are_dropped(self, first, second):
+        # loaded sidecars hold whatever a file held; only like counts add up
+        grid = np.linspace(0.0, 1.0, 5)
+        members = [CoherenceTrace(grid, np.ones(5), {"diagnostics": counts})
+                   for counts in (first, second)]
+        assert "diagnostics" not in ensemble_average(members).metadata
+
+    @pytest.mark.parametrize("seeds", ["12", 3, {"a": 1}, None])
+    def test_seeds_that_are_not_a_list_are_refused(self, seeds):
+        # a string would be read as its characters
+        grid = np.linspace(0.0, 1.0, 5)
+        members = [CoherenceTrace(grid, np.ones(5), {"seeds": [0]}),
+                   CoherenceTrace(grid, np.ones(5), {"seeds": seeds})]
+        with pytest.raises(ConfigError, match="seeds must be a list"):
+            ensemble_average(members)
 
     def test_mismatched_grids_rejected(self):
         t1 = CoherenceTrace(np.linspace(0.0, 1.0, 5), np.ones(5))
