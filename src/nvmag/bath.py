@@ -57,6 +57,18 @@ _DIAMOND_BASIS = np.array([(0.0, 0.0, 0.0), (0.25, 0.25, 0.25)])
 _Z_HAT = np.array([0.0, 0.0, 1.0])
 
 
+def _input_text(path, what: str, errors: str = "strict") -> str:
+    """The UTF-8 text of input file ``path``; a missing file, or one that cannot be
+    read (a directory, no read permission), is a ConfigError naming it as ``what``."""
+    try:
+        with open(path, encoding="utf-8", errors=errors) as fh:
+            return fh.read()
+    except FileNotFoundError:
+        raise ConfigError(f"{what} {path} not found") from None
+    except OSError as exc:
+        raise ConfigError(f"{what} {path} cannot be read: {exc.strerror or exc}") from None
+
+
 def load_strict_json(path, what: str, shape: type, read=None):
     """``read`` of the JSON in ``path``, or the JSON itself: every JSON input's reader.
 
@@ -75,12 +87,9 @@ def load_strict_json(path, what: str, shape: type, read=None):
         return value
 
     try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh, parse_constant=refuse, parse_float=finite)
-    except ConfigError:  # refuse()'s own, a ValueError too
+        data = json.loads(_input_text(path, what), parse_constant=refuse, parse_float=finite)
+    except ConfigError:  # refuse()'s and _input_text's own, ValueErrors too
         raise
-    except FileNotFoundError:
-        raise ConfigError(f"{what} {path} not found") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from None
     except (ValueError, RecursionError) as exc:  # not UTF-8, nested too deep, too long an int
@@ -355,20 +364,18 @@ class BathRealization:
     @classmethod
     def from_json_dict(cls, data: dict) -> "BathRealization":
         """Rebuild a saved bath; every position, hyperfine vector and coupling
-        must be finite, every index and seed an integer, and no pair listed twice."""
-        try:
-            spins = data["spins"]
-            config = LatticeConfig(**data["config"]) if data.get("config") else None
-            return cls._from_arrays(
-                _spin_vectors([s["position_nm"] for s in spins], "position_nm"),
-                _spin_vectors([s["hyperfine_khz"] for s in spins], "hyperfine_khz"),
-                *_pair_table(data["pair_couplings_khz"]),
-                float(finite_number(data["gamma_n_khz_per_g"], "gamma_n")),
-                integer(data["seed"], "seed"),
-                config,
-            )
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"malformed bath record: {exc}") from exc
+        must be finite, every index and seed an integer, and no pair listed twice
+        (:meth:`load` turns a misshapen record's KeyError or TypeError into a ConfigError)."""
+        spins = data["spins"]
+        config = LatticeConfig(**data["config"]) if data.get("config") else None
+        return cls._from_arrays(
+            _spin_vectors([s["position_nm"] for s in spins], "position_nm"),
+            _spin_vectors([s["hyperfine_khz"] for s in spins], "hyperfine_khz"),
+            *_pair_table(data["pair_couplings_khz"]),
+            float(finite_number(data["gamma_n_khz_per_g"], "gamma_n")),
+            integer(data["seed"], "seed"),
+            config,
+        )
 
     def save(self, path) -> None:
         """Write the bath record, keys in record order; a bath JSON cannot hold is refused."""

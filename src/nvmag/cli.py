@@ -29,7 +29,7 @@ built-in defaults.  Every JSON input (--config, --bath, --measurements,
 --candidates, a trace's sidecar) is read by ``bath.load_strict_json``: a
 file it refuses, or a malformed record in it, exits 2 naming the file.
 NVMAG_THREADS caps the threads that compute the pair factors of every
-trace (default: one per core).  Exit codes: 0 success, 2 configuration
+trace (default: one per CPU).  Exit codes: 0 success, 2 configuration
 error or a request too large for memory, 3 physics-constraint error.
 """
 
@@ -369,33 +369,28 @@ def cmd_sweep(run: Run) -> str:
     run.timings_s["simulate"] = time.perf_counter() - t_sim
     run.seeds = seeds
 
-    def finite_mean(values):
-        vals = [v for v in values if v is not None and math.isfinite(v)]
-        return (sum(vals) / len(vals), len(vals)) if vals else (None, 0)
-
     rows: list[list] = []
     summary: dict = {"mode": mode, "points": {}, "fits": {}}
-    fit_x: dict[str, list] = {"T_R": [], "T_w": [], "T2": []}
-    fit_y: dict[str, list] = {"T_R": [], "T_w": [], "T2": []}
+    # timescale -> (point, mean over the realizations that found it): the
+    # summary, the fits and the plot all read this one table
+    means: dict[str, list] = {"T_R": [], "T_w": [], "T2": []}
     for key in keys:
         members = [traces[key, seed] for seed in seeds]
         per_real = [extract_timescales(trace, prominence=prominence) for trace in members]
         ens = extract_timescales(ensemble_average(members), prominence=prominence)
-        labels = [trace.metadata["seeds"][0] for trace in members] + ["ensemble"]
-        for label, ts in zip(labels, per_real + [ens]):
+        for label, ts in zip(seeds + ["ensemble"], per_real + [ens]):
             rows.append([key, label, ts.T_w, ts.T_w_err, ts.T_R, ts.T_R_err,
                          ts.T2, ts.T2_err, ";".join(ts.flags)])
-        entry = {}
-        for name in fit_x:
-            mean, n_ok = finite_mean([getattr(t, name) for t in per_real])
+        entry = {"flags_ensemble": list(ens.flags)}
+        for name, table in means.items():
+            found = [v for ts in per_real if math.isfinite(v := getattr(ts, name))]
+            mean = sum(found) / len(found) if found else None
+            if found:
+                table.append((key, mean))
             entry[f"{name}_ms_mean"] = mean
-            entry[f"{name}_n"] = n_ok
+            entry[f"{name}_n"] = len(found)
             ens_value = getattr(ens, name)
             entry[f"{name}_ms_ensemble"] = ens_value if math.isfinite(ens_value) else None
-            if n_ok:
-                fit_x[name].append(key)
-                fit_y[name].append(mean)
-        entry["flags_ensemble"] = list(ens.flags)
         summary["points"][str(key)] = entry
     rows_path = run.write_csv(
         f"sweep_{mode}_rows.csv",
@@ -405,13 +400,13 @@ def cmd_sweep(run: Run) -> str:
     )
 
     for fit_name, name in fits.items():
-        if len(fit_x[name]) >= 3:
-            summary["fits"][fit_name] = fit_power_law(fit_x[name], fit_y[name]).to_json_dict()
+        if len(means[name]) >= 3:
+            summary["fits"][fit_name] = fit_power_law(*zip(*means[name])).to_json_dict()
 
     run.write_json(f"sweep_{mode}_summary.json", summary)
 
     if ns.plot:
-        series = [(f"{name} (ms)", fit_x[name], fit_y[name]) for name in fit_x if fit_x[name]]
+        series = [(f"{name} (ms)", *zip(*table)) for name, table in means.items() if table]
         svg = line_plot(
             series,
             title=f"timescales vs {key_name}",
@@ -446,9 +441,14 @@ def cmd_invert(run: Run) -> dict:
 
 def cmd_reconstruct(run: Run) -> dict:
     ns, cal = run.ns, run.calibration()
-    measurements = load_strict_json(ns.measurements, "measurement file", list, lambda records: [
-        AxisMeasurement(m["axis"], m["T_R_ms"], m.get("bias_G", 0.0)) for m in records
-    ])
+
+    def measurement(m) -> AxisMeasurement:
+        if isinstance(m, dict) and (unknown := m.keys() - {"axis", "T_R_ms", "bias_G"}):
+            raise ConfigError(f"unknown measurement keys: {sorted(unknown)}")
+        return AxisMeasurement(m["axis"], m["T_R_ms"], m.get("bias_G", 0.0))
+
+    measurements = load_strict_json(ns.measurements, "measurement file", list,
+                                    lambda records: [measurement(m) for m in records])
     components = measurements_to_components(measurements, cal)
     estimate = reconstruct_field(components)
     payload = estimate.to_json_dict()

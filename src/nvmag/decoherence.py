@@ -47,8 +47,8 @@ from pathlib import Path
 import numpy as np
 
 from .bath import (
-    BathRealization, NuclearSpin, csv_text, finite_array, finite_number, finite_vector,
-    increasing_array, integer, json_text, load_strict_json, positive,
+    BathRealization, NuclearSpin, _input_text, csv_text, finite_array, finite_number,
+    finite_vector, increasing_array, integer, json_text, load_strict_json, positive,
 )
 from .constants import GAMMA_N_13C_KHZ_PER_G
 from .errors import (
@@ -265,7 +265,7 @@ class CoherenceTrace:
         """Read what :meth:`save_csv` writes: the ``t_ms,L`` header line, then
         one row per grid point, plus the sidecar if there is one."""
         csv_path = Path(csv_path)
-        header, *rows = csv_path.read_text(errors="replace").splitlines() or [""]
+        header, *rows = _input_text(csv_path, "trace file", "replace").splitlines() or [""]
         if header != "t_ms,L":
             raise ConfigError(f"{csv_path} does not start with the header line t_ms,L")
         if not any(row.strip() for row in rows):
@@ -555,7 +555,7 @@ def _pair_batches(bath: BathRealization) -> list:
 
 
 def _pool_size(n_tasks: int) -> int:
-    """Worker threads for ``n_tasks`` tasks: NVMAG_THREADS, else the core count."""
+    """Worker threads for ``n_tasks`` tasks: NVMAG_THREADS, else the CPUs it may run on."""
     env = os.environ.get("NVMAG_THREADS", "").strip()
     if env:
         try:
@@ -564,6 +564,8 @@ def _pool_size(n_tasks: int) -> int:
             raise ConfigError(f"NVMAG_THREADS must be an integer, got {env!r}") from exc
         if cap < 1:
             raise ConfigError("NVMAG_THREADS must be >= 1")
+    elif hasattr(os, "sched_getaffinity"):
+        cap = len(os.sched_getaffinity(0))
     else:
         cap = os.cpu_count() or 1
     return max(1, min(cap, n_tasks))
@@ -584,7 +586,7 @@ def echo_coherence_trace(
 
     Pairs are processed in batches of :data:`PAIRS_PER_BATCH` pairs of the
     bath's pair table in (coupling, i, j) order (:func:`_pair_batches`), on
-    a pool of ``NVMAG_THREADS`` worker threads (default: one per core, never
+    a pool of ``NVMAG_THREADS`` worker threads (default: one per CPU, never
     more than there are tasks).  The pool runs :func:`_pair_spectra` once
     per batch, and the trace holds the spectra; then it folds the grid's
     tiles, consecutive slices of :data:`POINTS_PER_TILE` points (the last

@@ -272,17 +272,8 @@ def resolve_alignment(
         if symmetric and split_ok:
             gated.append(i)
 
-    if not gated:
-        return AlignmentResolution(
-            selected=(),
-            spectra=tuple(spectra),
-            resolved=False,
-            note="no candidate matches an aligned spectrum within tolerance",
-        )
-
-    min_asym = min(spectra[i].asymmetry for i in gated)
+    min_asym = min((spectra[i].asymmetry for i in gated), default=math.inf)
     winners = [i for i in gated if spectra[i].asymmetry <= min_asym + _TIE_EPSILON_GHZ]
-    selected = tuple(tuple(float(x) for x in cands[i]) for i in winners)
 
     def family(vec: np.ndarray) -> tuple:
         # a direction and its antipode are one family; round away float fuzz
@@ -290,22 +281,19 @@ def resolve_alignment(
         a = tuple(np.round(unit, 9))
         return min(a, tuple(np.round(-unit, 9)))
 
-    antipodal_families = {family(cands[i]) for i in winners}
-    if len(antipodal_families) > 1:
-        return AlignmentResolution(
-            selected=selected,
-            spectra=tuple(spectra),
-            resolved=False,
-            note="multiple distinct directions tie; probe cannot separate them",
-        )
-    note = (
-        "antiparallel pair remains: aligned and anti-aligned spectra coincide"
-        if len(winners) == 2
-        else ""
-    )
+    # resolved when the winners are one antipodal family
+    resolved = len({family(cands[i]) for i in winners}) == 1
+    if not winners:
+        note = "no candidate matches an aligned spectrum within tolerance"
+    elif not resolved:
+        note = "multiple distinct directions tie; probe cannot separate them"
+    elif len(winners) == 2:
+        note = "antiparallel pair remains: aligned and anti-aligned spectra coincide"
+    else:
+        note = ""
     return AlignmentResolution(
-        selected=selected,
+        selected=tuple(tuple(float(x) for x in cands[i]) for i in winners),
         spectra=tuple(spectra),
-        resolved=True,
+        resolved=resolved,
         note=note,
     )

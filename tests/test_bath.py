@@ -418,33 +418,55 @@ class TestPersistence:
             BathRealization.load(path)
 
     @pytest.mark.parametrize(
-        "edit",
+        "edit, message",
         [
-            lambda d: d["spins"][0]["position_nm"].__setitem__(0, math.nan),
-            lambda d: d["spins"][0]["hyperfine_khz"].__setitem__(2, -math.inf),
-            lambda d: d["spins"][0]["hyperfine_khz"].pop(),
-            lambda d: d["spins"][0].__setitem__("position_nm", "abc"),
-            lambda d: d["pair_couplings_khz"][0].__setitem__(2, math.inf),
-            lambda d: d["pair_couplings_khz"][0].__setitem__(2, "1.0"),
-            lambda d: d["pair_couplings_khz"][0].__setitem__(0, 0.9),
-            lambda d: d["pair_couplings_khz"].append(list(d["pair_couplings_khz"][-1])),
-            lambda d: d.__setitem__("seed", 2.7),
-            lambda d: d["config"].__setitem__("pair_cutoff", math.nan),
-            lambda d: d["config"].__setitem__("seed", 1.5),
-            lambda d: d.update(seed=-1, config=None),
-            lambda d: d.__setitem__("seed", 10),
+            (lambda d: d["spins"][0]["position_nm"].__setitem__(0, math.nan),
+             "position_nm must be finite"),
+            (lambda d: d["spins"][0]["hyperfine_khz"].__setitem__(2, -math.inf),
+             "hyperfine_khz must be finite"),
+            (lambda d: d["spins"][0]["hyperfine_khz"].pop(),
+             "hyperfine_khz must hold three numbers"),
+            (lambda d: d["spins"][0].__setitem__("position_nm", "abc"),
+             "position_nm must hold three numbers"),
+            (lambda d: d["pair_couplings_khz"][0].__setitem__(2, math.inf),
+             "pair coupling must be finite"),
+            (lambda d: d["pair_couplings_khz"][0].__setitem__(2, "1.0"),
+             "pair coupling must be a number"),
+            (lambda d: d["pair_couplings_khz"][0].__setitem__(0, 0.9),
+             "pair index must be an integer"),
+            (lambda d: d["pair_couplings_khz"].append(list(d["pair_couplings_khz"][-1])),
+             r"pair \(\d+, \d+\) listed twice"),
+            (lambda d: d.__setitem__("seed", 2.7), "seed must be an integer"),
+            (lambda d: d["config"].__setitem__("pair_cutoff", math.nan),
+             "pair_cutoff must be finite"),
+            (lambda d: d["config"].__setitem__("seed", 1.5), "seed must be an integer"),
+            (lambda d: d.update(seed=-1, config=None), "seed must be >= 0"),
+            (lambda d: d.__setitem__("seed", 10), "seed 10 disagrees with its config seed 9"),
         ],
         ids=["nan-position", "infinite-hyperfine", "two-component-hyperfine",
              "string-position", "infinite-coupling", "string-coupling", "fractional-index",
              "pair-listed-twice", "fractional-seed", "nan-pair-cutoff", "fractional-config-seed",
              "negative-seed", "seed-other-than-config-seed"],
     )
-    def test_non_finite_or_misshapen_record_rejected(self, small_sites, edit):
+    def test_non_finite_or_misshapen_record_rejected(self, small_sites, tmp_path, edit, message):
         record = sample_bath(small_sites, LatticeConfig(seed=9, abundance=0.1)).to_json_dict()
         assert record["pair_couplings_khz"]
         edit(record)
-        with pytest.raises(ConfigError, match="malformed bath record"):
+        with pytest.raises(ConfigError, match=message):
             BathRealization.from_json_dict(record)
+        # through the file reader the refusal names the file and says "malformed"
+        # at most once (a non-finite number is refused before any record is read)
+        path = tmp_path / "bath.json"
+        path.write_text(json.dumps(record))
+        with pytest.raises(ConfigError) as refused:
+            BathRealization.load(path)
+        assert str(path) in str(refused.value)
+        assert str(refused.value).count("malformed") <= 1
+
+    def test_a_directory_is_a_config_error_naming_it(self, tmp_path):
+        # it raised IsADirectoryError, which is no ConfigError
+        with pytest.raises(ConfigError, match="bath file .* cannot be read"):
+            BathRealization.load(tmp_path)
 
     def test_gamma_n_other_than_13c_rejected(self, small_sites):
         # hyperfine and dipolar couplings are computed with the 13C ratio;

@@ -9,6 +9,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import re
 import shlex
 import xml.etree.ElementTree as ET
@@ -182,6 +183,16 @@ class TestParseHelpers:
     def test_pool_size_defaults_to_cpu_count(self, monkeypatch):
         monkeypatch.delenv("NVMAG_THREADS", raising=False)
         assert 1 <= _pool_size(4) <= 4
+
+    def test_pool_size_defaults_to_the_cpus_the_process_may_run_on(self, monkeypatch):
+        # os.cpu_count() counts the host's CPUs, not the affinity mask: under
+        # taskset -c 0 on two cores a trace started two workers
+        monkeypatch.delenv("NVMAG_THREADS", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        assert _pool_size(8) == 2
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert _pool_size(8) == 8
 
 
 class TestConfigFile:
@@ -1024,6 +1035,20 @@ class TestReconstructCommand:
         assert f"malformed measurement file {path}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "key,value", [("bias_g", 0.3), ("flags", ["no-revival"])], ids=["bias_g", "flags"])
+    def test_unknown_key_exits_2_naming_the_file_and_the_key(self, tmp_path, capsys, key, value):
+        # a lower-case bias_g was read as no bias: exit 0 with 0.5 G, where
+        # bias_G reads 0.490 G
+        records = [{"axis": [1, 0, 0], "T_R_ms": 5.6196, key: value},
+                   {"axis": [0, 1, 0], "T_R_ms": 2.8098}, {"axis": [0, 0, 1], "T_R_ms": 2.8098}]
+        path = tmp_path / "measurements.json"
+        path.write_text(json.dumps(records))
+        assert run("reconstruct", "--measurements", path, "--out-dir", tmp_path / "out") == 2
+        assert capsys.readouterr().err == (
+            f"error: malformed measurement file {path}: unknown measurement keys: ['{key}']\n")
+        assert not (tmp_path / "out").exists()
+
     def test_missing_file_exits_2(self, tmp_path):
         rc = run(
             "reconstruct", "--measurements", tmp_path / "none.json",
@@ -1129,26 +1154,31 @@ class TestOdmrCommand:
         assert "not valid JSON" in capsys.readouterr().err
 
 
-# each JSON input: its top-level shape and the command line that reads it
-# from ``path``; the trace sidecar is read next to trace.csv
+# each JSON input: its top-level shape, the name its messages give it and the
+# command line that reads it from ``path``; the trace sidecar is read next to
+# trace.csv
 _JSON_INPUTS = {
-    "config": (dict, lambda path, out: ("bath", "--config", path, "--out-dir", out)),
-    "bath": (dict, lambda path, out: ("simulate", "--bath", path, "--field", "10",
-                                      "--out-dir", out)),
-    "measurements": (list, lambda path, out: ("reconstruct", "--measurements", path,
-                                              "--out-dir", out)),
-    "candidates": (list, lambda path, out: ("odmr", "--field", "1", "--candidates", path,
-                                            "--true-field", "1", "--out-dir", out)),
-    "sidecar": (dict, lambda path, out: ("extract", "--trace", path.with_suffix(".csv"))),
+    "config": (dict, "config file", lambda path, out: ("bath", "--config", path,
+                                                       "--out-dir", out)),
+    "bath": (dict, "bath file", lambda path, out: ("simulate", "--bath", path, "--field", "10",
+                                                   "--out-dir", out)),
+    "measurements": (list, "measurement file", lambda path, out: (
+        "reconstruct", "--measurements", path, "--out-dir", out)),
+    "candidates": (list, "candidates file", lambda path, out: (
+        "odmr", "--field", "1", "--candidates", path, "--true-field", "1", "--out-dir", out)),
+    "sidecar": (dict, "trace sidecar", lambda path, out: (
+        "extract", "--trace", path.with_suffix(".csv"))),
 }
 
-# each case: the file's bytes for an object input and for a list input
+# each case: the file's bytes for an object input and for a list input; None
+# for no file, and a directory in the file's place for "directory"
 _UNREADABLE_JSON = {
     "wrong-type": (b"[1, 2]", b'{"seed": 0}'),
     "not-utf8": (b'{"seed": "\xff"}', b'["\xff"]'),
     "nested": (b"[" * 100_000, b"[" * 100_000),
     "long-integer": (b'{"seed": 1' + b"0" * 4999 + b"}", b"[1" + b"0" * 4999 + b"]"),
     "missing": (None, None),
+    "directory": (None, None),
 }
 
 
@@ -1159,7 +1189,7 @@ class TestJsonInputs:
     @pytest.mark.parametrize("case", list(_UNREADABLE_JSON))
     @pytest.mark.parametrize("name", list(_JSON_INPUTS))
     def test_unreadable_file_exits_2_naming_it(self, tmp_path, capsys, name, case):
-        shape, command = _JSON_INPUTS[name]
+        shape, what, command = _JSON_INPUTS[name]
         content = _UNREADABLE_JSON[case][shape is list]
         path = tmp_path / "input.json"
         if name == "sidecar":
@@ -1167,15 +1197,18 @@ class TestJsonInputs:
                 path.with_suffix(".csv"))
         if content is not None:
             path.write_bytes(content)
+        elif case == "directory":
+            path.unlink(missing_ok=True)  # the sidecar save_csv wrote
+            path.mkdir()
         elif name == "sidecar":
             # a trace may go without its sidecar; the file missing is the trace
-            path = path.with_suffix(".csv")
+            path, what = path.with_suffix(".csv"), "trace file"
             path.unlink()
         before = sorted(tmp_path.rglob("*"))
         assert run(*command(tmp_path / "input.json", tmp_path / "out")) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: ") and str(path) in captured.err
+        assert captured.err.startswith("error: ") and f"{what} {path}" in captured.err
         assert "Traceback" not in captured.err
         assert sorted(tmp_path.rglob("*")) == before
 
@@ -1308,15 +1341,15 @@ class TestReadmeExamples:
     """README's command examples, run in a fresh working directory.
 
     Each example whose output the README shows in full runs in order
-    through ``main`` (bath, simulate --plot, extract, invert, odmr,
-    sensitivity --plot).  Text lines must match exactly; in JSON output the
-    layout must match exactly and each number to a relative 1e-9, because
-    eigensolver rounding differs between BLAS builds.  The sweep example is
-    left out: it takes about 3 s, and TestSweepCommand checks its products.
-    The reconstruct example abbreviates its output, so it is left out too.
+    through ``main`` (bath, simulate --plot, extract, invert, sweep, odmr,
+    sensitivity --plot).  Text lines must match exactly, the sweep's fit
+    lines included; in JSON output the layout must match exactly and each
+    number to a relative 1e-9, because eigensolver rounding differs between
+    BLAS builds.  The reconstruct example abbreviates its output, so it is
+    left out.
     """
 
-    SKIPPED = {"sweep", "reconstruct"}
+    SKIPPED = {"reconstruct"}
 
     def test_shown_output_is_what_the_command_prints(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
@@ -1337,7 +1370,7 @@ class TestReadmeExamples:
                 for g, w in zip(_NUMBER.findall(got_line), _NUMBER.findall(want_line)):
                     assert float(g) == pytest.approx(float(w), rel=1e-9), (command, got_line)
             ran.append(argv[0])
-        assert ran == ["bath", "simulate", "extract", "invert", "odmr", "sensitivity"]
+        assert ran == ["bath", "simulate", "extract", "invert", "sweep", "odmr", "sensitivity"]
 
 
 def _listed_config_keys(text: str) -> set[str]:
