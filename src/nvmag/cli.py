@@ -495,12 +495,13 @@ def cmd_sensitivity(run: Run) -> str:
         tau_points=run.integer("tau_points", TAU_POINTS_DEFAULT),
     )
     eta_uT = report.eta_uT_sqHz
+    report_text = json_text(report.to_json_dict()) + "\n"  # refused before any file is written
     run.write_csv(
         "sensitivity_eta.csv",
         ["tau_ms", "eta_G_per_sqrtHz", "eta_uT_per_sqrtHz"],
         zip(report.tau_grid_ms, report.eta_G_sqHz, eta_uT),
     )
-    run.write_json("sensitivity_report.json", report.to_json_dict())
+    run.write_text("sensitivity_report.json", report_text)
     if run.ns.plot:
         finite = np.isfinite(report.eta_G_sqHz)
         svg = line_plot(

@@ -249,11 +249,13 @@ class CoherenceTrace:
     def save_csv(self, csv_path) -> Path:
         """Write (t_ms, L) rows plus a JSON metadata sidecar; returns sidecar path.
 
-        Metadata that strict JSON cannot hold is refused before either file
-        is opened.
+        Metadata that strict JSON cannot hold, and a ``.json`` path, which
+        is the sidecar's own, are refused before either file is opened.
         """
         csv_path = Path(csv_path)
         sidecar = csv_path.with_suffix(".json")
+        if sidecar == csv_path:
+            raise ConfigError(f"trace file {csv_path} would be overwritten by its .json sidecar")
         table = csv_text(["t_ms", "L"], zip(self.t_grid.tolist(), self.values.tolist()))
         metadata = json_text(self.metadata) + "\n"
         csv_path.write_text(table)
@@ -334,7 +336,8 @@ def pair_echo_factor(
     spectra = _pair_spectra(h1[:1], h1[1:], pair.pair_b, field.as_array())
     t = finite_array(t_ms, "t_ms")
     copies = 2 if t.size == 1 else 1  # numpy multiplies a single column along another path
-    out = _pair_kernel_factors(spectra, np.repeat(0.5 * t.reshape(-1), copies))[0][::copies]
+    tau = np.repeat(0.5 * t.reshape(-1), copies)
+    out = _pair_kernel_factors(spectra, tau, np.empty(_WORKSPACE_ROWS * tau.size))[0][::copies]
     return float(out[0]) if t.ndim == 0 else out.reshape(t.shape)
 
 
@@ -454,9 +457,7 @@ def _level_cosines(
         lo += 4 - shift
 
 
-def _pair_kernel_factors(
-    spectra, tau: np.ndarray, workspace: np.ndarray | None = None
-) -> np.ndarray:
+def _pair_kernel_factors(spectra, tau: np.ndarray, workspace: np.ndarray) -> np.ndarray:
     """(n, T) pair echo factors at branch durations ``tau`` (total time 2 tau).
 
     Contraction in the eigenbasis of the m = 0 branch Hamiltonian H0.  With
@@ -510,13 +511,10 @@ def _pair_kernel_factors(
     pair-point, laid out as (rows, pairs, points) so that every row group
     is one contiguous slice; the result stays valid until the workspace is
     reused.  A trace's fold passes one per tile, for every batch in turn.
-    Without one, a fresh buffer is allocated.
     """
     e0, index, e1, gram = spectra
     n, d, n_t = e1.shape[0], e0.shape[0], tau.size
     size = n * n_t
-    if workspace is None:
-        workspace = np.empty(_WORKSPACE_ROWS * size)
     rows = workspace[: _WORKSPACE_ROWS * size].reshape(_WORKSPACE_ROWS, n, n_t)
     half, cos, sin = rows[:4], rows[4:8], rows[8:12]
     features, g_f0 = rows[12:19], rows[19:26]

@@ -411,7 +411,8 @@ def extract_TR(peaks: list[RevivalPeak], grid_step_ms: float) -> tuple[float, fl
 def extract_T2(peaks: list[RevivalPeak]) -> tuple[float, float]:
     """Envelope decay time (ms): where the peak-height envelope reaches 1/e.
 
-    Needs at least three positive-height peaks, and every height finite.
+    Needs at least three positive-height peaks, the peak times finite and
+    strictly increasing, and every height finite.
     The envelope is read directly off the peak train: the first pair of
     successive peaks that brackets the 1/e level fixes the crossing by
     log-linear interpolation, with half the bracket spacing as the
@@ -423,13 +424,14 @@ def extract_T2(peaks: list[RevivalPeak]) -> tuple[float, float]:
     non-decaying train (fitted slope >= 0 within numerical noise) reports
     (inf, inf) so callers can flag it rather than crash.
     """
+    times = increasing_array([p.time for p in peaks], "peak times")
     heights = finite_array([p.height for p in peaks], "peak heights")
     usable = heights > 0
     if np.count_nonzero(usable) < 3:
         raise InsufficientEnvelopeError(
             "need at least three positive peaks to fit a decay envelope"
         )
-    t = np.array([p.time for p in peaks])[usable]
+    t = times[usable]
     log_h = np.log(heights[usable])
 
     below = np.nonzero(log_h < -1.0)[0]

@@ -121,8 +121,9 @@ UNDAMPED = {("analytic_coherence", (1,)), ("analytic_trace", (2,)), ("fluorescen
 
 _OBJECTS_ONLY = "takes no number, only nvmag objects that checked theirs when built"
 _RECORD = "an output record a checked function builds"
-_PEAKS = ("takes RevivalPeak records, which check nothing; it refuses a non-finite"
-          " height itself (test_timescales)")
+_PEAKS = ("takes RevivalPeak records, which check nothing; it refuses peak times that"
+          " are not finite and strictly increasing, and a non-finite height, itself"
+          " (test_timescales)")
 EXEMPT = {
     "generate_lattice_sites": _OBJECTS_ONLY,
     "echo_coherence_trace": _OBJECTS_ONLY,
@@ -135,8 +136,8 @@ EXEMPT = {
     "FieldEstimate": _RECORD,
     "OdmrSpectrum": _RECORD,
     "OptimalPoint": _RECORD,
-    "RevivalPeak": _RECORD + ("; extract_TR checks the times and heights of the peaks"
-                              " it is given, and extract_T2 their heights"),
+    "RevivalPeak": _RECORD + ("; extract_TR and extract_T2 check the times and heights"
+                              " of the peaks they are given"),
     "SensitivityReport": _RECORD + "; eta is infinite at response nodes",
     "TimescaleSet": _RECORD + "; a value that could not be extracted is NaN",
     "NuclearSpin": ("a record of two vectors that checks nothing; BathRealization and"

@@ -319,7 +319,8 @@ class TestPairKernelChunks:
         factors = _pair_kernel_factors(spectra, tau[tile], workspace)
         for k in range(index.size):
             alone = (e0[index[k : k + 1]], np.zeros(1, dtype=int), e1[k : k + 1], gram[k : k + 1])
-            assert factors[k].tobytes() == _pair_kernel_factors(alone, tau[tile])[0].tobytes()
+            got = _pair_kernel_factors(alone, tau[tile], np.empty(workspace.size))[0]
+            assert factors[k].tobytes() == got.tobytes()
 
     def test_chunked_factors_match_full_hilbert_oracle(self):
         # 15 pairs, one batch, whose kernel runs on 64 tiles of 64 points,
@@ -371,6 +372,7 @@ class TestPairKernelChunks:
         tau = EchoSchedule.for_field(field.magnitude, t_max).t_grid
         assert tau.size == n_points
         h1 = effective_field(field, bath.hyperfine)
+        workspace = np.empty(_WORKSPACE_ROWS * PAIRS_PER_BATCH * POINTS_PER_TILE)
         err, n_tiles = 0.0, 0
         for bi, bj, bb in _pair_batches(bath):
             spectra = _pair_spectra(h1[bi], h1[bj], bb, field.as_array())
@@ -382,7 +384,7 @@ class TestPairKernelChunks:
                         oracle_spectra = pair_spectra_m_kernel(
                             h1[bi], h1[bj], bb, field.as_array()
                         )
-                    got = _pair_kernel_factors(spectra, tau[tile])
+                    got = _pair_kernel_factors(spectra, tau[tile], workspace)
                     want = oracle(oracle_spectra, tau[tile])
                     err = max(err, np.max(np.abs(got - want)))
                 n_tiles += 1
@@ -869,6 +871,14 @@ class TestCoherenceTrace:
         trace = analytic_trace(EchoSchedule.regular(1.0, 0.01), 0.2, np.inf)
         with pytest.raises(ConfigError, match="JSON cannot represent"):
             trace.save_csv(tmp_path / "trace.csv")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_save_refuses_a_json_path(self, tmp_path):
+        # the sidecar is the path with its suffix made .json: the table was
+        # written and then overwritten by the metadata
+        trace = analytic_trace(EchoSchedule.regular(1.0, 0.01), 0.2, 1.0)
+        with pytest.raises(ConfigError, match="t.json"):
+            trace.save_csv(tmp_path / "t.json")
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(

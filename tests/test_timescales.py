@@ -478,6 +478,15 @@ class TestExtractT2:
         with pytest.raises(ConfigError, match="peak heights must be finite"):
             extract_T2(peaks)
 
+    @pytest.mark.parametrize(
+        "times", [[0.0, math.nan, 0.2], [0.0, 0.1, math.inf], [0.2, 0.1, 0.0]],
+        ids=["nan", "infinite", "unsorted"])
+    def test_peak_times_must_be_finite_and_increase(self, times):
+        # each read without a word: (nan, nan), (inf, inf) as an undamped
+        # train, and T2_err = -0.05 ms
+        with pytest.raises(ConfigError, match="peak times must be finite and strictly increase"):
+            extract_T2(mk_peaks(times, [1.0, 0.5, 0.2]))
+
     def test_nonpositive_heights_do_not_count(self):
         peaks = mk_peaks([0.0, 0.5, 1.0], [1.0, 0.0, -0.2])
         with pytest.raises(InsufficientEnvelopeError):
