@@ -915,6 +915,8 @@ REFUSALS = {
     # 1e15 grid points: the allocation is refused at once
     "TestSimulateCommand::test_grid_too_large_for_memory_exits_2": Refusal(
         "simulate --field 10 --t-max 1e9 --step 1e-6 --out-dir {tmp}/out", "Unable to allocate"),
+    "TestSimulateCommand::test_two_component_field_exits_2": Refusal(
+        SIMULATE + "1,2 --out-dir {tmp}", "three components", CONFIG),
     "TestSimulateCommand::test_bad_input_exits_2_before_any_work[two-component-field]": Refusal(
         SIMULATE + "1,2 --out-dir {tmp}/out", "three components", CONFIG),
     "TestSimulateCommand::test_bad_input_exits_2_before_any_work[nan-step]": Refusal(
