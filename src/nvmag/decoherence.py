@@ -180,8 +180,14 @@ class EchoSchedule:
     def regular(cls, t_max_ms: float, step_ms: float) -> "EchoSchedule":
         positive(t_max_ms, "t_max")
         positive(step_ms, "step")
-        n = int(np.ceil(t_max_ms / step_ms))
-        return cls(np.linspace(0.0, n * step_ms, n + 1))
+        try:
+            n = int(np.ceil(t_max_ms / step_ms))
+            grid = np.linspace(0.0, n * step_ms, n + 1)
+        except (OverflowError, ValueError, MemoryError):  # past int(), numpy's size limit or memory
+            raise ConfigError(
+                f"echo grid of {np.ceil(t_max_ms / step_ms) + 1:.6g} points (t_max {t_max_ms:g} ms,"
+                f" step {step_ms:g} ms) is too large to build") from None
+        return cls(grid)
 
     @classmethod
     def for_field(
@@ -331,10 +337,10 @@ def pair_echo_factor(
     single time runs on two copies of itself, as a one-point trace grid
     does, so that it has the bits it has inside any longer array.
     """
+    t = finite_array(t_ms, "t_ms")
     pair = BathRealization([spin_i, spin_j], {(0, 1): b_ij_khz})
     h1 = effective_field(field, pair.hyperfine)
     spectra = _pair_spectra(h1[:1], h1[1:], pair.pair_b, field.as_array())
-    t = finite_array(t_ms, "t_ms")
     copies = 2 if t.size == 1 else 1  # numpy multiplies a single column along another path
     tau = np.repeat(0.5 * t.reshape(-1), copies)
     out = _pair_kernel_factors(spectra, tau, np.empty(_WORKSPACE_ROWS * tau.size))[0][::copies]

@@ -274,7 +274,11 @@ def build_report(
         raise ConfigError("tau grid needs at least two points")
     best = optimal_sensitivity(t2, readout.C, cal, readout.n_centers)
     b = best.matched_B_G if field_g is None else field_g
-    tau_grid = np.linspace(t2 / 50.0, 2.5 * t2, tau_points)
+    try:
+        tau_grid = np.linspace(t2 / 50.0, 2.5 * t2, tau_points)
+    except (ValueError, MemoryError):  # past numpy's size limit or memory
+        raise ConfigError(
+            f"tau scan of {tau_points} points (tau_points) is too large to build") from None
     eta = sensitivity_eta(tau_grid, b, t2, readout.C, cal)
     return SensitivityReport(
         tau_grid_ms=tau_grid,

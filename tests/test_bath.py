@@ -1,3 +1,10 @@
+"""Bath geometry, couplings, sampling, storage and persistence.
+
+Every refusal of the bath module is a row of ``REFUSALS``: a call, the
+exact exception class it raises and the text of its one-line message, held
+to the checks of ``refusals.check_refusal``.
+"""
+
 import json
 import math
 import tracemalloc
@@ -26,6 +33,7 @@ from nvmag.constants import (
 from nvmag.errors import ConfigError, DomainError
 
 from oracles import bath_couplings_loop, lattice_sites_one_shot, si_dipole_prefactor_khz_nm3
+from refusals import Refusal, check_refusal, install
 
 MIB = 2**20
 
@@ -85,42 +93,9 @@ class TestLatticeGeometry:
             tracemalloc.stop()
         assert peak <= 6 * MIB
 
-    @pytest.mark.parametrize(
-        "name,value",
-        [("lattice_constant", math.nan), ("cutoff_radius", math.inf),
-         ("exclusion_radius", math.nan), ("pair_cutoff", math.nan)],
-    )
-    def test_non_finite_geometry_rejected(self, name, value):
-        # NaN passes every "<= 0" check, and an infinite cutoff would
-        # enumerate lattice cells without end
-        with pytest.raises(ConfigError, match=name):
-            LatticeConfig(**{name: value})
-
-    @pytest.mark.parametrize(
-        "name,value",
-        [("lattice_constant", 0.0), ("lattice_constant", -3.567),
-         ("exclusion_radius", -0.1), ("pair_cutoff", 0.0)],
-    )
-    def test_non_positive_geometry_rejected(self, name, value):
-        with pytest.raises(ConfigError, match=name):
-            LatticeConfig(**{name: value})
-
     def test_fractional_seed_rejected(self):
-        with pytest.raises(ConfigError, match="seed"):
-            LatticeConfig(seed=1.5)
-        with pytest.raises(ConfigError, match="seed must be >= 0"):
-            LatticeConfig(seed=-1)
+        # a fractional or negative seed is refused: REFUSALS; a numpy integer is a seed
         assert LatticeConfig(seed=np.int64(3)).seed == 3
-
-    def test_cutoff_must_exceed_exclusion(self):
-        with pytest.raises(ConfigError):
-            LatticeConfig(cutoff_radius=0.1, exclusion_radius=1.55)
-
-    def test_bad_abundance_rejected(self):
-        with pytest.raises(ConfigError):
-            LatticeConfig(abundance=1.5)
-        with pytest.raises(ConfigError):
-            LatticeConfig(abundance=-0.1)
 
 
 # ---------------------------------------------------------------- couplings
@@ -168,21 +143,6 @@ class TestHyperfine:
         a2 = hyperfine_vector(2.0 * p)
         assert np.allclose(a1, 8.0 * a2, rtol=1e-12)
 
-    def test_origin_rejected(self):
-        with pytest.raises(DomainError):
-            hyperfine_vector(np.zeros(3))
-
-    def test_cube_below_float_range_rejected(self):
-        # r**3 of 1e-110 is 0.0 in float64
-        with pytest.raises(DomainError):
-            hyperfine_vector([1e-110, 0.0, 0.0])
-
-    @pytest.mark.parametrize("position", [[0.5, 0], [0.5, 0, 1, 2], "abc"])
-    def test_misshapen_position_rejected(self, position):
-        # test_arguments sweeps NaN, infinities, True and 10**400 through each component
-        with pytest.raises(ConfigError, match="position_nm"):
-            hyperfine_vector(position)
-
 
 class TestNuclearDipolar:
     def test_axial_pair_value(self):
@@ -201,23 +161,6 @@ class TestNuclearDipolar:
         assert nuclear_dipolar_coupling(pi, pj) == pytest.approx(
             nuclear_dipolar_coupling(pj, pi), rel=1e-15
         )
-
-    def test_coincident_rejected(self):
-        p = np.array([0.1, 0.1, 0.1])
-        with pytest.raises(DomainError):
-            nuclear_dipolar_coupling(p, p)
-
-    def test_cube_below_float_range_rejected(self):
-        with pytest.raises(DomainError):
-            nuclear_dipolar_coupling(np.zeros(3), [0.0, 0.0, 1e-110])
-
-    @pytest.mark.parametrize("bad", [[0.5, 0], [0.5, 0, 1, 2], "abc"])
-    def test_misshapen_position_rejected(self, bad):
-        # a two-component vector ended in numpy's broadcast ValueError
-        with pytest.raises(ConfigError, match="position_j_nm"):
-            nuclear_dipolar_coupling(np.zeros(3), bad)
-        with pytest.raises(ConfigError, match="position_i_nm"):
-            nuclear_dipolar_coupling(bad, np.zeros(3))
 
 
 # ---------------------------------------------------------------- sampling
@@ -398,115 +341,165 @@ class TestPersistence:
         shuffled = BathRealization.from_json_dict(record)
         for name in ("pair_i", "pair_j", "pair_b"):
             assert getattr(shuffled, name).tobytes() == getattr(bath, name).tobytes()
-        record["pair_couplings_khz"].append(record["pair_couplings_khz"][0])
-        with pytest.raises(ConfigError, match="listed twice"):
-            BathRealization.from_json_dict(record)
+        # a row read twice is refused: REFUSALS
 
-    def test_save_refuses_a_value_json_cannot_hold(self, tmp_path):
-        # the constructor reads every vector through finite_vector, so a bath
-        # holding a value strict JSON cannot write is never built to be saved
-        spin = NuclearSpin((0.5, 0.0, 0.0), (1.0, 0.0, math.inf))
-        path = tmp_path / "bath.json"
-        with pytest.raises(ConfigError, match="hyperfine_khz must be finite"):
-            BathRealization(spins=[spin], pair_couplings={}).save(path)
-        assert not path.exists()
 
-    def test_malformed_record_rejected(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text('{"spins": "nope"}\n')
-        with pytest.raises(ConfigError):
-            BathRealization.load(path)
+# ---------------------------------------------------------------- refusals
+SPIN = NuclearSpin((0.5, 0.0, 0.0), (1.0, 0.0, 0.0))
+ORIGIN = "hyperfine vector undefined at the electron position"
+COINCIDENT = "coincident nuclei have no defined dipolar coupling"
+THREE = "must hold three numbers (three components), got "
 
-    @pytest.mark.parametrize(
-        "edit, message",
-        [
-            (lambda d: d["spins"][0]["position_nm"].__setitem__(0, math.nan),
-             "position_nm must be finite"),
-            (lambda d: d["spins"][0]["hyperfine_khz"].__setitem__(2, -math.inf),
-             "hyperfine_khz must be finite"),
-            (lambda d: d["spins"][0]["hyperfine_khz"].pop(),
-             "hyperfine_khz must hold three numbers"),
-            (lambda d: d["spins"][0].__setitem__("position_nm", "abc"),
-             "position_nm must hold three numbers"),
-            (lambda d: d["pair_couplings_khz"][0].__setitem__(2, math.inf),
-             "pair coupling must be finite"),
-            (lambda d: d["pair_couplings_khz"][0].__setitem__(2, "1.0"),
-             "pair coupling must be a number"),
-            (lambda d: d["pair_couplings_khz"][0].__setitem__(0, 0.9),
-             "pair index must be an integer"),
-            (lambda d: d["pair_couplings_khz"].append(list(d["pair_couplings_khz"][-1])),
-             r"pair \(\d+, \d+\) listed twice"),
-            (lambda d: d.__setitem__("seed", 2.7), "seed must be an integer"),
-            (lambda d: d["config"].__setitem__("pair_cutoff", math.nan),
-             "pair_cutoff must be finite"),
-            (lambda d: d["config"].__setitem__("seed", 1.5), "seed must be an integer"),
-            (lambda d: d.update(seed=-1, config=None), "seed must be >= 0"),
-            (lambda d: d.__setitem__("seed", 10), "seed 10 disagrees with its config seed 9"),
-        ],
-        ids=["nan-position", "infinite-hyperfine", "two-component-hyperfine",
-             "string-position", "infinite-coupling", "string-coupling", "fractional-index",
-             "pair-listed-twice", "fractional-seed", "nan-pair-cutoff", "fractional-config-seed",
-             "negative-seed", "seed-other-than-config-seed"],
-    )
-    def test_non_finite_or_misshapen_record_rejected(self, small_sites, tmp_path, edit, message):
-        record = sample_bath(small_sites, LatticeConfig(seed=9, abundance=0.1)).to_json_dict()
+
+def _record(edit):
+    """A builder of the record of a 10% bath at seed 9, changed by ``edit``."""
+    def build(tmp_path, sites):
+        record = sample_bath(sites, LatticeConfig(seed=9, abundance=0.1)).to_json_dict()
         assert record["pair_couplings_khz"]
         edit(record)
-        with pytest.raises(ConfigError, match=message):
-            BathRealization.from_json_dict(record)
-        # through the file reader the refusal names the file and says "malformed"
-        # at most once (a non-finite number is refused before any record is read)
-        path = tmp_path / "bath.json"
-        path.write_text(json.dumps(record))
-        with pytest.raises(ConfigError) as refused:
-            BathRealization.load(path)
-        assert str(path) in str(refused.value)
-        assert str(refused.value).count("malformed") <= 1
+        return (record,)
+    return build
 
-    def test_a_directory_is_a_config_error_naming_it(self, tmp_path):
-        # it raised IsADirectoryError, which is no ConfigError
-        with pytest.raises(ConfigError, match="bath file .* cannot be read"):
-            BathRealization.load(tmp_path)
 
-    def test_gamma_n_other_than_13c_rejected(self, small_sites):
-        # hyperfine and dipolar couplings are computed with the 13C ratio;
-        # a bath claiming another would be evolved inconsistently
-        spin = NuclearSpin((0.5, 0.0, 0.0), (1.0, 0.0, 0.0))
-        with pytest.raises(ConfigError, match="gamma_n"):
-            BathRealization(spins=[spin], pair_couplings={}, gamma_n=2 * GAMMA_N_13C_KHZ_PER_G)
-        record = sample_bath(small_sites, LatticeConfig(seed=9, abundance=0.1)).to_json_dict()
-        record["gamma_n_khz_per_g"] = 2.0
-        with pytest.raises(ConfigError, match="gamma_n"):
-            BathRealization.from_json_dict(record)
+def _saved(build):
+    """A builder of the path of ``{tmp}/bath.json``, holding the JSON of ``build``'s record."""
+    def save(tmp_path, sites):
+        (tmp_path / "bath.json").write_text(json.dumps(*build(tmp_path, sites)))
+        return (tmp_path / "bath.json",)
+    return save
 
-    @pytest.mark.parametrize("field", ["position", "hyperfine"])
-    @pytest.mark.parametrize(
-        "bad",
-        [(0.5, 0.0, math.nan), (math.inf, 0.0, 1.0), (0.5, -math.inf, 1.0), (True, 0.0, 1.0),
-         (0.5, "0.5", 1.0), (0.5, 1.0)],
-        ids=["nan", "inf", "-inf", "bool", "string", "two-components"],
-    )
-    def test_constructor_reads_spins_as_the_file_reader_does(self, field, bad):
-        # the constructor once took any array numpy could make of a spin:
-        # a NaN position built a bath whose trace exited 0
-        good = {"position": (0.5, 0.0, 0.0), "hyperfine": (1.0, 0.0, 2.0)}
-        spins = [NuclearSpin(**good), NuclearSpin(**{**good, field: bad})]
-        name = {"position": "position_nm", "hyperfine": "hyperfine_khz"}[field]
-        with pytest.raises(ConfigError, match=name):
-            BathRealization(spins, {(0, 1): 0.5})
 
-    @pytest.mark.parametrize("coupling", [math.nan, math.inf, "7.5", True])
-    def test_pair_coupling_must_be_a_finite_number(self, coupling):
-        # a NaN coupling ended in numpy's LinAlgError inside the trace, and a
-        # string was read as a number
-        spins = [NuclearSpin((0.5, 0.0, 0.0), (1.0, 0.0, 0.0)),
-                 NuclearSpin((0.0, 0.5, 0.0), (2.0, 0.0, 1.0))]
-        with pytest.raises(ConfigError, match="pair coupling"):
-            BathRealization(spins, {(0, 1): coupling})
+# each record edit: the refusal of the record, and the literal the file
+# reader refuses before it reads any record
+_RECORD_EDITS = {
+    "nan-position": (lambda d: d["spins"][0]["position_nm"].__setitem__(0, math.nan),
+                     "position_nm must be finite, got nan", "NaN"),
+    "infinite-hyperfine": (lambda d: d["spins"][0]["hyperfine_khz"].__setitem__(2, -math.inf),
+                           "hyperfine_khz must be finite, got -inf", "-Infinity"),
+    "two-component-hyperfine": (lambda d: d["spins"][0]["hyperfine_khz"].pop(),
+                                "hyperfine_khz " + THREE, None),
+    "string-position": (lambda d: d["spins"][0].__setitem__("position_nm", "abc"),
+                        f"position_nm {THREE}'abc'", None),
+    "infinite-coupling": (lambda d: d["pair_couplings_khz"][0].__setitem__(2, math.inf),
+                          "pair coupling must be finite, got inf", "Infinity"),
+    "string-coupling": (lambda d: d["pair_couplings_khz"][0].__setitem__(2, "1.0"),
+                        "pair coupling must be a number, got '1.0'", None),
+    "fractional-index": (lambda d: d["pair_couplings_khz"][0].__setitem__(0, 0.9),
+                         "pair index must be an integer, got 0.9", None),
+    "pair-listed-twice": (lambda d: d["pair_couplings_khz"].append(
+        list(d["pair_couplings_khz"][-1])), "pair (211, 212) listed twice", None),
+    "fractional-seed": (lambda d: d.__setitem__("seed", 2.7), "seed must be an integer, got 2.7",
+                        None),
+    "nan-pair-cutoff": (lambda d: d["config"].__setitem__("pair_cutoff", math.nan),
+                        "pair_cutoff must be finite, got nan", "NaN"),
+    "fractional-config-seed": (lambda d: d["config"].__setitem__("seed", 1.5),
+                               "seed must be an integer, got 1.5", None),
+    "negative-seed": (lambda d: d.update(seed=-1, config=None), "seed must be >= 0", None),
+    "seed-other-than-config-seed": (lambda d: d.__setitem__("seed", 10),
+                                    "seed 10 disagrees with its config seed 9", None),
+}
 
-    def test_pair_index_validation(self):
-        spin = NuclearSpin((0.5, 0.0, 0.0), (1.0, 0.0, 0.0))
-        with pytest.raises(ConfigError):
-            BathRealization(spins=[spin], pair_couplings={(0, 1): 1.0})
-        with pytest.raises(ConfigError):
-            BathRealization(spins=[spin, spin], pair_couplings={(1, 0): 1.0})
+REFUSALS = {"TestLatticeGeometry": {
+    # NaN passes every "<= 0" check, and an infinite cutoff would enumerate
+    # lattice cells without end
+    **{f"test_non_finite_geometry_rejected[{name}-{value}]": Refusal(
+        ConfigError, f"{name} must be finite, got {value}", LatticeConfig, **{name: value})
+       for name, value in [("lattice_constant", math.nan), ("cutoff_radius", math.inf),
+                           ("exclusion_radius", math.nan), ("pair_cutoff", math.nan)]},
+    **{f"test_non_positive_geometry_rejected[{name}-{value}]": Refusal(
+        ConfigError, says, LatticeConfig, **{name: value}) for name, value, says in [
+            ("lattice_constant", 0.0, "lattice_constant must be positive, got 0.0"),
+            ("lattice_constant", -3.567, "lattice_constant must be positive, got -3.567"),
+            ("exclusion_radius", -0.1, "exclusion_radius must be >= 0"),
+            ("pair_cutoff", 0.0, "pair_cutoff must be positive, got 0.0")]},
+    "test_fractional_and_negative_seeds_refused": [
+        Refusal(ConfigError, "seed must be an integer, got 1.5", LatticeConfig, seed=1.5),
+        Refusal(ConfigError, "seed must be >= 0", LatticeConfig, seed=-1)],
+    "test_cutoff_must_exceed_exclusion": Refusal(
+        ConfigError, "cutoff_radius (nm) must exceed exclusion_radius (Angstrom)", LatticeConfig,
+        cutoff_radius=0.1, exclusion_radius=1.55),
+    "test_bad_abundance_rejected": [Refusal(ConfigError, "abundance must lie in [0, 1]",
+                                            LatticeConfig, abundance=a) for a in (1.5, -0.1)],
+}, "TestHyperfine": {
+    "test_origin_rejected": Refusal(DomainError, ORIGIN, hyperfine_vector, np.zeros(3)),
+    # r**3 of 1e-110 is 0.0 in float64
+    "test_cube_below_float_range_rejected": Refusal(
+        DomainError, ORIGIN, hyperfine_vector, [1e-110, 0.0, 0.0]),
+    # test_arguments sweeps NaN, infinities, True and 10**400 through each component
+    **{f"test_misshapen_position_rejected[{case}]": Refusal(
+        ConfigError, f"position_nm {THREE}{bad!r}", hyperfine_vector, bad)
+       for case, bad in [("position0", [0.5, 0]), ("position1", [0.5, 0, 1, 2]), ("abc", "abc")]},
+}, "TestNuclearDipolar": {
+    "test_coincident_rejected": Refusal(
+        DomainError, COINCIDENT, nuclear_dipolar_coupling, np.full(3, 0.1), np.full(3, 0.1)),
+    "test_cube_below_float_range_rejected": Refusal(
+        DomainError, COINCIDENT, nuclear_dipolar_coupling, np.zeros(3), [0.0, 0.0, 1e-110]),
+    # a two-component vector ended in numpy's broadcast ValueError
+    **{f"test_misshapen_position_rejected[{case}]": [
+        Refusal(ConfigError, f"position_j_nm {THREE}{bad!r}", nuclear_dipolar_coupling,
+                np.zeros(3), bad),
+        Refusal(ConfigError, f"position_i_nm {THREE}{bad!r}", nuclear_dipolar_coupling,
+                bad, np.zeros(3))]
+       for case, bad in [("bad0", [0.5, 0]), ("bad1", [0.5, 0, 1, 2]), ("abc", "abc")]},
+}, "TestPersistence": {
+    "test_a_pair_row_read_twice_is_refused": Refusal(
+        ConfigError, "pair (211, 212) listed twice", BathRealization.from_json_dict,
+        build=_record(lambda d: (d["pair_couplings_khz"].reverse(),
+                                 d["pair_couplings_khz"].append(d["pair_couplings_khz"][0])))),
+    # the constructor reads every vector through finite_vector, so a bath
+    # holding a value strict JSON cannot write is never built to be saved
+    "test_save_refuses_a_value_json_cannot_hold": Refusal(
+        ConfigError, "hyperfine_khz must be finite, got inf", BathRealization,
+        [NuclearSpin((0.5, 0.0, 0.0), (1.0, 0.0, math.inf))], {}),
+    "test_malformed_record_rejected": Refusal(
+        ConfigError, "malformed bath file {tmp}/bath.json: string indices must be integers",
+        BathRealization.load, build=_saved(lambda tmp_path, sites: ({"spins": "nope"},))),
+    # through the file reader the refusal names the file and says "malformed"
+    # at most once (a non-finite number is refused before any record is read)
+    **{f"test_non_finite_or_misshapen_record_rejected[{case}]": [
+        Refusal(ConfigError, says, BathRealization.from_json_dict, build=_record(edit)),
+        Refusal(ConfigError, f"bath file holds {literal}; every number in {{tmp}}/bath.json must"
+                " be finite" if literal else ("malformed", "bath file {tmp}/bath.json: " + says),
+                BathRealization.load, build=_saved(_record(edit)))]
+       for case, (edit, says, literal) in _RECORD_EDITS.items()},
+    # it raised IsADirectoryError, which is no ConfigError
+    "test_a_directory_is_a_config_error_naming_it": Refusal(
+        ConfigError, "bath file {tmp} cannot be read: Is a directory", BathRealization.load,
+        build=lambda tmp_path, sites: (tmp_path,)),
+    # hyperfine and dipolar couplings are computed with the 13C ratio; a bath
+    # claiming another would be evolved inconsistently
+    "test_gamma_n_other_than_13c_rejected": [
+        Refusal(ConfigError, "gamma_n is the 13C ratio 1.0705 kHz/G, got 2.141", BathRealization,
+                [SPIN], {}, gamma_n=2 * GAMMA_N_13C_KHZ_PER_G),
+        Refusal(ConfigError, "gamma_n is the 13C ratio 1.0705 kHz/G, got 2.0",
+                BathRealization.from_json_dict,
+                build=_record(lambda d: d.__setitem__("gamma_n_khz_per_g", 2.0)))],
+    # the constructor once took any array numpy could make of a spin: a NaN
+    # position built a bath whose trace exited 0
+    **{f"test_constructor_reads_spins_as_the_file_reader_does[{case}-{field}]": Refusal(
+        ConfigError, f"{field}_{unit} {says}", BathRealization,
+        [NuclearSpin((0.5, 0.0, 0.0), (1.0, 0.0, 2.0)), NuclearSpin(
+            **{"position": (0.5, 0.0, 0.0), "hyperfine": (1.0, 0.0, 2.0), field: bad})],
+        {(0, 1): 0.5}) for case, bad, says in [
+            ("nan", (0.5, 0.0, math.nan), "must be finite, got nan"),
+            ("inf", (math.inf, 0.0, 1.0), "must be finite, got inf"),
+            ("-inf", (0.5, -math.inf, 1.0), "must be finite, got -inf"),
+            ("bool", (True, 0.0, 1.0), "must be a number, got True"),
+            ("string", (0.5, "0.5", 1.0), "must be a number, got '0.5'"),
+            ("two-components", (0.5, 1.0), THREE + "(0.5, 1.0)")]
+       for field, unit in [("position", "nm"), ("hyperfine", "khz")]},
+    # a NaN coupling ended in numpy's LinAlgError inside the trace, and a
+    # string was read as a number
+    **{f"test_pair_coupling_must_be_a_finite_number[{coupling}]": Refusal(
+        ConfigError, f"pair coupling {says}, got {coupling!r}", BathRealization,
+        [SPIN, NuclearSpin((0.0, 0.5, 0.0), (2.0, 0.0, 1.0))], {(0, 1): coupling})
+       for coupling, says in [(math.nan, "must be finite"), (math.inf, "must be finite"),
+                              ("7.5", "must be a number"), (True, "must be a number")]},
+    "test_pair_index_validation": [
+        Refusal(ConfigError, "pair index (0, 1) out of range", BathRealization,
+                [SPIN], {(0, 1): 1.0}),
+        Refusal(ConfigError, "pair index (1, 0) out of range", BathRealization,
+                [SPIN, SPIN], {(1, 0): 1.0})],
+}}
+
+install(REFUSALS, check_refusal, globals())

@@ -4,12 +4,13 @@ Every test drives ``nvmag.cli.main`` in process with a temporary output
 directory, so the assertions cover argument parsing, the settings layering,
 manifest writing, and the error-to-exit-code mapping together.
 
-Every command line nvmag refuses is one row of ``REFUSALS``, run as the test
-its key names, and every row is held to the same checks: its exit code (2 or
-3), nothing on stdout, one stderr line holding the row's text, no file under
-the temporary directory made or changed, and, for a refusal before any work,
-no bath sampled and no trace computed.  argparse's own refusals, which exit
-through ``SystemExit`` with a usage line, are tested on their own.
+Every command line nvmag refuses is one row of ``REFUSALS``, run through
+``refusals.install`` as the test its class and key name, and every row is
+held to the same checks: its exit code (2 or 3), nothing on stdout, one
+stderr line holding the row's text, no file under the temporary directory
+made or changed, and, for a refusal before any work, no bath sampled and no
+trace computed.  argparse's own refusals, which exit through ``SystemExit``
+with a usage line, are tested on their own.
 """
 
 import argparse
@@ -33,6 +34,8 @@ from nvmag.constants import ALPHA_MS_G, GAMMA_N_13C_KHZ_PER_G
 from nvmag.decoherence import CoherenceTrace, EchoSchedule, _pool_size, analytic_trace
 from nvmag.errors import ConfigError
 from nvmag.magnetometry import reconstruct_field
+
+from refusals import install, tree
 
 
 def write_config(tmp_path, **overrides):
@@ -855,7 +858,7 @@ def _unreadable_json_rows() -> dict:
             elif name == "sidecar":
                 # a trace may go without its sidecar; the file missing is the trace
                 files, says = {"input.json": b"{}"}, "trace file {tmp}/input.csv"
-            rows[f"TestJsonInputs::test_unreadable_file_exits_2_naming_it[{name}-{case}]"] = (
+            rows[f"test_unreadable_file_exits_2_naming_it[{name}-{case}]"] = (
                 Refusal(argv, says, files))
     return rows
 
@@ -865,32 +868,30 @@ SIMULATE = "simulate --config {tmp}/config.json --field "
 RECONSTRUCT = "reconstruct --measurements {tmp}/measurements.json --out-dir "
 ODMR = "odmr --field 1 --candidates {tmp}/cands.json --true-field 1 --out-dir {tmp}/out"
 
-REFUSALS = {
-    **{f"TestCommonFlags::test_overridden_flag_exits_2_before_any_work"
-       f"[{command}-args{i}-overridden{i}]":
-       Refusal(" ".join((command, *args, *overridden, "--out-dir {tmp}/out")),
-               f"drop {overridden[0]}")
+REFUSALS = {"TestCommonFlags": {
+    **{f"test_overridden_flag_exits_2_before_any_work[{command}-args{i}-overridden{i}]": Refusal(
+        " ".join((command, *args, *overridden, "--out-dir {tmp}/out")), f"drop {overridden[0]}")
        for i, (command, args, overridden) in enumerate(TestCommonFlags.OVERRIDES)},
-
-    "TestConfigFile::test_unknown_key_exits_2": Refusal(
+}, "TestConfigFile": {
+    "test_unknown_key_exits_2": Refusal(
         "bath --config {tmp}/cfg.json --out-dir {tmp}", "unknown config keys: ['cutoff']",
         {"cfg.json": '{"cutoff": 1.0}'}),
     # the 13C ratio is a physical constant, not a setting
-    "TestConfigFile::test_gamma_n_is_not_a_config_key": Refusal(
+    "test_gamma_n_is_not_a_config_key": Refusal(
         SIMULATE + "10 --out-dir {tmp}/out", "unknown config keys: ['gamma_n']",
         {"config.json": '{"cutoff_radius": 1.2, "gamma_n": 2.0}'}),
-    "TestConfigFile::test_missing_file_exits_2": Refusal(
+    "test_missing_file_exits_2": Refusal(
         "bath --config {tmp}/nope.json --out-dir {tmp}", "config file {tmp}/nope.json not found"),
-    "TestConfigFile::test_invalid_json_exits_2": Refusal(
+    "test_invalid_json_exits_2": Refusal(
         "bath --config {tmp}/cfg.json --out-dir {tmp}",
         "config file {tmp}/cfg.json is not valid JSON", {"cfg.json": "{not json"}),
-    **{f"TestConfigFile::test_non_finite_literal_exits_2_before_any_work[{literal}]": Refusal(
+    **{f"test_non_finite_literal_exits_2_before_any_work[{literal}]": Refusal(
         "bath --config {tmp}/cfg.json --out-dir {tmp}/out", f"config file holds {literal}",
         {"cfg.json": '{"cutoff_radius": 1.2, "abundance": ' + literal + "}"})
        for literal in ("NaN", "Infinity", "-Infinity", "1e999")},
     # unchecked, each value reaches int() or float(): a traceback with exit 1,
     # or a silently truncated integer with exit 0
-    **{f"TestConfigFile::test_malformed_value_exits_2_before_any_work"
+    **{f"test_malformed_value_exits_2_before_any_work"
        f"[{command.split()[0]}-{key}-{text}-{named}]": Refusal(
         command + " --config {tmp}/cfg.json --out-dir {tmp}/out", named,
         {"cfg.json": '{"cutoff_radius": 1.2, "' + key + '": ' + text + "}"})
@@ -902,41 +903,52 @@ REFUSALS = {
            ("sensitivity --t2 0.5", "n_centers", "2.5", "n_centers"),
            ("bath", "seed", "1.5", "seed")]},
     # numpy's default_rng refuses a negative seed with a traceback and exit 1
-    **{f"TestConfigFile::test_negative_seed_exits_2_before_any_work"
+    **{f"test_negative_seed_exits_2_before_any_work"
        f"[{source}-{command.split()[0]}]": Refusal(
         f"{command} --config {{tmp}}/config.json{flag} --out-dir {{tmp}}/out", "seed must be >= 0",
         {"config.json": '{"cutoff_radius": 1.2' + seed + "}"})
        for source, flag, seed in [("flag", " --seed -3", ""), ("config", "", ', "seed": -3')]
        for command in ("bath", "simulate --field 10", "sweep --fields 5,10,20 --realizations 1")},
-
-    "TestBathCommand::test_bad_abundance_exits_2": Refusal(
+}, "TestBathCommand": {
+    "test_bad_abundance_exits_2": Refusal(
         "bath --abundance 1.5 --out-dir {tmp}", "abundance must lie in [0, 1]"),
-
-    # 1e15 grid points: the allocation is refused at once
-    "TestSimulateCommand::test_grid_too_large_for_memory_exits_2": Refusal(
-        "simulate --field 10 --t-max 1e9 --step 1e-6 --out-dir {tmp}/out", "Unable to allocate"),
-    "TestSimulateCommand::test_two_component_field_exits_2": Refusal(
+}, "TestSimulateCommand": {
+    # 1e15 grid points: numpy refused the allocation in its own words alone
+    "test_grid_too_large_for_memory_exits_2": Refusal(
+        "simulate --field 10 --t-max 1e9 --step 1e-6 --out-dir {tmp}/out",
+        "error: echo grid of 1e+15 points (t_max 1e+09 ms, step 1e-06 ms) is too large to build"),
+    # past numpy's size limit or the int range, these ended in a traceback (exit 1)
+    **{f"test_grid_too_large_to_build_exits_2_naming_its_settings[{case}]":
+       Refusal(f"simulate --field {field} --out-dir {{tmp}}/out", says)
+       for case, field, says in [
+           ("field-1e30", "1e30",
+            "echo grid of 2.82612e+31 points (t_max 0.55 ms, step 1.94613e-32"),
+           ("points-per-period-1e20", "10 --points-per-period 100000000000000000000",
+            "echo grid of 5.88775e+20 points (t_max 0.55 ms, step 9.34143e-22"),
+           ("t-max-1e300-step-1e-300", "10 --t-max 1e300 --step 1e-300",
+            "echo grid of inf points (t_max 1e+300 ms, step 1e-300 ms)")]},
+    "test_two_component_field_exits_2": Refusal(
         SIMULATE + "1,2 --out-dir {tmp}", "three components", CONFIG),
-    "TestSimulateCommand::test_bad_input_exits_2_before_any_work[two-component-field]": Refusal(
+    "test_bad_input_exits_2_before_any_work[two-component-field]": Refusal(
         SIMULATE + "1,2 --out-dir {tmp}/out", "three components", CONFIG),
-    "TestSimulateCommand::test_bad_input_exits_2_before_any_work[nan-step]": Refusal(
+    "test_bad_input_exits_2_before_any_work[nan-step]": Refusal(
         SIMULATE + "10 --step nan --out-dir {tmp}/out", "step must be finite", CONFIG),
-    "TestSimulateCommand::test_bad_input_exits_2_before_any_work[zero-field-no-window]": Refusal(
+    "test_bad_input_exits_2_before_any_work[zero-field-no-window]": Refusal(
         SIMULATE + "0 --out-dir {tmp}/out", "zero field", CONFIG),
-    "TestSimulateCommand::test_zero_field_refused_without_window_and_step[no-window]": Refusal(
+    "test_zero_field_refused_without_window_and_step[no-window]": Refusal(
         SIMULATE + "0 --out-dir {tmp}", "zero field", CONFIG),
-    "TestSimulateCommand::test_zero_field_refused_without_window_and_step[no-step]": Refusal(
+    "test_zero_field_refused_without_window_and_step[no-step]": Refusal(
         SIMULATE + "0 --t-max 0.1 --out-dir {tmp}", "--step", CONFIG),
     # a saved bath fixes its own abundance and seed; a flag for either would be
     # recorded in the manifest but never used
-    **{f"TestSimulateCommand::test_saved_bath_refuses_lattice_flags[{flag}-{value}]": Refusal(
+    **{f"test_saved_bath_refuses_lattice_flags[{flag}-{value}]": Refusal(
         f"simulate --bath {{tmp}}/bath_seed2.json {flag} {value} --field 10 --out-dir {{tmp}}/out",
         "--bath fixes abundance and seed; drop --abundance and --seed",
         {"bath_seed2.json": _bath()})
        for flag, value in [("--abundance", "0.05"), ("--seed", "7")]},
     # unchecked, each of these ends in a traceback (exit 1) or runs on with
     # plausible numbers (exit 0)
-    **{f"TestSimulateCommand::test_malformed_bath_file_exits_2_before_any_work[{case}]": Refusal(
+    **{f"test_malformed_bath_file_exits_2_before_any_work[{case}]": Refusal(
         "simulate --bath {tmp}/bad.json --field 10 --out-dir {tmp}/out", (named, "{tmp}/bad.json"),
         {"bad.json": _bath(edit)})
        for case, edit, named in [
@@ -959,112 +971,109 @@ REFUSALS = {
            ("negative-seed", lambda d: d.update(seed=-1, config=None), "seed must be >= 0"),
            ("seed-other-than-config-seed", lambda d: d.__setitem__("seed", 3),
             "disagrees with its config seed 2")]},
-    "TestSimulateCommand::test_missing_bath_file_exits_2": Refusal(
+    "test_missing_bath_file_exits_2": Refusal(
         "simulate --config {tmp}/config.json --bath {tmp}/ghost.json --field 10 --out-dir {tmp}",
         "bath file {tmp}/ghost.json not found", CONFIG),
-    "TestSimulateCommand::test_zero_thread_env_exits_2": Refusal(
+    "test_zero_thread_env_exits_2": Refusal(
         SIMULATE + "10 --out-dir {tmp}", "NVMAG_THREADS", CONFIG, env={"NVMAG_THREADS": "0"},
         before_work=False),
-    "TestSimulateCommand::test_infinite_window_exits_2": Refusal(
+    "test_infinite_window_exits_2": Refusal(
         SIMULATE + "10 --t-max inf --out-dir {tmp}", "t_max must be finite, got inf", CONFIG),
     # the config loader refuses the bare NaN literal
-    "TestSimulateCommand::test_nan_window_in_config_exits_2": Refusal(
+    "test_nan_window_in_config_exits_2": Refusal(
         SIMULATE + "10 --out-dir {tmp}",
         "config file holds NaN; every number in {tmp}/config.json must be finite",
         {"config.json": '{"cutoff_radius": 1.2, "t_max": NaN}'}),
-
-    "TestSweepCommand::test_both_modes_rejected": Refusal(
+}, "TestSweepCommand": {
+    "test_both_modes_rejected": Refusal(
         "sweep --fields 1,2,5 --abundances 0.01,0.02,0.03 --out-dir {tmp}", "not both"),
     # a sweep has no --step, and no revival period to sweep at zero field
-    **{f"TestSweepCommand::test_zero_field_abundance_sweep_exits_2[window{i}]": Refusal(
+    **{f"test_zero_field_abundance_sweep_exits_2[window{i}]": Refusal(
         "sweep --abundances 0.01,0.02,0.03 --field-magnitude 0" + window + " --out-dir {tmp}/out",
         "error: field_magnitude must be nonzero: zero field has no revival period")
        for i, window in enumerate(["", " --t-max 0.5"])},
-    "TestSweepCommand::test_needs_a_mode": Refusal(
-        "sweep --out-dir {tmp}", "sweep needs --fields or --abundances"),
-    "TestSweepCommand::test_too_few_points": Refusal(
+    "test_needs_a_mode": Refusal("sweep --out-dir {tmp}", "sweep needs --fields or --abundances"),
+    "test_too_few_points": Refusal(
         "sweep --fields 5,10 --out-dir {tmp}", "a sweep needs at least three points, got 2"),
-    "TestSweepCommand::test_nonpositive_field": Refusal(
+    "test_nonpositive_field": Refusal(
         "sweep --fields=-1,5,10 --out-dir {tmp}", "sweep fields must be positive"),
-    "TestSweepCommand::test_abundance_above_one": Refusal(
+    "test_abundance_above_one": Refusal(
         "sweep --abundances 0.5,0.9,1.5 --out-dir {tmp}", "sweep abundances must be in (0, 1]"),
-    "TestSweepCommand::test_zero_realizations": Refusal(
+    "test_zero_realizations": Refusal(
         "sweep --fields 5,10,20 --realizations 0 --out-dir {tmp}", "realizations must be >= 1"),
-    "TestSweepCommand::test_unparseable_field_list": Refusal(
+    "test_unparseable_field_list": Refusal(
         "sweep --fields 5,ten,20 --out-dir {tmp}", "could not parse --fields from '5,ten,20'"),
-    "TestSweepCommand::test_empty_field_list_exits_2_without_out_dir": Refusal(
+    "test_empty_field_list_exits_2_without_out_dir": Refusal(
         "sweep --fields , --out-dir {tmp}/out", "--fields is empty"),
-    **{f"TestSweepCommand::test_non_finite_point_exits_2_before_any_trace[{mode}-{points}]":
+    **{f"test_non_finite_point_exits_2_before_any_trace[{mode}-{points}]":
        Refusal(f"sweep --config {{tmp}}/config.json {mode} {points} --realizations 1"
                " --t-max 0.1 --out-dir {tmp}", "must be finite", CONFIG)
        for mode, points in [("--fields", "5,10,nan"), ("--abundances", "0.005,inf,0.02")]},
     # a repeated point was simulated again, and the fit through it printed an
     # exponent with exit 0
-    **{f"TestSweepCommand::test_repeated_point_exits_2_before_any_work[{mode}-{points}]":
+    **{f"test_repeated_point_exits_2_before_any_work[{mode}-{points}]":
        Refusal(f"sweep --config {{tmp}}/config.json {mode} {points} --realizations 1"
                " --t-max 0.1 --out-dir {tmp}/out", f"sweep {mode[2:]} must be distinct", CONFIG)
        for mode, points in [("--fields", "10,10,10"), ("--abundances", "0.005,0.011,0.005")]},
-    "TestSweepCommand::test_bad_thread_env_exits_2": Refusal(
+    "test_bad_thread_env_exits_2": Refusal(
         "sweep --config {tmp}/config.json --fields 5,10,20 --realizations 1 --t-max 0.3"
         " --out-dir {tmp}", "NVMAG_THREADS", CONFIG, env={"NVMAG_THREADS": "notanint"},
         before_work=False),
-
-    "TestExtractCommand::test_missing_trace_exits_2": Refusal(
+}, "TestExtractCommand": {
+    "test_missing_trace_exits_2": Refusal(
         "extract --trace {tmp}/none.csv", "trace file {tmp}/none.csv not found"),
-    "TestExtractCommand::test_malformed_trace_exits_2": Refusal(
+    "test_malformed_trace_exits_2": Refusal(
         "extract --trace {tmp}/bad.csv", "{tmp}/bad.csv is not a numeric trace file",
         {"bad.csv": "t_ms,L\nfoo,bar\n"}),
     # read as if it had one, the file would lose its tau = 0 row and still
     # give a revival time
-    "TestExtractCommand::test_trace_without_its_header_exits_2": Refusal(
+    "test_trace_without_its_header_exits_2": Refusal(
         "extract --trace {tmp}/trace.csv", ("{tmp}/trace.csv", "t_ms,L"),
         {"trace.csv": lambda path: path.write_text(
             write_trace(path).read_text().split("\n", 1)[1])}),
-    "TestExtractCommand::test_header_only_trace_exits_2_in_one_line": Refusal(
+    "test_header_only_trace_exits_2_in_one_line": Refusal(
         "extract --trace {tmp}/empty.csv", "error: {tmp}/empty.csv holds no rows",
         {"empty.csv": "t_ms,L\n"}),
-    "TestExtractCommand::test_nan_row_exits_2": Refusal(
+    "test_nan_row_exits_2": Refusal(
         "extract --trace {tmp}/trace.csv", "finite",
         {"trace.csv": lambda path: path.write_text(
             re.sub(r"(?m)^0\.245,.*$", "0.245,nan", write_trace(path).read_text()))}),
-    "TestExtractCommand::test_non_finite_sidecar_exits_2": Refusal(
+    "test_non_finite_sidecar_exits_2": Refusal(
         "extract --trace {tmp}/trace.csv", "trace sidecar holds NaN",
         {"trace.csv": write_trace, "trace.json": '{"abundance": NaN}\n'}),
-    "TestExtractCommand::test_sidecar_that_is_not_an_object_exits_2": Refusal(
+    "test_sidecar_that_is_not_an_object_exits_2": Refusal(
         "extract --trace {tmp}/trace.csv", ("{tmp}/trace.json", "JSON object"),
         {"trace.csv": write_trace, "trace.json": "[1, 2]\n"}),
-
+}, "TestInvertCommand": {
     # a finite, subnormal spacing inverts to an infinite field
-    "TestInvertCommand::test_non_finite_result_exits_2": Refusal(
-        "invert --tr 1e-320", "JSON cannot represent"),
-    **{f"TestInvertCommand::test_non_finite_spacing_exits_2[{literal}]": Refusal(
+    "test_non_finite_result_exits_2": Refusal("invert --tr 1e-320", "JSON cannot represent"),
+    **{f"test_non_finite_spacing_exits_2[{literal}]": Refusal(
         f"invert --tr {literal}", "tr must be finite") for literal in ("inf", "nan")},
-    "TestInvertCommand::test_nonpositive_spacing_exits_3": Refusal(
+    "test_nonpositive_spacing_exits_3": Refusal(
         "invert --tr -0.5", "physics error: revival time must be positive, got -0.5", code=3),
-    "TestInvertCommand::test_unknown_alpha_source_exits_2": Refusal(
+    "test_unknown_alpha_source_exits_2": Refusal(
         "invert --tr 0.2 --alpha-source banana", 'calibration source must be "paper" or "refit"'),
     # a 401-digit integer used to end in an OverflowError traceback
-    "TestInvertCommand::test_config_int_past_float_range_exits_2": Refusal(
+    "test_config_int_past_float_range_exits_2": Refusal(
         "invert --tr 1 --config {tmp}/config.json", "alpha must be finite",
         {"config.json": '{"alpha": 1' + "0" * 400 + "}"}),
-
-    "TestReconstructCommand::test_missing_key_exits_2": Refusal(
-        RECONSTRUCT + "{tmp}", "T_R_ms",
-        {"measurements.json": json.dumps([{"axis": [1, 0, 0]}])}),
-    "TestReconstructCommand::test_non_list_exits_2": Refusal(
+}, "TestReconstructCommand": {
+    "test_missing_key_exits_2": Refusal(
+        RECONSTRUCT + "{tmp}", "T_R_ms", {"measurements.json": json.dumps([{"axis": [1, 0, 0]}])}),
+    "test_non_list_exits_2": Refusal(
         RECONSTRUCT + "{tmp}", "measurement file {tmp}/measurements.json must hold a JSON list",
         {"measurements.json": json.dumps({"axis": [1, 0, 0], "T_R_ms": 1.0})}),
-    "TestReconstructCommand::test_invalid_json_exits_2": Refusal(
+    "test_invalid_json_exits_2": Refusal(
         RECONSTRUCT + "{tmp}", "not valid JSON", {"measurements.json": "[{not json"}),
     # 1e999 overflows to infinity, which inverts to a zero component
-    **{f"TestReconstructCommand::test_non_finite_spacing_exits_2_before_any_output[{literal}]":
+    **{f"test_non_finite_spacing_exits_2_before_any_output[{literal}]":
        Refusal(RECONSTRUCT + "{tmp}/out", f"measurement file holds {literal}",
                {"measurements.json": '[{"axis": [1, 0, 0], "T_R_ms": ' + literal + '}, '
                 '{"axis": [0, 1, 0], "T_R_ms": 1.0}, {"axis": [0, 0, 1], "T_R_ms": 1.0}]'})
        for literal in ("NaN", "1e999")},
     # float() reads a numeric string, and true as 1; an integer past float
     # range overflows it
-    **{"TestReconstructCommand::test_value_that_is_not_a_finite_number_exits_2_naming_the_file"
+    **{"test_value_that_is_not_a_finite_number_exits_2_naming_the_file"
        f"[{case}]": Refusal(
         RECONSTRUCT + "{tmp}/out", "malformed measurement file {tmp}/measurements.json",
         _three_axes({"axis": [1, 0, 0], "T_R_ms": 5.6196, key: "VALUE"}, value))
@@ -1074,63 +1083,65 @@ REFUSALS = {
            ("string-bias", "bias_G", '"0.5"')]},
     # a lower-case bias_g was read as no bias: exit 0 with 0.5 G, where bias_G
     # reads 0.490 G
-    **{f"TestReconstructCommand::test_unknown_key_exits_2_naming_the_file_and_the_key[{key}]":
+    **{f"test_unknown_key_exits_2_naming_the_file_and_the_key[{key}]":
        Refusal(RECONSTRUCT + "{tmp}/out", "error: malformed measurement file"
                f" {{tmp}}/measurements.json: unknown measurement keys: ['{key}']",
                _three_axes({"axis": [1, 0, 0], "T_R_ms": 5.6196, key: value}))
        for key, value in [("bias_g", 0.3), ("flags", ["no-revival"])]},
-    "TestReconstructCommand::test_missing_file_exits_2": Refusal(
+    "test_missing_file_exits_2": Refusal(
         "reconstruct --measurements {tmp}/none.json --out-dir {tmp}",
         "measurement file {tmp}/none.json not found"),
-    "TestReconstructCommand::test_non_unit_axis_exits_2_with_its_own_message": Refusal(
+    "test_non_unit_axis_exits_2_with_its_own_message": Refusal(
         RECONSTRUCT + "{tmp}/out", "error: malformed measurement file {tmp}/measurements.json:"
         " measurement axis must be a unit vector",
         {"measurements.json": json.dumps([{"axis": [1, 1, 0], "T_R_ms": 1.0}])}),
-    "TestReconstructCommand::test_wrong_axis_count_exits_2": Refusal(
+    "test_wrong_axis_count_exits_2": Refusal(
         RECONSTRUCT + "{tmp}", "component reconstruction needs exactly three axes",
         {"measurements.json": json.dumps([{"axis": [1, 0, 0], "T_R_ms": 1.0}])}),
-
-    "TestOdmrCommand::test_candidates_need_true_field": Refusal(
+}, "TestOdmrCommand": {
+    "test_candidates_need_true_field": Refusal(
         "odmr --field 1 --candidates {tmp}/cands.json --out-dir {tmp}",
         "--candidates needs --true-field for the probe",
         {"cands.json": json.dumps([[0.0, 0.0, 1.0]])}),
-    "TestOdmrCommand::test_infinite_candidate_exits_2": Refusal(
+    "test_infinite_candidate_exits_2": Refusal(
         ODMR, "candidates file holds Infinity",
         {"cands.json": "[[0.0, 0.0, 1.0], [0.0, 0.0, Infinity]]"}),
-    **{f"TestOdmrCommand::test_malformed_candidates_exit_2_naming_the_file[{case}]": Refusal(
+    **{f"test_malformed_candidates_exit_2_naming_the_file[{case}]": Refusal(
         ODMR, ("candidates file {tmp}/cands.json", message), {"cands.json": text})
        for case, text, message in [
            ("string-nan", '[["nan", 1, 1], [1, 1, 1]]', "malformed"),
            ("bool", "[[1, true, 1]]", "malformed"), ("two-numbers", "[[1, 1]]", "malformed"),
            ("object", '{"a": 1}', "must hold a JSON list")]},
-    "TestOdmrCommand::test_bad_candidates_json_exits_2": Refusal(
+    "test_bad_candidates_json_exits_2": Refusal(
         "odmr --field 1 --candidates {tmp}/cands.json --true-field 1 --out-dir {tmp}",
         "not valid JSON", {"cands.json": "[[0, 0"}),
-
+}, "TestJsonInputs": {
     **_unreadable_json_rows(),
     # a string once read as its characters: unknown config keys ['d', 'e', 's']
-    **{f"TestJsonInputs::test_config_that_is_not_an_object_exits_2[{text}]": Refusal(
+    **{f"test_config_that_is_not_an_object_exits_2[{text}]": Refusal(
         "bath --config {tmp}/cfg.json --out-dir {tmp}/out",
         "error: config file {tmp}/cfg.json must hold a JSON object", {"cfg.json": text})
        for text in ("null", "3", '"seed"')},
-
-    "TestSensitivityCommand::test_non_finite_t2_exits_2_before_any_output": Refusal(
+}, "TestSensitivityCommand": {
+    "test_non_finite_t2_exits_2_before_any_output": Refusal(
         "sensitivity --t2 nan --out-dir {tmp}", "t2 must be finite"),
-    "TestSensitivityCommand::test_tau_points_too_few_exits_2": Refusal(
+    "test_tau_points_too_few_exits_2": Refusal(
         "sensitivity --t2 0.5 --tau-points 1 --out-dir {tmp}",
         "tau grid needs at least two points"),
+    # 1e20 points ended in a traceback (exit 1), 1e12 in numpy's allocation text alone
+    **{f"test_scan_too_large_to_build_exits_2_naming_tau_points[{n}]":
+       Refusal(f"sensitivity --tau-points {n} --out-dir {{tmp}}/out",
+               f"error: tau scan of {n} points (tau_points) is too large to build")
+       for n in (10**20, 10**12)},
     # its eta_min is infinite: the report JSON is refused before the table is written
-    "TestSensitivityCommand::test_infinite_eta_exits_2_writing_nothing": Refusal(
+    "test_infinite_eta_exits_2_writing_nothing": Refusal(
         "sensitivity --t2 1e-320 --field 1 --out-dir {tmp}/out", "JSON cannot represent"),
-}
+}}
 
 
-def _tree(root: Path) -> dict:
-    """Every path under ``root``: a file's bytes, None for a directory."""
-    return {path: path.read_bytes() if path.is_file() else None for path in root.rglob("*")}
-
-
-def _check_refusal(row: Refusal, tmp_path, monkeypatch, capsys):
+def _check_refusal(row: Refusal, request):
+    tmp_path, capsys = request.getfixturevalue("tmp_path"), request.getfixturevalue("capsys")
+    monkeypatch = request.getfixturevalue("monkeypatch")
     monkeypatch.chdir(tmp_path)
     for name, content in row.files.items():
         path = tmp_path / name
@@ -1148,7 +1159,7 @@ def _check_refusal(row: Refusal, tmp_path, monkeypatch, capsys):
             calls.append(real.__name__)
             return real(*args, **kwargs)
         monkeypatch.setattr(nvmag.cli, name, spy)
-    before, tmp = _tree(tmp_path), str(tmp_path)
+    before, tmp = tree(tmp_path), str(tmp_path)
     assert main(shlex.split(row.argv.replace("{tmp}", tmp))) == row.code
     out, err = capsys.readouterr()
     assert out == ""
@@ -1159,28 +1170,8 @@ def _check_refusal(row: Refusal, tmp_path, monkeypatch, capsys):
         piece = piece.replace("{tmp}", tmp)
         assert piece in err, err
         assert not piece.startswith(prefix) or err == piece + "\n"
-    assert _tree(tmp_path) == before
+    assert tree(tmp_path) == before
     assert not row.before_work or calls == []
-
-
-def _install(table: dict) -> None:
-    """Attach each row to the class its id names, as the test its id names;
-    rows whose ids differ only in a bracketed case are the cases of one test."""
-    tests: dict = {}
-    for test_id, row in table.items():
-        where, _, case = test_id.removesuffix("]").partition("[")
-        tests.setdefault(where, {})[case] = row
-    for where, cases in tests.items():
-        cls, name = where.split("::")
-        if list(cases) == [""]:
-            def test(self, tmp_path, monkeypatch, capsys, row=cases[""]):
-                _check_refusal(row, tmp_path, monkeypatch, capsys)
-        else:
-            @pytest.mark.parametrize("row", list(cases.values()), ids=list(cases))
-            def test(self, tmp_path, monkeypatch, capsys, row):
-                _check_refusal(row, tmp_path, monkeypatch, capsys)
-        assert name not in vars(globals()[cls]), where
-        setattr(globals()[cls], name, test)
 
 
 class TestJsonInputs:
@@ -1188,4 +1179,4 @@ class TestJsonInputs:
     as a configuration error naming the file, before any work or output."""
 
 
-_install(REFUSALS)
+install(REFUSALS, _check_refusal, globals())

@@ -1,3 +1,10 @@
+"""Field vectors, echo schedules, echo factors, the trace engine and traces.
+
+Every refusal of the decoherence module is a row of ``REFUSALS``: a call,
+the exact exception class it raises and the text of its one-line message,
+held to the checks of ``refusals.check_refusal``.
+"""
+
 import json
 import sys
 import tracemalloc
@@ -55,6 +62,7 @@ from oracles import (
     pair_spectra_m_kernel,
     single_echo_unitary,
 )
+from refusals import Refusal, check_refusal, install
 
 GAMMA = GAMMA_N_13C_KHZ_PER_G
 
@@ -70,16 +78,6 @@ class TestFieldVector:
         f = FieldVector.from_sequence((1.0, 2.0, 2.0))
         assert f.magnitude == pytest.approx(3.0, rel=1e-15)
 
-    @pytest.mark.parametrize("components", [(np.nan, 0.0, 1.0), (0.0, -np.inf, 1.0)])
-    def test_non_finite_component_rejected(self, components):
-        with pytest.raises(ConfigError, match="finite"):
-            FieldVector(*components)
-
-    @pytest.mark.parametrize("seq", [(1.0, 2.0), (1.0, 2.0, 2.0, 0.0)])
-    def test_wrong_length_rejected(self, seq):
-        with pytest.raises(ConfigError, match="three components"):
-            FieldVector.from_sequence(seq)
-
 
 # ------------------------------------------------------------ schedules
 class TestEchoSchedule:
@@ -93,19 +91,6 @@ class TestEchoSchedule:
         period = 1.0 / (GAMMA * 10.0)
         assert step == pytest.approx(period / 48.0, rel=1e-12)
 
-    def test_zero_field_has_no_period(self):
-        with pytest.raises(ConfigError):
-            EchoSchedule.for_field(0.0, t_max_ms=1.0)
-
-    def test_undersampling_request_rejected(self):
-        with pytest.raises(ConfigError):
-            EchoSchedule.for_field(10.0, t_max_ms=1.0, points_per_period=10)
-
-    def test_validate_resolution_raises_on_coarse_grid(self):
-        s = EchoSchedule.regular(1.0, 0.25)
-        with pytest.raises(GridTooCoarseError):
-            s.validate_resolution(100.0)
-
     def test_required_time_step_value(self):
         assert required_time_step(10.0) == pytest.approx(
             1.0 / (GAMMA * 10.0) / 40.0, rel=1e-12
@@ -113,38 +98,6 @@ class TestEchoSchedule:
 
     def test_zero_field_needs_no_step(self):
         assert required_time_step(0.0) == np.inf
-
-    def test_non_finite_field_rejected(self):
-        # NaN returned a NaN step, and a NaN field passed the resolution check
-        with pytest.raises(ConfigError, match="field magnitude"):
-            required_time_step(np.nan)
-        with pytest.raises(ConfigError, match="field magnitude"):
-            EchoSchedule.regular(1.0, 0.25).validate_resolution(np.nan)
-
-    def test_fractional_points_per_period_rejected(self):
-        with pytest.raises(ConfigError, match="points_per_period"):
-            EchoSchedule.for_field(10.0, 0.2, points_per_period=48.5)
-
-    def test_non_monotonic_grid_rejected(self):
-        with pytest.raises(ConfigError):
-            EchoSchedule(np.array([0.0, 0.2, 0.1]))
-
-    @pytest.mark.parametrize(
-        "grid,message", [([], "empty"), ([-0.1, 0.0, 0.1], "non-negative")]
-    )
-    def test_empty_or_negative_grid_rejected(self, grid, message):
-        with pytest.raises(ConfigError, match=message):
-            EchoSchedule(np.array(grid))
-
-    @pytest.mark.parametrize("t_max,step", [(0.0, 0.01), (-1.0, 0.01), (1.0, 0.0), (1.0, -0.01)])
-    def test_non_positive_regular_request_rejected(self, t_max, step):
-        with pytest.raises(ConfigError, match="positive"):
-            EchoSchedule.regular(t_max, step)
-
-    @pytest.mark.parametrize("t_max,step", [(np.inf, 0.01), (np.nan, 0.01), (1.0, np.nan)])
-    def test_non_finite_regular_request_rejected(self, t_max, step):
-        with pytest.raises(ConfigError, match="finite"):
-            EchoSchedule.regular(t_max, step)
 
 
 # ------------------------------------------------------------ branch fields
@@ -779,12 +732,6 @@ class TestEchoCoherenceTrace:
             peaks.append(peak)
         assert peaks[1] <= 1.1 * peaks[0] + 2**20
 
-    def test_grid_resolution_enforced(self, small_sites):
-        bath = sample_bath(small_sites, LatticeConfig(seed=2, abundance=0.1))
-        sched = EchoSchedule.regular(1.0, 0.1)
-        with pytest.raises(GridTooCoarseError):
-            echo_coherence_trace(bath, FieldVector.along_z(100.0), sched)
-
 
 # The benchmark's recorded traces (read only): a kernel change must keep
 # every trace within this absolute error of them.
@@ -831,14 +778,6 @@ class TestReferenceTraces:
 
 # ------------------------------------------------------------ trace object
 class TestCoherenceTrace:
-    def test_mismatched_shapes_rejected(self):
-        with pytest.raises(ShapeError):
-            CoherenceTrace(t_grid=np.array([0.0, 0.1]), values=np.array([1.0]))
-
-    def test_bad_normalization_rejected(self):
-        with pytest.raises(PhysicsError):
-            CoherenceTrace(t_grid=np.array([0.0, 0.1]), values=np.array([0.5, 0.4]))
-
     def test_overunity_magnitudes_warn(self):
         with pytest.warns(RuntimeWarning, match="pair truncation"):
             CoherenceTrace(
@@ -865,66 +804,6 @@ class TestCoherenceTrace:
         assert np.array_equal(loaded.t_grid, trace.t_grid)
         assert np.array_equal(loaded.values, trace.values)
         assert loaded.metadata == trace.metadata
-
-    def test_save_refuses_metadata_json_cannot_hold(self, tmp_path):
-        # an undamped analytic trace records T2_ms = inf
-        trace = analytic_trace(EchoSchedule.regular(1.0, 0.01), 0.2, np.inf)
-        with pytest.raises(ConfigError, match="JSON cannot represent"):
-            trace.save_csv(tmp_path / "trace.csv")
-        assert list(tmp_path.iterdir()) == []
-
-    def test_save_refuses_a_json_path(self, tmp_path):
-        # the sidecar is the path with its suffix made .json: the table was
-        # written and then overwritten by the metadata
-        trace = analytic_trace(EchoSchedule.regular(1.0, 0.01), 0.2, 1.0)
-        with pytest.raises(ConfigError, match="t.json"):
-            trace.save_csv(tmp_path / "t.json")
-        assert list(tmp_path.iterdir()) == []
-
-    @pytest.mark.parametrize(
-        "grid,values",
-        [
-            ([0.0, 0.1, 0.2], [1.0, np.nan, 0.5]),
-            ([0.0, 0.1, 0.2], [1.0, np.inf, 0.5]),
-            ([0.0, 0.2, 0.1], [1.0, 0.8, 0.5]),
-            ([0.0, 0.1, 0.1], [1.0, 0.8, 0.5]),
-            ([0.0, 0.1, np.inf], [1.0, 0.8, 0.5]),
-        ],
-    )
-    def test_non_finite_or_unsorted_trace_rejected(self, grid, values):
-        with pytest.raises(ConfigError):
-            CoherenceTrace(t_grid=np.array(grid), values=np.array(values))
-
-    def test_load_rejects_wrong_column_count(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("a,b,c\n1,2,3\n")
-        with pytest.raises(ConfigError):
-            CoherenceTrace.load_csv(path)
-
-    def test_load_refuses_a_file_without_its_header(self, tmp_path):
-        # skipping the first line whatever it holds would drop the tau = 0 row
-        path = tmp_path / "headless.csv"
-        analytic_trace(EchoSchedule.regular(1.0, 0.01), 0.2, 1.0).save_csv(path)
-        path.write_text(path.read_text().split("\n", 1)[1])
-        with pytest.raises(ConfigError, match="headless.csv.*t_ms,L"):
-            CoherenceTrace.load_csv(path)
-
-    @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("text", ["t_ms,L\n", "t_ms,L\n\n  \n"])
-    def test_load_refuses_a_file_with_no_rows(self, tmp_path, text):
-        path = tmp_path / "empty.csv"
-        path.write_text(text)
-        with pytest.raises(ConfigError, match="empty.csv holds no rows"):
-            CoherenceTrace.load_csv(path)
-
-    @pytest.mark.parametrize("sidecar", ["[1, 2]", '"x"', "null", "3"])
-    def test_load_refuses_a_sidecar_that_is_not_an_object(self, tmp_path, sidecar):
-        # save_csv only ever writes an object; anything else is not its metadata
-        path = tmp_path / "trace.csv"
-        analytic_trace(EchoSchedule.regular(1.0, 0.01), 0.2, 1.0).save_csv(path)
-        path.with_suffix(".json").write_text(sidecar + "\n")
-        with pytest.raises(ConfigError, match="trace.json must hold a JSON object"):
-            CoherenceTrace.load_csv(path)
 
 
 class TestEnsembleAverage:
@@ -969,25 +848,6 @@ class TestEnsembleAverage:
                    for counts in (first, second)]
         assert "diagnostics" not in ensemble_average(members).metadata
 
-    @pytest.mark.parametrize("seeds", ["12", 3, {"a": 1}, None])
-    def test_seeds_that_are_not_a_list_are_refused(self, seeds):
-        # a string would be read as its characters
-        grid = np.linspace(0.0, 1.0, 5)
-        members = [CoherenceTrace(grid, np.ones(5), {"seeds": [0]}),
-                   CoherenceTrace(grid, np.ones(5), {"seeds": seeds})]
-        with pytest.raises(ConfigError, match="seeds must be a list"):
-            ensemble_average(members)
-
-    def test_mismatched_grids_rejected(self):
-        t1 = CoherenceTrace(np.linspace(0.0, 1.0, 5), np.ones(5))
-        t2 = CoherenceTrace(np.linspace(0.0, 2.0, 5), np.ones(5))
-        with pytest.raises(ShapeError):
-            ensemble_average([t1, t2])
-
-    def test_empty_collection_rejected(self):
-        with pytest.raises(ConfigError):
-            ensemble_average([])
-
 
 class TestAnalyticModel:
     def test_unit_height_revivals_under_exponential_envelope(self):
@@ -999,18 +859,167 @@ class TestAnalyticModel:
     def test_collapse_between_revivals(self):
         assert analytic_coherence(1.0, 10.0, 0.5) == pytest.approx(0.0, abs=1e-12)
 
-    def test_invalid_parameters_rejected(self):
-        with pytest.raises(DomainError):
-            analytic_coherence(-1.0, 1.0, 0.1)
-        with pytest.raises(DomainError):
-            analytic_coherence(1.0, 0.0, 0.1)
-
-    def test_non_finite_revival_time_rejected(self):
-        with pytest.raises(ConfigError, match="revival time"):
-            analytic_coherence(np.nan, 0.5, 0.1)
-
     def test_trace_wrapper_carries_model_metadata(self):
         sched = EchoSchedule.regular(2.0, 0.01)
         tr = analytic_trace(sched, 0.5, 1.0)
         assert tr.metadata["T_R_ms"] == 0.5
         assert len(tr) == len(sched.t_grid)
+
+
+# ------------------------------------------------------------ refusals
+def _trace_file(name, text=None, sidecar=None):
+    """A builder of the path of ``{tmp}/name``, a file holding ``text``.  Without
+    ``text`` it holds the saved analytic trace (T_R 0.2 ms, T2 1 ms), with
+    ``sidecar`` as its sidecar's text or, without one, less its header line."""
+    def build(tmp_path, sites):
+        path = tmp_path / name
+        if text is not None:
+            path.write_text(text)
+            return (path,)
+        analytic_trace(EchoSchedule.regular(1.0, 0.01), 0.2, 1.0).save_csv(path)
+        if sidecar is None:
+            path.write_text(path.read_text().split("\n", 1)[1])
+        else:
+            path.with_suffix(".json").write_text(sidecar + "\n")
+        return (path,)
+    return build
+
+
+def _to_save(name, t2):
+    """A builder of an analytic trace (T_R 0.2 ms, decay ``t2``) and the path ``{tmp}/name``."""
+    return lambda tmp_path, sites: (
+        analytic_trace(EchoSchedule.regular(1.0, 0.01), 0.2, t2), tmp_path / name)
+
+
+GRID = np.linspace(0.0, 1.0, 5)
+SPINS = (NuclearSpin((0.4, 0.0, 0.2), (12.0, -3.0, 7.0)),
+         NuclearSpin((-0.1, 0.3, 0.5), (-5.0, 8.0, 2.0)))
+INCREASE = "echo times must be finite and strictly increase"
+HEADER = " does not start with the header line t_ms,L"
+
+REFUSALS = {"TestFieldVector": {
+    **{f"test_non_finite_component_rejected[components{i}]": Refusal(
+        ConfigError, f"field components must be finite, got {bad}", FieldVector, *components)
+       for i, (components, bad) in enumerate([((np.nan, 0.0, 1.0), "nan"),
+                                              ((0.0, -np.inf, 1.0), "-inf")])},
+    **{f"test_wrong_length_rejected[seq{i}]": Refusal(
+        ConfigError, f"field must hold three numbers (three components), got {seq}",
+        FieldVector.from_sequence, seq)
+       for i, seq in enumerate([(1.0, 2.0), (1.0, 2.0, 2.0, 0.0)])},
+}, "TestEchoSchedule": {
+    "test_zero_field_has_no_period": Refusal(
+        ConfigError, "zero field has no Larmor period; use regular()", EchoSchedule.for_field, 0.0,
+        t_max_ms=1.0),
+    "test_undersampling_request_rejected": Refusal(
+        ConfigError, "points_per_period must be >= 40", EchoSchedule.for_field, 10.0, t_max_ms=1.0,
+        points_per_period=10),
+    "test_validate_resolution_raises_on_coarse_grid": Refusal(
+        GridTooCoarseError, "grid step 0.25 ms undersamples the revival period at |B| = 100 G;"
+        " use a step <= 0.000233536 ms (40 points per period)", EchoSchedule.validate_resolution,
+        EchoSchedule.regular(1.0, 0.25), 100.0),
+    # NaN returned a NaN step, and a NaN field passed the resolution check
+    "test_non_finite_field_rejected": [
+        Refusal(ConfigError, "field magnitude must be finite, got nan", call, *args, np.nan)
+        for call, args in [(required_time_step, ()),
+                           (EchoSchedule.validate_resolution, (EchoSchedule.regular(1.0, 0.25),))]],
+    "test_fractional_points_per_period_rejected": Refusal(
+        ConfigError, "points_per_period must be an integer, got 48.5", EchoSchedule.for_field, 10.0,
+        0.2, points_per_period=48.5),
+    "test_non_monotonic_grid_rejected": Refusal(
+        ConfigError, INCREASE, EchoSchedule, np.array([0.0, 0.2, 0.1])),
+    "test_empty_or_negative_grid_rejected[grid0-empty]": Refusal(
+        ConfigError, "empty echo schedule", EchoSchedule, np.array([])),
+    "test_empty_or_negative_grid_rejected[grid1-non-negative]": Refusal(
+        ConfigError, "echo times must be non-negative", EchoSchedule, np.array([-0.1, 0.0, 0.1])),
+    **{f"test_non_{kind}_regular_request_rejected[{t_max}-{step}]": Refusal(
+        ConfigError, f"{name} must be {kind}, got {dict(t_max=t_max, step=step)[name]}",
+        EchoSchedule.regular, t_max, step)
+       for kind, name, t_max, step in [
+           ("positive", "t_max", 0.0, 0.01), ("positive", "t_max", -1.0, 0.01),
+           ("positive", "step", 1.0, 0.0), ("positive", "step", 1.0, -0.01),
+           ("finite", "t_max", np.inf, 0.01), ("finite", "t_max", np.nan, 0.01),
+           ("finite", "step", 1.0, np.nan)]},
+    # numpy's MemoryError, its size-limit ValueError, and int()'s OverflowError
+    **{f"test_grid_too_large_to_build_is_refused[{t_max}-{step}]": Refusal(
+        ConfigError, f"echo grid of {points} points (t_max {t_max:g} ms, step {step:g} ms) is too"
+        " large to build", EchoSchedule.regular, t_max, step)
+       for t_max, step, points in [(1e9, 1e-6, "1e+15"), (1.0, 1e-20, "1e+20"),
+                                   (1e300, 1e-300, "inf")]},
+}, "TestPairFactor": {
+    # the pair was built and its spectra solved before a NaN time was refused
+    "test_nan_time_is_refused_before_the_eigensolve": Refusal(
+        ConfigError, "t_ms must be finite", pair_echo_factor, *SPINS, 1.5,
+        FieldVector.along_z(10.0), np.nan),
+}, "TestEchoCoherenceTrace": {
+    "test_grid_resolution_enforced": Refusal(
+        GridTooCoarseError, "grid step 0.1 ms undersamples the revival period at |B| = 100 G",
+        echo_coherence_trace, build=lambda tmp_path, sites: (
+            sample_bath(sites, LatticeConfig(seed=2, abundance=0.1)), FieldVector.along_z(100.0),
+            EchoSchedule.regular(1.0, 0.1))),
+}, "TestCoherenceTrace": {
+    "test_mismatched_shapes_rejected": Refusal(
+        ShapeError, "time grid and values differ in length", CoherenceTrace, np.array([0.0, 0.1]),
+        np.array([1.0])),
+    # the repr of np.float64 in the message is numpy's own: "0.5" before numpy 2
+    "test_bad_normalization_rejected": Refusal(
+        PhysicsError, ("coherence at tau = 0 must be 1, got ", "0.5"), CoherenceTrace,
+        np.array([0.0, 0.1]), np.array([0.5, 0.4])),
+    # an undamped analytic trace records T2_ms = inf
+    "test_save_refuses_metadata_json_cannot_hold": Refusal(
+        ConfigError, "output holds a value JSON cannot represent: Out of range float values are"
+        " not JSON compliant", CoherenceTrace.save_csv, build=_to_save("trace.csv", np.inf)),
+    # the sidecar is the path with its suffix made .json: the table was
+    # written and then overwritten by the metadata
+    "test_save_refuses_a_json_path": Refusal(
+        ConfigError, "trace file {tmp}/t.json would be overwritten by its .json sidecar",
+        CoherenceTrace.save_csv, build=_to_save("t.json", 1.0)),
+    **{f"test_non_finite_or_unsorted_trace_rejected[grid{i}-values{i}]": Refusal(
+        ConfigError, says, CoherenceTrace, np.array(grid), np.array(values))
+       for i, (grid, values, says) in enumerate([
+           ([0.0, 0.1, 0.2], [1.0, np.nan, 0.5], "coherence values must be finite"),
+           ([0.0, 0.1, 0.2], [1.0, np.inf, 0.5], "coherence values must be finite"),
+           ([0.0, 0.2, 0.1], [1.0, 0.8, 0.5], INCREASE),
+           ([0.0, 0.1, 0.1], [1.0, 0.8, 0.5], INCREASE),
+           ([0.0, 0.1, np.inf], [1.0, 0.8, 0.5], INCREASE)])},
+    "test_load_rejects_wrong_column_count": Refusal(
+        ConfigError, "{tmp}/bad.csv" + HEADER, CoherenceTrace.load_csv,
+        build=_trace_file("bad.csv", "a,b,c\n1,2,3\n")),
+    **{f"test_load_refuses_rows_that_are_not_two_columns[{case}]": Refusal(
+        ConfigError, "{tmp}/bad.csv is not a two-column trace file", CoherenceTrace.load_csv,
+        build=_trace_file("bad.csv", text))
+       for case, text in [("three-columns", "t_ms,L\n0.0,1.0,0.5\n0.1,0.9,0.5\n"),
+                          ("one-column", "t_ms,L\n0.0\n0.1\n")]},
+    # skipping the first line whatever it holds would drop the tau = 0 row
+    "test_load_refuses_a_file_without_its_header": Refusal(
+        ConfigError, "{tmp}/headless.csv" + HEADER, CoherenceTrace.load_csv,
+        build=_trace_file("headless.csv")),
+    **{f"test_load_refuses_a_file_with_no_rows[{text}]": Refusal(
+        ConfigError, "{tmp}/empty.csv holds no rows", CoherenceTrace.load_csv,
+        build=_trace_file("empty.csv", text)) for text in ["t_ms,L\n", "t_ms,L\n\n  \n"]},
+    # save_csv only ever writes an object; anything else is not its metadata
+    **{f"test_load_refuses_a_sidecar_that_is_not_an_object[{sidecar}]": Refusal(
+        ConfigError, "trace sidecar {tmp}/trace.json must hold a JSON object",
+        CoherenceTrace.load_csv, build=_trace_file("trace.csv", sidecar=sidecar))
+       for sidecar in ["[1, 2]", '"x"', "null", "3"]},
+}, "TestEnsembleAverage": {
+    # a string would be read as its characters
+    **{f"test_seeds_that_are_not_a_list_are_refused[{case}]": Refusal(
+        ConfigError, f"seeds must be a list, got {seeds!r}", ensemble_average,
+        [CoherenceTrace(GRID, np.ones(5), {"seeds": [0]}),
+         CoherenceTrace(GRID, np.ones(5), {"seeds": seeds})])
+       for case, seeds in [("12", "12"), ("3", 3), ("seeds2", {"a": 1}), ("None", None)]},
+    "test_mismatched_grids_rejected": Refusal(
+        ShapeError, "ensemble members sample different time grids", ensemble_average,
+        [CoherenceTrace(GRID, np.ones(5)), CoherenceTrace(2.0 * GRID, np.ones(5))]),
+    "test_empty_collection_rejected": Refusal(
+        ConfigError, "cannot average an empty trace collection", ensemble_average, []),
+}, "TestAnalyticModel": {
+    "test_invalid_parameters_rejected": [
+        Refusal(DomainError, f"{name} must be positive, got {bad}", analytic_coherence, *args)
+        for name, bad, args in [("revival time", -1.0, (-1.0, 1.0, 0.1)),
+                                ("decay time", 0.0, (1.0, 0.0, 0.1))]],
+    "test_non_finite_revival_time_rejected": Refusal(
+        ConfigError, "revival time must be finite, got nan", analytic_coherence, np.nan, 0.5, 0.1),
+}}
+
+install(REFUSALS, check_refusal, globals())

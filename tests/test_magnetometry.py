@@ -1,3 +1,10 @@
+"""Inversion, reconstruction, levels, ODMR and sign resolution.
+
+Every refusal of the magnetometry module is a row of ``REFUSALS``: a call,
+the exact exception class it raises and the text of its one-line message,
+held to the checks of ``refusals.check_refusal``.
+"""
+
 import math
 
 import numpy as np
@@ -20,6 +27,7 @@ from nvmag.magnetometry import (
 )
 
 from oracles import spin1_levels_charpoly
+from refusals import Refusal, check_refusal, install
 
 D = ZERO_FIELD_SPLITTING_GHZ
 GE = GAMMA_E_GHZ_PER_G
@@ -37,30 +45,6 @@ class TestInversion:
     def test_custom_alpha(self):
         cal = Calibration(alpha=1.0, source="refit")
         assert invert_TR_to_B(0.25, cal) == pytest.approx(4.0)
-
-    def test_nonpositive_revival_time_rejected(self):
-        with pytest.raises(DomainError):
-            invert_TR_to_B(0.0)
-        with pytest.raises(DomainError):
-            invert_TR_to_B(-1.0)
-
-    def test_calibration_validation(self):
-        with pytest.raises(ConfigError):
-            Calibration(alpha=0.0)
-        with pytest.raises(ConfigError):
-            Calibration(source="guess")
-
-    @pytest.mark.parametrize("alpha", [math.nan, math.inf])
-    def test_calibration_must_be_finite(self, alpha):
-        # an infinite alpha inverted every spacing to an infinite field, and a
-        # NaN one every measurement to NaN components
-        with pytest.raises(ConfigError, match="calibration constant"):
-            Calibration(alpha=alpha)
-
-    @pytest.mark.parametrize("t_revival", [math.nan, math.inf, True])
-    def test_revival_time_that_is_not_a_finite_number_rejected(self, t_revival):
-        with pytest.raises(ConfigError, match="revival time"):
-            invert_TR_to_B(t_revival)
 
     def test_subtract_bias(self):
         assert subtract_bias(5.1, 5.0) == pytest.approx(0.1, abs=1e-12)
@@ -89,44 +73,6 @@ class TestMeasurementsToComponents:
         # net projections +0.1, -0.1, 0.0 -> unsigned 0.1, 0.1, 0.0
         assert comps == pytest.approx((0.1, 0.1, 0.0), abs=1e-9)
 
-    def test_wrong_axis_count_rejected(self):
-        meas = [AxisMeasurement(axis=AXES[0], T_R=1.0)]
-        with pytest.raises(ConfigError):
-            measurements_to_components(meas)
-
-    def test_non_orthogonal_axes_rejected(self):
-        s = 1.0 / math.sqrt(2.0)
-        meas = [
-            AxisMeasurement(axis=(1.0, 0.0, 0.0), T_R=1.0),
-            AxisMeasurement(axis=(s, s, 0.0), T_R=1.0),
-            AxisMeasurement(axis=(0.0, 0.0, 1.0), T_R=1.0),
-        ]
-        with pytest.raises(ConfigError):
-            measurements_to_components(meas)
-
-    def test_axis_must_be_unit(self):
-        with pytest.raises(ConfigError):
-            AxisMeasurement(axis=(1.0, 1.0, 0.0), T_R=1.0)
-
-    def test_revival_time_must_be_positive(self):
-        with pytest.raises(ConfigError):
-            AxisMeasurement(axis=AXES[0], T_R=0.0)
-
-    @pytest.mark.parametrize("T_R", [math.inf, -math.inf, math.nan, True])
-    def test_revival_time_must_be_a_finite_number(self, T_R):
-        with pytest.raises(ConfigError, match="T_R"):
-            AxisMeasurement(axis=(1, 0, 0), T_R=T_R)
-
-    @pytest.mark.parametrize("axis", [(math.nan, 0.0, 1.0), (0.0, True, 0.0)])
-    def test_axis_must_hold_finite_numbers(self, axis):
-        with pytest.raises(ConfigError, match="axis"):
-            AxisMeasurement(axis=axis, T_R=1.0)
-
-    @pytest.mark.parametrize("bias", [math.inf, -math.inf, math.nan, True])
-    def test_bias_must_be_a_finite_number(self, bias):
-        with pytest.raises(ConfigError, match="bias"):
-            AxisMeasurement(axis=AXES[0], T_R=1.0, bias=bias)
-
 
 # ------------------------------------------------------------- reconstruction
 class TestReconstructField:
@@ -150,35 +96,12 @@ class TestReconstructField:
         est = reconstruct_field((0.0, 3.0, 4.0))
         assert len(est.sign_candidates) == 4
 
-    def test_zero_field_rejected(self):
-        with pytest.raises(DomainError):
-            reconstruct_field((0.0, 0.0, 0.0))
-
-    def test_wrong_size_rejected(self):
-        with pytest.raises(ConfigError):
-            reconstruct_field((1.0, 2.0))
-
-    def test_non_finite_component_rejected(self):
-        # NaN slipped past the zero-field check and the candidate dedupe
-        # (nan != nan): NaN magnitude, eight NaN candidates
-        with pytest.raises(ConfigError, match="finite"):
-            reconstruct_field([math.nan, 1.0, 1.0])
-
     def test_json_keys(self):
         est = reconstruct_field((0.0, 0.0, 2.0))
         d = est.to_json_dict()
         assert d["magnitude_G"] == pytest.approx(2.0)
         assert len(d["sign_candidates_G"]) == 2
         assert d["direction_cosines"] == pytest.approx((0.0, 0.0, 1.0))
-
-    def test_cosines_must_be_unit(self):
-        with pytest.raises(ConfigError):
-            FieldEstimate(
-                magnitude=1.0,
-                direction_cosines=(0.5, 0.5, 0.5),
-                components=(1.0, 0.0, 0.0),
-                sign_candidates=(),
-            )
 
 
 # ------------------------------------------------------------- level solver
@@ -202,17 +125,6 @@ class TestZeemanLevels:
     def test_levels_ascend(self):
         levels = zeeman_levels((12.0, -7.0, 3.0))
         assert levels[0] <= levels[1] <= levels[2]
-
-    def test_wrong_size_rejected(self):
-        with pytest.raises(ConfigError):
-            zeeman_levels((1.0, 2.0))
-
-    def test_non_finite_field_rejected(self):
-        # these ended in a LinAlgError from the eigensolver
-        with pytest.raises(ConfigError, match="finite"):
-            zeeman_levels([math.nan, 0.0, 0.0])
-        with pytest.raises(ConfigError, match="finite"):
-            odmr_transitions((math.inf, 0.0, 0.0))
 
 
 # ------------------------------------------------------------- ODMR spectra
@@ -251,11 +163,6 @@ class TestResolveAlignment:
         spectrum = probe(true / np.linalg.norm(true))
         assert spectrum.asymmetry <= 1e-12
         assert spectrum.splitting == pytest.approx(2 * GE * 0.5, rel=1e-9)
-
-    def test_probe_requires_unit_axis(self):
-        probe = make_simulated_probe(self.true_field())
-        with pytest.raises(ConfigError):
-            probe((1.0, 1.0, 0.0))
 
     def test_selects_antipodal_family_of_true_direction(self):
         true = self.true_field()
@@ -307,27 +214,6 @@ class TestResolveAlignment:
         assert len(gated) > 2  # the gate alone really is ambiguous here
         assert res.resolved and len(res.selected) == 2
 
-    def test_empty_candidates_rejected(self):
-        probe = make_simulated_probe(self.true_field())
-        with pytest.raises(ConfigError):
-            resolve_alignment([], probe)
-
-    def test_zero_candidate_rejected(self):
-        probe = make_simulated_probe(self.true_field())
-        with pytest.raises(DomainError):
-            resolve_alignment([(0.0, 0.0, 0.0)], probe)
-
-    @pytest.mark.parametrize("candidate", [(math.nan, 0.0, 1.0), (1.0, 2.0)])
-    def test_candidate_must_hold_three_finite_numbers(self, candidate):
-        # a LinAlgError from the eigensolver, or numpy's "cannot reshape"
-        probe = make_simulated_probe(self.true_field())
-        with pytest.raises(ConfigError, match="candidate"):
-            resolve_alignment([candidate], probe)
-
-    def test_true_field_must_hold_three_numbers(self):
-        with pytest.raises(ConfigError, match="three numbers"):
-            make_simulated_probe((1.0, 2.0))
-
     def test_single_candidate_resolves_without_a_twin(self):
         # no antiparallel twin among the candidates: one winner and no note
         probe = make_simulated_probe((0.0, 0.0, 0.5))
@@ -354,3 +240,89 @@ class TestVectorReconstruction:
         assert res.resolved
         signs = {tuple(np.sign(c)) for c in res.selected}
         assert (1.0, -1.0, 1.0) in signs
+
+
+# ------------------------------------------------------------- refusals
+PROBE = make_simulated_probe(0.5 * np.array([1.0, 2.0, 2.0]) / 3.0)
+THREE = "must hold three numbers (three components), got (1.0, 2.0)"
+NOT_FINITE = [(math.nan, "must be finite"), (math.inf, "must be finite")]
+NOT_NUMBERS = NOT_FINITE + [(True, "must be a number")]
+
+REFUSALS = {"TestInversion": {
+    "test_nonpositive_revival_time_rejected": [
+        Refusal(DomainError, f"revival time must be positive, got {t}", invert_TR_to_B, t)
+        for t in (0.0, -1.0)],
+    "test_calibration_validation": [
+        Refusal(ConfigError, "calibration constant must be positive, got 0.0", Calibration,
+                alpha=0.0),
+        Refusal(ConfigError, 'calibration source must be "paper" or "refit"', Calibration,
+                source="guess")],
+    # an infinite alpha inverted every spacing to an infinite field, and a NaN
+    # one every measurement to NaN components
+    **{f"test_calibration_must_be_finite[{alpha}]": Refusal(
+        ConfigError, f"calibration constant must be finite, got {alpha}", Calibration, alpha)
+       for alpha, _ in NOT_FINITE},
+    **{f"test_revival_time_that_is_not_a_finite_number_rejected[{t}]": Refusal(
+        ConfigError, f"revival time {says}, got {t}", invert_TR_to_B, t)
+       for t, says in NOT_NUMBERS},
+}, "TestMeasurementsToComponents": {
+    "test_wrong_axis_count_rejected": Refusal(
+        ConfigError, "component reconstruction needs exactly three axes",
+        measurements_to_components, [AxisMeasurement(axis=AXES[0], T_R=1.0)]),
+    "test_non_orthogonal_axes_rejected": Refusal(
+        ConfigError, "measurement axes must be mutually orthogonal", measurements_to_components,
+        [AxisMeasurement(axis, 1.0) for axis in [AXES[0], (0.5**0.5, 0.5**0.5, 0.0), AXES[2]]]),
+    "test_axis_must_be_unit": Refusal(
+        ConfigError, "measurement axis must be a unit vector", AxisMeasurement, (1.0, 1.0, 0.0),
+        1.0),
+    "test_revival_time_must_be_positive": Refusal(
+        ConfigError, "T_R must be positive, got 0.0", AxisMeasurement, AXES[0], 0.0),
+    **{f"test_revival_time_must_be_a_finite_number[{t}]": Refusal(
+        ConfigError, f"T_R {says}, got {t}", AxisMeasurement, (1, 0, 0), t)
+       for t, says in NOT_NUMBERS + [(-math.inf, "must be finite")]},
+    **{f"test_axis_must_hold_finite_numbers[axis{i}]": Refusal(
+        ConfigError, says, AxisMeasurement, axis, 1.0)
+       for i, (axis, says) in enumerate([((math.nan, 0.0, 1.0), "axis must be finite, got nan"),
+                                         ((0.0, True, 0.0), "axis must be a number, got True")])},
+    **{f"test_bias_must_be_a_finite_number[{bias}]": Refusal(
+        ConfigError, f"bias {says}, got {bias}", AxisMeasurement, AXES[0], 1.0, bias)
+       for bias, says in NOT_NUMBERS + [(-math.inf, "must be finite")]},
+}, "TestReconstructField": {
+    "test_zero_field_rejected": Refusal(
+        DomainError, "zero field: direction is undefined", reconstruct_field, (0.0, 0.0, 0.0)),
+    "test_wrong_size_rejected": Refusal(
+        ConfigError, "field components " + THREE, reconstruct_field, (1.0, 2.0)),
+    # NaN slipped past the zero-field check and the candidate dedupe (nan !=
+    # nan): NaN magnitude, eight NaN candidates
+    "test_non_finite_component_rejected": Refusal(
+        ConfigError, "field components must be finite, got nan", reconstruct_field,
+        [math.nan, 1.0, 1.0]),
+    "test_cosines_must_be_unit": Refusal(
+        ConfigError, "direction cosines must have unit square sum", FieldEstimate, 1.0,
+        (0.5, 0.5, 0.5), (1.0, 0.0, 0.0), ()),
+}, "TestZeemanLevels": {
+    "test_wrong_size_rejected": Refusal(ConfigError, "field " + THREE, zeeman_levels, (1.0, 2.0)),
+    # these ended in a LinAlgError from the eigensolver
+    "test_non_finite_field_rejected": [
+        Refusal(ConfigError, "field must be finite, got nan", zeeman_levels, [math.nan, 0.0, 0.0]),
+        Refusal(ConfigError, "field must be finite, got inf", odmr_transitions,
+                (math.inf, 0.0, 0.0))],
+}, "TestResolveAlignment": {
+    "test_probe_requires_unit_axis": Refusal(
+        ConfigError, "probe axis must be a unit vector", PROBE, (1.0, 1.0, 0.0)),
+    "test_empty_candidates_rejected": Refusal(
+        ConfigError, "no candidates to resolve", resolve_alignment, [], PROBE),
+    "test_zero_candidate_rejected": Refusal(
+        DomainError, "zero-magnitude candidate has no orientation", resolve_alignment,
+        [(0.0, 0.0, 0.0)], PROBE),
+    # a LinAlgError from the eigensolver, or numpy's "cannot reshape"
+    **{f"test_candidate_must_hold_three_finite_numbers[candidate{i}]": Refusal(
+        ConfigError, says, resolve_alignment, [candidate], PROBE)
+       for i, (candidate, says) in enumerate([
+           ((math.nan, 0.0, 1.0), "candidate must be finite, got nan"),
+           ((1.0, 2.0), "candidate " + THREE)])},
+    "test_true_field_must_hold_three_numbers": Refusal(
+        ConfigError, "true field " + THREE, make_simulated_probe, (1.0, 2.0)),
+}}
+
+install(REFUSALS, check_refusal, globals())

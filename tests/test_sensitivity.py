@@ -1,3 +1,11 @@
+"""Readout, signal, shot noise, detection limits, eta, its optimum and the report.
+
+Every call the sensitivity module refuses is one row of ``REFUSALS``, run as
+the test its key names and held to the checks of ``refusals.check_refusal``:
+the exact exception class, a one-line message holding the row's text, no
+warning, every argument unchanged, and no file written.
+"""
+
 import math
 
 import numpy as np
@@ -18,6 +26,8 @@ from nvmag.sensitivity import (
     signal_response,
 )
 
+from refusals import Refusal, check_refusal, install
+
 # hand-computed reference values for the default calibration constants
 # (alpha = 0.9366 ms*G, C = 0.3, T2 = 0.5 ms)
 ETA_MIN_G_SQHZ = 0.20724795711353314
@@ -26,20 +36,6 @@ CONSTANT_G_SQHZ = 0.0628511200760834  # 2 alpha sqrt(1e-3) / (pi C)
 
 # --------------------------------------------------------------- readout
 class TestReadoutModel:
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            ReadoutModel(C=0.0)
-        with pytest.raises(ConfigError):
-            ReadoutModel(C=1.2)
-        with pytest.raises(ConfigError):
-            ReadoutModel(n_centers=0)
-        with pytest.raises(ConfigError):
-            ReadoutModel(n_centers=1.5)
-
-    def test_bool_center_count_rejected(self):
-        with pytest.raises(ConfigError, match="n_centers"):
-            ReadoutModel(n_centers=True)
-
     def test_defaults(self):
         ro = ReadoutModel()
         assert ro.C == 0.3
@@ -51,10 +47,6 @@ class TestFluorescenceSignal:
     def test_limits(self):
         assert fluorescence_signal(0.0, 1.0, 0.5) == pytest.approx(1.0)
         assert fluorescence_signal(500.0, 1.0, 0.5) == pytest.approx(0.5, abs=1e-12)
-
-    def test_domain_checks_inherited(self):
-        with pytest.raises(DomainError):
-            fluorescence_signal(0.1, -1.0, 0.5)
 
 
 class TestSignalResponse:
@@ -78,17 +70,6 @@ class TestSignalResponse:
         cal = Calibration(alpha=1.0, source="refit")
         assert signal_response(0.5, 1.0, 0.5, cal) == pytest.approx(0.0, abs=1e-12)
 
-    def test_validation(self):
-        cal = Calibration()
-        with pytest.raises(DomainError):
-            signal_response(0.1, 0.0, 0.5, cal)
-        with pytest.raises(DomainError):
-            signal_response(0.1, 1.0, -0.5, cal)
-
-    def test_non_finite_field_rejected(self):
-        with pytest.raises(ConfigError, match="field"):
-            signal_response(0.1, math.nan, 0.5, Calibration())
-
     def test_vectorized(self):
         cal = Calibration()
         taus = np.array([0.1, 0.2, 0.3])
@@ -108,19 +89,6 @@ class TestShotNoise:
         assert shot_noise(1.0, 4e-4, 0.3) == pytest.approx(2 * base, rel=1e-12)
         assert shot_noise(4.0, 1e-4, 0.3) == pytest.approx(base / 2, rel=1e-12)
         assert shot_noise(1.0, 1e-4, 0.6) == pytest.approx(base / 2, rel=1e-12)
-
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            shot_noise(1.0, 1e-4, 0.0)
-        with pytest.raises(DomainError):
-            shot_noise(1.0, 0.0, 0.3)
-        with pytest.raises(DomainError):
-            shot_noise(1e-4, 1.0, 0.3)
-
-    def test_non_finite_total_time_rejected(self):
-        # NaN passed the "evolution time exceeds the total" check: noise NaN
-        with pytest.raises(ConfigError, match="total measurement time"):
-            shot_noise(math.nan, 1e-4)
 
 
 # --------------------------------------------------------------- limits
@@ -143,11 +111,6 @@ class TestMinDetectableField:
         a = min_detectable_field(0.2, 1.0, 1.5, 0.5)
         b = min_detectable_field(0.2, 4.0, 1.5, 0.5)
         assert b.delta_B_G == pytest.approx(a.delta_B_G / 2, rel=1e-12)
-
-    def test_evolution_beyond_total_time_rejected(self):
-        # a 2 s evolution does not fit in a 1 s measurement
-        with pytest.raises(DomainError):
-            min_detectable_field(2000.0, 1.0, 1.5, 0.5)
 
 
 # --------------------------------------------------------------- eta
@@ -178,21 +141,6 @@ class TestSensitivityEta:
     def test_node_gives_infinity(self):
         cal = Calibration(alpha=1.0, source="refit")
         assert math.isinf(sensitivity_eta(0.5, 1.0, 0.5, 0.3, cal))
-
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            sensitivity_eta(-0.1, 1.0, 0.5)
-        with pytest.raises(DomainError):
-            sensitivity_eta(0.1, 0.0, 0.5)
-        with pytest.raises(DomainError, match="decay time"):
-            sensitivity_eta(0.1, 1.0, 0.0)
-        with pytest.raises(ConfigError):
-            sensitivity_eta(0.1, 1.0, 0.5, contrast=2.0)
-
-    def test_infinite_decay_time_rejected(self):
-        # gave a finite eta (0.32 G/rtHz) for a coherence that never decays
-        with pytest.raises(ConfigError, match="decay time"):
-            sensitivity_eta(0.1, 1.0, math.inf)
 
 
 # --------------------------------------------------------------- optimum
@@ -228,27 +176,6 @@ class TestOptimalSensitivity:
         b = optimal_sensitivity(1.0, 0.3)
         assert b.eta_min_G_sqHz == pytest.approx(a.eta_min_G_sqHz / 2, rel=1e-12)
 
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            optimal_sensitivity(0.0)
-        with pytest.raises(ConfigError):
-            optimal_sensitivity(0.5, contrast=0.0)
-        with pytest.raises(ConfigError):
-            optimal_sensitivity(0.5, n_centers=0)
-
-    @pytest.mark.parametrize("t2", [math.nan, math.inf])
-    def test_non_finite_decay_time_rejected(self, t2):
-        # NaN gave eta_min = NaN, an infinite T2 eta_min = 0.0
-        with pytest.raises(ConfigError, match="decay time"):
-            optimal_sensitivity(t2)
-
-    def test_center_count_refused_as_the_readout_model_refuses_it(self):
-        # a fractional count used to divide the optimum by sqrt(2.5)
-        with pytest.raises(ConfigError, match="n_centers"):
-            ReadoutModel(n_centers=2.5)
-        with pytest.raises(ConfigError, match="n_centers"):
-            optimal_sensitivity(0.5, n_centers=2.5)
-
 
 # --------------------------------------------------------------- report
 class TestBuildReport:
@@ -265,11 +192,6 @@ class TestBuildReport:
         report = build_report(0.5, field_g=5.0)
         assert report.B_G == 5.0
 
-    @pytest.mark.parametrize("field_g", [0.0, -1.0])
-    def test_non_positive_field_rejected(self, field_g):
-        with pytest.raises(DomainError, match=f"field must be positive, got {field_g}"):
-            build_report(0.5, field_g=field_g)
-
     def test_json_replaces_infinities(self):
         cal = Calibration(alpha=1.0, source="refit")
         # tau grid hits the node at tau = 0.5 exactly (T2 = 0.25 -> grid
@@ -281,34 +203,6 @@ class TestBuildReport:
             report.eta_min_G_sqHz * 100
         )
 
-    def test_inconsistent_grid_rejected(self):
-        with pytest.raises(DomainError):
-            SensitivityReport(
-                tau_grid_ms=np.array([0.1, 0.2]),
-                eta_G_sqHz=np.array([0.05, 0.2]),
-                tau_opt_ms=0.25,
-                eta_min_G_sqHz=0.2,
-                ensemble_eta_G_sqHz=0.2,
-                n_centers=1,
-                B_G=1.0,
-                T2_ms=0.5,
-                C=0.3,
-                alpha_ms_G=0.9366,
-            )
-
-    def test_non_finite_decay_time_rejected(self):
-        with pytest.raises(ConfigError, match="decay time"):
-            build_report(math.nan)
-
-    def test_non_finite_field_rejected(self):
-        # the grid came back all NaN, written as null in the report JSON
-        with pytest.raises(ConfigError, match="field"):
-            build_report(0.5, field_g=math.nan)
-
-    def test_tiny_grid_rejected(self):
-        with pytest.raises(ConfigError):
-            build_report(0.5, tau_points=1)
-
     def test_unit_conversions(self):
         report = build_report(0.5)
         assert report.eta_uT_sqHz == pytest.approx(report.eta_G_sqHz * 100)
@@ -319,3 +213,94 @@ class TestDetectionLimitShape:
     def test_default_flag(self):
         lim = DetectionLimit(delta_B_G=0.1)
         assert not lim.insensitive
+
+
+# --------------------------------------------------------------- refusals
+CONTRAST = "contrast must be in (0, 1], got "
+
+REFUSALS = {"TestReadoutModel": {
+    "test_validation": [
+        Refusal(ConfigError, CONTRAST + "0.0", ReadoutModel, C=0.0),
+        Refusal(ConfigError, CONTRAST + "1.2", ReadoutModel, C=1.2),
+        Refusal(ConfigError, "n_centers must be a positive integer", ReadoutModel, n_centers=0),
+        Refusal(ConfigError, "n_centers must be an integer, got 1.5", ReadoutModel,
+                n_centers=1.5)],
+    "test_bool_center_count_rejected": Refusal(
+        ConfigError, "n_centers must be an integer, got True", ReadoutModel, n_centers=True),
+}, "TestFluorescenceSignal": {
+    "test_domain_checks_inherited": Refusal(
+        DomainError, "revival time must be positive, got -1.0", fluorescence_signal,
+        0.1, -1.0, 0.5),
+}, "TestSignalResponse": {
+    "test_validation": [
+        Refusal(DomainError, "field must be positive, got 0.0", signal_response,
+                0.1, 0.0, 0.5, Calibration()),
+        Refusal(DomainError, "decay time must be positive, got -0.5", signal_response,
+                0.1, 1.0, -0.5, Calibration())],
+    "test_non_finite_field_rejected": Refusal(
+        ConfigError, "field must be finite, got nan", signal_response,
+        0.1, math.nan, 0.5, Calibration()),
+}, "TestShotNoise": {
+    "test_validation": [
+        Refusal(ConfigError, CONTRAST + "0.0", shot_noise, 1.0, 1e-4, 0.0),
+        Refusal(DomainError, "evolution time must be positive, got 0.0", shot_noise,
+                1.0, 0.0, 0.3),
+        Refusal(DomainError, "evolution time 1.0 s exceeds the total measurement time 0.0001 s",
+                shot_noise, 1e-4, 1.0, 0.3)],
+    # NaN passed the "evolution time exceeds the total" check: noise NaN
+    "test_non_finite_total_time_rejected": Refusal(
+        ConfigError, "total measurement time must be finite, got nan", shot_noise, math.nan, 1e-4),
+}, "TestMinDetectableField": {
+    # a 2 s evolution does not fit in a 1 s measurement
+    "test_evolution_beyond_total_time_rejected": Refusal(
+        DomainError, "evolution time 2.0 s exceeds the total measurement time 1.0 s",
+        min_detectable_field, 2000.0, 1.0, 1.5, 0.5),
+}, "TestSensitivityEta": {
+    "test_validation": [
+        Refusal(DomainError, "evolution times must be positive", sensitivity_eta, -0.1, 1.0, 0.5),
+        Refusal(DomainError, "field must be positive, got 0.0", sensitivity_eta, 0.1, 0.0, 0.5),
+        Refusal(DomainError, "decay time must be positive, got 0.0", sensitivity_eta,
+                0.1, 1.0, 0.0),
+        Refusal(ConfigError, CONTRAST + "2.0", sensitivity_eta, 0.1, 1.0, 0.5, contrast=2.0)],
+    # gave a finite eta (0.32 G/rtHz) for a coherence that never decays
+    "test_infinite_decay_time_rejected": Refusal(
+        ConfigError, "decay time must be finite, got inf", sensitivity_eta, 0.1, 1.0, math.inf),
+}, "TestOptimalSensitivity": {
+    "test_validation": [
+        Refusal(DomainError, "decay time must be positive, got 0.0", optimal_sensitivity, 0.0),
+        Refusal(ConfigError, CONTRAST + "0.0", optimal_sensitivity, 0.5, contrast=0.0),
+        Refusal(ConfigError, "n_centers must be a positive integer", optimal_sensitivity, 0.5,
+                n_centers=0)],
+    # NaN gave eta_min = NaN, an infinite T2 eta_min = 0.0
+    **{f"test_non_finite_decay_time_rejected[{t2}]": Refusal(
+        ConfigError, f"decay time must be finite, got {t2}", optimal_sensitivity, t2)
+       for t2 in (math.nan, math.inf)},
+    # a fractional count used to divide the optimum by sqrt(2.5)
+    "test_center_count_refused_as_the_readout_model_refuses_it": [
+        Refusal(ConfigError, "n_centers must be an integer, got 2.5", ReadoutModel,
+                n_centers=2.5),
+        Refusal(ConfigError, "n_centers must be an integer, got 2.5", optimal_sensitivity, 0.5,
+                n_centers=2.5)],
+}, "TestBuildReport": {
+    **{f"test_non_positive_field_rejected[{field_g}]": Refusal(
+        DomainError, f"field must be positive, got {field_g}", build_report, 0.5,
+        field_g=field_g) for field_g in (0.0, -1.0)},
+    "test_inconsistent_grid_rejected": Refusal(
+        DomainError, "grid sensitivity beat the analytic optimum: inconsistent inputs",
+        SensitivityReport, tau_grid_ms=np.array([0.1, 0.2]), eta_G_sqHz=np.array([0.05, 0.2]),
+        tau_opt_ms=0.25, eta_min_G_sqHz=0.2, ensemble_eta_G_sqHz=0.2, n_centers=1, B_G=1.0,
+        T2_ms=0.5, C=0.3, alpha_ms_G=0.9366),
+    "test_non_finite_decay_time_rejected": Refusal(
+        ConfigError, "decay time must be finite, got nan", build_report, math.nan),
+    # the grid came back all NaN, written as null in the report JSON
+    "test_non_finite_field_rejected": Refusal(
+        ConfigError, "field must be finite, got nan", build_report, 0.5, field_g=math.nan),
+    "test_tiny_grid_rejected": Refusal(
+        ConfigError, "tau grid needs at least two points", build_report, 0.5, tau_points=1),
+    # numpy's size-limit ValueError
+    "test_scan_too_large_to_build_is_refused": Refusal(
+        ConfigError, "tau scan of 100000000000000000000 points (tau_points) is too large to build",
+        build_report, 0.5, tau_points=10**20),
+}}
+
+install(REFUSALS, check_refusal, globals())

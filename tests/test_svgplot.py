@@ -1,12 +1,18 @@
-"""Rendering checks for the native SVG plotter."""
+"""Rendering checks for the native SVG plotter.
+
+Every call the plotter refuses is one row of ``REFUSALS``, run as the test
+its key names and held to the checks of ``refusals.check_refusal``: the
+exact exception class, a one-line message holding the row's text, no
+warning, every argument unchanged, and no file written.
+"""
 
 import math
 import xml.etree.ElementTree as ET
 
-import pytest
-
 from nvmag.errors import ConfigError
 from nvmag.svgplot import line_plot
+
+from refusals import Refusal, check_refusal, install
 
 
 def parse(svg: str) -> ET.Element:
@@ -40,16 +46,6 @@ class TestLinePlot:
     def test_same_input_same_bytes(self):
         args = ([("a", [0.1, 0.2, 0.3], [3.0, 1.0, 2.0])],)
         assert line_plot(*args) == line_plot(*args)
-
-    def test_empty_series_rejected(self):
-        with pytest.raises(ConfigError):
-            line_plot([])
-
-    def test_all_points_unusable_rejected(self):
-        with pytest.raises(ConfigError):
-            line_plot([("a", [0.0, 1.0], [math.nan, math.inf])])
-        with pytest.raises(ConfigError):
-            line_plot([("a", [-1.0, 0.0], [1.0, 2.0])], log_x=True)
 
     def test_nan_breaks_polyline(self):
         svg = line_plot(
@@ -102,3 +98,16 @@ class TestLinePlot:
         svg = line_plot([("a", [1.0, 2.0], [0.3, 0.3])], log_y=True)
         parse(svg)
         assert count_tags(svg, "polyline") == 1
+
+
+REFUSALS = {"TestLinePlot": {
+    "test_empty_series_rejected": Refusal(
+        ConfigError, "line_plot needs at least one series", line_plot, []),
+    "test_all_points_unusable_rejected": [
+        Refusal(ConfigError, "line_plot got no plottable points", line_plot,
+                [("a", [0.0, 1.0], [math.nan, math.inf])]),
+        Refusal(ConfigError, "line_plot got no plottable points", line_plot,
+                [("a", [-1.0, 0.0], [1.0, 2.0])], log_x=True)],
+}}
+
+install(REFUSALS, check_refusal, globals())

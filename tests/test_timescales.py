@@ -1,3 +1,12 @@
+"""Peak finding, the comb search, envelopes, the collapse width, full
+extraction and power-law fits.
+
+Every call the timescales module refuses is one row of ``REFUSALS``, run as
+the test its key names and held to the checks of ``refusals.check_refusal``:
+the exact exception class, a one-line message holding the row's text, no
+warning, every argument unchanged, and no file written.
+"""
+
 import json
 import math
 import os
@@ -48,6 +57,7 @@ from nvmag.timescales import (
     snap_to_comb,
 )
 from oracles import extract_TR_loop
+from refusals import Refusal, check_refusal, install
 
 
 def mk_peaks(times, heights):
@@ -81,11 +91,6 @@ class TestFindRevivalPeaks:
         vals[0] = 1.0
         peaks = find_revival_peaks(CoherenceTrace(grid, vals), prominence=0.05)
         assert len([p for p in peaks if p.time > 0]) == 0
-
-    def test_bad_prominence_rejected(self):
-        tr = CoherenceTrace(np.array([0.0, 0.1]), np.array([1.0, 0.5]))
-        with pytest.raises(Exception):
-            find_revival_peaks(tr, prominence=0.0)
 
     def test_no_command_loads_scipy(self, tmp_path):
         # sampling, simulation, peak search and a CLI extraction run on numpy alone
@@ -194,10 +199,6 @@ class TestExtractTR:
         period, _ = extract_TR(mk_peaks(times, heights), grid_step_ms=0.002)
         assert period == pytest.approx(true, rel=0.01)
 
-    def test_fewer_than_two_peaks_raises(self):
-        with pytest.raises(NoRevivalError):
-            extract_TR(mk_peaks([0.0], [1.0]), grid_step_ms=0.01)
-
     def test_overunity_artifact_peaks_cannot_outvote(self):
         # a clipped truncation artifact (|L| > 1) between teeth must not
         # steal the vote from the true comb
@@ -212,33 +213,6 @@ class TestExtractTR:
         peaks = mk_peaks([0.0, 0.5, 1.0, 1.5], [1.0, 0.0, -0.1, 0.0])
         period, _ = extract_TR(peaks, grid_step_ms=0.01)
         assert period == pytest.approx(0.5, abs=1e-12)
-
-    @pytest.mark.parametrize(
-        "times",
-        [[0.0, 0.1, 0.1, 0.1], [0.0, 0.1, 0.1], [0.1, 0.1], [0.0, 0.2, 0.1],
-         [0.0, 1.0, math.inf], [0.0, 1.0, 2.0, math.inf]],
-    )
-    def test_peak_times_must_be_finite_and_strictly_increase(self, times):
-        # these used to give a NaN spacing, a spacing of 0.05 for [0, .1, .1],
-        # or a LinAlgError
-        peaks = mk_peaks(times, [1.0, 0.8, 0.6, 0.5][: len(times)])
-        with pytest.raises(ConfigError, match="finite and strictly increase"):
-            extract_TR(peaks, grid_step_ms=0.01)
-
-    @pytest.mark.parametrize("height", [math.nan, math.inf, -math.inf])
-    def test_peak_heights_must_be_finite(self, height):
-        # a NaN or infinite height used to give T_R = 0.1 ms without a word
-        peaks = mk_peaks([0.0, 0.1, 0.2, 0.3], [1.0, height, 0.5, 0.3])
-        with pytest.raises(ConfigError, match="peak heights must be finite"):
-            extract_TR(peaks, grid_step_ms=0.01)
-
-    @pytest.mark.parametrize("step", [math.nan, -0.001, math.inf, 0.0])
-    def test_bad_grid_step_rejected(self, step):
-        # a NaN floor used to empty the candidate menu and fall back to the
-        # median gap without a word
-        peaks = mk_peaks([0.0, 0.5, 1.0, 1.5], [1.0, 0.8, 0.6, 0.5])
-        with pytest.raises(ConfigError):
-            extract_TR(peaks, grid_step_ms=step)
 
 
 # At 2 G and 0.3% abundance, over a 6.2-period window on the 4 nm lattice,
@@ -438,14 +412,6 @@ class TestSnapToComb:
         snapped = snap_to_comb(mk_peaks([0.0, 1.0], [1.0, 0.5]), 1.0)
         assert snapped[0].time == 0.0
 
-    def test_invalid_period_rejected(self):
-        # a period <= 0 is a DomainError; a non-number, like every other
-        # argument's, is a ConfigError
-        with pytest.raises(DomainError):
-            snap_to_comb(mk_peaks([0.0], [1.0]), 0.0)
-        with pytest.raises(ConfigError):
-            snap_to_comb(mk_peaks([0.0], [1.0]), math.nan)
-
 
 # ------------------------------------------------------------- envelopes
 class TestExtractT2:
@@ -466,32 +432,6 @@ class TestExtractT2:
         t2, err = extract_T2(peaks)
         assert math.isinf(t2)
 
-    def test_too_few_peaks_raises(self):
-        with pytest.raises(InsufficientEnvelopeError):
-            extract_T2(mk_peaks([0.0, 0.5], [1.0, 0.5]))
-
-    @pytest.mark.parametrize("height", [math.nan, math.inf, -math.inf])
-    def test_peak_heights_must_be_finite(self, height):
-        # a NaN height used to drop out (nan > 0 is False); with it, or with
-        # an infinite one, T2 came out 0.2601 ms without a word
-        peaks = mk_peaks([0.0, 0.1, 0.2, 0.3], [1.0, height, 0.5, 0.3])
-        with pytest.raises(ConfigError, match="peak heights must be finite"):
-            extract_T2(peaks)
-
-    @pytest.mark.parametrize(
-        "times", [[0.0, math.nan, 0.2], [0.0, 0.1, math.inf], [0.2, 0.1, 0.0]],
-        ids=["nan", "infinite", "unsorted"])
-    def test_peak_times_must_be_finite_and_increase(self, times):
-        # each read without a word: (nan, nan), (inf, inf) as an undamped
-        # train, and T2_err = -0.05 ms
-        with pytest.raises(ConfigError, match="peak times must be finite and strictly increase"):
-            extract_T2(mk_peaks(times, [1.0, 0.5, 0.2]))
-
-    def test_nonpositive_heights_do_not_count(self):
-        peaks = mk_peaks([0.0, 0.5, 1.0], [1.0, 0.0, -0.2])
-        with pytest.raises(InsufficientEnvelopeError):
-            extract_T2(peaks)
-
 
 class TestExtractTw:
     def test_gaussian_first_peak_width_is_its_time_constant(self):
@@ -506,33 +446,6 @@ class TestExtractTw:
         tr = CoherenceTrace(grid, np.exp(-grid / 0.4))
         t_w, _ = extract_Tw(tr)
         assert t_w == pytest.approx(0.4, rel=1e-3)
-
-    def test_search_confined_to_first_collapse(self):
-        # first collapse bottoms out at ~0.47 (above 1/e), revives, and the
-        # overall decay crosses 1/e only later: the crossing beyond the
-        # first revival must NOT be reported as a collapse width
-        grid = np.linspace(0.0, 6.0, 3001)
-        vals = (0.8 + 0.2 * np.cos(np.pi * grid)) * np.exp(-grid / 4.0)
-        assert vals.min() < math.exp(-1.0)  # a later crossing does exist
-        tr = CoherenceTrace(grid, vals)
-        with pytest.raises(CrossingNotFoundError):
-            extract_Tw(tr)
-
-    def test_no_crossing_at_all(self):
-        grid = np.linspace(0.0, 1.0, 101)
-        tr = CoherenceTrace(grid, np.full(101, 1.0))
-        with pytest.raises(CrossingNotFoundError):
-            extract_Tw(tr)
-
-    @pytest.mark.parametrize("n_points", [2, 11])
-    def test_crossing_inside_the_first_step_is_unresolved(self, n_points):
-        # the trace `nvmag simulate --field 0.01` writes: τ = 0 and one step of
-        # period/48 = 1.946 ms, by which the coherence has long collapsed.  A
-        # line between them is no width, only the step's half
-        grid = np.linspace(0.0, 1.946 * (n_points - 1), n_points)
-        tr = CoherenceTrace(grid, np.exp(-grid / 0.01))
-        with pytest.raises(CrossingNotFoundError):
-            extract_Tw(tr)
 
     def test_crossing_inside_the_second_step_is_resolved(self):
         grid = np.array([0.0, 0.5, 1.0, 1.5])
@@ -598,15 +511,6 @@ class TestExtractTimescales:
         assert payload["flags"] == list(ts.flags)
         assert (payload["T_R_ms"], payload["T2_ms"]) == (ts.T_R, ts.T2)
 
-    @pytest.mark.parametrize("prominence", [math.nan, math.inf, True])
-    def test_prominence_that_is_not_a_finite_number_rejected(self, prominence):
-        # a NaN or infinite floor finds no peak at all, so a trace with perfect
-        # revivals came back flagged no-revival and insufficient-envelope
-        trace = analytic_trace(EchoSchedule.regular(1.0, 0.002), 0.1, 0.5)
-        assert extract_timescales(trace).T_R == pytest.approx(0.09994, rel=1e-4)
-        with pytest.raises(ConfigError, match="prominence"):
-            extract_timescales(trace, prominence=prominence)
-
     def test_json_round_trip_keys(self):
         ts = TimescaleSet(T_w=0.1, T_R=0.5, T2=1.0)
         d = ts.to_json_dict()
@@ -631,48 +535,141 @@ class TestFitPowerLaw:
         fit = PowerLawFit(coefficient=2.0, exponent=-0.5, residual=0.0, n_points=3)
         assert fit(4.0) == pytest.approx(1.0, rel=1e-12)
 
-    def test_rejects_nonpositive_data(self):
-        with pytest.raises(DomainError):
-            fit_power_law([1.0, 2.0], [1.0, -2.0])
-        with pytest.raises(DomainError):
-            fit_power_law([0.0, 2.0], [1.0, 2.0])
 
-    @pytest.mark.parametrize("x,y", [([1, 10**400], [1.0, 0.5]), ([1.0, 2.0], [True, False]),
-                                     (["1", "2"], [1.0, 0.5])])
-    def test_data_that_are_not_numbers_rejected(self, x, y):
-        # an int past float range escaped as an OverflowError
-        with pytest.raises(ConfigError, match="must hold numbers"):
-            fit_power_law(x, y)
+# ------------------------------------------------------------- refusals
+NO_CROSSING = "no 1/e crossing resolved after the first grid step and before the first revival"
+TOO_FEW = "need at least three positive peaks to fit a decay envelope"
+TIMES_SAY = "peak times must be finite and strictly increase"
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_non_finite_data_rejected(self, bad):
-        # NaN and infinities were a DomainError, unlike every other argument's
-        with pytest.raises(ConfigError, match="must be finite"):
-            fit_power_law([1.0, 2.0], [1.0, bad])
-        with pytest.raises(ConfigError, match="must be finite"):
-            fit_power_law([bad, 2.0], [1.0, 0.5])
 
-    def test_needs_two_points(self):
-        with pytest.raises(ConfigError):
-            fit_power_law([1.0], [1.0])
-        # three points at one x are one point: polyfit returned an exponent
-        # of -0.515 with only a RankWarning
-        with pytest.raises(ConfigError, match="two distinct x values"):
-            fit_power_law([10.0, 10.0, 10.0], [0.0933] * 3)
+def _second_collapse_trace(tmp_path, sites):
+    """A first collapse that bottoms out at ~0.47 (above 1/e) and revives,
+    under a decay that crosses 1/e only later: the crossing beyond the first
+    revival is no collapse width."""
+    grid = np.linspace(0.0, 6.0, 3001)
+    values = (0.8 + 0.2 * np.cos(np.pi * grid)) * np.exp(-grid / 4.0)
+    assert values.min() < math.exp(-1.0)  # a later crossing does exist
+    return (CoherenceTrace(grid, values),)
 
-    @pytest.mark.parametrize("x,y", [([1.0, 2.0, 3.0], [1.0, 2.0]),
-                                     ([[1.0, 2.0]], [[1.0, 2.0]])])
-    def test_mismatched_shapes_rejected(self, x, y):
-        with pytest.raises(ConfigError, match="one-dimensional"):
-            fit_power_law(x, y)
 
-    def test_nonpositive_coefficient_rejected(self):
-        with pytest.raises(DomainError):
-            PowerLawFit(coefficient=0.0, exponent=1.0, residual=0.0)
+def _revival_trace(tmp_path, sites):
+    """An analytic trace with perfect revivals, which extracts at the default prominence."""
+    trace = analytic_trace(EchoSchedule.regular(1.0, 0.002), 0.1, 0.5)
+    assert extract_timescales(trace).T_R == pytest.approx(0.09994, rel=1e-4)
+    return (trace,)
 
-    @pytest.mark.parametrize("field,value", [("coefficient", math.nan), ("exponent", math.inf),
-                                             ("residual", math.nan), ("n_points", True)])
-    def test_non_finite_or_bool_field_rejected(self, field, value):
-        kwargs = {"coefficient": 2.0, "exponent": -1.0, "residual": 0.0, "n_points": 3}
-        with pytest.raises(ConfigError):
-            PowerLawFit(**{**kwargs, field: value})
+
+REFUSALS = {"TestFindRevivalPeaks": {
+    "test_bad_prominence_rejected": Refusal(
+        ConfigError, "prominence must be positive, got 0.0", find_revival_peaks,
+        CoherenceTrace(np.array([0.0, 0.1]), np.array([1.0, 0.5])), prominence=0.0),
+}, "TestExtractTR": {
+    "test_fewer_than_two_peaks_raises": Refusal(
+        NoRevivalError, "fewer than two coherence peaks: revival spacing is undefined", extract_TR,
+        mk_peaks([0.0], [1.0]), grid_step_ms=0.01),
+    # these used to give a NaN spacing, a spacing of 0.05 for [0, .1, .1], or
+    # a LinAlgError
+    **{f"test_peak_times_must_be_finite_and_strictly_increase[times{i}]": Refusal(
+        ConfigError, TIMES_SAY, extract_TR, mk_peaks(times, [1.0, 0.8, 0.6, 0.5][: len(times)]),
+        grid_step_ms=0.01)
+       for i, times in enumerate([[0.0, 0.1, 0.1, 0.1], [0.0, 0.1, 0.1], [0.1, 0.1],
+                                  [0.0, 0.2, 0.1], [0.0, 1.0, math.inf],
+                                  [0.0, 1.0, 2.0, math.inf]])},
+    # a NaN or infinite height used to give T_R = 0.1 ms without a word
+    **{f"test_peak_heights_must_be_finite[{height}]": Refusal(
+        ConfigError, "peak heights must be finite", extract_TR,
+        mk_peaks([0.0, 0.1, 0.2, 0.3], [1.0, height, 0.5, 0.3]), grid_step_ms=0.01)
+       for height in (math.nan, math.inf, -math.inf)},
+    # a NaN floor used to empty the candidate menu and fall back to the median
+    # gap without a word
+    **{f"test_bad_grid_step_rejected[{step}]": Refusal(
+        ConfigError, f"grid step {says}, got {step}", extract_TR,
+        mk_peaks([0.0, 0.5, 1.0, 1.5], [1.0, 0.8, 0.6, 0.5]), grid_step_ms=step)
+       for step, says in [(math.nan, "must be finite"), (-0.001, "must be positive"),
+                          (math.inf, "must be finite"), (0.0, "must be positive")]},
+}, "TestSnapToComb": {
+    # a period <= 0 is a DomainError; a non-number, like every other
+    # argument's, is a ConfigError
+    "test_invalid_period_rejected": [
+        Refusal(DomainError, "comb period must be positive, got 0.0", snap_to_comb,
+                mk_peaks([0.0], [1.0]), 0.0),
+        Refusal(ConfigError, "comb period must be finite, got nan", snap_to_comb,
+                mk_peaks([0.0], [1.0]), math.nan)],
+}, "TestExtractT2": {
+    "test_too_few_peaks_raises": Refusal(
+        InsufficientEnvelopeError, TOO_FEW, extract_T2, mk_peaks([0.0, 0.5], [1.0, 0.5])),
+    # a NaN height used to drop out (nan > 0 is False); with it, or with an
+    # infinite one, T2 came out 0.2601 ms without a word
+    **{f"test_peak_heights_must_be_finite[{height}]": Refusal(
+        ConfigError, "peak heights must be finite", extract_T2,
+        mk_peaks([0.0, 0.1, 0.2, 0.3], [1.0, height, 0.5, 0.3]))
+       for height in (math.nan, math.inf, -math.inf)},
+    # each read without a word: (nan, nan), (inf, inf) as an undamped train,
+    # and T2_err = -0.05 ms
+    **{f"test_peak_times_must_be_finite_and_increase[{case}]": Refusal(
+        ConfigError, TIMES_SAY, extract_T2, mk_peaks(times, [1.0, 0.5, 0.2]))
+       for case, times in [("nan", [0.0, math.nan, 0.2]), ("infinite", [0.0, 0.1, math.inf]),
+                           ("unsorted", [0.2, 0.1, 0.0])]},
+    "test_nonpositive_heights_do_not_count": Refusal(
+        InsufficientEnvelopeError, TOO_FEW, extract_T2,
+        mk_peaks([0.0, 0.5, 1.0], [1.0, 0.0, -0.2])),
+}, "TestExtractTw": {
+    "test_search_confined_to_first_collapse": Refusal(
+        CrossingNotFoundError, NO_CROSSING, extract_Tw, build=_second_collapse_trace),
+    "test_no_crossing_at_all": Refusal(
+        CrossingNotFoundError, NO_CROSSING, extract_Tw,
+        CoherenceTrace(np.linspace(0.0, 1.0, 101), np.full(101, 1.0))),
+    # the trace `nvmag simulate --field 0.01` writes: tau = 0 and one step of
+    # period/48 = 1.946 ms, by which the coherence has long collapsed.  A line
+    # between them is no width, only the step's half
+    **{f"test_crossing_inside_the_first_step_is_unresolved[{grid.size}]": Refusal(
+        CrossingNotFoundError, NO_CROSSING, extract_Tw, CoherenceTrace(grid, np.exp(-grid / 0.01)))
+       for grid in (np.linspace(0.0, 1.946 * (n - 1), n) for n in (2, 11))},
+}, "TestExtractTimescales": {
+    # a NaN or infinite floor finds no peak at all, so a trace with perfect
+    # revivals came back flagged no-revival and insufficient-envelope
+    **{f"test_prominence_that_is_not_a_finite_number_rejected[{prominence}]": Refusal(
+        ConfigError, f"prominence {says}, got {prominence}", extract_timescales,
+        build=_revival_trace, prominence=prominence)
+       for prominence, says in [(math.nan, "must be finite"), (math.inf, "must be finite"),
+                                (True, "must be a number")]},
+}, "TestFitPowerLaw": {
+    "test_rejects_nonpositive_data": [
+        Refusal(DomainError, "power-law fits need positive data", fit_power_law, x, y)
+        for x, y in [([1.0, 2.0], [1.0, -2.0]), ([0.0, 2.0], [1.0, 2.0])]],
+    # an int past float range escaped as an OverflowError
+    **{f"test_data_that_are_not_numbers_rejected[x{i}-y{i}]": Refusal(
+        ConfigError, says, fit_power_law, x, y)
+       for i, (x, y, says) in enumerate([
+           ([1, 10**400], [1.0, 0.5], "x must hold numbers, got [1, 1000"),
+           ([1.0, 2.0], [True, False], "y must hold numbers, got [True, False]"),
+           (["1", "2"], [1.0, 0.5], "x must hold numbers, got ['1', '2']")])},
+    # NaN and infinities were a DomainError, unlike every other argument's
+    **{f"test_non_finite_data_rejected[{bad}]": [
+        Refusal(ConfigError, "y must be finite", fit_power_law, [1.0, 2.0], [1.0, bad]),
+        Refusal(ConfigError, "x must be finite", fit_power_law, [bad, 2.0], [1.0, 0.5])]
+       for bad in (math.nan, math.inf, -math.inf)},
+    "test_needs_two_points": [
+        Refusal(ConfigError, "need at least two points for a power-law fit", fit_power_law,
+                [1.0], [1.0]),
+        # three points at one x are one point: polyfit returned an exponent of
+        # -0.515 with only a RankWarning
+        Refusal(ConfigError, "a power-law fit needs two distinct x values", fit_power_law,
+                [10.0, 10.0, 10.0], [0.0933] * 3)],
+    **{f"test_mismatched_shapes_rejected[x{i}-y{i}]": Refusal(
+        ConfigError, "x and y must be one-dimensional and equally long", fit_power_law, x, y)
+       for i, (x, y) in enumerate([([1.0, 2.0, 3.0], [1.0, 2.0]), ([[1.0, 2.0]], [[1.0, 2.0]])])},
+    "test_nonpositive_coefficient_rejected": Refusal(
+        DomainError, "power-law coefficient must be positive, got 0.0", PowerLawFit,
+        coefficient=0.0, exponent=1.0, residual=0.0),
+    **{f"test_non_finite_or_bool_field_rejected[{field}-{value}]": Refusal(
+        ConfigError, says, PowerLawFit,
+        **{"coefficient": 2.0, "exponent": -1.0, "residual": 0.0, "n_points": 3, field: value})
+       for field, value, says in [
+           ("coefficient", math.nan, "power-law coefficient must be finite, got nan"),
+           ("exponent", math.inf, "power-law exponent must be finite, got inf"),
+           ("residual", math.nan, "power-law residual must be finite, got nan"),
+           ("n_points", True, "n_points must be an integer, got True")]},
+}}
+
+install(REFUSALS, check_refusal, globals())
